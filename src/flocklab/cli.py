@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict
 
 from .config import ConfigError, preset_names, resolve_config
-from .runner import classify, run, sweep, sweep_csv
+from .runner import analyze, apriori_velocity_bound, classify, constants_for, run, sweep, sweep_csv
 
 
 def _thread_cap() -> int:
@@ -72,37 +72,8 @@ def cmd_constants(args) -> int:
 
 
 def constants_json(cfg) -> str:
-    from . import constants as consts
-    from .initial import build_state
-    from .kernels import ConstantKernel, kernel_bounds
-    from .potentials import convexity_bounds
-    from .runner import _phi_minus_apriori
-
-    _, info = build_state(cfg)
-    a_lo, a_hi = convexity_bounds(cfg.potential)
-    _, phi_plus, dphi_inf = kernel_bounds(cfg.kernel, 0.0)
-    phi_minus, source = _phi_minus_apriori(cfg, info)
-    coupling = cfg.m0 * cfg.kernel.value if isinstance(cfg.kernel, ConstantKernel) else None
-    u_max = None
-    if phi_minus is not None and a_lo > 0.0:
-        u_max = consts.velocity_bound(
-            a_lo, a_hi, cfg.m0, phi_minus, phi_plus, info.energy0, info.max_speed_position0
-        )
-    report = consts.constants_report(
-        a_lo,
-        a_hi,
-        cfg.m0,
-        phi_minus,
-        phi_plus,
-        dphi_inf,
-        K=coupling,
-        energy0=info.energy0,
-        particle_energy0=info.particle_energy0,
-        kernel=cfg.kernel,
-        u_max=u_max,
-    )
-    report.notes.append(f"kernel floor source: {source}")
-    return report.to_json()
+    an = analyze(cfg)
+    return constants_for(cfg, an, u_max=apriori_velocity_bound(cfg, an)).to_json()
 
 
 def cmd_sweep(args) -> int:

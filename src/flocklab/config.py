@@ -1,10 +1,14 @@
 """Experiment configuration: flat INI sections [run], [kernel], [potential], [initial].
 
-Parsing is strict: unknown sections or keys, missing required keys, and
-invariant violations are all reported with their key path (for example
-``run.dt``).  serialize_config(parse_config(text)) round-trips to an
-identical configuration, which is what makes sweep overrides and the
-by-name presets reproducible.
+Each key is declared once, in a key table per section and per kernel or
+potential family; parsing, serialize_config and with_override all read
+those tables.  Parsing is strict: unknown sections or keys, keys of
+another family (``kernel.k`` under ``family = power_law``), missing
+required keys, non-integral values of integer keys and invariant
+violations are all reported with their key path (for example ``run.dt``).
+serialize_config(parse_config(text)) round-trips to an identical
+configuration, which is what makes sweep overrides and the by-name
+presets reproducible.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, replace
+import os
+from dataclasses import dataclass
 from typing import Optional
 
 from .kernels import ConstantKernel, FloorClippedKernel, Kernel, PowerLawKernel
@@ -28,7 +33,6 @@ __all__ = [
     "InitialSpec",
     "ExperimentConfig",
     "parse_config",
-    "load_config",
     "serialize_config",
     "with_override",
     "preset_names",
@@ -79,20 +83,70 @@ class ExperimentConfig:
         return max(1, int(round(self.t_final / self.dt)))
 
 
-_RUN_KEYS = {"scenario", "mode", "dim", "n", "dt", "t", "output_stride", "seed", "m0"}
-_KERNEL_KEYS = {"family", "c0", "beta", "k", "alpha", "inner_family", "inner_c0", "inner_beta", "inner_k"}
-_POTENTIAL_KEYS = {"family", "a", "eps", "kappa"}
-_INITIAL_KEYS = {
-    "positions",
-    "velocities",
-    "amplitude",
-    "rotation",
-    "length",
-    "z",
-    "recenter",
-    "x_shift",
-    "u_shift",
+@dataclass(frozen=True)
+class _Int:
+    """Kind of an integer key in [lo, hi]; hi=None leaves it unbounded above."""
+
+    lo: int
+    hi: Optional[int] = None
+
+
+_REQUIRED = object()
+_NUMBER_KINDS = ("pos", "nonneg", "real", "real?")
+
+# Every key is declared once, as a row (key, attribute, kind, default) of
+# the tables below; parsing, serialize_config and with_override all read
+# them.  A family table maps each family name to (class, key table).  Kinds:
+#   "pos", "nonneg", "real"   a finite number: > 0, >= 0, any
+#   _Int(lo, hi)              an integer in [lo, hi]
+#   a tuple of words          one of them
+#   "bool", "text"            a boolean, a string
+#   "vec"                     comma-separated numbers, one per dimension
+#   a family table            a nested kernel whose keys carry the prefix "<key>_"
+# A kind ending in "?" is written only when its value differs from its default.
+_RUN = (
+    ("scenario", "scenario", "text?", None),
+    ("mode", "mode", MODES, "particles"),
+    ("dim", "dim", _Int(1, 2), 1),
+    ("n", "n", _Int(1), _REQUIRED),
+    ("dt", "dt", "pos", 1.0e-3),
+    ("t", "t_final", "pos", _REQUIRED),
+    ("output_stride", "output_stride", _Int(1), 100),
+    ("seed", "seed", _Int(0, 2**64 - 1), 0),
+    ("m0", "m0", "pos", 1.0),
+)
+_INNER_KERNELS = {
+    "power_law": (PowerLawKernel, (("c0", "c0", "pos", _REQUIRED), ("beta", "beta", "nonneg", _REQUIRED))),
+    "constant": (ConstantKernel, (("k", "value", "pos", _REQUIRED),)),
 }
+_KERNELS = {
+    **_INNER_KERNELS,
+    "floor_clipped": (
+        FloorClippedKernel,
+        (("alpha", "alpha", "pos", _REQUIRED), ("inner", "inner", _INNER_KERNELS, _REQUIRED)),
+    ),
+}
+_POTENTIALS = {
+    "quadratic": (QuadraticPotential, (("a", "a", "pos", _REQUIRED),)),
+    "perturbed_quadratic": (
+        PerturbedQuadraticPotential,
+        (("a", "a", "pos", _REQUIRED), ("eps", "eps", "nonneg", _REQUIRED), ("kappa", "kappa", "pos", 1.0)),
+    ),
+    "zero": (ZeroPotential, ()),
+}
+_INITIAL = (
+    ("positions", "positions", POSITION_KINDS, "uniform"),
+    ("velocities", "velocities", VELOCITY_KINDS, "random"),
+    ("amplitude", "amplitude", "real", 1.0),
+    ("length", "half_width", "pos", 1.0),
+    ("z", "bump_height", "pos", 1.0),
+    ("recenter", "recenter", "bool", False),
+    ("rotation", "rotation", "real?", 0.0),
+    ("x_shift", "x_shift", "vec?", ()),
+    ("u_shift", "u_shift", "vec?", ()),
+)
+# section -> its key table, or its family table
+_SECTIONS = {"run": _RUN, "kernel": _KERNELS, "potential": _POTENTIALS, "initial": _INITIAL}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -102,201 +156,122 @@ def parse_config(text: str) -> ExperimentConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed configuration: {exc}") from exc
-    sections = {s: dict(parser.items(s)) for s in parser.sections()}
-    return _build(sections)
-
-
-def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return _build({s: dict(parser.items(s)) for s in parser.sections()})
 
 
 def _build(sections: dict) -> ExperimentConfig:
-    known = {"run", "kernel", "potential", "initial"}
     for name in sections:
-        if name not in known:
+        if name not in _SECTIONS:
             raise ConfigError(f"unknown section [{name}]")
     for required in ("run", "kernel", "potential"):
         if required not in sections:
             raise ConfigError(f"missing section [{required}]")
 
-    run = _Section("run", sections["run"], _RUN_KEYS)
-    kernel_sec = _Section("kernel", sections["kernel"], _KERNEL_KEYS)
-    pot_sec = _Section("potential", sections["potential"], _POTENTIAL_KEYS)
-    init_sec = _Section("initial", sections.get("initial", {}), _INITIAL_KEYS)
+    # keys are popped as they are read; what is left over is unknown
+    raw = {name: dict(sections.get(name, {})) for name in _SECTIONS}
+    fields = _take("run", raw["run"], _RUN, dim=None)
+    dim = fields["dim"]
+    fields["kernel"] = _take_component("kernel", raw["kernel"], _KERNELS, dim)
+    fields["potential"] = _take_component("potential", raw["potential"], _POTENTIALS, dim)
+    fields["initial"] = InitialSpec(**_take("initial", raw["initial"], _INITIAL, dim))
+    for name, left in raw.items():
+        if left:
+            family = f" for family {sections[name]['family']}" if name in ("kernel", "potential") else ""
+            raise ConfigError(f"unknown key {name}.{next(iter(left))}{family}")
 
-    mode = run.choice("mode", MODES, default="particles")
-    dim = run.integer("dim", default=1, lo=1, hi=2)
-    n = run.integer("n", required=True, lo=1)
-    dt = run.number("dt", default=1.0e-3, positive=True)
-    t_final = run.number("t", required=True, positive=True)
-    stride = run.integer("output_stride", default=100, lo=1)
-    seed = run.integer("seed", default=0, lo=0, hi=2**64 - 1)
-    m0 = run.number("m0", default=1.0, positive=True)
-    scenario = run.raw.get("scenario")
-
-    kernel = _parse_kernel(kernel_sec)
-    potential = _parse_potential(pot_sec)
-    initial = _parse_initial(init_sec, dim)
-
-    run.reject_unknown()
-    kernel_sec.reject_unknown()
-    pot_sec.reject_unknown()
-    init_sec.reject_unknown()
-
-    cfg = ExperimentConfig(
-        scenario=scenario,
-        mode=mode,
-        dim=dim,
-        n=n,
-        dt=dt,
-        t_final=t_final,
-        output_stride=stride,
-        seed=seed,
-        m0=m0,
-        kernel=kernel,
-        potential=potential,
-        initial=initial,
-    )
+    cfg = ExperimentConfig(**fields)
     _validate_mode(cfg)
     return cfg
 
 
-class _Section:
-    def __init__(self, name: str, raw: dict, known: set):
-        self.name = name
-        self.raw = raw
-        self.known = known
+def _take(section: str, raw: dict, table, dim, prefix: str = "") -> dict:
+    """Pop one table's keys from a section's raw strings; return attribute -> value."""
+    out = {}
+    for key, attr, kind, default in table:
+        path = f"{section}.{prefix}{key}"
+        if isinstance(kind, dict):
+            out[attr] = _take_component(section, raw, kind, dim, f"{prefix}{key}_")
+        elif prefix + key in raw:
+            out[attr] = _parse_value(path, raw.pop(prefix + key), kind, dim)
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing required key {path}")
+        else:
+            out[attr] = default
+    return out
 
-    def _get(self, key, required, default):
-        if key not in self.raw:
-            if required:
-                raise ConfigError(f"missing required key {self.name}.{key}")
-            return None, default
-        return self.raw[key], default
 
-    def number(self, key, default=None, required=False, positive=False, nonnegative=False):
-        raw, default = self._get(key, required, default)
-        if raw is None:
-            return default
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"{self.name}.{key}: expected a number, got {raw!r}") from None
-        if positive and not value > 0.0:
-            raise ConfigError(f"{self.name}.{key}: must be positive, got {value}")
-        if nonnegative and value < 0.0:
-            raise ConfigError(f"{self.name}.{key}: must be nonnegative, got {value}")
-        if not math.isfinite(value):
-            raise ConfigError(f"{self.name}.{key}: must be finite")
-        return value
+def _take_component(section: str, raw: dict, families: dict, dim, prefix: str = ""):
+    """Build a kernel or potential from its family key and that family's table."""
+    family_row = (("family", "family", tuple(families), _REQUIRED),)
+    cls, table = families[_take(section, raw, family_row, dim, prefix)["family"]]
+    kwargs = _take(section, raw, table, dim, prefix)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
-    def integer(self, key, default=None, required=False, lo=None, hi=None):
-        raw, default = self._get(key, required, default)
-        if raw is None:
-            return default
+
+def _parse_value(path: str, raw: str, kind, dim):
+    if isinstance(kind, _Int):
         try:
             value = int(raw)
         except ValueError:
-            raise ConfigError(f"{self.name}.{key}: expected an integer, got {raw!r}") from None
-        if lo is not None and value < lo:
-            raise ConfigError(f"{self.name}.{key}: must be >= {lo}, got {value}")
-        if hi is not None and value > hi:
-            raise ConfigError(f"{self.name}.{key}: must be <= {hi}, got {value}")
+            raise ConfigError(f"{path}: expected an integer, got {raw!r}") from None
+        if value < kind.lo:
+            raise ConfigError(f"{path}: must be >= {kind.lo}, got {value}")
+        if kind.hi is not None and value > kind.hi:
+            raise ConfigError(f"{path}: must be <= {kind.hi}, got {value}")
         return value
-
-    def choice(self, key, allowed, default=None, required=False):
-        raw, default = self._get(key, required, default)
-        if raw is None:
-            return default
-        if raw not in allowed:
-            raise ConfigError(f"{self.name}.{key}: expected one of {allowed}, got {raw!r}")
+    if isinstance(kind, tuple):
+        if raw not in kind:
+            raise ConfigError(f"{path}: expected one of {kind}, got {raw!r}")
         return raw
-
-    def boolean(self, key, default=False):
-        raw, default = self._get(key, False, default)
-        if raw is None:
-            return default
+    kind = kind.rstrip("?")
+    if kind == "text":
+        return raw
+    if kind == "bool":
         low = raw.strip().lower()
         if low in ("true", "yes", "1", "on"):
             return True
         if low in ("false", "no", "0", "off"):
             return False
-        raise ConfigError(f"{self.name}.{key}: expected a boolean, got {raw!r}")
-
-    def vector(self, key, dim):
-        raw, _ = self._get(key, False, None)
-        if raw is None or raw.strip() == "":
+        raise ConfigError(f"{path}: expected a boolean, got {raw!r}")
+    if kind == "vec":
+        if raw.strip() == "":
             return ()
         try:
             parts = tuple(float(p) for p in raw.split(","))
         except ValueError:
-            raise ConfigError(f"{self.name}.{key}: expected comma-separated numbers") from None
+            raise ConfigError(f"{path}: expected comma-separated numbers") from None
         if len(parts) != dim:
-            raise ConfigError(f"{self.name}.{key}: expected {dim} components, got {len(parts)}")
+            raise ConfigError(f"{path}: expected {dim} components, got {len(parts)}")
         return parts
-
-    def reject_unknown(self):
-        for key in self.raw:
-            if key not in self.known:
-                raise ConfigError(f"unknown key {self.name}.{key}")
-
-
-def _parse_kernel(sec: _Section) -> Kernel:
-    family = sec.choice("family", ("power_law", "constant", "floor_clipped"), required=True)
     try:
-        if family == "power_law":
-            return PowerLawKernel(
-                c0=sec.number("c0", required=True, positive=True),
-                beta=sec.number("beta", required=True, nonnegative=True),
-            )
-        if family == "constant":
-            return ConstantKernel(value=sec.number("k", required=True, positive=True))
-        inner_family = sec.choice("inner_family", ("power_law", "constant"), required=True)
-        if inner_family == "power_law":
-            inner: Kernel = PowerLawKernel(
-                c0=sec.number("inner_c0", required=True, positive=True),
-                beta=sec.number("inner_beta", required=True, nonnegative=True),
-            )
-        else:
-            inner = ConstantKernel(value=sec.number("inner_k", required=True, positive=True))
-        return FloorClippedKernel(inner=inner, alpha=sec.number("alpha", required=True, positive=True))
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"kernel: {exc}") from exc
+        value = float(raw)
+    except ValueError:
+        raise ConfigError(f"{path}: expected a number, got {raw!r}") from None
+    if kind == "pos" and not value > 0.0:
+        raise ConfigError(f"{path}: must be positive, got {value}")
+    if kind == "nonneg" and value < 0.0:
+        raise ConfigError(f"{path}: must be nonnegative, got {value}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite")
+    return value
 
 
-def _parse_potential(sec: _Section) -> Potential:
-    family = sec.choice("family", ("quadratic", "perturbed_quadratic", "zero"), required=True)
-    try:
-        if family == "quadratic":
-            return QuadraticPotential(a=sec.number("a", required=True, positive=True))
-        if family == "perturbed_quadratic":
-            return PerturbedQuadraticPotential(
-                a=sec.number("a", required=True, positive=True),
-                eps=sec.number("eps", required=True, nonnegative=True),
-                kappa=sec.number("kappa", default=1.0, positive=True),
-            )
-        return ZeroPotential()
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"potential: {exc}") from exc
-
-
-def _parse_initial(sec: _Section, dim: int) -> InitialSpec:
-    return InitialSpec(
-        positions=sec.choice("positions", POSITION_KINDS, default="uniform"),
-        velocities=sec.choice("velocities", VELOCITY_KINDS, default="random"),
-        amplitude=sec.number("amplitude", default=1.0),
-        rotation=sec.number("rotation", default=0.0),
-        half_width=sec.number("length", default=1.0, positive=True),
-        bump_height=sec.number("z", default=1.0, positive=True),
-        recenter=sec.boolean("recenter", default=False),
-        x_shift=sec.vector("x_shift", dim),
-        u_shift=sec.vector("u_shift", dim),
-    )
+def _format_value(value, kind) -> str:
+    if isinstance(kind, _Int):
+        return str(value)
+    if isinstance(kind, tuple):
+        return value
+    kind = kind.rstrip("?")
+    if kind == "text":
+        return value
+    if kind == "bool":
+        return "true" if value else "false"
+    if kind == "vec":
+        return ", ".join(repr(v) for v in value)
+    return repr(value)
 
 
 def _validate_mode(cfg: ExperimentConfig):
@@ -325,122 +300,78 @@ def _validate_mode(cfg: ExperimentConfig):
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Emit configuration text that parses back to an identical configuration."""
     parser = configparser.ConfigParser(interpolation=None)
-    run = {
-        "mode": cfg.mode,
-        "dim": str(cfg.dim),
-        "n": str(cfg.n),
-        "dt": repr(cfg.dt),
-        "t": repr(cfg.t_final),
-        "output_stride": str(cfg.output_stride),
-        "seed": str(cfg.seed),
-        "m0": repr(cfg.m0),
-    }
-    if cfg.scenario is not None:
-        run = {"scenario": cfg.scenario, **run}
-    parser["run"] = run
-
-    k = cfg.kernel
-    if isinstance(k, PowerLawKernel):
-        parser["kernel"] = {"family": "power_law", "c0": repr(k.c0), "beta": repr(k.beta)}
-    elif isinstance(k, ConstantKernel):
-        parser["kernel"] = {"family": "constant", "k": repr(k.value)}
-    else:
-        assert isinstance(k, FloorClippedKernel)
-        inner = k.inner
-        entry = {"family": "floor_clipped", "alpha": repr(k.alpha)}
-        if isinstance(inner, PowerLawKernel):
-            entry.update({"inner_family": "power_law", "inner_c0": repr(inner.c0), "inner_beta": repr(inner.beta)})
-        else:
-            entry.update({"inner_family": "constant", "inner_k": repr(inner.value)})
-        parser["kernel"] = entry
-
-    p = cfg.potential
-    if isinstance(p, QuadraticPotential):
-        parser["potential"] = {"family": "quadratic", "a": repr(p.a)}
-    elif isinstance(p, PerturbedQuadraticPotential):
-        parser["potential"] = {
-            "family": "perturbed_quadratic",
-            "a": repr(p.a),
-            "eps": repr(p.eps),
-            "kappa": repr(p.kappa),
-        }
-    else:
-        parser["potential"] = {"family": "zero"}
-
-    init = cfg.initial
-    entry = {
-        "positions": init.positions,
-        "velocities": init.velocities,
-        "amplitude": repr(init.amplitude),
-        "length": repr(init.half_width),
-        "z": repr(init.bump_height),
-        "recenter": "true" if init.recenter else "false",
-    }
-    if init.rotation != 0.0:
-        entry["rotation"] = repr(init.rotation)
-    if init.x_shift:
-        entry["x_shift"] = ", ".join(repr(v) for v in init.x_shift)
-    if init.u_shift:
-        entry["u_shift"] = ", ".join(repr(v) for v in init.u_shift)
-    parser["initial"] = entry
-
+    parser.read_dict(_sections(cfg))
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
 
 
-_OVERRIDABLE = {
-    "run.n": ("n", int),
-    "run.dt": ("dt", float),
-    "run.t": ("t_final", float),
-    "run.seed": ("seed", int),
-    "run.output_stride": ("output_stride", int),
-    "run.m0": ("m0", float),
-}
+def _sections(cfg: ExperimentConfig) -> dict:
+    """Section -> key -> text: the configuration as the parser reads it."""
+    return {
+        "run": _entries(cfg, _RUN),
+        "kernel": _component_entries(cfg.kernel, _KERNELS),
+        "potential": _component_entries(cfg.potential, _POTENTIALS),
+        "initial": _entries(cfg.initial, _INITIAL),
+    }
+
+
+def _entries(obj, table, prefix: str = "") -> dict:
+    out = {}
+    for key, attr, kind, default in table:
+        value = getattr(obj, attr)
+        if isinstance(kind, dict):
+            out.update(_component_entries(value, kind, f"{prefix}{key}_"))
+        elif not (isinstance(kind, str) and kind.endswith("?") and value == default):
+            out[prefix + key] = _format_value(value, kind)
+    return out
+
+
+def _component_entries(obj, families: dict, prefix: str = "") -> dict:
+    family = next(name for name, (cls, _) in families.items() if type(obj) is cls)
+    return {prefix + "family": family, **_entries(obj, families[family][1], prefix)}
+
+
+def _numeric_kinds(spec, prefix: str = "") -> dict:
+    """Key -> kind of every numeric key of a section, over all of its families."""
+    tables = [table for _, table in spec.values()] if isinstance(spec, dict) else [spec]
+    out = {}
+    for table in tables:
+        for key, _, kind, _ in table:
+            if isinstance(kind, dict):
+                out.update(_numeric_kinds(kind, f"{prefix}{key}_"))
+            elif isinstance(kind, _Int) or kind in _NUMBER_KINDS:
+                out[prefix + key] = kind
+    return out
 
 
 def with_override(cfg: ExperimentConfig, key_path: str, value) -> ExperimentConfig:
-    """Return a copy of the configuration with one dotted key replaced.
+    """Return a copy of the configuration with one numeric key set to ``value``.
 
-    Supports the run scalars plus kernel.*, potential.* and initial.*
-    fields; validation is re-run on the result.
+    Any numeric key of the configuration can be set (``run.dt``,
+    ``kernel.c0``, ``initial.length``, ...).  The configuration is
+    serialized, the key set, and the result parsed again, so it is
+    validated exactly like config text: a key of another kernel or
+    potential family is rejected, and an integer key needs an integral
+    value (16.0 is read as 16, 2.5 is an error).
     """
-    if key_path in _OVERRIDABLE:
-        attr, conv = _OVERRIDABLE[key_path]
-        out = replace(cfg, **{attr: conv(value)})
-        _validate_mode(out)
-        return out
     section, _, key = key_path.partition(".")
-    if section == "kernel":
-        return replace(cfg, kernel=_replace_component(cfg.kernel, key, value, "kernel"))
-    if section == "potential":
-        return replace(cfg, potential=_replace_component(cfg.potential, key, value, "potential"))
-    if section == "initial":
-        mapping = {
-            "amplitude": "amplitude",
-            "rotation": "rotation",
-            "length": "half_width",
-            "z": "bump_height",
-        }
-        if key not in mapping:
-            raise ConfigError(f"cannot override {key_path}")
-        out = replace(cfg, initial=replace(cfg.initial, **{mapping[key]: float(value)}))
-        _validate_mode(out)
-        return out
-    raise ConfigError(f"cannot override {key_path}")
-
-
-def _replace_component(obj, key: str, value, section: str):
-    mapping = {
-        "kernel": {"c0": "c0", "beta": "beta", "k": "value", "alpha": "alpha"},
-        "potential": {"a": "a", "eps": "eps", "kappa": "kappa"},
-    }[section]
-    if key not in mapping or not hasattr(obj, mapping[key]):
-        raise ConfigError(f"cannot override {section}.{key} on {type(obj).__name__}")
+    kind = _numeric_kinds(_SECTIONS.get(section, ())).get(key)
+    if kind is None:
+        raise ConfigError(f"cannot override {key_path}: not a numeric key")
     try:
-        return replace(obj, **{mapping[key]: float(value)})
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: {exc}") from exc
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key_path}: expected a number, got {value!r}") from None
+    if isinstance(kind, _Int):
+        if not number.is_integer():
+            raise ConfigError(f"{key_path}: expected an integer, got {value!r}")
+        text = str(value if isinstance(value, int) else int(number))
+    else:
+        text = repr(number)
+    sections = _sections(cfg)
+    sections[section][key] = text
+    return _build(sections)
 
 
 _PRESETS = {
@@ -691,10 +622,9 @@ def preset_config(name: str) -> ExperimentConfig:
 
 def resolve_config(spec: str) -> ExperimentConfig:
     """Interpret a CLI argument as a config file path or a preset name."""
-    import os
-
     if os.path.exists(spec):
-        return load_config(spec)
+        with open(spec, "r", encoding="utf-8") as fh:
+            return parse_config(fh.read())
     if spec in _PRESETS:
         return preset_config(spec)
     raise ConfigError(f"{spec!r} is neither a config file nor a preset; presets: {', '.join(preset_names())}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .kernels import ConstantKernel, Kernel, PowerLawKernel, kernel_eval
@@ -33,6 +33,7 @@ __all__ = [
     "reduction_constants",
     "velocity_bound",
     "gap_forcing_constant",
+    "general_gap_budget",
     "ConstantsReport",
     "constants_report",
 ]
@@ -237,6 +238,23 @@ def gap_forcing_constant(lam: float, m0: float, dphi_inf: float, c_inf: float) -
     return 64.0 / lam * m0 * dphi_inf * math.sqrt(c_inf)
 
 
+def general_gap_budget(
+    A: float, m0: float, phi_minus: float, dphi_inf: float, u_max: float
+) -> tuple[float, float, Optional[float], Optional[float]]:
+    """Gap budget (C_max, C_A, c2, etaS_upper) of the general-potential threshold.
+
+    C_max = 8 dphi_inf m0 u_max + 2A bounds the gap forcing and must stay
+    below C_A = (m0 phi_minus)^2/2 - 2A; then c2 and etaS_upper are
+    sqrt(C_A -+ sqrt(C_A^2 - C_max^2)).  Otherwise both are None.
+    """
+    c_max = 8.0 * dphi_inf * m0 * u_max + 2.0 * A
+    c_a = (m0 * phi_minus) ** 2 / 2.0 - 2.0 * A
+    if not c_a > c_max:
+        return c_max, c_a, None, None
+    disc = math.sqrt(c_a * c_a - c_max * c_max)
+    return c_max, c_a, math.sqrt(c_a - disc), math.sqrt(c_a + disc)
+
+
 def _require(cond: bool, what: str):
     if not cond:
         raise ValueError(f"constants require {what}")
@@ -276,41 +294,19 @@ class ConstantsReport:
 
     def as_dict(self) -> dict:
         out = {}
-        for name in _REPORT_FIELDS:
-            value = getattr(self, name)
-            entry = {"value": value}
-            if name in self.tags:
-                entry["formula"] = self.tags[name]
-            out[name] = entry
+        for f in fields(self):
+            if f.name in ("tags", "notes"):
+                continue
+            entry = {"value": getattr(self, f.name)}
+            if f.name in self.tags:
+                entry["formula"] = self.tags[f.name]
+            out[f.name] = entry
         out["notes"] = list(self.notes)
         return out
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2)
 
-
-_REPORT_FIELDS = [
-    "lam",
-    "lam1",
-    "c_inf",
-    "c_inf_via_f1",
-    "c_inf_conservative",
-    "mu1",
-    "mu2",
-    "mu3",
-    "beta_cross",
-    "r0",
-    "phi_minus_from_r0",
-    "c",
-    "c_0",
-    "c_f",
-    "c_plus",
-    "c_star",
-    "c1",
-    "c_max",
-    "c_a",
-    "c2",
-]
 
 _TAGS = {
     "lam": "0.5*min(m0*phi_minus/(m0^2*phi_plus^2/a + 3/2), sqrt(a)/2)",
@@ -393,10 +389,7 @@ def constants_report(
         if energy0 is None:
             rep.notes.append("E0 missing: C0 and C_F evaluated with E0 = 0")
     if u_max is not None and a > 0.0 and A >= a and phi_minus is not None:
-        rep.c_max = 8.0 * dphi_inf * m0 * u_max + 2.0 * A
-        rep.c_a = (m0 * phi_minus) ** 2 / 2.0 - 2.0 * A
-        if rep.c_a > rep.c_max:
-            rep.c2 = math.sqrt(rep.c_a - math.sqrt(rep.c_a**2 - rep.c_max**2))
-        else:
+        rep.c_max, rep.c_a, rep.c2, _ = general_gap_budget(A, m0, phi_minus, dphi_inf, u_max)
+        if rep.c2 is None:
             rep.notes.append("C_max >= C_A: general-potential gap budget not applicable")
     return rep

@@ -242,7 +242,7 @@ def classify_1d(
     a: float,
     A: float,
     m0: float,
-    phi_minus: float,
+    phi_minus: Optional[float],
     phi_plus: float,
     e0_min: float,
     e0_max: float,
@@ -259,32 +259,38 @@ def classify_1d(
     blow-up when a alone is supercritical (a > (m0 phi_plus)^2/4, tag
     assuB_1), or a > 0 with e0_min below the phi_plus lower root (assuB_2),
     or a <= 0 with e0_min below the phi_minus lower root (assuB_3).
+
+    ``phi_minus=None`` means no kernel floor is known (a zero floor):
+    smoothness can then never be certified, and only assuB_1 and assuB_2,
+    which need no floor, can fire.
     """
     if A < a:
         raise ValueError(f"need A >= a, got a={a}, A={A}")
-    if not (phi_plus >= phi_minus > 0.0):
-        raise ValueError("need phi_plus >= phi_minus > 0")
-
-    # smoothness side
-    gap_smooth = (m0 * phi_minus) ** 2 / 4.0 - A
-    if gap_smooth > 0.0:
-        margin_smooth = min(gap_smooth, e0_min - smooth_lower_root(m0, phi_minus, A))
-    else:
-        margin_smooth = gap_smooth
-    if margin_smooth > 0.0:
-        return ThresholdReport1D("smooth_guaranteed", "1d_assu2+1d_assu3", margin_smooth)
+    candidates = []
+    if phi_minus is not None:
+        if not (phi_plus >= phi_minus > 0.0):
+            raise ValueError("need phi_plus >= phi_minus > 0")
+        # smoothness side
+        gap_smooth = (m0 * phi_minus) ** 2 / 4.0 - A
+        if gap_smooth > 0.0:
+            margin_smooth = min(gap_smooth, e0_min - smooth_lower_root(m0, phi_minus, A))
+        else:
+            margin_smooth = gap_smooth
+        if margin_smooth > 0.0:
+            return ThresholdReport1D("smooth_guaranteed", "1d_assu2+1d_assu3", margin_smooth)
+        candidates.append(margin_smooth)
 
     # blow-up side
     margin_uncond = a - (m0 * phi_plus) ** 2 / 4.0
     if margin_uncond > 0.0:
         return ThresholdReport1D("blowup_guaranteed", "assuB_1", margin_uncond)
-    candidates = [margin_smooth, margin_uncond]
+    candidates.append(margin_uncond)
     if a > 0.0:
         margin_super = smooth_lower_root(m0, phi_plus, a) - e0_min
         if margin_super > 0.0:
             return ThresholdReport1D("blowup_guaranteed", "assuB_2", margin_super)
         candidates.append(margin_super)
-    else:
+    elif phi_minus is not None:
         margin_neg = smooth_lower_root(m0, phi_minus, a) - e0_min
         if margin_neg > 0.0:
             return ThresholdReport1D("blowup_guaranteed", "assuB_3", margin_neg)

@@ -330,17 +330,13 @@ def classify_2d_general(
     """
     if not a > 0.0 or A < a:
         raise ValueError(f"need A >= a > 0, got a={a}, A={A}")
-    c_max = 8.0 * dphi_inf * m0 * u_max + 2.0 * A
-    c_a = (m0 * phi_minus) ** 2 / 2.0 - 2.0 * A
+    c_max, c_a, c2, upper = _constants.general_gap_budget(A, m0, phi_minus, dphi_inf, u_max)
     consts = {"C_max": c_max, "C_A": c_a}
     margins = {"Cmi": c_a - c_max}
-    if not c_a > c_max:
+    if c2 is None:
         consts.update({"c2": float("nan"), "etaS_max": float("nan")})
         margins.update({"etaS_cond2": float("nan"), "c1_cond2": float("nan")})
         return ThresholdReport2D("not_subcritical", consts, margins)
-    disc = float(np.sqrt(c_a * c_a - c_max * c_max))
-    upper = float(np.sqrt(c_a + disc))
-    c2 = float(np.sqrt(c_a - disc))
     eta_s_max = max(etaS0_max, c_max / c2)
     consts.update({"c2": c2, "etaS_upper": upper, "etaS_max": eta_s_max})
     margins.update({"etaS_cond2": upper - etaS0_max, "c1_cond2": e0_min - c2})

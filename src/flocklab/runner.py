@@ -1,5 +1,9 @@
 """Simulation orchestration: time loop, frames, bound checks, sweeps.
 
+``analyze`` builds the initial state and decides every a-priori quantity
+(convexity and kernel bounds, the kernel floor and its source) once; run,
+classify and the CLI's constants report all read its record.
+
 ``run`` integrates a configuration to T, emits one DiagnosticsFrame per
 output stride, and then evaluates post hoc every quantitative bound that
 applies to the scenario, each with its stated tolerance:
@@ -16,7 +20,8 @@ applies to the scenario, each with its stated tolerance:
   characteristic modes, plus blow-up bracket detection.
 
 A blow-up in a run whose classifier predicts blow-up is data, not
-failure; a blow-up under a smoothness guarantee fails its bound check.
+failure; a blow-up in any other run, particle runs included, fails its
+``no_blowup`` check.
 Identical configurations produce byte-identical frames.
 """
 
@@ -45,7 +50,6 @@ from .diagnostics import (
 from .dynamics import BlowupSignal, conv_phi, means, step_rk4
 from .hydro1d import (
     CharState1D,
-    ThresholdReport1D,
     classify_1d,
     detect_blowup,
     e_upper_bound,
@@ -70,6 +74,10 @@ from .kernels import (
 from .potentials import QuadraticPotential, ZeroPotential, convexity_bounds
 
 __all__ = [
+    "Analysis",
+    "analyze",
+    "apriori_velocity_bound",
+    "constants_for",
     "BoundCheck",
     "RunSummary",
     "RunResult",
@@ -155,30 +163,79 @@ class RunResult:
         return frames_csv(self.frames)
 
 
-def _phi_minus_apriori(cfg: ExperimentConfig, info: InitialInfo):
-    """Best available a-priori kernel floor and the chain that produced it.
+@dataclass(frozen=True)
+class Analysis:
+    """What a configuration fixes before the first step, decided once.
 
-    Kernels bounded below give their infimum directly.  A decaying kernel
-    under quadratic confinement (centered data) is floored through the
-    support bound: phi_minus = phi(sqrt(8 R0 / a)).  Otherwise None: the
-    floor has to be measured from the run diameter.
+    ``phi_minus`` is the best a-priori kernel floor and ``phi_source`` the
+    chain that produced it: kernels bounded below give their infimum
+    ("kernel-infimum"); a decaying kernel under quadratic confinement with
+    centered data is floored through the support bound,
+    phi_minus = phi(sqrt(8 R0 / a)) ("support-chain"); otherwise it is None
+    ("unavailable") and the floor has to be measured from the run
+    diameter.  ``coupling`` is m0 * phi for a constant kernel, else None.
     """
-    floor = kernel_inf(cfg.kernel)
-    if floor > 0.0:
-        return floor, "kernel-infimum"
+
+    state: object
+    info: InitialInfo
+    a_lo: float
+    a_hi: float
+    phi_minus: Optional[float]
+    phi_source: str
+    phi_plus: float
+    dphi_inf: float
+    coupling: Optional[float]
+    centered: bool
+
+
+def analyze(cfg: ExperimentConfig) -> Analysis:
+    """Build the initial state and the a-priori bounds that run, classify and the CLI share."""
+    state, info = build_state(cfg)
+    a_lo, a_hi = convexity_bounds(cfg.potential)
+    _, phi_plus, dphi_inf = kernel_bounds(cfg.kernel, 0.0)
     centered = max(
         max((abs(v) for v in info.x_c0), default=0.0),
         max((abs(v) for v in info.u_c0), default=0.0),
     ) <= _CENTERED_TOL
-    if isinstance(cfg.potential, QuadraticPotential) and centered:
-        try:
-            r0 = consts.support_scale(
-                cfg.potential.a, cfg.m0, info.energy0, info.particle_energy0, cfg.kernel
-            )
-        except ValueError:
-            return None, "unavailable"
-        return consts.phi_min_from_support(cfg.kernel, cfg.potential.a, r0), "support-chain"
-    return None, "unavailable"
+    phi_minus, phi_source = kernel_inf(cfg.kernel), "kernel-infimum"
+    if not phi_minus > 0.0:
+        phi_minus, phi_source = None, "unavailable"
+        if isinstance(cfg.potential, QuadraticPotential) and centered:
+            a = cfg.potential.a
+            try:
+                r0 = consts.support_scale(a, cfg.m0, info.energy0, info.particle_energy0, cfg.kernel)
+            except ValueError:
+                pass
+            else:
+                phi_minus, phi_source = consts.phi_min_from_support(cfg.kernel, a, r0), "support-chain"
+    coupling = cfg.m0 * cfg.kernel.value if isinstance(cfg.kernel, ConstantKernel) else None
+    return Analysis(
+        state, info, a_lo, a_hi, phi_minus, phi_source, phi_plus, dphi_inf, coupling, centered
+    )
+
+
+def apriori_velocity_bound(cfg: ExperimentConfig, an: Analysis) -> Optional[float]:
+    """A-priori bound on max(|u| + |x|); None without a kernel floor or for a_lo <= 0."""
+    if an.phi_minus is None or not an.a_lo > 0.0:
+        return None
+    return consts.velocity_bound(
+        an.a_lo, an.a_hi, cfg.m0, an.phi_minus, an.phi_plus, an.info.energy0,
+        an.info.max_speed_position0,
+    )
+
+
+def constants_for(cfg: ExperimentConfig, an: Analysis, u_max: Optional[float] = None):
+    """The closed-form constants report of an analyzed configuration.
+
+    ``u_max`` enables the general-potential budget constants.
+    """
+    report = consts.constants_report(
+        an.a_lo, an.a_hi, cfg.m0, an.phi_minus, an.phi_plus, an.dphi_inf, K=an.coupling,
+        energy0=an.info.energy0, particle_energy0=an.info.particle_energy0, kernel=cfg.kernel,
+        u_max=u_max,
+    )
+    report.notes.append(f"kernel floor source: {an.phi_source}")
+    return report
 
 
 def classify(cfg: ExperimentConfig, u_max: Optional[float] = None):
@@ -190,109 +247,64 @@ def classify(cfg: ExperimentConfig, u_max: Optional[float] = None):
     """
     if cfg.mode not in ("hydro1d", "hydro2d"):
         raise ConfigError(f"classify needs a characteristic mode, got {cfg.mode!r}")
-    _, info = build_state(cfg)
-    a_lo, a_hi = convexity_bounds(cfg.potential)
-    _, phi_plus, dphi_inf = kernel_bounds(cfg.kernel, 0.0)
-    phi_minus, phi_source = _phi_minus_apriori(cfg, info)
-    details = {"phi_minus": phi_minus, "phi_minus_source": phi_source}
+    return _classify(cfg, analyze(cfg), u_max)
 
+
+def _classify(cfg: ExperimentConfig, an: Analysis, u_max: Optional[float] = None):
+    info = an.info
+    details = {"phi_minus": an.phi_minus, "phi_minus_source": an.phi_source}
     if cfg.mode == "hydro1d":
-        if phi_minus is None:
+        if an.phi_minus is None:
             # conservative zero-floor fallback: only the floor-free blow-up
             # branches can fire, smoothness can never be certified
             details["phi_minus_source"] = "zero-fallback"
-            report = _classify_1d_zero_floor(a_lo, a_hi, cfg.m0, phi_plus, info.e0_min)
-        else:
-            report = classify_1d(
-                a_lo, a_hi, cfg.m0, phi_minus, phi_plus, info.e0_min, info.e0_max
-            )
+        report = classify_1d(
+            an.a_lo, an.a_hi, cfg.m0, an.phi_minus, an.phi_plus, info.e0_min, info.e0_max
+        )
         return report, details
 
     if isinstance(cfg.potential, ZeroPotential):
         raise ConfigError("2D classification needs a uniformly convex potential")
-    if phi_minus is None:
+    if an.phi_minus is None:
         raise ConfigError(
             "2D classification needs an a-priori kernel floor; use a constant or"
             " floor-clipped kernel, or a quadratic potential with centered data"
         )
     if isinstance(cfg.potential, QuadraticPotential):
         report = classify_2d_quadratic(
-            a_lo,
-            cfg.m0,
-            phi_minus,
-            phi_plus,
-            dphi_inf,
-            info.eta_s0_max,
-            info.delta_e_inf0,
-            info.e0_min,
+            an.a_lo, cfg.m0, an.phi_minus, an.phi_plus, an.dphi_inf,
+            info.eta_s0_max, info.delta_e_inf0, info.e0_min,
         )
         return report, details
     if u_max is None:
-        u_max = consts.velocity_bound(
-            a_lo, a_hi, cfg.m0, phi_minus, phi_plus, info.energy0, info.max_speed_position0
-        )
+        u_max = apriori_velocity_bound(cfg, an)
         details["u_max_source"] = "apriori-bound"
     else:
         details["u_max_source"] = "supplied"
     details["u_max"] = u_max
     report = classify_2d_general(
-        a_hi, a_lo, cfg.m0, phi_minus, dphi_inf, u_max, info.eta_s0_max, info.e0_min
+        an.a_hi, an.a_lo, cfg.m0, an.phi_minus, an.dphi_inf, u_max, info.eta_s0_max, info.e0_min
     )
     return report, details
-
-
-def _classify_1d_zero_floor(a, A, m0, phi_plus, e0_min):
-    margin_uncond = a - (m0 * phi_plus) ** 2 / 4.0
-    if margin_uncond > 0.0:
-        return ThresholdReport1D("blowup_guaranteed", "assuB_1", margin_uncond)
-    if a > 0.0:
-        margin = smooth_lower_root(m0, phi_plus, a) - e0_min
-        if margin > 0.0:
-            return ThresholdReport1D("blowup_guaranteed", "assuB_2", margin)
-        return ThresholdReport1D("indeterminate", "none", max(margin_uncond, margin))
-    return ThresholdReport1D("indeterminate", "none", margin_uncond)
 
 
 def run(cfg: ExperimentConfig) -> RunResult:
     """Integrate the configuration and evaluate every applicable bound check."""
     started = time.perf_counter()
-    state, info = build_state(cfg)
-    a_lo, a_hi = convexity_bounds(cfg.potential)
-    _, phi_plus, dphi_inf = kernel_bounds(cfg.kernel, 0.0)
-    phi_minus, phi_source = _phi_minus_apriori(cfg, info)
-    coupling = cfg.m0 * cfg.kernel.value if isinstance(cfg.kernel, ConstantKernel) else None
-
-    report = consts.constants_report(
-        a_lo,
-        a_hi,
-        cfg.m0,
-        phi_minus,
-        phi_plus,
-        dphi_inf,
-        K=coupling,
-        energy0=info.energy0,
-        particle_energy0=info.particle_energy0,
-        kernel=cfg.kernel,
-        u_max=None,
-    )
-    report.notes.append(f"kernel floor source: {phi_source}")
+    an = analyze(cfg)
+    report = constants_for(cfg, an)
 
     threshold = None
     if cfg.mode in ("hydro1d", "hydro2d"):
         try:
-            threshold, _ = classify(cfg)
+            threshold, _ = _classify(cfg, an)
         except ConfigError as exc:
-            threshold = None
             report.notes.append(f"classification skipped: {exc}")
 
-    centered = max(
-        max((abs(v) for v in info.x_c0), default=0.0),
-        max((abs(v) for v in info.u_c0), default=0.0),
-    ) <= _CENTERED_TOL
-    frame_ctx = _FrameContext(cfg, a_lo, a_hi, report, coupling, centered)
-
+    frame_ctx = _FrameContext(cfg, an, report)
+    state = an.state
     frames = [frame_ctx.build(state)]
-    track = _StepTrack(info, active=cfg.mode == "hydro1d")
+    track = _StepTrack(an.info, active=cfg.mode == "hydro1d")
     blowup = None
     n_steps = cfg.n_steps
     try:
@@ -322,7 +334,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
     )
     if track.active:
         summary.extrema = {"run_min_e": track.run_min_e, "run_max_e": track.run_max_e}
-    _evaluate_checks(summary, cfg, info, frames, track, threshold, centered)
+    _evaluate_checks(summary, cfg, an, frames, track, threshold)
     _fit_rates(summary, cfg, frames)
     summary.wall_time = time.perf_counter() - started
     return RunResult(summary=summary, frames=frames)
@@ -358,14 +370,13 @@ class _StepTrack:
 
 
 class _FrameContext:
-    def __init__(self, cfg, a_lo, a_hi, report, coupling, centered):
+    def __init__(self, cfg, an: Analysis, report):
         self.cfg = cfg
-        self.a_lo = a_lo
-        self.a_hi = a_hi
-        self.coupling = coupling
-        quadratic = isinstance(cfg.potential, QuadraticPotential)
-        self.lam = report.lam if (quadratic and centered) else None
-        self.lam1 = report.lam1 if (quadratic and centered) else None
+        self.a_lo = an.a_lo
+        self.coupling = an.coupling
+        lyapunov = isinstance(cfg.potential, QuadraticPotential) and an.centered
+        self.lam = report.lam if lyapunov else None
+        self.lam1 = report.lam1 if lyapunov else None
         self.beta_cross = report.beta_cross
         self.stable_pair = report.mu1 is not None
 
@@ -412,18 +423,19 @@ class _FrameContext:
         return frame
 
 
-def _evaluate_checks(summary, cfg, info, frames, track, threshold, centered):
+def _evaluate_checks(summary, cfg, an: Analysis, frames, track, threshold):
     checks = summary.bound_checks
+    info = an.info
     quadratic = isinstance(cfg.potential, QuadraticPotential)
     m0 = cfg.m0
-    _, phi_plus, dphi_inf = kernel_bounds(cfg.kernel, 0.0)
+    a_lo, a_hi, phi_plus = an.a_lo, an.a_hi, an.phi_plus
     times = np.asarray([f.t for f in frames])
     delta_l2 = np.asarray([f.delta_e_l2 for f in frames])
     delta_inf = np.asarray([f.delta_e_linf for f in frames])
     p_vals = np.asarray([f.particle_energy for f in frames])
     d_vals = np.asarray([f.diameter for f in frames])
 
-    if quadratic and centered:
+    if quadratic and an.centered:
         a = cfg.potential.a
         d_max = float(d_vals.max())
         phi_floor = float(kernel_eval(cfg.kernel, d_max))
@@ -469,14 +481,8 @@ def _evaluate_checks(summary, cfg, info, frames, track, threshold, centered):
         ))
         checks.append(_means_check(cfg, info, frames))
 
-    a_lo, a_hi = convexity_bounds(cfg.potential)
-    if (
-        isinstance(cfg.kernel, ConstantKernel)
-        and a_lo > 0.0
-        and m0 * cfg.kernel.value > a_hi / math.sqrt(a_lo)
-    ):
-        coupling = m0 * cfg.kernel.value
-        mu1, mu2, mu3 = consts.pair_rates(a_lo, a_hi, coupling)
+    if an.coupling is not None and a_lo > 0.0 and an.coupling > a_hi / math.sqrt(a_lo):
+        mu1, mu2, mu3 = consts.pair_rates(a_lo, a_hi, an.coupling)
         bound = (mu2 / mu3) * delta_l2[0] * np.exp(-(mu1 / mu2) * times)
         checks.append(BoundCheck(
             name="deltaE_pair_bound",
@@ -500,10 +506,16 @@ def _evaluate_checks(summary, cfg, info, frames, track, threshold, centered):
 
     verdict = getattr(threshold, "verdict", None)
     if cfg.mode == "hydro1d":
-        phi_floor_apriori, _ = _phi_minus_apriori(cfg, info)
-        _hydro1d_checks(summary, cfg, info, track, verdict, phi_plus, phi_floor_apriori)
+        _hydro1d_checks(summary, cfg, an, track, verdict)
     if cfg.mode == "hydro2d" and verdict in ("subcritical_quadratic", "subcritical_general"):
-        _hydro2d_checks(summary, cfg, info, frames, threshold, dphi_inf)
+        _hydro2d_checks(summary, cfg, an, frames, threshold)
+    if verdict != "blowup_guaranteed":
+        checks.append(BoundCheck(
+            name="no_blowup",
+            description="run not predicted to blow up must reach T without blow-up",
+            tol=0.0,
+            max_violation=1.0 if summary.blowup else 0.0,
+        ))
 
 
 def _means_check(cfg, info, frames) -> BoundCheck:
@@ -550,31 +562,24 @@ def _sqrt_trend_check(times, delta_l2, t_final) -> Optional[BoundCheck]:
     )
 
 
-def _hydro1d_checks(summary, cfg, info, track, verdict, phi_plus, phi_floor):
+def _hydro1d_checks(summary, cfg, an: Analysis, track, verdict):
     checks = summary.bound_checks
     m0 = cfg.m0
-    a_lo, a_hi = convexity_bounds(cfg.potential)
     if verdict == "smooth_guaranteed":
         # the classifier only certifies smoothness with a known floor
-        root = smooth_lower_root(m0, phi_floor, a_hi)
+        root = smooth_lower_root(m0, an.phi_minus, an.a_hi)
         checks.append(BoundCheck(
             name="min_e_persistence",
             description=f"min e over the run stays above the lower fixed point {root:.6g}",
             tol=1e-6,
             max_violation=root - track.run_min_e,
         ))
-        upper = e_upper_bound(info.e0_max, m0, phi_plus, a_lo)
+        upper = e_upper_bound(an.info.e0_max, m0, an.phi_plus, an.a_lo)
         checks.append(BoundCheck(
             name="max_e_bound",
             description=f"max e over the run stays below {upper:.6g}",
             tol=1e-6,
             max_violation=track.run_max_e - upper,
-        ))
-        checks.append(BoundCheck(
-            name="no_blowup",
-            description="run predicted smooth must finish without blow-up",
-            tol=0.0,
-            max_violation=1.0 if summary.blowup else 0.0,
         ))
     if verdict == "blowup_guaranteed":
         series = track.series()
@@ -590,8 +595,9 @@ def _hydro1d_checks(summary, cfg, info, track, verdict, phi_plus, phi_floor):
             summary.notes.append(f"blow-up bracket from min-e series: [{bracket[0]:.6g}, {bracket[1]:.6g}]")
 
 
-def _hydro2d_checks(summary, cfg, info, frames, threshold, dphi_inf):
+def _hydro2d_checks(summary, cfg, an: Analysis, frames, threshold):
     checks = summary.bound_checks
+    info = an.info
     min_e = min(f.min_e for f in frames)
     checks.append(BoundCheck(
         name="min_e_nonneg",
@@ -612,14 +618,13 @@ def _hydro2d_checks(summary, cfg, info, frames, threshold, dphi_inf):
     if threshold.verdict == "subcritical_quadratic":
         lam = threshold.constants["lambda"]
         c_inf = threshold.constants["C_inf"]
-        omega_budget = info.omega0_max + 32.0 / lam * cfg.m0 * dphi_inf * math.sqrt(
+        omega_budget = info.omega0_max + 32.0 / lam * cfg.m0 * an.dphi_inf * math.sqrt(
             c_inf * info.delta_e_inf0
         )
     else:
         # general potential: the transport forcing is bounded by half the
         # kernel part of C_max, divided by the persistent floor c2 of e
-        _, a_hi = convexity_bounds(cfg.potential)
-        forcing = 0.5 * (threshold.constants["C_max"] - 2.0 * a_hi)
+        forcing = 0.5 * (threshold.constants["C_max"] - 2.0 * an.a_hi)
         omega_budget = max(info.omega0_max, forcing / threshold.constants["c2"])
     max_omega = max(f.max_abs_omega for f in frames)
     checks.append(BoundCheck(
@@ -627,12 +632,6 @@ def _hydro2d_checks(summary, cfg, info, frames, threshold, dphi_inf):
         description=f"vorticity stays within its budget {omega_budget:.6g}",
         tol=1e-6,
         max_violation=max_omega - omega_budget,
-    ))
-    checks.append(BoundCheck(
-        name="no_blowup",
-        description="subcritical run must finish without blow-up",
-        tol=0.0,
-        max_violation=1.0 if summary.blowup else 0.0,
     ))
 
 

@@ -58,6 +58,11 @@ def test_unknown_key_rejected_with_path():
     text = MINIMAL + "\n[initial]\nwobble = 3\n"
     with pytest.raises(ConfigError, match="initial.wobble"):
         parse_config(text)
+    # keys of another kernel or potential family are rejected, not ignored
+    with pytest.raises(ConfigError, match="kernel.k"):
+        parse_config(MINIMAL.replace("beta = 1.0", "beta = 1.0\nk = 2.0"))
+    with pytest.raises(ConfigError, match="potential.eps"):
+        parse_config(MINIMAL.replace("family = quadratic\na = 1.0", "family = quadratic\na = 1.0\neps = 0.1"))
 
 
 def test_unknown_section_rejected():
@@ -178,6 +183,18 @@ def test_with_override():
         with_override(cfg, "kernel.k", 1.0)  # not a constant kernel
     with pytest.raises(ConfigError):
         with_override(cfg, "run.scenario", "x")
+    # sweep axes give floats: integral ones are fine for integer keys
+    assert with_override(cfg, "run.n", 16.0).n == 16
+    # overrides are validated like config text
+    for key, value in [
+        ("run.dt", -1.0),
+        ("run.n", 0),
+        ("run.output_stride", 0),
+        ("initial.length", -1.0),
+        ("run.n", 2.5),
+    ]:
+        with pytest.raises(ConfigError, match=key):
+            with_override(cfg, key, value)
 
 
 def test_perturbed_round_trip():

@@ -239,6 +239,24 @@ def test_classify_equality_is_indeterminate():
     assert report.verdict == "indeterminate"
 
 
+def test_classify_without_kernel_floor():
+    # phi_minus=None: only the floor-free blow-up branches can fire
+    report = classify_1d(5.0, 5.0, 1.0, None, 2.0, 10.0, 10.0)
+    assert (report.verdict, report.triggered_condition) == ("blowup_guaranteed", "assuB_1")
+    assert report.margin == pytest.approx(4.0)
+    report = classify_1d(0.2, 0.2, 1.0, None, 1.0, 0.0, 1.0)
+    assert (report.verdict, report.triggered_condition) == ("blowup_guaranteed", "assuB_2")
+    assert report.margin == pytest.approx(0.5 - math.sqrt(0.05))
+    # data the floor phi_minus = 1 certifies smooth stay indeterminate without it
+    assert classify_1d(0.2, 0.2, 1.0, 1.0, 1.0, 0.3, 1.0).verdict == "smooth_guaranteed"
+    report = classify_1d(0.2, 0.2, 1.0, None, 1.0, 0.3, 1.0)
+    assert (report.verdict, report.triggered_condition) == ("indeterminate", "none")
+    assert report.margin == pytest.approx(0.5 - math.sqrt(0.05) - 0.3)
+    # a <= 0 without a floor: assuB_3 needs phi_minus, so nothing fires
+    report = classify_1d(-1.0, 0.0, 1.0, None, 1.0, -5.0, 1.0)
+    assert (report.verdict, report.margin) == ("indeterminate", -1.25)
+
+
 def test_classify_rejects_bad_bounds():
     with pytest.raises(ValueError):
         classify_1d(1.0, 0.5, 1.0, 1.0, 1.0, 0.0, 0.0)

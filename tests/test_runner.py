@@ -1,11 +1,17 @@
 """Runner: determinism, bound checks, sweeps, CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flocklab
+from flocklab import runner
 from flocklab.cli import main as cli_main
-from flocklab.config import ConfigError, parse_config, preset_config
+from flocklab.config import ConfigError, parse_config, preset_config, preset_text
 from flocklab.runner import classify, run, sweep, sweep_csv
 
 SMALL = """
@@ -67,13 +73,39 @@ amplitude = 0.0
 """
 
 
-def test_run_is_deterministic_bytewise(monkeypatch):
-    cfg = parse_config(SMALL)
-    first = run(cfg)
-    monkeypatch.setenv("FLOCKLAB_THREADS", "4")
-    second = run(cfg)
-    assert first.csv() == second.csv()
-    assert first.summary.constants.as_dict() == second.summary.constants.as_dict()
+def test_run_is_deterministic_bytewise(tmp_path):
+    # separate processes with different thread settings write the same bytes
+    cfg_path = tmp_path / "small.cfg"
+    cfg_path.write_text(SMALL.replace("n = 12", "n = 256"))
+    src = str(Path(flocklab.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads, blas in (("1", "1"), ("4", "2")):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "PYTHONPATH": pythonpath, "FLOCKLAB_THREADS": threads, "OPENBLAS_NUM_THREADS": blas}
+        subprocess.run(
+            [sys.executable, "-m", "flocklab.cli", "simulate", str(cfg_path), "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        summary = json.loads((out / "summary.json").read_text())
+        summary["wall_time"] = 0.0
+        outputs.append(((out / "frames.csv").read_bytes(), json.dumps(summary)))
+    assert outputs[0] == outputs[1]
+
+
+def test_run_builds_the_initial_state_once(monkeypatch):
+    calls = []
+    build_state = runner.build_state
+
+    def counting(cfg):
+        calls.append(cfg)
+        return build_state(cfg)
+
+    monkeypatch.setattr(runner, "build_state", counting)
+    for text in (SMALL, SMOOTH_SHORT.replace("t = 5.0", "t = 0.2")):
+        calls.clear()
+        run(parse_config(text))
+        assert len(calls) == 1
 
 
 def test_frames_csv_shape():
@@ -132,6 +164,18 @@ def test_classify_uses_support_chain_for_decaying_kernels():
     assert details["phi_minus_source"] == "support-chain"
     assert 0.0 < details["phi_minus"] < 1.0
     assert report.verdict in ("smooth_guaranteed", "indeterminate", "blowup_guaranteed")
+
+
+def test_classify_zero_floor_fallback():
+    # decaying kernel under a non-quadratic potential: no a-priori floor, so
+    # only the floor-free blow-up branches of the 1D classifier can fire
+    text = preset_text("smooth-1d-guaranteed").replace(
+        "family = constant\nk = 1.0", "family = power_law\nc0 = 1.0\nbeta = 1.0"
+    ).replace("family = quadratic\na = 0.2", "family = perturbed_quadratic\na = 0.2\neps = 0.1")
+    report, details = classify(parse_config(text))
+    assert details == {"phi_minus": None, "phi_minus_source": "zero-fallback"}
+    assert (report.verdict, report.triggered_condition) == ("blowup_guaranteed", "assuB_2")
+    assert report.margin > 0.0
 
 
 def test_summary_json_serializes():
@@ -292,6 +336,35 @@ def test_cli_check_blowup_preset(capsys):
     assert code == 0
     assert "RESULT: PASS" in out
     assert "blow-up bracket" in out
+
+
+DIVERGING = """
+[run]
+n = 16
+dt = 3
+t = 300
+output_stride = 1000
+[kernel]
+family = constant
+k = 1
+[potential]
+family = quadratic
+a = 1
+[initial]
+recenter = true
+"""
+
+
+def test_cli_check_fails_a_diverged_run(tmp_path, capsys):
+    # dt far beyond RK4 stability: the run diverges before its first output
+    # frame, so bounds checked on the t = 0 frame alone must not read as PASS
+    cfg_path = tmp_path / "diverging.cfg"
+    cfg_path.write_text(DIVERGING)
+    assert cli_main(["check", str(cfg_path)]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] no_blowup" in out
+    assert "blow-up bracket" in out
+    assert "RESULT: FAIL" in out
 
 
 def test_cli_unknown_preset_is_config_error(capsys):
