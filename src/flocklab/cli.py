@@ -36,12 +36,8 @@ def _parse_axis(spec: str):
         raise ConfigError(f"axis must look like key=lo:hi:n, got {spec!r}") from None
     if count < 1:
         raise ConfigError(f"axis point count must be >= 1, got {count}")
-    if count == 1:
-        values = [lo]
-    else:
-        step = (hi - lo) / (count - 1)
-        values = [lo + i * step for i in range(count)]
-    return key, values
+    step = (hi - lo) / max(count - 1, 1)
+    return key, [lo + i * step for i in range(count)]
 
 
 def cmd_simulate(args) -> int:

@@ -35,6 +35,7 @@ __all__ = [
     "parse_config",
     "serialize_config",
     "with_override",
+    "override_value",
     "preset_names",
     "preset_text",
     "preset_config",
@@ -345,6 +346,23 @@ def _numeric_kinds(spec, prefix: str = "") -> dict:
     return out
 
 
+def override_value(key_path: str, value):
+    """``value`` as the numeric key holds it (an int for an integer key); ConfigError if it cannot."""
+    section, _, key = key_path.partition(".")
+    kind = _numeric_kinds(_SECTIONS.get(section, ())).get(key)
+    if kind is None:
+        raise ConfigError(f"cannot override {key_path}: not a numeric key")
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key_path}: expected a number, got {value!r}") from None
+    if not isinstance(kind, _Int):
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"{key_path}: expected an integer, got {value!r}")
+    return value if isinstance(value, int) else int(number)
+
+
 def with_override(cfg: ExperimentConfig, key_path: str, value) -> ExperimentConfig:
     """Return a copy of the configuration with one numeric key set to ``value``.
 
@@ -356,21 +374,8 @@ def with_override(cfg: ExperimentConfig, key_path: str, value) -> ExperimentConf
     value (16.0 is read as 16, 2.5 is an error).
     """
     section, _, key = key_path.partition(".")
-    kind = _numeric_kinds(_SECTIONS.get(section, ())).get(key)
-    if kind is None:
-        raise ConfigError(f"cannot override {key_path}: not a numeric key")
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key_path}: expected a number, got {value!r}") from None
-    if isinstance(kind, _Int):
-        if not number.is_integer():
-            raise ConfigError(f"{key_path}: expected an integer, got {value!r}")
-        text = str(value if isinstance(value, int) else int(number))
-    else:
-        text = repr(number)
     sections = _sections(cfg)
-    sections[section][key] = text
+    sections[section][key] = repr(override_value(key_path, value))
     return _build(sections)
 
 

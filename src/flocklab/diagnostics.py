@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import Ensemble, means
+from .dynamics import Ensemble, means, pair_product
 from .potentials import Potential, value_at
 
 __all__ = [
@@ -70,7 +70,7 @@ def fluctuations(ens: Ensemble, a: float) -> tuple[float, float]:
     pair = _pairwise_sq_norms(ens.u)
     if a != 0.0:
         pair = pair + a * _pairwise_sq_norms(ens.x)
-    weighted = float(ens.m @ pair @ ens.m)
+    weighted = float(pair_product(pair.T, ens.m) @ ens.m)  # m @ pair @ m
     return weighted, float(pair.max())
 
 

@@ -12,11 +12,12 @@ total mass sum(m).  Equal weights m_j = m0/N recover the plain arithmetic
 average.  The vanishing i = j term is kept in the sums (it contributes
 exactly zero).
 
-All pairwise reductions use fixed-order numpy sums, so two runs with the
-same inputs produce bitwise identical trajectories regardless of any
-thread-count setting.  Time stepping is classical fixed-step RK4; a state
-whose components overflow the cap or turn non-finite raises BlowupSignal
-with the bracketing time interval instead of propagating NaNs.
+The pairwise sums are a BLAS product of the kernel matrix with the block
+[m, m*u], taken in row blocks that OpenBLAS keeps on one thread, so runs
+give the same bytes whatever OPENBLAS_NUM_THREADS is (a test compares 1
+and 2 threads up to N = 700).  Time stepping is classical fixed-step RK4; a state whose
+components overflow the cap or turn non-finite raises BlowupSignal with
+the bracketing time interval instead of propagating NaNs.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "pairwise_phi_weights",
     "conv_phi",
     "alignment_force",
+    "pair_sq_distances", "pair_product", "weighted_alignment",
 ]
 
 # any |x| or |u| beyond this (or a non-finite value) is treated as blow-up
@@ -110,53 +112,56 @@ class Means:
 _scratch = threading.local()
 
 
-def _pair_buffers(n: int, count: int) -> list:
-    cache = getattr(_scratch, "cache", None)
-    if cache is None:
-        cache = _scratch.cache = {}
-    bufs = cache.get(n)
-    if bufs is None or len(bufs) < count:
-        bufs = [np.empty((n, n)) for _ in range(count)]
-        cache[n] = bufs
-    return bufs[:count]
+def pair_sq_distances(x: np.ndarray):
+    """r^2[i, j] = |x_i - x_j|^2, and a second N x N array free for the caller.
+
+    Both are per-thread scratch that the next call on the thread overwrites.
+    """
+    n = x.shape[0]
+    cache = _scratch.__dict__.setdefault("cache", {})
+    if n not in cache:
+        cache[n] = (np.empty((n, n)), np.empty((n, n)))
+    r_sq, spare = cache[n]
+    for k in range(x.shape[1]):
+        dk = np.subtract(x[:, k, None], x[None, :, k], out=spare if k else r_sq)
+        np.multiply(dk, dk, out=dk)
+        if k:
+            r_sq += dk
+    return r_sq, spare
+
+
+def _kernel_matrix(x: np.ndarray, kernel: Kernel) -> np.ndarray:
+    """W[i, j] = phi(|x_i - x_j|), masses left out, in scratch valid until its next use."""
+    r_sq, _ = pair_sq_distances(x)
+    return kernel_eval_sq(kernel, r_sq, out=r_sq)
+
+
+def pair_product(w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """w @ b for an N x N matrix w, in row blocks of at most 2**19 multiplies (2**18 for a vector).
+
+    OpenBLAS 0.3.31 ran products of 1e6 multiplies (4.9e5 for a vector) on
+    two threads, which moves their last bits; blocks this small stay on one.
+    """
+    rows = max(1, (2**19 if b.ndim > 1 else 2**18) // b.size)
+    return np.concatenate([w[lo:lo + rows] @ b for lo in range(0, w.shape[0], rows)])
+
+
+def weighted_alignment(w: np.ndarray, u: np.ndarray, m: np.ndarray):
+    """(sum_j w_ij m_j (u_j - u_i), sum_j w_ij m_j) from one product of w with [m, m*u]."""
+    r = pair_product(w, np.column_stack((m, m[:, None] * u)))
+    return r[:, 1:] - u * r[:, :1], r[:, 0]
 
 
 def pairwise_phi_weights(x: np.ndarray, m: np.ndarray, kernel: Kernel) -> np.ndarray:
     """Mass-weighted kernel matrix W[i, j] = m_j * phi(|x_i - x_j|)."""
-    n = x.shape[0]
-    return _phi_weights_into(x, m, kernel, np.empty((n, n)))
-
-
-def _phi_weights_scratch(x: np.ndarray, m: np.ndarray, kernel: Kernel) -> np.ndarray:
-    """Kernel matrix living in the thread-local scratch buffer.
-
-    Valid only until the next scratch-using call on this thread; callers
-    must consume it immediately and never return it.
-    """
-    w, _ = _pair_buffers(x.shape[0], 2)
-    return _phi_weights_into(x, m, kernel, w)
-
-
-def _phi_weights_into(x, m, kernel, out):
-    n, d = x.shape
-    np.subtract(x[:, 0, None], x[None, :, 0], out=out)
-    np.multiply(out, out, out=out)
-    if d > 1:
-        _, buf = _pair_buffers(n, 2)
-        for k in range(1, d):
-            np.subtract(x[:, k, None], x[None, :, k], out=buf)
-            np.multiply(buf, buf, out=buf)
-            out += buf
-    w = kernel_eval_sq(kernel, out, out=out)
-    w *= m[None, :]
-    return w
+    return _kernel_matrix(x, kernel) * m[None, :]
 
 
 def conv_phi(x: np.ndarray, m: np.ndarray, kernel: Kernel) -> np.ndarray:
     """Quadrature of the kernel convolution with the density: sum_j m_j phi(|x_i - x_j|)."""
     if isinstance(kernel, ConstantKernel):
         return np.full(x.shape[0], kernel.value * m.sum())
-    return pairwise_phi_weights(x, m, kernel).sum(axis=1)
+    return pair_product(_kernel_matrix(x, kernel), m)
 
 
 def alignment_force(x: np.ndarray, u: np.ndarray, m: np.ndarray, kernel: Kernel):
@@ -172,11 +177,7 @@ def alignment_force(x: np.ndarray, u: np.ndarray, m: np.ndarray, kernel: Kernel)
         force = kernel.value * (mu[None, :] - m0 * u)
         phi_conv = np.full(x.shape[0], kernel.value * m0)
         return force, phi_conv
-    w = _phi_weights_scratch(x, m, kernel)
-    phi_conv = w.sum(axis=1)
-    force = np.einsum("ij,jd->id", w, u)
-    force -= u * phi_conv[:, None]
-    return force, phi_conv
+    return weighted_alignment(_kernel_matrix(x, kernel), u, m)
 
 
 def rhs(ens: Ensemble, kernel: Kernel, potential: Potential):
@@ -188,9 +189,7 @@ def rhs(ens: Ensemble, kernel: Kernel, potential: Potential):
 
 
 def _rhs_u(x, u, m, kernel, potential):
-    force, _ = alignment_force(x, u, m, kernel)
-    force -= grad_at(potential, x)
-    return force
+    return alignment_force(x, u, m, kernel)[0] - grad_at(potential, x)
 
 
 def rhs_pairwise(ens: Ensemble, kernel: Kernel, a: float):

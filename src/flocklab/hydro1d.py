@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import BlowupSignal, alignment_force, check_state_arrays, rk4_step
+from .dynamics import BlowupSignal, alignment_force, check_state_arrays, conv_phi, rk4_step
 from .kernels import Kernel
 from .potentials import Potential, grad_at, hess_diag_at
 
@@ -156,14 +156,8 @@ def init_characteristics(
     m = w * (m0 / total)
     rho = m / dx
     u = velocity.value(x)
-    phi_conv = _conv_1d(x, m, kernel)
-    e = velocity.deriv(x) + phi_conv
+    e = velocity.deriv(x) + conv_phi(x[:, None], m, kernel)
     return CharState1D(x=x, u=u, e=e, rho=rho, m=m, t=0.0)
-
-
-def _conv_1d(x: np.ndarray, m: np.ndarray, kernel: Kernel) -> np.ndarray:
-    _, phi_conv = alignment_force(x[:, None], np.zeros((x.shape[0], 1)), m, kernel)
-    return phi_conv
 
 
 def rhs_1d(state: CharState1D, kernel: Kernel, potential: Potential):

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants as _constants
-from .dynamics import BlowupSignal, alignment_force, check_state_arrays, rk4_step
-from .kernels import ConstantKernel, Kernel, kernel_slope_over_r_sq
+from .dynamics import BlowupSignal, alignment_force, check_state_arrays, pair_sq_distances, rk4_step
+from .dynamics import weighted_alignment
+from .kernels import ConstantKernel, Kernel, kernel_eval_sq, kernel_slope_over_r_sq
 from .potentials import Potential, grad_at, hess_diag_at
 
 __all__ = [
@@ -170,31 +171,33 @@ def init_characteristics_2d(
     return CharState2D(x=x, u=u, grad_u=grad_u, m=m, t=0.0)
 
 
-def _gradient_forcing(x, u, m, kernel) -> np.ndarray:
-    """Convolutional forcing R[i, a, l] = sum_j m_j (d_l phi)(x_i - x_j) (u_a(x_j) - u_a(x_i))."""
-    n = x.shape[0]
-    d0 = x[:, 0, None] - x[None, :, 0]
-    d1 = x[:, 1, None] - x[None, :, 1]
-    r_sq = d0 * d0 + d1 * d1
+def _pair_terms_2d(x, u, m, kernel):
+    """Alignment force, phi*rho and gradient forcing R from one set of pair distances.
+
+    R[:, :, l] is the alignment form with the weights (phi'(r)/r) (x_i - x_j)_l.
+    """
+    r_sq, spare = pair_sq_distances(x)
     slope = kernel_slope_over_r_sq(kernel, r_sq)
-    slope *= m[None, :]
-    # g[l][i, j] = m_j d_l phi(x_i - x_j)
-    g0 = slope * d0
-    g1 = slope * d1
-    r = np.empty((n, 2, 2))
-    for comp, gl in enumerate((g0, g1)):
-        # sum_j gl[i, j] * (u[j, a] - u[i, a])
-        r[:, :, comp] = np.einsum("ij,ja->ia", gl, u) - u * gl.sum(axis=1)[:, None]
-    return r
+    force, phi_conv = weighted_alignment(kernel_eval_sq(kernel, r_sq, out=r_sq), u, m)
+    forcing = np.empty((x.shape[0], 2, 2))
+    for l in range(2):
+        np.multiply(slope, np.subtract(x[:, l, None], x[None, :, l], out=spare), out=spare)
+        forcing[:, :, l] = weighted_alignment(spare, u, m)[0]
+    return force, phi_conv, forcing
 
 
 def _rhs_arrays_2d(x, u, grad_u, m, kernel, potential):
-    force, phi_conv = alignment_force(x, u, m, kernel)
+    if isinstance(kernel, ConstantKernel):
+        force, phi_conv = alignment_force(x, u, m, kernel)
+    else:
+        force, phi_conv, forcing = _pair_terms_2d(x, u, m, kernel)
     du = force - grad_at(potential, x)
-    d_grad = -np.einsum("nij,njk->nik", grad_u, grad_u)
+    g00, g01, g10, g11 = grad_u[:, 0, 0], grad_u[:, 0, 1], grad_u[:, 1, 0], grad_u[:, 1, 1]
+    square = [g00 * g00 + g01 * g10, g00 * g01 + g01 * g11, g10 * g00 + g11 * g10, g10 * g01 + g11 * g11]
+    d_grad = -np.stack(square, axis=-1).reshape(grad_u.shape)
     d_grad -= phi_conv[:, None, None] * grad_u
     if not isinstance(kernel, ConstantKernel):
-        d_grad += _gradient_forcing(x, u, m, kernel)
+        d_grad += forcing
     hess = hess_diag_at(potential, x)
     d_grad[:, 0, 0] -= hess[:, 0]
     d_grad[:, 1, 1] -= hess[:, 1]

@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from . import constants as consts
-from .config import ConfigError, ExperimentConfig, serialize_config, with_override
+from .config import ConfigError, ExperimentConfig, override_value, serialize_config, with_override
 from .diagnostics import (
     DiagnosticsFrame,
     energy,
@@ -695,6 +695,7 @@ def sweep(cfg: ExperimentConfig, axes, simulate: bool = False, max_workers: Opti
     """
     if not 1 <= len(axes) <= 2:
         raise ConfigError("sweep supports one or two axes")
+    axes = [(key, [override_value(key, v) for v in values]) for key, values in axes]
     points = [[(axes[0][0], v)] for v in axes[0][1]]
     if len(axes) == 2:
         points = [p + [(axes[1][0], w)] for p in points for w in axes[1][1]]
@@ -717,7 +718,10 @@ def _sweep_point(task):
     cfg, overrides, simulate = task
     for key, value in overrides:
         cfg = with_override(cfg, key, value)
-    report, _ = classify(cfg)
+    result = run(cfg) if simulate and cfg.mode != "particles" else None
+    report = result.summary.threshold if result is not None else classify(cfg)[0]
+    if report is None:  # the run's last note says why it could not classify
+        raise ConfigError(result.summary.constants.notes[-1])
     row = [value for _, value in overrides]
     if hasattr(report, "triggered_condition"):
         row += [report.verdict, report.triggered_condition, report.margin]
@@ -726,7 +730,6 @@ def _sweep_point(task):
         margin = min(finite) if finite else math.nan
         row += [report.verdict, ";".join(report.margins), margin]
     if simulate:
-        result = run(cfg)
         if result.summary.blowup:
             lo, hi = result.summary.blowup
             row.append(f"blowup[{lo:.6g},{hi:.6g}]")

@@ -6,6 +6,7 @@ import pytest
 from flocklab.dynamics import (
     BlowupSignal,
     Ensemble,
+    conv_phi,
     means,
     pairwise_phi_weights,
     recenter,
@@ -13,7 +14,7 @@ from flocklab.dynamics import (
     rhs_pairwise,
     step_rk4,
 )
-from flocklab.kernels import ConstantKernel, PowerLawKernel, kernel_eval
+from flocklab.kernels import ConstantKernel, FloorClippedKernel, PowerLawKernel, kernel_eval
 from flocklab.potentials import QuadraticPotential, ZeroPotential
 
 
@@ -50,19 +51,46 @@ def test_aligned_velocities_feel_no_alignment():
 
 
 def test_rhs_mass_weighted_quadrature():
-    # du_i must equal sum_j m_j phi(|x_i-x_j|)(u_j-u_i) - grad U(x_i) verbatim
+    # du_i must equal sum_j m_j phi(|x_i-x_j|)(u_j-u_i) - grad U(x_i) verbatim,
+    # and conv_phi sum_j m_j phi(|x_i-x_j|), on every kernel evaluation path;
+    # phi is written out here, independently of the kernels module
+    def phi(kernel, r):
+        inner = getattr(kernel, "inner", kernel)
+        return max(inner.c0 * (1.0 + r * r) ** -inner.beta, getattr(kernel, "alpha", 0.0))
+
     rng = np.random.default_rng(5)
-    ens = _random_ensemble(rng, 12, 2)
-    kernel = PowerLawKernel(1.3, 0.8)
+    kernels = [
+        PowerLawKernel(1.3, 1.0),
+        PowerLawKernel(1.3, 0.5),
+        PowerLawKernel(1.3, 0.8),
+        FloorClippedKernel(PowerLawKernel(1.3, 0.8), 0.4),
+    ]
     a = 0.9
+    for kernel in kernels:
+        for d in (1, 2, 3):
+            for n in (12, 70):
+                ens = _random_ensemble(rng, n, d)
+                _, du = rhs(ens, kernel, QuadraticPotential(a))
+                conv = conv_phi(ens.x, ens.m, kernel)
+                for i in range(ens.n):
+                    acc = np.zeros(d)
+                    conv_i = 0.0
+                    for j in range(ens.n):
+                        w = ens.m[j] * phi(kernel, float(np.linalg.norm(ens.x[i] - ens.x[j])))
+                        acc += w * (ens.u[j] - ens.u[i])
+                        conv_i += w
+                    acc -= a * ens.x[i]
+                    assert np.allclose(du[i], acc, rtol=1e-12, atol=1e-14)
+                    assert conv[i] == pytest.approx(conv_i, rel=1e-13)
+    # at N = 600 the products are taken in several row blocks
+    kernel = kernels[-1]
+    ens = _random_ensemble(rng, 600, 2)
     _, du = rhs(ens, kernel, QuadraticPotential(a))
-    for i in range(ens.n):
-        acc = np.zeros(2)
-        for j in range(ens.n):
-            w = ens.m[j] * kernel_eval(kernel, float(np.linalg.norm(ens.x[i] - ens.x[j])))
-            acc += w * (ens.u[j] - ens.u[i])
-        acc -= a * ens.x[i]
-        assert np.allclose(du[i], acc, rtol=1e-12, atol=1e-14)
+    r = np.linalg.norm(ens.x[:, None, :] - ens.x[None, :, :], axis=-1)
+    w = np.maximum(1.3 * (1.0 + r * r) ** -0.8, 0.4) * ens.m[None, :]
+    expected = np.einsum("ij,ijd->id", w, ens.u[None, :, :] - ens.u[:, None, :]) - a * ens.x
+    assert np.allclose(du, expected, rtol=1e-12, atol=1e-14)
+    assert np.allclose(conv_phi(ens.x, ens.m, kernel), w.sum(axis=1), rtol=1e-13, atol=0.0)
 
 
 def test_energy_dissipation_identity_random_states():

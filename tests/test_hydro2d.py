@@ -19,8 +19,8 @@ from flocklab.hydro2d import (
     spectral_arrays,
     step_2d,
 )
-from flocklab.hydro2d import _gradient_forcing
-from flocklab.kernels import ConstantKernel, PowerLawKernel, kernel_slope_over_r_sq
+from flocklab.hydro2d import _pair_terms_2d
+from flocklab.kernels import ConstantKernel, PowerLawKernel, kernel_eval, kernel_slope_over_r_sq
 from flocklab.potentials import QuadraticPotential
 
 
@@ -108,29 +108,42 @@ def test_shear_rotation_profile_spectrum():
 
 
 def test_gradient_forcing_matches_brute_force():
+    # R, and the whole power-law right-hand side -G^2 - (phi*rho) G + R - Hess U
     rng = np.random.default_rng(9)
     n = 12
     x = rng.uniform(-1.0, 1.0, (n, 2))
     u = rng.uniform(-1.0, 1.0, (n, 2))
     m = rng.uniform(0.1, 0.5, n)
+    grad_u = rng.uniform(-1.0, 1.0, (n, 2, 2))
     kernel = PowerLawKernel(1.3, 0.7)
-    got = _gradient_forcing(x, u, m, kernel)
+    _, _, got = _pair_terms_2d(x, u, m, kernel)
     expect = np.zeros((n, 2, 2))
+    conv = np.zeros(n)
     for i in range(n):
         for j in range(n):
             z = x[i] - x[j]
             slope = float(kernel_slope_over_r_sq(kernel, float(z @ z)))
+            conv[i] += m[j] * float(kernel_eval(kernel, float(np.linalg.norm(z))))
             for a in range(2):
                 for l in range(2):
                     expect[i, a, l] += m[j] * slope * z[l] * (u[j, a] - u[i, a])
     assert np.allclose(got, expect, rtol=1e-12, atol=1e-14)
+    a = 0.6
+    for i in range(n):
+        for p in range(2):
+            for q in range(2):
+                square = sum(grad_u[i, p, k] * grad_u[i, k, q] for k in range(2))
+                expect[i, p, q] += -square - conv[i] * grad_u[i, p, q] - a * (p == q)
+    state = CharState2D(x=x, u=u, grad_u=grad_u, m=m)
+    _, _, d_grad = rhs_2d(state, kernel, QuadraticPotential(a))
+    assert np.allclose(d_grad, expect, rtol=1e-12, atol=1e-14)
 
 
 def test_gradient_forcing_zero_for_aligned_velocities():
     rng = np.random.default_rng(10)
     x = rng.uniform(-1, 1, (9, 2))
     u = np.tile([0.7, -0.1], (9, 1))
-    r = _gradient_forcing(x, u, np.full(9, 1.0 / 9), PowerLawKernel(1.0, 1.0))
+    _, _, r = _pair_terms_2d(x, u, np.full(9, 1.0 / 9), PowerLawKernel(1.0, 1.0))
     assert np.allclose(r, 0.0, atol=1e-15)
 
 

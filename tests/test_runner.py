@@ -73,24 +73,58 @@ amplitude = 0.0
 """
 
 
+POWER_LAW_2D = """
+[run]
+mode = hydro2d
+dim = 2
+n = 256
+dt = 1e-3
+t = 0.2
+output_stride = 20
+[kernel]
+family = power_law
+c0 = 3.0
+beta = 0.5
+[potential]
+family = quadratic
+a = 1.0
+[initial]
+positions = bump
+velocities = sinusoidal
+amplitude = 0.5
+rotation = 0.25
+length = 1.2
+"""
+
+
 def test_run_is_deterministic_bytewise(tmp_path):
-    # separate processes with different thread settings write the same bytes
-    cfg_path = tmp_path / "small.cfg"
-    cfg_path.write_text(SMALL.replace("n = 12", "n = 256"))
+    # separate processes with different thread settings write the same bytes;
+    # the power-law configs run their pair sums as BLAS products
     src = str(Path(flocklab.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    outputs = []
-    for threads, blas in (("1", "1"), ("4", "2")):
-        out = tmp_path / f"threads{threads}"
-        env = {**os.environ, "PYTHONPATH": pythonpath, "FLOCKLAB_THREADS": threads, "OPENBLAS_NUM_THREADS": blas}
-        subprocess.run(
-            [sys.executable, "-m", "flocklab.cli", "simulate", str(cfg_path), "--out", str(out)],
-            env=env, check=True, capture_output=True,
-        )
-        summary = json.loads((out / "summary.json").read_text())
-        summary["wall_time"] = 0.0
-        outputs.append(((out / "frames.csv").read_bytes(), json.dumps(summary)))
-    assert outputs[0] == outputs[1]
+    configs = {
+        "small": SMALL.replace("n = 12", "n = 256"),
+        "particles-2d": SMALL.replace("n = 12", "n = 256\ndim = 2"),
+        "hydro2d": POWER_LAW_2D,
+        # past N = 512 OpenBLAS would split unblocked products over threads
+        "particles-700": SMALL.replace("n = 12", "n = 700").replace("t = 0.5", "t = 0.05"),
+        "particles-700-2d": SMALL.replace("n = 12", "n = 700\ndim = 2").replace("t = 0.5", "t = 0.05"),
+    }
+    for name, text in configs.items():
+        cfg_path = tmp_path / f"{name}.cfg"
+        cfg_path.write_text(text)
+        outputs = []
+        for threads, blas in (("1", "1"), ("4", "2")):
+            out = tmp_path / f"{name}-threads{threads}"
+            env = {**os.environ, "PYTHONPATH": pythonpath, "FLOCKLAB_THREADS": threads, "OPENBLAS_NUM_THREADS": blas}
+            subprocess.run(
+                [sys.executable, "-m", "flocklab.cli", "simulate", str(cfg_path), "--out", str(out)],
+                env=env, check=True, capture_output=True,
+            )
+            summary = json.loads((out / "summary.json").read_text())
+            summary["wall_time"] = 0.0
+            outputs.append(((out / "frames.csv").read_bytes(), json.dumps(summary)))
+        assert outputs[0] == outputs[1], name
 
 
 def test_run_builds_the_initial_state_once(monkeypatch):
@@ -106,6 +140,10 @@ def test_run_builds_the_initial_state_once(monkeypatch):
         calls.clear()
         run(parse_config(text))
         assert len(calls) == 1
+    # a simulated sweep point takes its verdict from the run
+    calls.clear()
+    sweep(parse_config(SHARP_SWEEP), [("initial.amplitude", [-1.5, 0.0])], simulate=True)
+    assert len(calls) == 2
 
 
 def test_frames_csv_shape():
@@ -271,6 +309,12 @@ def test_sweep_simulate_outcome_column():
     assert columns[-1] == "outcome"
     assert rows[0][-1].startswith("blowup[")
     assert rows[1][-1] == "completed"
+    # a simulated point that cannot be classified raises, as an unsimulated one does
+    zero_potential = POWER_LAW_2D.replace("n = 256", "n = 16").replace("t = 0.2", "t = 0.01")
+    zero_potential = zero_potential.replace("family = quadratic\na = 1.0", "family = zero")
+    for text in (zero_potential, SMALL):
+        with pytest.raises(ConfigError, match="classif"):
+            sweep(parse_config(text), [("initial.amplitude", [0.5])], simulate=True)
 
 
 def test_runner_blowup_in_smooth_run_fails_check():
@@ -317,6 +361,15 @@ def test_cli_sweep(tmp_path):
     assert code == 0
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 4
+    # an integer key is written as the integer the run used
+    code = cli_main(["sweep", str(cfg_path), "--axis", "run.n=8:16:3", "--out", str(out)])
+    assert code == 0
+    assert [line.split(",")[0] for line in out.read_text().strip().split("\n")[1:]] == ["8", "12", "16"]
+    # a key left out of serialized text at its default (rotation = 0.0) works too
+    cfg_path.write_text(POWER_LAW_2D.replace("n = 256", "n = 16"))
+    code = cli_main(["sweep", str(cfg_path), "--axis", "initial.rotation=-0.5:0.5:3", "--out", str(out)])
+    assert code == 0
+    assert [line.split(",")[0] for line in out.read_text().strip().split("\n")[1:]] == ["-0.5", "0.0", "0.5"]
 
 
 def test_cli_sweep_parallel_matches_sequential(tmp_path, monkeypatch):
