@@ -10,8 +10,8 @@ from .config import ExperimentConfig, parse_config, preset_config, preset_names,
 from .constants import ConstantsReport, constants_report
 from .diagnostics import DiagnosticsFrame, RateFit, fit_rate
 from .dynamics import BlowupSignal, Ensemble, means, recenter, rhs, rhs_pairwise, step_rk4
-from .hydro1d import CharState1D, ThresholdReport1D, classify_1d, detect_blowup, init_characteristics
-from .hydro2d import CharState2D, SpectralQuantities, ThresholdReport2D, spectral
+from .hydro1d import ThresholdReport1D, classify_1d, detect_blowup, init_characteristics
+from .hydro2d import SpectralQuantities, ThresholdReport2D, spectral
 from .kernels import (
     ConstantKernel,
     FloorClippedKernel,

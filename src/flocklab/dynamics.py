@@ -15,15 +15,23 @@ exactly zero).
 The pairwise sums are a BLAS product of the kernel matrix with the block
 [m, m*u], taken in row blocks that OpenBLAS keeps on one thread, so runs
 give the same bytes whatever OPENBLAS_NUM_THREADS is (a test compares 1
-and 2 threads up to N = 700).  Time stepping is classical fixed-step RK4; a state whose
-components overflow the cap or turn non-finite raises BlowupSignal with
-the bracketing time interval instead of propagating NaNs.
+and 2 threads up to N = 700).
+
+``Ensemble`` is the one state record of every solver mode: particles
+carry (x, u), 1D characteristics add the threshold variable e and the
+density value rho (x and u are then (N, 1)), and 2D characteristics add
+the velocity gradient grad_u.  ``advance_rk4`` is the one time stepper:
+classical fixed-step RK4 over whichever of these arrays a state carries,
+given the mode's array right-hand side.  It checks each new state once; a
+component that turns non-finite or leaves its cap (STATE_CAP, E_BLOWUP_CAP
+for e, none for the density), or a negative density, raises BlowupSignal
+with the bracketing time interval instead of propagating NaNs.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -32,23 +40,33 @@ from .potentials import Potential, grad_at
 
 __all__ = [
     "STATE_CAP",
+    "E_BLOWUP_CAP",
     "BlowupSignal",
     "Ensemble",
     "Means",
     "rhs",
     "rhs_pairwise",
+    "advance_rk4",
     "step_rk4",
     "means",
     "recenter",
-    "rk4_step",
     "pairwise_phi_weights",
     "conv_phi",
     "alignment_force",
     "pair_sq_distances", "pair_product", "weighted_alignment",
 ]
 
-# any |x| or |u| beyond this (or a non-finite value) is treated as blow-up
+# any |x|, |u| or |grad_u| beyond this (or a non-finite value) is treated as blow-up
 STATE_CAP = 1.0e9
+# |e| beyond this is reported as blow-up; chosen far below the state cap
+# so the threshold crossing is observed before RK4 values overflow
+E_BLOWUP_CAP = 1.0e6
+# the arrays a state can carry that the time stepper evolves, in this order
+_EVOLVED = ("x", "u", "e", "rho", "grad_u")
+# the largest |value| an evolved array may reach before a step counts as a
+# blow-up (STATE_CAP for the others); the density only has to stay finite,
+# since it grows without bound while a flock contracts
+_CAPS = {"e": E_BLOWUP_CAP, "rho": np.finfo(float).max}
 
 
 class BlowupSignal(RuntimeError):
@@ -66,12 +84,19 @@ class BlowupSignal(RuntimeError):
 
 @dataclass
 class Ensemble:
-    """Weighted agent state in dimension d; arrays are (N, d) and (N,)."""
+    """Weighted agent or characteristic state in dimension d.
+
+    x and u are (N, d) and m is (N,).  1D characteristics also carry e and
+    rho, each (N,), with d = 1; 2D characteristics carry grad_u, (N, 2, 2).
+    """
 
     x: np.ndarray
     u: np.ndarray
     m: np.ndarray
     t: float = 0.0
+    e: Optional[np.ndarray] = None
+    rho: Optional[np.ndarray] = None
+    grad_u: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
@@ -79,22 +104,36 @@ class Ensemble:
         self.m = np.asarray(self.m, dtype=float)
         if self.x.shape != self.u.shape or self.x.ndim != 2:
             raise ValueError(f"x and u must both be (N, d), got {self.x.shape} and {self.u.shape}")
-        if self.m.shape != (self.x.shape[0],):
+        n, d = self.x.shape
+        if self.m.shape != (n,):
             raise ValueError(f"m must be (N,), got {self.m.shape}")
-        if self.x.shape[0] < 1:
+        if n < 1:
             raise ValueError("need at least one agent")
         if not np.all(self.m > 0.0):
             raise ValueError("all masses must be positive")
-        if not (np.isfinite(self.x).all() and np.isfinite(self.u).all()):
-            raise ValueError("coordinates must be finite")
+        if (self.e is None) != (self.rho is None):
+            raise ValueError("e and rho come together")
+        if self.e is not None:
+            self.e = np.asarray(self.e, dtype=float)
+            self.rho = np.asarray(self.rho, dtype=float)
+            if d != 1 or self.e.shape != (n,) or self.rho.shape != (n,):
+                raise ValueError("e and rho need a 1D state and must be (N,)")
+            if np.any(self.rho < 0.0):
+                raise ValueError("density values must be nonnegative")
+        if self.grad_u is not None:
+            self.grad_u = np.asarray(self.grad_u, dtype=float)
+            if self.grad_u.shape != (n, 2, 2) or d != 2:
+                raise ValueError(f"grad_u must be (N, 2, 2) on a 2D state, got {self.grad_u.shape}")
+        if not all(np.isfinite(a).all() for a in self.evolved().values()):
+            raise ValueError("state values must be finite")
+
+    def evolved(self) -> dict:
+        """The arrays the time stepper advances by name: x, u, then e and rho or grad_u."""
+        return {k: self.__dict__[k] for k in _EVOLVED if self.__dict__[k] is not None}
 
     @property
     def n(self) -> int:
         return self.x.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.x.shape[1]
 
     @property
     def total_mass(self) -> float:
@@ -108,20 +147,21 @@ class Means:
 
 
 # fresh (N, N) allocations are expensive (page faulting dominates the
-# pairwise pass), so the hot path reuses per-thread scratch buffers
-_scratch = threading.local()
+# pairwise pass), so the hot path reuses two flat buffers that grow to the
+# largest N^2 seen; runs are sequential and sweeps use processes
+_scratch = (np.empty(0), np.empty(0))
 
 
 def pair_sq_distances(x: np.ndarray):
     """r^2[i, j] = |x_i - x_j|^2, and a second N x N array free for the caller.
 
-    Both are per-thread scratch that the next call on the thread overwrites.
+    Both are views of the process's scratch buffers, overwritten by the next call.
     """
+    global _scratch
     n = x.shape[0]
-    cache = _scratch.__dict__.setdefault("cache", {})
-    if n not in cache:
-        cache[n] = (np.empty((n, n)), np.empty((n, n)))
-    r_sq, spare = cache[n]
+    if _scratch[0].size < n * n:
+        _scratch = (np.empty(n * n), np.empty(n * n))
+    r_sq, spare = (buf[: n * n].reshape(n, n) for buf in _scratch)
     for k in range(x.shape[1]):
         dk = np.subtract(x[:, k, None], x[None, :, k], out=spare if k else r_sq)
         np.multiply(dk, dk, out=dk)
@@ -182,10 +222,7 @@ def alignment_force(x: np.ndarray, u: np.ndarray, m: np.ndarray, kernel: Kernel)
 
 def rhs(ens: Ensemble, kernel: Kernel, potential: Potential):
     """Time derivative (dx, du) of the ensemble."""
-    du = _rhs_u(ens.x, ens.u, ens.m, kernel, potential)
-    if not np.isfinite(du).all():
-        raise BlowupSignal(ens.t, ens.t, "non-finite velocity derivative")
-    return ens.u.copy(), du
+    return ens.u, _rhs_u(ens.x, ens.u, ens.m, kernel, potential)
 
 
 def _rhs_u(x, u, m, kernel, potential):
@@ -203,45 +240,50 @@ def rhs_pairwise(ens: Ensemble, kernel: Kernel, a: float):
     m0 = ens.total_mass
     mx = ens.m @ ens.x
     force -= (a / m0) * (m0 * ens.x - mx[None, :])
-    if not np.isfinite(force).all():
-        raise BlowupSignal(ens.t, ens.t, "non-finite velocity derivative")
-    return ens.u.copy(), force
+    return ens.u, force
 
 
-def rk4_step(y: tuple, f, dt: float) -> tuple:
-    """One classical RK4 step for a state held as a tuple of arrays."""
-    k1 = f(y)
-    k2 = f(tuple(a + (0.5 * dt) * b for a, b in zip(y, k1)))
-    k3 = f(tuple(a + (0.5 * dt) * b for a, b in zip(y, k2)))
-    k4 = f(tuple(a + dt * b for a, b in zip(y, k3)))
-    return tuple(
-        a + (dt / 6.0) * (b1 + 2.0 * (b2 + b3) + b4)
-        for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-    )
+def advance_rk4(state: Ensemble, f, dt: float) -> Ensemble:
+    """One classical RK4 step of size dt > 0 of the arrays in ``state.evolved()``.
 
-
-def check_state_arrays(t_lo: float, t_hi: float, **arrays):
-    """Raise BlowupSignal if any named array is non-finite or beyond STATE_CAP."""
-    for name, arr in arrays.items():
-        if not np.isfinite(arr).all():
-            raise BlowupSignal(t_lo, t_hi, f"non-finite {name}")
-        if np.abs(arr).max() > STATE_CAP:
-            raise BlowupSignal(t_lo, t_hi, f"|{name}| exceeded {STATE_CAP:.0e}")
+    ``f(*arrays)`` returns their time derivatives in the same order.  The
+    new arrays are checked once: each must be finite, x, u and grad_u
+    within STATE_CAP, e within E_BLOWUP_CAP and rho nonnegative, else
+    BlowupSignal brackets the step.  The new state is assembled without
+    validating it again.
+    """
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    arrays = state.evolved()
+    y = arrays.values()
+    h = 0.5 * dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = f(*y)
+        k2 = f(*[a + h * b for a, b in zip(y, k1)])
+        k3 = f(*[a + h * b for a, b in zip(y, k2)])
+        k4 = f(*[a + dt * b for a, b in zip(y, k3)])
+        y1 = [
+            a + (dt / 6.0) * (b1 + 2.0 * (b2 + b3) + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+        ]
+    t_hi = state.t + dt
+    new = dict(zip(arrays, y1))
+    for name, arr in new.items():
+        cap = _CAPS.get(name, STATE_CAP)
+        if not np.abs(arr).max() <= cap:  # a NaN fails this comparison too
+            raise BlowupSignal(state.t, t_hi, f"|{name}| exceeded {cap:.0e} or non-finite")
+    if "rho" in new and new["rho"].min() < 0.0:
+        # the density ODE preserves positivity; leaving it means the step
+        # left the trusted regime
+        raise BlowupSignal(state.t, t_hi, "density left the nonnegative range")
+    out = object.__new__(Ensemble)
+    out.__dict__.update(state.__dict__, t=t_hi, **new)
+    return out
 
 
 def step_rk4(ens: Ensemble, kernel: Kernel, potential: Potential, dt: float) -> Ensemble:
-    """Advance the ensemble by one RK4 step of size dt > 0."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-
-    def f(y):
-        x, u = y
-        return u, _rhs_u(x, u, ens.m, kernel, potential)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        x1, u1 = rk4_step((ens.x, ens.u), f, dt)
-    check_state_arrays(ens.t, ens.t + dt, x=x1, u=u1)
-    return Ensemble(x=x1, u=u1, m=ens.m, t=ens.t + dt)
+    """Advance the particle ensemble by one RK4 step of size dt > 0."""
+    return advance_rk4(ens, lambda x, u: (u, _rhs_u(x, u, ens.m, kernel, potential)), dt)
 
 
 def means(ens: Ensemble) -> Means:

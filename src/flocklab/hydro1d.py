@@ -19,9 +19,12 @@ smoothness and finite-time gradient blow-up; classify_1d evaluates those
 thresholds, and detect_blowup locates the blow-up time in a simulated
 min-e series.
 
-The evolved rho is carried for output only: the (x, u, e) dynamics always
-reads the quadrature sums, never the evolved density, so quadrature error
-cannot feed back.
+The state is a ``dynamics.Ensemble`` whose x and u are (N, 1) and which
+carries e and rho; ``step_1d`` hands this module's right-hand side to the
+shared RK4 driver, which also caps |e| at E_BLOWUP_CAP.  The evolved rho
+is carried for output only: the (x, u, e) dynamics always reads the
+quadrature sums, never the evolved density, so quadrature error cannot
+feed back.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import BlowupSignal, alignment_force, check_state_arrays, conv_phi, rk4_step
+from .dynamics import E_BLOWUP_CAP, Ensemble, advance_rk4, alignment_force, conv_phi
 from .kernels import Kernel
 from .potentials import Potential, grad_at, hess_diag_at
 
@@ -40,7 +43,6 @@ __all__ = [
     "BumpDensity",
     "LinearVelocity",
     "SineVelocity",
-    "CharState1D",
     "ThresholdReport1D",
     "init_characteristics",
     "rhs_1d",
@@ -50,11 +52,6 @@ __all__ = [
     "smooth_lower_root",
     "e_upper_bound",
 ]
-
-# |e| beyond this is reported as blow-up; chosen far below the 1e9 state
-# cap so the threshold crossing is observed before RK4 values overflow
-E_BLOWUP_CAP = 1.0e6
-
 
 @dataclass(frozen=True)
 class BumpDensity:
@@ -98,45 +95,13 @@ class SineVelocity:
         return self.amplitude * np.cos(np.asarray(x, dtype=float))
 
 
-@dataclass
-class CharState1D:
-    """Characteristics with per-node position, velocity, density and e-value."""
-
-    x: np.ndarray
-    u: np.ndarray
-    e: np.ndarray
-    rho: np.ndarray
-    m: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        for name in ("x", "u", "e", "rho", "m"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-        n = self.x.shape[0]
-        for name in ("u", "e", "rho", "m"):
-            if getattr(self, name).shape != (n,):
-                raise ValueError(f"{name} must have shape ({n},)")
-        if np.any(self.rho < 0.0):
-            raise ValueError("density values must be nonnegative")
-        if not np.all(self.m > 0.0):
-            raise ValueError("quadrature masses must be positive")
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.m.sum())
-
-
 def init_characteristics(
     density: BumpDensity,
     velocity,
     n: int,
     kernel: Kernel,
     m0: float = 1.0,
-) -> CharState1D:
+) -> Ensemble:
     """Place n characteristics at midpoint quadrature nodes of the density support.
 
     Masses are m_i = rho0(x_i) dx, rescaled so they sum to m0 exactly.  The
@@ -155,53 +120,27 @@ def init_characteristics(
         raise ValueError("density profile has zero total mass on its support")
     m = w * (m0 / total)
     rho = m / dx
-    u = velocity.value(x)
     e = velocity.deriv(x) + conv_phi(x[:, None], m, kernel)
-    return CharState1D(x=x, u=u, e=e, rho=rho, m=m, t=0.0)
+    return Ensemble(x=x[:, None], u=velocity.value(x)[:, None], m=m, e=e, rho=rho)
 
 
-def rhs_1d(state: CharState1D, kernel: Kernel, potential: Potential):
+def rhs_1d(state: Ensemble, kernel: Kernel, potential: Potential):
     """Time derivative (dx, du, de, drho) along the characteristics."""
-    if np.abs(state.e).max() > E_BLOWUP_CAP:
-        raise BlowupSignal(state.t, state.t, f"|e| exceeded {E_BLOWUP_CAP:.0e}")
-    dx, du, de, drho = _rhs_arrays(
-        state.x, state.u, state.e, state.rho, state.m, kernel, potential
-    )
-    if not (np.isfinite(de).all() and np.isfinite(du).all()):
-        raise BlowupSignal(state.t, state.t, "non-finite derivative")
-    return dx, du, de, drho
+    return _rhs_arrays_1d(state.x, state.u, state.e, state.rho, state.m, kernel, potential)
 
 
-def _rhs_arrays(x, u, e, rho, m, kernel, potential):
-    xs = x[:, None]
-    force, phi_conv = alignment_force(xs, u[:, None], m, kernel)
-    du = force[:, 0] - grad_at(potential, xs)[:, 0]
+def _rhs_arrays_1d(x, u, e, rho, m, kernel, potential):
+    force, phi_conv = alignment_force(x, u, m, kernel)
     shear = e - phi_conv
-    de = -e * shear - hess_diag_at(potential, xs)[:, 0]
-    drho = -rho * shear
-    return u.copy(), du, de, drho
+    de = -e * shear - hess_diag_at(potential, x)[:, 0]
+    return u, force - grad_at(potential, x), de, -rho * shear
 
 
-def step_1d(state: CharState1D, kernel: Kernel, potential: Potential, dt: float) -> CharState1D:
+def step_1d(state: Ensemble, kernel: Kernel, potential: Potential, dt: float) -> Ensemble:
     """One RK4 step; raises BlowupSignal when the new state leaves the trusted range."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-
-    def f(y):
-        x, u, e, rho = y
-        return _rhs_arrays(x, u, e, rho, state.m, kernel, potential)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        x1, u1, e1, rho1 = rk4_step((state.x, state.u, state.e, state.rho), f, dt)
-    t_lo, t_hi = state.t, state.t + dt
-    if not np.isfinite(e1).all() or np.abs(e1).max() > E_BLOWUP_CAP:
-        raise BlowupSignal(t_lo, t_hi, f"|e| exceeded {E_BLOWUP_CAP:.0e} or non-finite")
-    check_state_arrays(t_lo, t_hi, x=x1, u=u1)
-    if not np.isfinite(rho1).all() or rho1.min() < 0.0:
-        # the density ODE preserves positivity; leaving it means the step
-        # left the trusted regime
-        raise BlowupSignal(t_lo, t_hi, "density left the nonnegative range")
-    return CharState1D(x=x1, u=u1, e=e1, rho=rho1, m=state.m, t=t_hi)
+    return advance_rk4(
+        state, lambda x, u, e, rho: _rhs_arrays_1d(x, u, e, rho, state.m, kernel, potential), dt
+    )
 
 
 @dataclass(frozen=True)

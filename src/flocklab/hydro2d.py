@@ -19,6 +19,9 @@ the threshold variable e = d + phi*rho.  They satisfy
 and the algebraic identity tr(G^2) = (d^2 + eta_S^2 - 4 omega^2) / 2.
 The classifiers decide whether initial data are subcritical, i.e. whether
 e provably stays nonnegative (so eta_S and omega decay) for all time.
+
+The state is a ``dynamics.Ensemble`` that carries grad_u; ``step_2d``
+hands this module's right-hand side to the shared RK4 driver.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants as _constants
-from .dynamics import BlowupSignal, alignment_force, check_state_arrays, pair_sq_distances, rk4_step
-from .dynamics import weighted_alignment
+from .dynamics import Ensemble, advance_rk4, alignment_force, pair_sq_distances, weighted_alignment
 from .kernels import ConstantKernel, Kernel, kernel_eval_sq, kernel_slope_over_r_sq
 from .potentials import Potential, grad_at, hess_diag_at
 
@@ -37,7 +39,6 @@ __all__ = [
     "BumpDensity2D",
     "ShearRotationVelocity",
     "SineShearVelocity",
-    "CharState2D",
     "SpectralQuantities",
     "ThresholdReport2D",
     "init_characteristics_2d",
@@ -114,45 +115,13 @@ class SineShearVelocity:
         return jac
 
 
-@dataclass
-class CharState2D:
-    """Characteristics carrying position, velocity and the velocity gradient."""
-
-    x: np.ndarray
-    u: np.ndarray
-    grad_u: np.ndarray
-    m: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.u = np.asarray(self.u, dtype=float)
-        self.grad_u = np.asarray(self.grad_u, dtype=float)
-        self.m = np.asarray(self.m, dtype=float)
-        n = self.x.shape[0]
-        if self.x.shape != (n, 2) or self.u.shape != (n, 2):
-            raise ValueError("x and u must have shape (N, 2)")
-        if self.grad_u.shape != (n, 2, 2):
-            raise ValueError("grad_u must have shape (N, 2, 2)")
-        if self.m.shape != (n,) or not np.all(self.m > 0.0):
-            raise ValueError("masses must be (N,) and positive")
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.m.sum())
-
-
 def init_characteristics_2d(
     density: BumpDensity2D,
     velocity,
     n_side: int,
     kernel: Kernel,
     m0: float = 1.0,
-) -> CharState2D:
+) -> Ensemble:
     """Midpoint tensor quadrature of the density with analytic initial gradient."""
     if n_side < 1:
         raise ValueError("need at least one node per side")
@@ -166,9 +135,7 @@ def init_characteristics_2d(
     if not total > 0.0:
         raise ValueError("density profile has zero total mass on its support")
     m = w * (m0 / total)
-    u = velocity.value(x)
-    grad_u = velocity.jacobian(x)
-    return CharState2D(x=x, u=u, grad_u=grad_u, m=m, t=0.0)
+    return Ensemble(x=x, u=velocity.value(x), m=m, grad_u=velocity.jacobian(x))
 
 
 def _pair_terms_2d(x, u, m, kernel):
@@ -201,30 +168,19 @@ def _rhs_arrays_2d(x, u, grad_u, m, kernel, potential):
     hess = hess_diag_at(potential, x)
     d_grad[:, 0, 0] -= hess[:, 0]
     d_grad[:, 1, 1] -= hess[:, 1]
-    return u.copy(), du, d_grad
+    return u, du, d_grad
 
 
-def rhs_2d(state: CharState2D, kernel: Kernel, potential: Potential):
+def rhs_2d(state: Ensemble, kernel: Kernel, potential: Potential):
     """Time derivative (dx, du, dgrad_u) along the characteristics."""
-    dx, du, d_grad = _rhs_arrays_2d(state.x, state.u, state.grad_u, state.m, kernel, potential)
-    if not (np.isfinite(du).all() and np.isfinite(d_grad).all()):
-        raise BlowupSignal(state.t, state.t, "non-finite derivative")
-    return dx, du, d_grad
+    return _rhs_arrays_2d(state.x, state.u, state.grad_u, state.m, kernel, potential)
 
 
-def step_2d(state: CharState2D, kernel: Kernel, potential: Potential, dt: float) -> CharState2D:
+def step_2d(state: Ensemble, kernel: Kernel, potential: Potential, dt: float) -> Ensemble:
     """One RK4 step; raises BlowupSignal when the new state leaves the trusted range."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-
-    def f(y):
-        x, u, g = y
-        return _rhs_arrays_2d(x, u, g, state.m, kernel, potential)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        x1, u1, g1 = rk4_step((state.x, state.u, state.grad_u), f, dt)
-    check_state_arrays(state.t, state.t + dt, x=x1, u=u1, grad_u=g1)
-    return CharState2D(x=x1, u=u1, grad_u=g1, m=state.m, t=state.t + dt)
+    return advance_rk4(
+        state, lambda x, u, g: _rhs_arrays_2d(x, u, g, state.m, kernel, potential), dt
+    )
 
 
 @dataclass(frozen=True)

@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
 from .diagnostics import energy, fluctuations, particle_energy_support
 from .dynamics import Ensemble, conv_phi, means, recenter
-from .hydro1d import BumpDensity, CharState1D, LinearVelocity, SineVelocity, init_characteristics
+from .hydro1d import BumpDensity, LinearVelocity, SineVelocity, init_characteristics
 from .hydro2d import (
     BumpDensity2D,
-    CharState2D,
     ShearRotationVelocity,
     SineShearVelocity,
     init_characteristics_2d,
@@ -30,8 +29,6 @@ from .hydro2d import (
 from .potentials import convexity_bounds
 
 __all__ = ["InitialInfo", "build_state", "ensemble_view"]
-
-State = Union[Ensemble, CharState1D, CharState2D]
 
 
 @dataclass(frozen=True)
@@ -53,18 +50,14 @@ class InitialInfo:
     omega0_max: Optional[float] = None
 
 
-def ensemble_view(state: State) -> Ensemble:
-    """The (x, u, m) content of any state as an Ensemble."""
-    if isinstance(state, Ensemble):
-        return state
-    if isinstance(state, CharState1D):
-        return Ensemble(x=state.x[:, None], u=state.u[:, None], m=state.m, t=state.t)
-    return Ensemble(x=state.x, u=state.u, m=state.m, t=state.t)
+def ensemble_view(state: Ensemble) -> Ensemble:
+    """Every mode's state is an Ensemble already; kept for the benchmark's span bindings."""
+    return state
 
 
-def build_state(cfg: ExperimentConfig) -> tuple[State, InitialInfo]:
+def build_state(cfg: ExperimentConfig) -> tuple[Ensemble, InitialInfo]:
     if cfg.mode == "particles":
-        state: State = _build_particles(cfg)
+        state = _build_particles(cfg)
     elif cfg.mode == "hydro1d":
         state = init_characteristics(
             BumpDensity(cfg.initial.bump_height, cfg.initial.half_width),
@@ -145,8 +138,7 @@ def _sample_bump(rng, n: int, d: int, half_width: float) -> np.ndarray:
     return out
 
 
-def _info(cfg: ExperimentConfig, state: State) -> InitialInfo:
-    ens = ensemble_view(state)
+def _info(cfg: ExperimentConfig, ens: Ensemble) -> InitialInfo:
     a_lo, _ = convexity_bounds(cfg.potential)
     e_total, e_kin = energy(ens, cfg.potential)
     delta_l2, delta_inf = fluctuations(ens, a_lo)
@@ -165,12 +157,12 @@ def _info(cfg: ExperimentConfig, state: State) -> InitialInfo:
         x_c0=tuple(float(v) for v in c.x_c),
         u_c0=tuple(float(v) for v in c.u_c),
     )
-    if isinstance(state, CharState1D):
-        info["e0_min"] = float(state.e.min())
-        info["e0_max"] = float(state.e.max())
-    elif isinstance(state, CharState2D):
-        phi_conv = conv_phi(state.x, state.m, cfg.kernel)
-        _, eta_s, omega, e = spectral_arrays(state.grad_u, phi_conv)
+    if ens.e is not None:
+        info["e0_min"] = float(ens.e.min())
+        info["e0_max"] = float(ens.e.max())
+    elif ens.grad_u is not None:
+        phi_conv = conv_phi(ens.x, ens.m, cfg.kernel)
+        _, eta_s, omega, e = spectral_arrays(ens.grad_u, phi_conv)
         info["e0_min"] = float(e.min())
         info["e0_max"] = float(e.max())
         info["eta_s0_max"] = float(np.abs(eta_s).max())

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from flocklab import dynamics
 from flocklab.dynamics import (
     BlowupSignal,
     Ensemble,
@@ -280,6 +281,22 @@ def test_ensemble_validation():
         Ensemble(x=[[np.inf]], u=[[0.0]], m=[1.0])
     with pytest.raises(ValueError):
         Ensemble(x=[[0.0], [1.0]], u=[[0.0]], m=[1.0, 1.0])
+    with pytest.raises(ValueError, match="e and rho"):
+        Ensemble(x=[[0.0]], u=[[0.0]], m=[1.0], e=[0.5])
+    with pytest.raises(ValueError, match="nonnegative"):
+        Ensemble(x=[[0.0]], u=[[0.0]], m=[1.0], e=[0.5], rho=[-1.0])
+    with pytest.raises(ValueError, match="grad_u"):
+        Ensemble(x=[[0.0, 0.0]], u=[[0.0, 0.0]], m=[1.0], grad_u=np.zeros((1, 2)))
+
+
+def test_pair_scratch_grows_to_the_largest_n_only(monkeypatch):
+    # the scratch is one pair of flat buffers per process, not a pair per N
+    monkeypatch.setattr(dynamics, "_scratch", (np.empty(0), np.empty(0)))
+    rng = np.random.default_rng(4)
+    for n in range(100, 1001, 100):
+        ens = _random_ensemble(rng, n, 1)
+        dynamics.alignment_force(ens.x, ens.u, ens.m, PowerLawKernel(1.0, 1.0))
+    assert sum(buf.nbytes for buf in dynamics._scratch) <= 2 * 8 * 1000**2
 
 
 def test_pairwise_weights_match_definition():

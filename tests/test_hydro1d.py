@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from flocklab.dynamics import BlowupSignal
+from flocklab.dynamics import BlowupSignal, Ensemble
 from flocklab.hydro1d import (
     BumpDensity,
-    CharState1D,
     LinearVelocity,
     SineVelocity,
     classify_1d,
@@ -39,7 +38,7 @@ def test_init_profile_derivative_enters_e_exactly():
     kernel = PowerLawKernel(1.0, 1.0)
     state = init_characteristics(BumpDensity(1.0, 1.0), LinearVelocity(1.0), 16, kernel)
     conv = np.array([
-        sum(state.m[j] * kernel_eval(kernel, abs(state.x[i] - state.x[j])) for j in range(16))
+        sum(state.m[j] * kernel_eval(kernel, abs(state.x[i, 0] - state.x[j, 0])) for j in range(16))
         for i in range(16)
     ])
     assert np.allclose(state.e - conv, 1.0, atol=1e-13)
@@ -73,7 +72,7 @@ def test_init_density_values_match_mass_per_cell():
 
 
 def test_rhs_zero_e_feels_only_hessian():
-    state = CharState1D(x=[0.2], u=[0.0], e=[0.0], rho=[1.0], m=[1.0])
+    state = Ensemble(x=[[0.2]], u=[[0.0]], e=[0.0], rho=[1.0], m=[1.0])
     _, _, de, _ = rhs_1d(state, ConstantKernel(1.0), QuadraticPotential(0.7))
     assert de[0] == pytest.approx(-0.7)
 
@@ -81,21 +80,25 @@ def test_rhs_zero_e_feels_only_hessian():
 def test_rhs_riccati_fixed_points():
     K, A = 1.0, 0.2
     root_hi = 0.5 + math.sqrt(0.05)
-    state = CharState1D(x=[0.0], u=[0.0], e=[root_hi], rho=[1.0], m=[1.0])
+    state = Ensemble(x=[[0.0]], u=[[0.0]], e=[root_hi], rho=[1.0], m=[1.0])
     _, _, de, _ = rhs_1d(state, ConstantKernel(K), QuadraticPotential(A))
     assert de[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_rhs_vacuum_density_is_invariant():
-    state = CharState1D(x=[0.0, 1.0], u=[0.1, -0.1], e=[0.5, 0.5], rho=[0.0, 1.0], m=[0.5, 0.5])
+    state = Ensemble(x=[[0.0], [1.0]], u=[[0.1], [-0.1]], e=[0.5, 0.5], rho=[0.0, 1.0], m=[0.5, 0.5])
     _, _, _, drho = rhs_1d(state, ConstantKernel(1.0), ZeroPotential())
     assert drho[0] == 0.0
 
 
-def test_rhs_signals_on_huge_e():
-    state = CharState1D(x=[0.0], u=[0.0], e=[-2.0e6], rho=[1.0], m=[1.0])
-    with pytest.raises(BlowupSignal):
-        rhs_1d(state, ConstantKernel(1.0), ZeroPotential())
+def test_step_signals_on_huge_e():
+    state = Ensemble(x=[[0.0]], u=[[0.0]], e=[-2.0e6], rho=[1.0], m=[1.0])
+    with pytest.raises(BlowupSignal) as info:
+        step_1d(state, ConstantKernel(1.0), ZeroPotential(), 1e-3)
+    assert (info.value.t_lo, info.value.t_hi) == (0.0, 1e-3)
+    # a density beyond the state cap is no blow-up: it grows without bound as a flock contracts
+    dense = Ensemble(x=[[0.0]], u=[[0.0]], e=[0.5], rho=[1.0e12], m=[1.0])
+    assert step_1d(dense, ConstantKernel(1.0), ZeroPotential(), 1e-3).rho[0] > 1.0e12
 
 
 # --- integration against the closed form ---
@@ -179,8 +182,8 @@ def test_e_consistency_with_neighbor_reconstruction():
         for i in range(1, 2001):
             state = step_1d(state, kernel, QuadraticPotential(0.2), 1e-3)
             if i % 500 == 0:
-                order = np.argsort(state.x)
-                x, u = state.x[order], state.u[order]
+                order = np.argsort(state.x[:, 0])
+                x, u = state.x[order, 0], state.u[order, 0]
                 e_sorted = state.e[order]
                 conv = np.full(n, state.total_mass * 1.0)
                 dudx = lagrange_derivative(x, u)

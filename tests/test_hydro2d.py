@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from flocklab.dynamics import conv_phi
+from flocklab.dynamics import Ensemble, conv_phi
 from flocklab.hydro2d import (
     BumpDensity2D,
-    CharState2D,
     ShearRotationVelocity,
     SineShearVelocity,
     classify_2d_general,
@@ -134,7 +133,7 @@ def test_gradient_forcing_matches_brute_force():
             for q in range(2):
                 square = sum(grad_u[i, p, k] * grad_u[i, k, q] for k in range(2))
                 expect[i, p, q] += -square - conv[i] * grad_u[i, p, q] - a * (p == q)
-    state = CharState2D(x=x, u=u, grad_u=grad_u, m=m)
+    state = Ensemble(x=x, u=u, grad_u=grad_u, m=m)
     _, _, d_grad = rhs_2d(state, kernel, QuadraticPotential(a))
     assert np.allclose(d_grad, expect, rtol=1e-12, atol=1e-14)
 
@@ -150,7 +149,7 @@ def test_gradient_forcing_zero_for_aligned_velocities():
 def test_rhs_constant_kernel_drops_forcing():
     rng = np.random.default_rng(11)
     n = 16
-    state = CharState2D(
+    state = Ensemble(
         x=rng.uniform(-1, 1, (n, 2)),
         u=rng.uniform(-1, 1, (n, 2)),
         grad_u=rng.uniform(-1, 1, (n, 2, 2)),
@@ -167,7 +166,7 @@ def test_rhs_constant_kernel_drops_forcing():
 
 
 def test_rhs_single_characteristic_zero_gradient():
-    state = CharState2D(x=[[0.2, -0.1]], u=[[0.0, 0.0]], grad_u=np.zeros((1, 2, 2)), m=[1.0])
+    state = Ensemble(x=[[0.2, -0.1]], u=[[0.0, 0.0]], grad_u=np.zeros((1, 2, 2)), m=[1.0])
     _, _, d_grad = rhs_2d(state, ConstantKernel(1.0), QuadraticPotential(0.8))
     assert np.allclose(d_grad[0], -0.8 * np.eye(2), atol=1e-15)
 

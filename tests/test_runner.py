@@ -418,6 +418,10 @@ def test_cli_check_fails_a_diverged_run(tmp_path, capsys):
     assert "[FAIL] no_blowup" in out
     assert "blow-up bracket" in out
     assert "RESULT: FAIL" in out
+    # the last finite state before the blow-up is kept as a frame
+    result = run(parse_config(DIVERGING))
+    assert [f.t for f in result.frames] == [0.0, result.summary.blowup[0]]
+    assert result.summary.blowup[0] > 0.0
 
 
 def test_cli_unknown_preset_is_config_error(capsys):
