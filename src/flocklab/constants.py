@@ -350,16 +350,16 @@ def constants_report(
     ``phi_minus`` may be None when no a-priori kernel floor is known, in
     which case the floor-dependent constants are skipped.  ``K`` is the
     constant-kernel coupling m0*phi (for the pair-functional rates),
-    ``kernel`` enables the support-scale chain, and ``u_max`` enables the
-    general-potential budget constants.
+    ``kernel`` enables the support-scale fields R0 and phi(sqrt(8 R0/a)),
+    which are reported but never taken as the floor (whether R0 bounds the
+    run depends on the data, which the caller decides), and ``u_max``
+    enables the general-potential budget constants.
     """
     rep = ConstantsReport(tags=dict(_TAGS))
     if kernel is not None and energy0 is not None and particle_energy0 is not None and a > 0.0:
         try:
             rep.r0 = support_scale(a, m0, energy0, particle_energy0, kernel)
             rep.phi_minus_from_r0 = phi_min_from_support(kernel, a, rep.r0)
-            if phi_minus is None:
-                phi_minus = rep.phi_minus_from_r0
         except ValueError as exc:
             rep.notes.append(f"support scale not applicable: {exc}")
     if phi_minus is None:

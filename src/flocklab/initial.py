@@ -5,49 +5,34 @@ with samples drawn in a fixed order, so a seed fully determines the data.
 Characteristic modes never use randomness: positions are quadrature nodes
 of the bump profile and velocities come from the analytic profile, whose
 exact derivative initializes e (1D) and the velocity gradient (2D).
+
+``build_state`` returns the state only; ``runner.analyze`` summarizes it
+as the t = 0 diagnostics frame, which every a-priori decision reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .diagnostics import energy, fluctuations, particle_energy_support
-from .dynamics import Ensemble, conv_phi, means, recenter
+
+# energy, fluctuations, particle_energy_support, conv_phi, means, spectral_arrays and
+# convexity_bounds are unused here but stay imported: the benchmark's tracer rebinds them.
+from .diagnostics import energy, fluctuations, particle_energy_support  # noqa: F401
+from .dynamics import Ensemble, conv_phi, means, recenter  # noqa: F401
 from .hydro1d import BumpDensity, LinearVelocity, SineVelocity, init_characteristics
 from .hydro2d import (
     BumpDensity2D,
     ShearRotationVelocity,
     SineShearVelocity,
     init_characteristics_2d,
-    spectral_arrays,
+    spectral_arrays,  # noqa: F401
 )
-from .potentials import convexity_bounds
+from .potentials import convexity_bounds  # noqa: F401
 
-__all__ = ["InitialInfo", "build_state", "ensemble_view"]
-
-
-@dataclass(frozen=True)
-class InitialInfo:
-    """Scalars of the initial data consumed by classifiers and bound checks."""
-
-    energy0: float
-    kinetic0: float
-    particle_energy0: float
-    diameter0: float
-    delta_e0: float
-    delta_e_inf0: float
-    max_speed_position0: float
-    x_c0: tuple
-    u_c0: tuple
-    e0_min: Optional[float] = None
-    e0_max: Optional[float] = None
-    eta_s0_max: Optional[float] = None
-    omega0_max: Optional[float] = None
+__all__ = ["build_state", "ensemble_view"]
 
 
 def ensemble_view(state: Ensemble) -> Ensemble:
@@ -55,26 +40,24 @@ def ensemble_view(state: Ensemble) -> Ensemble:
     return state
 
 
-def build_state(cfg: ExperimentConfig) -> tuple[Ensemble, InitialInfo]:
+def build_state(cfg: ExperimentConfig) -> Ensemble:
     if cfg.mode == "particles":
-        state = _build_particles(cfg)
-    elif cfg.mode == "hydro1d":
-        state = init_characteristics(
+        return _build_particles(cfg)
+    if cfg.mode == "hydro1d":
+        return init_characteristics(
             BumpDensity(cfg.initial.bump_height, cfg.initial.half_width),
             _velocity_profile_1d(cfg),
             cfg.n,
             cfg.kernel,
             m0=cfg.m0,
         )
-    else:
-        state = init_characteristics_2d(
-            BumpDensity2D(cfg.initial.bump_height, cfg.initial.half_width),
-            _velocity_profile_2d(cfg),
-            math.isqrt(cfg.n),
-            cfg.kernel,
-            m0=cfg.m0,
-        )
-    return state, _info(cfg, state)
+    return init_characteristics_2d(
+        BumpDensity2D(cfg.initial.bump_height, cfg.initial.half_width),
+        _velocity_profile_2d(cfg),
+        math.isqrt(cfg.n),
+        cfg.kernel,
+        m0=cfg.m0,
+    )
 
 
 def _velocity_profile_1d(cfg: ExperimentConfig):
@@ -137,34 +120,3 @@ def _sample_bump(rng, n: int, d: int, half_width: float) -> np.ndarray:
         filled += take
     return out
 
-
-def _info(cfg: ExperimentConfig, ens: Ensemble) -> InitialInfo:
-    a_lo, _ = convexity_bounds(cfg.potential)
-    e_total, e_kin = energy(ens, cfg.potential)
-    delta_l2, delta_inf = fluctuations(ens, a_lo)
-    p0, d0 = particle_energy_support(ens, cfg.potential)
-    c = means(ens)
-    speed = np.sqrt(np.einsum("nd,nd->n", ens.u, ens.u))
-    radius = np.sqrt(np.einsum("nd,nd->n", ens.x, ens.x))
-    info = dict(
-        energy0=e_total,
-        kinetic0=e_kin,
-        particle_energy0=p0,
-        diameter0=d0,
-        delta_e0=delta_l2,
-        delta_e_inf0=delta_inf,
-        max_speed_position0=float((speed + radius).max()),
-        x_c0=tuple(float(v) for v in c.x_c),
-        u_c0=tuple(float(v) for v in c.u_c),
-    )
-    if ens.e is not None:
-        info["e0_min"] = float(ens.e.min())
-        info["e0_max"] = float(ens.e.max())
-    elif ens.grad_u is not None:
-        phi_conv = conv_phi(ens.x, ens.m, cfg.kernel)
-        _, eta_s, omega, e = spectral_arrays(ens.grad_u, phi_conv)
-        info["e0_min"] = float(e.min())
-        info["e0_max"] = float(e.max())
-        info["eta_s0_max"] = float(np.abs(eta_s).max())
-        info["omega0_max"] = float(np.abs(omega).max())
-    return InitialInfo(**info)

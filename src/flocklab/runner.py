@@ -1,8 +1,9 @@
 """Simulation orchestration: time loop, frames, bound checks, sweeps.
 
-``analyze`` builds the initial state and decides every a-priori quantity
-(convexity and kernel bounds, the kernel floor and its source) once; run,
-classify and the CLI's constants report all read its record.
+``analyze`` builds the initial state, summarizes it once as the t = 0
+frame, and decides every a-priori quantity (convexity and kernel bounds,
+R0, the kernel floor and its source) from that frame; run, classify and
+the CLI's constants report all read its record.
 
 ``run`` integrates a configuration to T, emits one DiagnosticsFrame per
 output stride, and then evaluates post hoc every quantitative bound that
@@ -27,6 +28,7 @@ Identical configurations produce byte-identical frames.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
@@ -50,7 +52,7 @@ from .diagnostics import (
 from .dynamics import BlowupSignal, Ensemble, conv_phi, means, step_rk4
 from .hydro1d import classify_1d, detect_blowup, e_upper_bound, smooth_lower_root, step_1d
 from .hydro2d import classify_2d_general, classify_2d_quadratic, spectral_arrays, step_2d
-from .initial import InitialInfo, build_state, ensemble_view  # noqa: F401 (bound by the benchmark)
+from .initial import build_state, ensemble_view  # noqa: F401 (bound by the benchmark)
 from .kernels import (
     ConstantKernel,
     PowerLawKernel,
@@ -161,10 +163,14 @@ class Analysis:
     phi_minus = phi(sqrt(8 R0 / a)) ("support-chain"); otherwise it is None
     ("unavailable") and the floor has to be measured from the run
     diameter.  ``coupling`` is m0 * phi for a constant kernel, else None.
+
+    ``frame0`` is run's first frame with NaN in the report columns V,
+    F1_max and F_const_max.  ``r0`` is the support bound R0 under quadratic
+    confinement with centered data, else (or without a closed form) None.
     """
 
     state: Ensemble
-    info: InitialInfo
+    frame0: DiagnosticsFrame
     a_lo: float
     a_hi: float
     phi_minus: Optional[float]
@@ -173,31 +179,32 @@ class Analysis:
     dphi_inf: float
     coupling: Optional[float]
     centered: bool
+    r0: Optional[float]
 
 
 def analyze(cfg: ExperimentConfig) -> Analysis:
     """Build the initial state and the a-priori bounds that run, classify and the CLI share."""
-    state, info = build_state(cfg)
+    state = build_state(cfg)
     a_lo, a_hi = convexity_bounds(cfg.potential)
+    frame0 = _state_frame(cfg, a_lo, state)
     _, phi_plus, dphi_inf = kernel_bounds(cfg.kernel, 0.0)
-    centered = max(
-        max((abs(v) for v in info.x_c0), default=0.0),
-        max((abs(v) for v in info.u_c0), default=0.0),
-    ) <= _CENTERED_TOL
+    centered = max(map(abs, frame0.x_c + frame0.u_c), default=0.0) <= _CENTERED_TOL
+    r0 = None
+    if isinstance(cfg.potential, QuadraticPotential) and centered:
+        e0, p0 = frame0.total_energy, frame0.particle_energy
+        try:
+            r0 = consts.support_scale(cfg.potential.a, cfg.m0, e0, p0, cfg.kernel)
+        except ValueError:  # no closed-form R0 for this kernel
+            pass
     phi_minus, phi_source = kernel_inf(cfg.kernel), "kernel-infimum"
     if not phi_minus > 0.0:
         phi_minus, phi_source = None, "unavailable"
-        if isinstance(cfg.potential, QuadraticPotential) and centered:
-            a = cfg.potential.a
-            try:
-                r0 = consts.support_scale(a, cfg.m0, info.energy0, info.particle_energy0, cfg.kernel)
-            except ValueError:
-                pass
-            else:
-                phi_minus, phi_source = consts.phi_min_from_support(cfg.kernel, a, r0), "support-chain"
+        if r0 is not None:
+            phi_minus = consts.phi_min_from_support(cfg.kernel, cfg.potential.a, r0)
+            phi_source = "support-chain"
     coupling = cfg.m0 * cfg.kernel.value if isinstance(cfg.kernel, ConstantKernel) else None
     return Analysis(
-        state, info, a_lo, a_hi, phi_minus, phi_source, phi_plus, dphi_inf, coupling, centered
+        state, frame0, a_lo, a_hi, phi_minus, phi_source, phi_plus, dphi_inf, coupling, centered, r0
     )
 
 
@@ -205,9 +212,11 @@ def apriori_velocity_bound(cfg: ExperimentConfig, an: Analysis) -> Optional[floa
     """A-priori bound on max(|u| + |x|); None without a kernel floor or for a_lo <= 0."""
     if an.phi_minus is None or not an.a_lo > 0.0:
         return None
+    x, u = an.state.x, an.state.u
+    speed_position0 = np.sqrt(np.einsum("nd,nd->n", u, u)) + np.sqrt(np.einsum("nd,nd->n", x, x))
     return consts.velocity_bound(
-        an.a_lo, an.a_hi, cfg.m0, an.phi_minus, an.phi_plus, an.info.energy0,
-        an.info.max_speed_position0,
+        an.a_lo, an.a_hi, cfg.m0, an.phi_minus, an.phi_plus, an.frame0.total_energy,
+        float(speed_position0.max()),
     )
 
 
@@ -216,9 +225,10 @@ def constants_for(cfg: ExperimentConfig, an: Analysis, u_max: Optional[float] = 
 
     ``u_max`` enables the general-potential budget constants.
     """
+    f0 = an.frame0
     report = consts.constants_report(
         an.a_lo, an.a_hi, cfg.m0, an.phi_minus, an.phi_plus, an.dphi_inf, K=an.coupling,
-        energy0=an.info.energy0, particle_energy0=an.info.particle_energy0, kernel=cfg.kernel,
+        energy0=f0.total_energy, particle_energy0=f0.particle_energy, kernel=cfg.kernel,
         u_max=u_max,
     )
     report.notes.append(f"kernel floor source: {an.phi_source}")
@@ -232,13 +242,17 @@ def classify(cfg: ExperimentConfig, u_max: Optional[float] = None):
     source and, for the general-potential branch, whether u_max was
     supplied (a-posteriori) or derived from the a-priori velocity bound.
     """
+    return _classify(cfg, _analyze_characteristic(cfg), u_max)
+
+
+def _analyze_characteristic(cfg: ExperimentConfig) -> Analysis:
     if cfg.mode not in ("hydro1d", "hydro2d"):
         raise ConfigError(f"classify needs a characteristic mode, got {cfg.mode!r}")
-    return _classify(cfg, analyze(cfg), u_max)
+    return analyze(cfg)
 
 
 def _classify(cfg: ExperimentConfig, an: Analysis, u_max: Optional[float] = None):
-    info = an.info
+    f0 = an.frame0
     details = {"phi_minus": an.phi_minus, "phi_minus_source": an.phi_source}
     if cfg.mode == "hydro1d":
         if an.phi_minus is None:
@@ -246,7 +260,7 @@ def _classify(cfg: ExperimentConfig, an: Analysis, u_max: Optional[float] = None
             # branches can fire, smoothness can never be certified
             details["phi_minus_source"] = "zero-fallback"
         report = classify_1d(
-            an.a_lo, an.a_hi, cfg.m0, an.phi_minus, an.phi_plus, info.e0_min, info.e0_max
+            an.a_lo, an.a_hi, cfg.m0, an.phi_minus, an.phi_plus, f0.min_e, f0.max_e
         )
         return report, details
 
@@ -260,7 +274,7 @@ def _classify(cfg: ExperimentConfig, an: Analysis, u_max: Optional[float] = None
     if isinstance(cfg.potential, QuadraticPotential):
         report = classify_2d_quadratic(
             an.a_lo, cfg.m0, an.phi_minus, an.phi_plus, an.dphi_inf,
-            info.eta_s0_max, info.delta_e_inf0, info.e0_min,
+            f0.max_abs_eta_s, f0.delta_e_linf, f0.min_e,
         )
         return report, details
     if u_max is None:
@@ -270,7 +284,7 @@ def _classify(cfg: ExperimentConfig, an: Analysis, u_max: Optional[float] = None
         details["u_max_source"] = "supplied"
     details["u_max"] = u_max
     report = classify_2d_general(
-        an.a_hi, an.a_lo, cfg.m0, an.phi_minus, an.dphi_inf, u_max, info.eta_s0_max, info.e0_min
+        an.a_hi, an.a_lo, cfg.m0, an.phi_minus, an.dphi_inf, u_max, f0.max_abs_eta_s, f0.min_e
     )
     return report, details
 
@@ -278,7 +292,12 @@ def _classify(cfg: ExperimentConfig, an: Analysis, u_max: Optional[float] = None
 def run(cfg: ExperimentConfig) -> RunResult:
     """Integrate the configuration and evaluate every applicable bound check."""
     started = time.perf_counter()
-    an = analyze(cfg)
+    result = _integrate(cfg, analyze(cfg))
+    result.summary.wall_time = time.perf_counter() - started
+    return result
+
+
+def _integrate(cfg: ExperimentConfig, an: Analysis) -> RunResult:
     report = constants_for(cfg, an)
 
     threshold = None
@@ -290,8 +309,8 @@ def run(cfg: ExperimentConfig) -> RunResult:
 
     frame_ctx = _FrameContext(cfg, an, report)
     state = an.state
-    frames = [frame_ctx.build(state)]
-    track = _StepTrack(an.info, active=cfg.mode == "hydro1d")
+    frames = [frame_ctx.complete(dataclasses.replace(an.frame0), state)]
+    track = _StepTrack(an.frame0, active=cfg.mode == "hydro1d")
     blowup = None
     n_steps = cfg.n_steps
     try:
@@ -325,19 +344,16 @@ def run(cfg: ExperimentConfig) -> RunResult:
         summary.extrema = {"run_min_e": track.run_min_e, "run_max_e": track.run_max_e}
     _evaluate_checks(summary, cfg, an, frames, track, threshold)
     _fit_rates(summary, cfg, frames)
-    summary.wall_time = time.perf_counter() - started
     return RunResult(summary=summary, frames=frames)
 
 
 class _StepTrack:
     """Per-step e-extrema for the 1D mode; frame sampling would miss the crossing."""
 
-    def __init__(self, info: InitialInfo, active: bool):
+    def __init__(self, frame0: DiagnosticsFrame, active: bool):
         self.active = active
-        self.times = [0.0]
-        self.min_e = [info.e0_min if info.e0_min is not None else math.nan]
-        self.run_min_e = info.e0_min if info.e0_min is not None else math.inf
-        self.run_max_e = info.e0_max if info.e0_max is not None else -math.inf
+        self.times, self.min_e = [0.0], [frame0.min_e]
+        self.run_min_e, self.run_max_e = frame0.min_e, frame0.max_e
 
     def observe(self, state):
         if self.active:
@@ -370,50 +386,45 @@ class _FrameContext:
         self.stable_pair = report.mu1 is not None
 
     def build(self, ens: Ensemble) -> DiagnosticsFrame:
-        cfg = self.cfg
-        e_total, e_kin = energy(ens, cfg.potential)
-        delta_l2, delta_inf = fluctuations(ens, self.a_lo)
-        p, d = particle_energy_support(ens, cfg.potential)
-        c = means(ens)
-        lyap = f1 = f_const = math.nan
+        return self.complete(_state_frame(self.cfg, self.a_lo, ens), ens)
+
+    def complete(self, frame: DiagnosticsFrame, ens: Ensemble) -> DiagnosticsFrame:
+        """Fill in the columns that need the report (V, F1_max, F_const_max) of ``ens``'s frame."""
         if self.lam is not None:
-            lyap = lyapunov_v(ens, self.a_lo, self.lam)
-            f1 = perturbed_particle_energy_max(ens, self.a_lo, self.lam1)
+            frame.lyapunov = lyapunov_v(ens, self.a_lo, self.lam)
+            frame.f1_max = perturbed_particle_energy_max(ens, self.a_lo, self.lam1)
         if self.coupling is not None and self.beta_cross is not None and self.stable_pair:
-            f_const = pair_functional_f(ens, self.coupling, self.beta_cross)
-        frame = DiagnosticsFrame(
-            t=ens.t,
-            total_energy=e_total,
-            kinetic_energy=e_kin,
-            delta_e_l2=delta_l2,
-            delta_e_linf=delta_inf,
-            particle_energy=p,
-            diameter=d,
-            lyapunov=lyap,
-            f1_max=f1,
-            f_const_max=f_const,
-            x_c=tuple(float(v) for v in c.x_c),
-            u_c=tuple(float(v) for v in c.u_c),
-        )
-        if ens.e is not None:
-            frame.min_e = float(ens.e.min())
-            frame.max_e = float(ens.e.max())
-            frame.min_rho = float(ens.rho.min())
-            frame.max_rho = float(ens.rho.max())
-        elif ens.grad_u is not None:
-            phi_conv = conv_phi(ens.x, ens.m, cfg.kernel)
-            dvals, eta_s, omega, e = spectral_arrays(ens.grad_u, phi_conv)
-            frame.min_e = float(e.min())
-            frame.max_e = float(e.max())
-            frame.max_abs_eta_s = float(np.abs(eta_s).max())
-            frame.max_abs_omega = float(np.abs(omega).max())
-            frame.max_tr_grad = float(dvals.max())
+            frame.f_const_max = pair_functional_f(ens, self.coupling, self.beta_cross)
         return frame
+
+
+def _state_frame(cfg: ExperimentConfig, a_lo: float, ens: Ensemble) -> DiagnosticsFrame:
+    """Every frame column that needs no constants report; V, F1_max and F_const_max are NaN."""
+    e_total, e_kin = energy(ens, cfg.potential)
+    delta_l2, delta_inf = fluctuations(ens, a_lo)
+    p, d = particle_energy_support(ens, cfg.potential)
+    c = means(ens)
+    frame = DiagnosticsFrame(
+        t=ens.t, total_energy=e_total, kinetic_energy=e_kin,
+        delta_e_l2=delta_l2, delta_e_linf=delta_inf, particle_energy=p, diameter=d,
+        lyapunov=math.nan, f1_max=math.nan, f_const_max=math.nan,
+        x_c=tuple(float(v) for v in c.x_c), u_c=tuple(float(v) for v in c.u_c),
+    )
+    if ens.e is not None:
+        frame.min_e, frame.max_e = float(ens.e.min()), float(ens.e.max())
+        frame.min_rho, frame.max_rho = float(ens.rho.min()), float(ens.rho.max())
+    elif ens.grad_u is not None:
+        phi_conv = conv_phi(ens.x, ens.m, cfg.kernel)
+        dvals, eta_s, omega, e = spectral_arrays(ens.grad_u, phi_conv)
+        frame.min_e, frame.max_e = float(e.min()), float(e.max())
+        frame.max_abs_eta_s = float(np.abs(eta_s).max())
+        frame.max_abs_omega = float(np.abs(omega).max())
+        frame.max_tr_grad = float(dvals.max())
+    return frame
 
 
 def _evaluate_checks(summary, cfg, an: Analysis, frames, track, threshold):
     checks = summary.bound_checks
-    info = an.info
     quadratic = isinstance(cfg.potential, QuadraticPotential)
     m0 = cfg.m0
     a_lo, a_hi, phi_plus = an.a_lo, an.a_hi, an.phi_plus
@@ -449,15 +460,14 @@ def _evaluate_checks(summary, cfg, an: Analysis, frames, track, threshold):
             tol=1e-9,
             max_violation=float((delta_inf - bound).max()),
         ))
-        try:
-            r0 = consts.support_scale(a, m0, info.energy0, info.particle_energy0, cfg.kernel)
+        if an.r0 is not None:
             checks.append(BoundCheck(
                 name="particle_energy_bound",
-                description=f"P(t) <= R0 = {r0:.6g}",
+                description=f"P(t) <= R0 = {an.r0:.6g}",
                 tol=1e-9,
-                max_violation=float((p_vals - r0).max()),
+                max_violation=float((p_vals - an.r0).max()),
             ))
-        except ValueError:
+        else:
             summary.notes.append("particle energy bound skipped: no closed-form R0 for this kernel")
     if quadratic:
         a = cfg.potential.a
@@ -467,7 +477,7 @@ def _evaluate_checks(summary, cfg, an: Analysis, frames, track, threshold):
             tol=1e-9,
             max_violation=float((a / 8.0 * d_vals * d_vals - p_vals).max()),
         ))
-        checks.append(_means_check(cfg, info, frames))
+        checks.append(_means_check(cfg, an.frame0, frames))
 
     if an.coupling is not None and a_lo > 0.0 and an.coupling > a_hi / math.sqrt(a_lo):
         mu1, mu2, mu3 = consts.pair_rates(a_lo, a_hi, an.coupling)
@@ -506,10 +516,10 @@ def _evaluate_checks(summary, cfg, an: Analysis, frames, track, threshold):
         ))
 
 
-def _means_check(cfg, info, frames) -> BoundCheck:
+def _means_check(cfg, frame0, frames) -> BoundCheck:
     omega = math.sqrt(cfg.potential.a)
-    x0 = np.asarray(info.x_c0)
-    u0 = np.asarray(info.u_c0)
+    x0 = np.asarray(frame0.x_c)
+    u0 = np.asarray(frame0.u_c)
     worst = 0.0
     for f in frames:
         ct, st = math.cos(omega * f.t), math.sin(omega * f.t)
@@ -562,7 +572,7 @@ def _hydro1d_checks(summary, cfg, an: Analysis, track, verdict):
             tol=1e-6,
             max_violation=root - track.run_min_e,
         ))
-        upper = e_upper_bound(an.info.e0_max, m0, an.phi_plus, an.a_lo)
+        upper = e_upper_bound(an.frame0.max_e, m0, an.phi_plus, an.a_lo)
         checks.append(BoundCheck(
             name="max_e_bound",
             description=f"max e over the run stays below {upper:.6g}",
@@ -585,7 +595,7 @@ def _hydro1d_checks(summary, cfg, an: Analysis, track, verdict):
 
 def _hydro2d_checks(summary, cfg, an: Analysis, frames, threshold):
     checks = summary.bound_checks
-    info = an.info
+    f0 = an.frame0
     min_e = min(f.min_e for f in frames)
     checks.append(BoundCheck(
         name="min_e_nonneg",
@@ -606,14 +616,14 @@ def _hydro2d_checks(summary, cfg, an: Analysis, frames, threshold):
     if threshold.verdict == "subcritical_quadratic":
         lam = threshold.constants["lambda"]
         c_inf = threshold.constants["C_inf"]
-        omega_budget = info.omega0_max + 32.0 / lam * cfg.m0 * an.dphi_inf * math.sqrt(
-            c_inf * info.delta_e_inf0
+        omega_budget = f0.max_abs_omega + 32.0 / lam * cfg.m0 * an.dphi_inf * math.sqrt(
+            c_inf * f0.delta_e_linf
         )
     else:
         # general potential: the transport forcing is bounded by half the
         # kernel part of C_max, divided by the persistent floor c2 of e
         forcing = 0.5 * (threshold.constants["C_max"] - 2.0 * an.a_hi)
-        omega_budget = max(info.omega0_max, forcing / threshold.constants["c2"])
+        omega_budget = max(f0.max_abs_omega, forcing / threshold.constants["c2"])
     max_omega = max(f.max_abs_omega for f in frames)
     checks.append(BoundCheck(
         name="omega_bound",
@@ -706,10 +716,8 @@ def _sweep_point(task):
     cfg, overrides, simulate = task
     for key, value in overrides:
         cfg = with_override(cfg, key, value)
-    result = run(cfg) if simulate and cfg.mode != "particles" else None
-    report = result.summary.threshold if result is not None else classify(cfg)[0]
-    if report is None:  # the run's last note says why it could not classify
-        raise ConfigError(result.summary.constants.notes[-1])
+    an = _analyze_characteristic(cfg)
+    report, _ = _classify(cfg, an)  # before stepping, so an unclassifiable point fails at once
     row = [value for _, value in overrides]
     if hasattr(report, "triggered_condition"):
         row += [report.verdict, report.triggered_condition, report.margin]
@@ -718,11 +726,8 @@ def _sweep_point(task):
         margin = min(finite) if finite else math.nan
         row += [report.verdict, ";".join(report.margins), margin]
     if simulate:
-        if result.summary.blowup:
-            lo, hi = result.summary.blowup
-            row.append(f"blowup[{lo:.6g},{hi:.6g}]")
-        else:
-            row.append("completed")
+        blowup = _integrate(cfg, an).summary.blowup
+        row.append(f"blowup[{blowup[0]:.6g},{blowup[1]:.6g}]" if blowup else "completed")
     return row
 
 

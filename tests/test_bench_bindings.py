@@ -42,3 +42,16 @@ def test_tracer_binds_and_layer_timings_run(bench_modules):
     assert {name: getattr(runner, name) for name in originals} == originals
     assert hydro2d.alignment_force.__module__ == "flocklab.dynamics"
     assert not hasattr(hydro2d.alignment_force, "__wrapped__")
+
+
+def test_layer_timings_call_the_diagnostics_and_the_pair_pass(bench_modules):
+    import numpy as np
+
+    _, layer_timings = bench_modules
+    rng = np.random.Generator(np.random.Philox(1))
+    for workload in ("dense-frames", "particles-pairpass"):
+        timings, names = layer_timings.TIMINGS[workload]
+        assert timings in (layer_timings._diagnostics, layer_timings._pair_pass)
+        out = timings(rng)
+        assert set(out) == set(names)
+        assert all(v > 0.0 for v in out.values())

@@ -235,6 +235,17 @@ def test_constants_report_without_floor():
     )
     assert rep.lam is None
     assert rep.notes
+    # with a > 0 the report gives R0 and phi(sqrt(8 R0 / a)), but whether R0
+    # bounds a run depends on its data, so without a floor from the caller
+    # the floor-dependent constants stay empty
+    rep = constants_report(
+        a=1.0, A=1.0, m0=1.0, phi_minus=None, phi_plus=1.0, dphi_inf=0.5,
+        energy0=1.0, particle_energy0=1.0, kernel=PowerLawKernel(1.0, 1.0),
+    )
+    assert rep.r0 is not None and rep.phi_minus_from_r0 > 0.0
+    assert rep.lam is None
+    assert rep.c_inf is None and rep.c is None and rep.c_star is None
+    assert any(note.startswith("no a-priori kernel floor") for note in rep.notes)
 
 
 def test_constants_pure_function_bitwise():

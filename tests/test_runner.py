@@ -1,6 +1,8 @@
 """Runner: determinism, bound checks, sweeps, CLI."""
 
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import flocklab
-from flocklab import runner
+from flocklab import initial, runner
 from flocklab.cli import main as cli_main
 from flocklab.config import ConfigError, parse_config, preset_config, preset_text
 from flocklab.runner import classify, run, sweep, sweep_csv
@@ -144,6 +146,41 @@ def test_run_builds_the_initial_state_once(monkeypatch):
     calls.clear()
     sweep(parse_config(SHARP_SWEEP), [("initial.amplitude", [-1.5, 0.0])], simulate=True)
     assert len(calls) == 2
+
+
+def test_run_computes_the_first_frame_once(monkeypatch):
+    calls = []
+    for module in (runner, initial):
+        original = module.fluctuations
+
+        def counting(*args, _original=original):
+            calls.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(module, "fluctuations", counting)
+    result = run(parse_config(SMALL))
+    assert len(calls) == result.summary.n_frames == 11
+
+
+@pytest.mark.parametrize("text", [
+    SMALL,
+    SMOOTH_SHORT.replace("t = 5.0", "t = 0.2"),
+    POWER_LAW_2D.replace("n = 256", "n = 16").replace("t = 0.2", "t = 0.02"),
+], ids=["particles", "hydro1d", "hydro2d"])
+def test_analysis_frame0_is_the_first_frame(text):
+    cfg = parse_config(text)
+    an = runner.analyze(cfg)
+    frame0 = dataclasses.asdict(an.frame0)
+    first = dataclasses.asdict(run(cfg).frames[0])
+    report_columns = ("lyapunov", "f1_max", "f_const_max")
+    assert all(math.isnan(frame0[name]) for name in report_columns)
+    for name, value in frame0.items():
+        if name not in report_columns:
+            assert value == first[name] or (math.isnan(value) and math.isnan(first[name])), name
+    assert not math.isnan(first["lyapunov"])  # the run fills in the report columns
+    # on a copy: integrating the analysis leaves its frame 0 as it was
+    runner._integrate(cfg, an)
+    assert all(math.isnan(getattr(an.frame0, name)) for name in report_columns)
 
 
 def test_frames_csv_shape():
@@ -303,18 +340,26 @@ def test_sweep_parallel_preserves_order():
     assert parallel == sequential
 
 
-def test_sweep_simulate_outcome_column():
+def test_sweep_simulate_outcome_column(monkeypatch):
     cfg = parse_config(SHARP_SWEEP.replace("t = 1.0", "t = 2.0"))
     columns, rows = sweep(cfg, [("initial.amplitude", [-1.5, 0.0])], simulate=True)
     assert columns[-1] == "outcome"
     assert rows[0][-1].startswith("blowup[")
     assert rows[1][-1] == "completed"
-    # a simulated point that cannot be classified raises, as an unsimulated one does
+    # a simulated point that cannot be classified raises, as an unsimulated one
+    # does, with classify's own message and before the first step
+
+    def no_step(*args):
+        raise AssertionError("stepped a point that cannot be classified")
+
+    for name in ("step_rk4", "step_2d"):
+        monkeypatch.setattr(runner, name, no_step)
     zero_potential = POWER_LAW_2D.replace("n = 256", "n = 16").replace("t = 0.2", "t = 0.01")
     zero_potential = zero_potential.replace("family = quadratic\na = 1.0", "family = zero")
     for text in (zero_potential, SMALL):
-        with pytest.raises(ConfigError, match="classif"):
+        with pytest.raises(ConfigError, match="classif") as err:
             sweep(parse_config(text), [("initial.amplitude", [0.5])], simulate=True)
+        assert "classification skipped" not in str(err.value)
 
 
 def test_runner_blowup_in_smooth_run_fails_check():
@@ -349,6 +394,13 @@ def test_cli_classify_and_constants(capsys):
     assert cli_main(["constants", "blowup-1d-unconditional"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["beta_cross"]["value"] is not None
+    # oscillator-means is not centered, so R0 does not floor its kernel: the
+    # report gives R0 but no floor-dependent constant
+    assert cli_main(["constants", "oscillator-means"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert "kernel floor source: unavailable" in doc["notes"]
+    assert doc["r0"]["value"] is not None
+    assert all(doc[name]["value"] is None for name in ("lam", "c_inf", "c", "c_0", "c_star"))
 
 
 def test_cli_sweep(tmp_path):
