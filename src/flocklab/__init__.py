@@ -9,9 +9,9 @@ every quantitative bound frame by frame.
 from .config import ExperimentConfig, parse_config, preset_config, preset_names, serialize_config
 from .constants import ConstantsReport, constants_report
 from .diagnostics import DiagnosticsFrame, RateFit, fit_rate
-from .dynamics import BlowupSignal, Ensemble, means, recenter, rhs, rhs_pairwise, step_rk4
+from .dynamics import BlowupSignal, Ensemble, means, recenter, step_rk4
 from .hydro1d import ThresholdReport1D, classify_1d, detect_blowup, init_characteristics
-from .hydro2d import SpectralQuantities, ThresholdReport2D, spectral
+from .hydro2d import ThresholdReport2D
 from .kernels import (
     ConstantKernel,
     FloorClippedKernel,
@@ -26,7 +26,6 @@ from .potentials import (
     QuadraticPotential,
     ZeroPotential,
     convexity_bounds,
-    potential_eval,
 )
 from .runner import RunResult, RunSummary, classify, run, sweep
 

@@ -109,7 +109,7 @@ _RUN = (
     ("scenario", "scenario", "text?", None),
     ("mode", "mode", MODES, "particles"),
     ("dim", "dim", _Int(1, 2), 1),
-    ("n", "n", _Int(1), _REQUIRED),
+    ("n", "n", _Int(1, 2048), _REQUIRED),
     ("dt", "dt", "pos", 1.0e-3),
     ("t", "t_final", "pos", _REQUIRED),
     ("output_stride", "output_stride", _Int(1), 100),

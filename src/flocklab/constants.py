@@ -265,8 +265,8 @@ class ConstantsReport:
     """Every closed-form constant that applies to a parameter set.
 
     Fields that a given parameter set cannot support are None, with the
-    reason recorded in ``notes``.  ``tags`` maps each field to the formula
-    it was computed from.
+    reason recorded in ``notes``.  ``as_dict`` pairs each value with the
+    formula it was computed from.
     """
 
     lam: Optional[float] = None
@@ -289,17 +289,16 @@ class ConstantsReport:
     c_max: Optional[float] = None
     c_a: Optional[float] = None
     c2: Optional[float] = None
-    tags: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
         out = {}
         for f in fields(self):
-            if f.name in ("tags", "notes"):
+            if f.name == "notes":
                 continue
             entry = {"value": getattr(self, f.name)}
-            if f.name in self.tags:
-                entry["formula"] = self.tags[f.name]
+            if f.name in _TAGS:
+                entry["formula"] = _TAGS[f.name]
             out[f.name] = entry
         out["notes"] = list(self.notes)
         return out
@@ -341,7 +340,7 @@ def constants_report(
     dphi_inf: float,
     K: Optional[float] = None,
     energy0: Optional[float] = None,
-    particle_energy0: Optional[float] = None,
+    r0: Optional[float] = None,
     kernel: Optional[Kernel] = None,
     u_max: Optional[float] = None,
 ) -> ConstantsReport:
@@ -349,19 +348,17 @@ def constants_report(
 
     ``phi_minus`` may be None when no a-priori kernel floor is known, in
     which case the floor-dependent constants are skipped.  ``K`` is the
-    constant-kernel coupling m0*phi (for the pair-functional rates),
-    ``kernel`` enables the support-scale fields R0 and phi(sqrt(8 R0/a)),
-    which are reported but never taken as the floor (whether R0 bounds the
-    run depends on the data, which the caller decides), and ``u_max``
-    enables the general-potential budget constants.
+    constant-kernel coupling m0*phi (for the pair-functional rates).
+    ``r0`` is the support bound R0, which the paper gives only for a
+    quadratic potential with centered data (``runner.analyze`` decides
+    that); with it and ``kernel`` the report fills R0 and
+    phi(sqrt(8 R0/a)), else both stay None.  ``u_max`` enables the
+    general-potential budget constants.
     """
-    rep = ConstantsReport(tags=dict(_TAGS))
-    if kernel is not None and energy0 is not None and particle_energy0 is not None and a > 0.0:
-        try:
-            rep.r0 = support_scale(a, m0, energy0, particle_energy0, kernel)
-            rep.phi_minus_from_r0 = phi_min_from_support(kernel, a, rep.r0)
-        except ValueError as exc:
-            rep.notes.append(f"support scale not applicable: {exc}")
+    rep = ConstantsReport()
+    if r0 is not None and kernel is not None:
+        rep.r0 = r0
+        rep.phi_minus_from_r0 = phi_min_from_support(kernel, a, r0)
     if phi_minus is None:
         rep.notes.append("no a-priori kernel floor: floor-dependent constants skipped")
     if a > 0.0 and phi_minus is not None:

@@ -81,6 +81,14 @@ def particle_energy_support(ens: Ensemble, potential: Potential) -> tuple[float,
     return float(per_particle.max()), float(math.sqrt(d_sq))
 
 
+def _cross_energy(ens: Ensemble, a: float, lam: float) -> np.ndarray:
+    """Per-agent |u_i|^2/2 + a |x_i|^2/2 + 2 lam u_i . x_i."""
+    vals = 0.5 * np.einsum("nd,nd->n", ens.u, ens.u)
+    vals += 0.5 * a * np.einsum("nd,nd->n", ens.x, ens.x)
+    vals += 2.0 * lam * np.einsum("nd,nd->n", ens.u, ens.x)
+    return vals
+
+
 def lyapunov_v(ens: Ensemble, a: float, lam: float) -> float:
     """Decaying mean functional sum_i m_i (|u_i|^2/2 + a |x_i|^2/2 + 2 lam u_i . x_i).
 
@@ -94,10 +102,7 @@ def lyapunov_v(ens: Ensemble, a: float, lam: float) -> float:
             f"lyapunov_v expects a recentered state; means have norm {drift:.3g}",
             stacklevel=2,
         )
-    quad = 0.5 * np.einsum("nd,nd->n", ens.u, ens.u)
-    quad += 0.5 * a * np.einsum("nd,nd->n", ens.x, ens.x)
-    quad += 2.0 * lam * np.einsum("nd,nd->n", ens.u, ens.x)
-    return float(ens.m @ quad)
+    return float(ens.m @ _cross_energy(ens, a, lam))
 
 
 def perturbed_particle_energy_max(ens: Ensemble, a: float, lam1: float) -> float:
@@ -106,10 +111,7 @@ def perturbed_particle_energy_max(ens: Ensemble, a: float, lam1: float) -> float
     The per-agent counterpart of lyapunov_v; its decay controls the
     worst-pair fluctuation.
     """
-    vals = 0.5 * np.einsum("nd,nd->n", ens.u, ens.u)
-    vals += 0.5 * a * np.einsum("nd,nd->n", ens.x, ens.x)
-    vals += 2.0 * lam1 * np.einsum("nd,nd->n", ens.u, ens.x)
-    return float(vals.max())
+    return float(_cross_energy(ens, a, lam1).max())
 
 
 def pair_functional_f(ens: Ensemble, coupling: float, beta: float) -> float:

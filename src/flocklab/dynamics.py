@@ -44,8 +44,6 @@ __all__ = [
     "BlowupSignal",
     "Ensemble",
     "Means",
-    "rhs",
-    "rhs_pairwise",
     "advance_rk4",
     "step_rk4",
     "means",
@@ -220,27 +218,9 @@ def alignment_force(x: np.ndarray, u: np.ndarray, m: np.ndarray, kernel: Kernel)
     return weighted_alignment(_kernel_matrix(x, kernel), u, m)
 
 
-def rhs(ens: Ensemble, kernel: Kernel, potential: Potential):
-    """Time derivative (dx, du) of the ensemble."""
-    return ens.u, _rhs_u(ens.x, ens.u, ens.m, kernel, potential)
-
-
 def _rhs_u(x, u, m, kernel, potential):
+    """du/dt of the particle system: alignment minus grad U."""
     return alignment_force(x, u, m, kernel)[0] - grad_at(potential, x)
-
-
-def rhs_pairwise(ens: Ensemble, kernel: Kernel, a: float):
-    """Derivative for the variant with pairwise attraction instead of a potential.
-
-    du_i = alignment - (a/m0) sum_j m_j (x_i - x_j).  On an ensemble with
-    zero mean position this coincides exactly with the quadratic-potential
-    right-hand side, and the total momentum is conserved for any data.
-    """
-    force, _ = alignment_force(ens.x, ens.u, ens.m, kernel)
-    m0 = ens.total_mass
-    mx = ens.m @ ens.x
-    force -= (a / m0) * (m0 * ens.x - mx[None, :])
-    return ens.u, force
 
 
 def advance_rk4(state: Ensemble, f, dt: float) -> Ensemble:

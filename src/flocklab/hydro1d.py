@@ -45,7 +45,6 @@ __all__ = [
     "SineVelocity",
     "ThresholdReport1D",
     "init_characteristics",
-    "rhs_1d",
     "step_1d",
     "classify_1d",
     "detect_blowup",
@@ -124,12 +123,8 @@ def init_characteristics(
     return Ensemble(x=x[:, None], u=velocity.value(x)[:, None], m=m, e=e, rho=rho)
 
 
-def rhs_1d(state: Ensemble, kernel: Kernel, potential: Potential):
-    """Time derivative (dx, du, de, drho) along the characteristics."""
-    return _rhs_arrays_1d(state.x, state.u, state.e, state.rho, state.m, kernel, potential)
-
-
 def _rhs_arrays_1d(x, u, e, rho, m, kernel, potential):
+    """Time derivative (dx, du, de, drho) along the characteristics."""
     force, phi_conv = alignment_force(x, u, m, kernel)
     shear = e - phi_conv
     de = -e * shear - hess_diag_at(potential, x)[:, 0]

@@ -39,12 +39,10 @@ __all__ = [
     "BumpDensity2D",
     "ShearRotationVelocity",
     "SineShearVelocity",
-    "SpectralQuantities",
     "ThresholdReport2D",
     "init_characteristics_2d",
     "rhs_2d",
     "step_2d",
-    "spectral",
     "spectral_arrays",
     "classify_2d_quadratic",
     "classify_2d_general",
@@ -183,21 +181,6 @@ def step_2d(state: Ensemble, kernel: Kernel, potential: Potential, dt: float) ->
     )
 
 
-@dataclass(frozen=True)
-class SpectralQuantities:
-    """Scalars derived from a 2x2 velocity gradient.
-
-    d: divergence (trace); eta_S: nonnegative spectral gap of the
-    symmetric part; omega: scaled vorticity (G_21 - G_12)/2; e: d plus the
-    kernel convolution value.
-    """
-
-    d: float
-    eta_S: float
-    omega: float
-    e: float
-
-
 def spectral_arrays(grad_u: np.ndarray, phi_conv: np.ndarray):
     """Vectorized (d, eta_S, omega, e) for a stack of 2x2 gradients."""
     d = grad_u[..., 0, 0] + grad_u[..., 1, 1]
@@ -206,17 +189,6 @@ def spectral_arrays(grad_u: np.ndarray, phi_conv: np.ndarray):
     eta_s = np.sqrt(s_diff * s_diff + 4.0 * s_off * s_off)
     omega = 0.5 * (grad_u[..., 1, 0] - grad_u[..., 0, 1])
     return d, eta_s, omega, d + phi_conv
-
-
-def spectral(grad_u: np.ndarray, phi_conv: float) -> SpectralQuantities:
-    """Spectral scalars of a single 2x2 velocity gradient."""
-    grad_u = np.asarray(grad_u, dtype=float)
-    if grad_u.shape != (2, 2):
-        raise ValueError("expected a 2x2 matrix")
-    if not np.isfinite(grad_u).all():
-        raise ValueError("gradient entries must be finite")
-    d, eta_s, omega, e = spectral_arrays(grad_u[None, :, :], np.asarray([phi_conv]))
-    return SpectralQuantities(d=float(d[0]), eta_S=float(eta_s[0]), omega=float(omega[0]), e=float(e[0]))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ __all__ = [
     "classify_tail",
     "kernel_bounds",
     "kernel_inf",
-    "floor_for_admissible",
 ]
 
 
@@ -248,16 +247,3 @@ def kernel_inf(kernel: Kernel) -> float:
     if isinstance(kernel, FloorClippedKernel):
         return max(kernel.alpha, kernel_inf(kernel.inner))
     raise TypeError(f"unknown kernel {kernel!r}")
-
-
-def floor_for_admissible(kernel: Kernel, r0: float) -> FloorClippedKernel:
-    """Clip the kernel from below at alpha = phi(r0).
-
-    The caller supplies r0 from an a-priori bound on the support diameter;
-    configurations never probe radii beyond r0, so the clipped kernel
-    produces the same dynamics while being bounded away from zero.
-    """
-    if not r0 > 0.0:
-        raise ValueError(f"r0 must be positive, got {r0}")
-    alpha = float(kernel_eval(kernel, r0))
-    return FloorClippedKernel(inner=kernel, alpha=alpha)

@@ -23,7 +23,6 @@ __all__ = [
     "PerturbedQuadraticPotential",
     "ZeroPotential",
     "Potential",
-    "potential_eval",
     "value_at",
     "grad_at",
     "hess_diag_at",
@@ -105,20 +104,6 @@ def hess_diag_at(potential: Potential, x: np.ndarray) -> np.ndarray:
     if isinstance(potential, PerturbedQuadraticPotential):
         return potential.a + potential.eps * np.cos(potential.kappa * x)
     raise TypeError(f"unknown potential {potential!r}")
-
-
-def potential_eval(potential: Potential, x) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value, gradient and Hessian at a single point.
-
-    ``x`` is a point in R^d (scalar accepted for d = 1).  Returns
-    ``(U, grad, hess)`` with grad of shape (d,) and hess of shape (d, d).
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    row = x[None, :]
-    u = float(value_at(potential, row)[0])
-    grad = grad_at(potential, row)[0]
-    hess = np.diag(hess_diag_at(potential, row)[0])
-    return u, grad, hess
 
 
 def convexity_bounds(potential: Potential) -> tuple[float, float]:

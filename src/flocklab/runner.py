@@ -228,8 +228,7 @@ def constants_for(cfg: ExperimentConfig, an: Analysis, u_max: Optional[float] = 
     f0 = an.frame0
     report = consts.constants_report(
         an.a_lo, an.a_hi, cfg.m0, an.phi_minus, an.phi_plus, an.dphi_inf, K=an.coupling,
-        energy0=f0.total_energy, particle_energy0=f0.particle_energy, kernel=cfg.kernel,
-        u_max=u_max,
+        energy0=f0.total_energy, r0=an.r0, kernel=cfg.kernel, u_max=u_max,
     )
     report.notes.append(f"kernel floor source: {an.phi_source}")
     return report

@@ -1,7 +1,8 @@
 """Independent closed-form oracles shared by the test modules.
 
 These deliberately avoid the package's code paths: the Riccati solution is
-derived by hand from e' = -e(e - K) - A, the oscillator from x'' = -a x.
+derived by hand from e' = -e(e - K) - A, the oscillator from x'' = -a x,
+and the pairwise-attraction variant is summed over explicit pair arrays.
 """
 
 import math
@@ -54,3 +55,17 @@ def lagrange_derivative(x, u):
         + u1 * (2 * x1 - x0 - x2) / ((x1 - x0) * (x1 - x2))
         + u2 * (x1 - x0) / ((x2 - x0) * (x2 - x1))
     )
+
+
+def pairwise_attraction_du(x, u, m, phi, a):
+    """du of the variant with pairwise attraction instead of a potential.
+
+    du_i = sum_j m_j phi(|x_i - x_j|) (u_j - u_i) - (a/m0) sum_j m_j (x_i - x_j),
+    with ``phi`` a vectorized function of the distance.  On an ensemble with
+    zero mean position this coincides exactly with the quadratic-potential
+    right-hand side, and the total momentum is conserved for any data.
+    """
+    dx = x[:, None, :] - x[None, :, :]
+    w = m[None, :] * phi(np.sqrt(np.einsum("ijd,ijd->ij", dx, dx)))
+    alignment = np.einsum("ij,ijd->id", w, u[None, :, :] - u[:, None, :])
+    return alignment - (a / m.sum()) * np.einsum("j,ijd->id", m, dx)

@@ -19,7 +19,7 @@ from flocklab.constants import (
     support_scale,
 )
 from flocklab.diagnostics import fit_rate
-from flocklab.dynamics import Ensemble, rhs
+from flocklab.dynamics import Ensemble, _rhs_u
 from flocklab.hydro1d import init_characteristics, step_1d, BumpDensity, LinearVelocity
 from flocklab.hydro2d import spectral_arrays
 from flocklab.kernels import ConstantKernel, PowerLawKernel, kernel_eval
@@ -135,7 +135,7 @@ def test_criterion_05_energy_dissipation_identity():
             u=rng.uniform(-2, 2, (n, d)),
             m=rng.uniform(0.1, 1.0, n),
         )
-        _, du = rhs(ens, kernel, potential)
+        du = _rhs_u(ens.x, ens.u, ens.m, kernel, potential)
         lhs = float(ens.m @ np.einsum("nd,nd->n", ens.u, du)
                     + ens.m @ np.einsum("nd,nd->n", grad_at(potential, ens.x), ens.u))
         dissipation = 0.0

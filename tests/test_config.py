@@ -197,6 +197,24 @@ def test_with_override():
             with_override(cfg, key, value)
 
 
+def test_run_n_is_bounded_before_any_state(monkeypatch):
+    # every frame builds N x N x d temporaries, so config text must not be
+    # able to ask for gigabytes; the bound fails before a state exists
+    from flocklab import initial, runner
+
+    def no_state(cfg):
+        raise AssertionError("a state was built")
+
+    monkeypatch.setattr(initial, "build_state", no_state)
+    monkeypatch.setattr(runner, "build_state", no_state)
+    cfg = parse_config(MINIMAL)
+    assert with_override(cfg, "run.n", 2048).n == 2048
+    with pytest.raises(ConfigError, match="run.n"):
+        parse_config(MINIMAL.replace("n = 8", "n = 4096"))
+    with pytest.raises(ConfigError, match="run.n"):
+        with_override(cfg, "run.n", 4096)
+
+
 def test_perturbed_round_trip():
     text = MINIMAL.replace(
         "family = quadratic\na = 1.0",

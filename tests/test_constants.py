@@ -206,13 +206,14 @@ def test_gap_forcing_constant():
 def test_constants_report_full_inputs():
     rep = constants_report(
         a=1.0, A=1.5, m0=1.0, phi_minus=1.0, phi_plus=1.0, dphi_inf=0.0,
-        K=2.0, energy0=1.0, particle_energy0=1.0,
+        K=2.0, energy0=1.0, r0=support_scale(1.0, 1.0, 1.0, 1.0, PowerLawKernel(1.0, 0.75)),
         kernel=PowerLawKernel(1.0, 0.75), u_max=3.0,
     )
     assert rep.lam == pytest.approx(0.2)
     assert rep.mu1 is not None and rep.mu2 > rep.mu3 > 0.0
     assert rep.beta_cross == pytest.approx(16.0 / 9.0)
     assert rep.r0 == pytest.approx(2.978, abs=5e-4)
+    assert rep.phi_minus_from_r0 == pytest.approx((1.0 + 8.0 * rep.r0) ** -0.75, rel=1e-14)
     assert rep.c_max == pytest.approx(3.0)  # 0 forcing slope: 2A
     d = rep.as_dict()
     assert d["lam"]["value"] == rep.lam
@@ -235,14 +236,15 @@ def test_constants_report_without_floor():
     )
     assert rep.lam is None
     assert rep.notes
-    # with a > 0 the report gives R0 and phi(sqrt(8 R0 / a)), but whether R0
-    # bounds a run depends on its data, so without a floor from the caller
-    # the floor-dependent constants stay empty
-    rep = constants_report(
-        a=1.0, A=1.0, m0=1.0, phi_minus=None, phi_plus=1.0, dphi_inf=0.5,
-        energy0=1.0, particle_energy0=1.0, kernel=PowerLawKernel(1.0, 1.0),
-    )
-    assert rep.r0 is not None and rep.phi_minus_from_r0 > 0.0
+    # given R0 the report gives R0 and phi(sqrt(8 R0 / a)), but whether R0
+    # floors the kernel is the caller's decision, so without a floor from
+    # the caller the floor-dependent constants stay empty
+    kwargs = dict(a=1.0, A=1.0, m0=1.0, phi_minus=None, phi_plus=1.0, dphi_inf=0.5,
+                  energy0=1.0, kernel=PowerLawKernel(1.0, 1.0))
+    bare = constants_report(**kwargs)
+    assert bare.r0 is None and bare.phi_minus_from_r0 is None
+    rep = constants_report(**kwargs, r0=2.5)
+    assert rep.r0 == 2.5 and rep.phi_minus_from_r0 > 0.0
     assert rep.lam is None
     assert rep.c_inf is None and rep.c is None and rep.c_star is None
     assert any(note.startswith("no a-priori kernel floor") for note in rep.notes)

@@ -1,5 +1,7 @@
 """Agent dynamics: right-hand side, RK4 stepping, means, recentering."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -11,12 +13,13 @@ from flocklab.dynamics import (
     means,
     pairwise_phi_weights,
     recenter,
-    rhs,
-    rhs_pairwise,
     step_rk4,
 )
+from flocklab.dynamics import _rhs_u
 from flocklab.kernels import ConstantKernel, FloorClippedKernel, PowerLawKernel, kernel_eval
 from flocklab.potentials import QuadraticPotential, ZeroPotential
+
+from oracles import pairwise_attraction_du
 
 
 def _random_ensemble(rng, n, d, equal_mass=False):
@@ -30,14 +33,13 @@ def _random_ensemble(rng, n, d, equal_mass=False):
 
 def test_single_agent_feels_only_potential():
     ens = Ensemble(x=[[0.7]], u=[[0.3]], m=[1.0])
-    dx, du = rhs(ens, PowerLawKernel(1.0, 1.0), QuadraticPotential(2.0))
-    assert np.array_equal(dx, [[0.3]])
+    du = _rhs_u(ens.x, ens.u, ens.m, PowerLawKernel(1.0, 1.0), QuadraticPotential(2.0))
     assert du[0, 0] == pytest.approx(-2.0 * 0.7, abs=0)
 
 
 def test_two_agent_hand_evaluation():
     ens = Ensemble(x=[[0.0], [0.0]], u=[[1.0], [-1.0]], m=[0.5, 0.5])
-    _, du = rhs(ens, ConstantKernel(2.0), ZeroPotential())
+    du = _rhs_u(ens.x, ens.u, ens.m, ConstantKernel(2.0), ZeroPotential())
     assert du[0, 0] == pytest.approx(-2.0, abs=1e-15)
     assert du[1, 0] == pytest.approx(2.0, abs=1e-15)
 
@@ -47,7 +49,7 @@ def test_aligned_velocities_feel_no_alignment():
     x = rng.uniform(-1, 1, (8, 2))
     u = np.tile([0.4, -0.2], (8, 1))
     ens = Ensemble(x=x, u=u, m=np.full(8, 0.125))
-    _, du = rhs(ens, PowerLawKernel(1.0, 0.5), ZeroPotential())
+    du = _rhs_u(ens.x, ens.u, ens.m, PowerLawKernel(1.0, 0.5), ZeroPotential())
     assert np.allclose(du, 0.0, atol=1e-15)
 
 
@@ -71,7 +73,7 @@ def test_rhs_mass_weighted_quadrature():
         for d in (1, 2, 3):
             for n in (12, 70):
                 ens = _random_ensemble(rng, n, d)
-                _, du = rhs(ens, kernel, QuadraticPotential(a))
+                du = _rhs_u(ens.x, ens.u, ens.m, kernel, QuadraticPotential(a))
                 conv = conv_phi(ens.x, ens.m, kernel)
                 for i in range(ens.n):
                     acc = np.zeros(d)
@@ -86,7 +88,7 @@ def test_rhs_mass_weighted_quadrature():
     # at N = 600 the products are taken in several row blocks
     kernel = kernels[-1]
     ens = _random_ensemble(rng, 600, 2)
-    _, du = rhs(ens, kernel, QuadraticPotential(a))
+    du = _rhs_u(ens.x, ens.u, ens.m, kernel, QuadraticPotential(a))
     r = np.linalg.norm(ens.x[:, None, :] - ens.x[None, :, :], axis=-1)
     w = np.maximum(1.3 * (1.0 + r * r) ** -0.8, 0.4) * ens.m[None, :]
     expected = np.einsum("ij,ijd->id", w, ens.u[None, :, :] - ens.u[:, None, :]) - a * ens.x
@@ -110,7 +112,7 @@ def test_energy_dissipation_identity_random_states():
                     if count >= 100:
                         break
                     ens = _random_ensemble(rng, 10, d)
-                    _, du = rhs(ens, kernel, potential)
+                    du = _rhs_u(ens.x, ens.u, ens.m, kernel, potential)
                     lhs = float(
                         ens.m @ np.einsum("nd,nd->n", ens.u, du)
                         + ens.m @ np.einsum("nd,nd->n", grad_at(potential, ens.x), ens.u)
@@ -133,7 +135,7 @@ def test_means_dynamics_is_exact_oscillator():
     rng = np.random.default_rng(8)
     ens = _random_ensemble(rng, 20, 2)
     a = 1.7
-    _, du = rhs(ens, PowerLawKernel(1.0, 1.0), QuadraticPotential(a))
+    du = _rhs_u(ens.x, ens.u, ens.m, PowerLawKernel(1.0, 1.0), QuadraticPotential(a))
     c = means(ens)
     mean_du = (ens.m @ du) / ens.total_mass
     assert np.allclose(mean_du, -a * c.x_c, rtol=1e-12, atol=1e-14)
@@ -229,18 +231,18 @@ def test_pairwise_variant_equals_quadratic_on_centered_data():
     ens = recenter(_random_ensemble(rng, 14, 2))
     a = 1.3
     kernel = PowerLawKernel(1.0, 1.0)
-    _, du_potential = rhs(ens, kernel, QuadraticPotential(a))
-    _, du_pairwise = rhs_pairwise(ens, kernel, a)
+    du_potential = _rhs_u(ens.x, ens.u, ens.m, kernel, QuadraticPotential(a))
+    du_pairwise = pairwise_attraction_du(ens.x, ens.u, ens.m, partial(kernel_eval, kernel), a)
     assert np.allclose(du_potential, du_pairwise, atol=1e-12)
 
 
 def test_pairwise_variant_single_agent_and_momentum():
     single = Ensemble(x=[[0.4]], u=[[0.2]], m=[1.0])
-    _, du = rhs_pairwise(single, ConstantKernel(1.0), 2.0)
+    du = pairwise_attraction_du(single.x, single.u, single.m, partial(kernel_eval, ConstantKernel(1.0)), 2.0)
     assert np.allclose(du, 0.0)
     rng = np.random.default_rng(9)
     ens = _random_ensemble(rng, 12, 2)
-    _, du = rhs_pairwise(ens, PowerLawKernel(1.0, 0.5), 1.1)
+    du = pairwise_attraction_du(ens.x, ens.u, ens.m, partial(kernel_eval, PowerLawKernel(1.0, 0.5)), 1.1)
     assert np.allclose(ens.m @ du, 0.0, atol=1e-13)
 
 

@@ -14,10 +14,10 @@ from flocklab.hydro1d import (
     detect_blowup,
     e_upper_bound,
     init_characteristics,
-    rhs_1d,
     smooth_lower_root,
     step_1d,
 )
+from flocklab.hydro1d import _rhs_arrays_1d
 from flocklab.kernels import ConstantKernel, PowerLawKernel, kernel_eval
 from flocklab.potentials import QuadraticPotential, ZeroPotential
 
@@ -73,7 +73,7 @@ def test_init_density_values_match_mass_per_cell():
 
 def test_rhs_zero_e_feels_only_hessian():
     state = Ensemble(x=[[0.2]], u=[[0.0]], e=[0.0], rho=[1.0], m=[1.0])
-    _, _, de, _ = rhs_1d(state, ConstantKernel(1.0), QuadraticPotential(0.7))
+    _, _, de, _ = _rhs_arrays_1d(*state.evolved().values(), state.m, ConstantKernel(1.0), QuadraticPotential(0.7))
     assert de[0] == pytest.approx(-0.7)
 
 
@@ -81,13 +81,13 @@ def test_rhs_riccati_fixed_points():
     K, A = 1.0, 0.2
     root_hi = 0.5 + math.sqrt(0.05)
     state = Ensemble(x=[[0.0]], u=[[0.0]], e=[root_hi], rho=[1.0], m=[1.0])
-    _, _, de, _ = rhs_1d(state, ConstantKernel(K), QuadraticPotential(A))
+    _, _, de, _ = _rhs_arrays_1d(*state.evolved().values(), state.m, ConstantKernel(K), QuadraticPotential(A))
     assert de[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_rhs_vacuum_density_is_invariant():
     state = Ensemble(x=[[0.0], [1.0]], u=[[0.1], [-0.1]], e=[0.5, 0.5], rho=[0.0, 1.0], m=[0.5, 0.5])
-    _, _, _, drho = rhs_1d(state, ConstantKernel(1.0), ZeroPotential())
+    _, _, _, drho = _rhs_arrays_1d(*state.evolved().values(), state.m, ConstantKernel(1.0), ZeroPotential())
     assert drho[0] == 0.0
 
 

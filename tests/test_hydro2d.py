@@ -14,7 +14,6 @@ from flocklab.hydro2d import (
     classify_2d_quadratic,
     init_characteristics_2d,
     rhs_2d,
-    spectral,
     spectral_arrays,
     step_2d,
 )
@@ -26,36 +25,37 @@ from flocklab.potentials import QuadraticPotential
 # --- spectral scalars ---
 
 
+def _spectral(grad_u, phi_conv):
+    """(d, eta_S, omega, e) of one 2x2 gradient, as floats."""
+    return tuple(float(v[0]) for v in spectral_arrays(np.asarray(grad_u)[None], np.array([phi_conv])))
+
+
 def test_spectral_identity_matrix():
-    q = spectral(np.eye(2), 0.0)
-    assert (q.d, q.eta_S, q.omega, q.e) == (2.0, 0.0, 0.0, 2.0)
+    assert _spectral(np.eye(2), 0.0) == (2.0, 0.0, 0.0, 2.0)
 
 
 def test_spectral_pure_rotation():
-    q = spectral(np.array([[0.0, -1.0], [1.0, 0.0]]), 0.0)
-    assert (q.d, q.eta_S, q.omega, q.e) == (0.0, 0.0, 1.0, 0.0)
+    assert _spectral(np.array([[0.0, -1.0], [1.0, 0.0]]), 0.0) == (0.0, 0.0, 1.0, 0.0)
 
 
 def test_spectral_shear_against_eigen_oracle():
     m = np.array([[1.0, 2.0], [0.0, -1.0]])
-    q = spectral(m, 0.0)
+    d, eta_s, omega, _ = _spectral(m, 0.0)
     s = 0.5 * (m + m.T)
     eigs = np.linalg.eigvalsh(s)
-    assert q.eta_S == pytest.approx(float(eigs[1] - eigs[0]), rel=1e-14)
-    assert q.eta_S == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-14)
-    assert q.omega == -1.0
-    assert q.d == 0.0
+    assert eta_s == pytest.approx(float(eigs[1] - eigs[0]), rel=1e-14)
+    assert eta_s == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-14)
+    assert omega == -1.0
+    assert d == 0.0
 
 
 def test_spectral_gap_matches_eigen_oracle_randomly():
     rng = np.random.default_rng(4)
-    for _ in range(200):
-        m = rng.uniform(-2.0, 2.0, (2, 2))
-        q = spectral(m, 0.3)
-        s = 0.5 * (m + m.T)
-        eigs = np.linalg.eigvalsh(s)
-        assert q.eta_S == pytest.approx(float(eigs[1] - eigs[0]), abs=1e-12)
-        assert q.e == pytest.approx(q.d + 0.3, abs=1e-14)
+    m = rng.uniform(-2.0, 2.0, (200, 2, 2))
+    d, eta_s, _, e = spectral_arrays(m, np.full(200, 0.3))
+    eigs = np.linalg.eigvalsh(0.5 * (m + m.transpose(0, 2, 1)))
+    assert np.abs(eta_s - (eigs[:, 1] - eigs[:, 0])).max() <= 1e-12
+    assert np.abs(e - (d + 0.3)).max() <= 1e-14
 
 
 def test_trace_identity_random_matrices():
@@ -65,13 +65,6 @@ def test_trace_identity_random_matrices():
     tr_m2 = np.einsum("nij,nji->n", m, m)
     identity = 0.5 * (d * d + eta_s * eta_s - 4.0 * omega * omega)
     assert np.abs(tr_m2 - identity).max() <= 1e-12
-
-
-def test_spectral_validates_input():
-    with pytest.raises(ValueError):
-        spectral(np.eye(3), 0.0)
-    with pytest.raises(ValueError):
-        spectral(np.array([[np.nan, 0.0], [0.0, 0.0]]), 0.0)
 
 
 # --- initialization ---

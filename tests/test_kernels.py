@@ -8,7 +8,6 @@ from flocklab.kernels import (
     FloorClippedKernel,
     PowerLawKernel,
     classify_tail,
-    floor_for_admissible,
     kernel_bounds,
     kernel_eval,
     kernel_eval_sq,
@@ -220,27 +219,11 @@ def test_eval_sq_out_aliasing():
     assert np.array_equal(got, expect)
 
 
-# --- floor_for_admissible ---
-
-
-def test_floor_for_admissible_power_law():
-    k = floor_for_admissible(PowerLawKernel(1.0, 1.0), 3.0)
-    assert isinstance(k, FloorClippedKernel)
-    assert k.alpha == pytest.approx(0.1)
-
-
-def test_floor_for_admissible_constant_unchanged_semantics():
+def test_floor_at_constant_value_unchanged_semantics():
     base = ConstantKernel(2.0)
-    k = floor_for_admissible(base, 7.0)
+    k = FloorClippedKernel(base, 2.0)
     r = np.linspace(0.0, 20.0, 101)
     assert np.array_equal(kernel_eval(k, r), kernel_eval(base, r))
-
-
-def test_floor_for_admissible_rejects_bad_r0():
-    with pytest.raises(ValueError):
-        floor_for_admissible(PowerLawKernel(1.0, 0.5), 0.0)
-    with pytest.raises(ValueError):
-        floor_for_admissible(PowerLawKernel(1.0, 0.5), -1.0)
 
 
 def test_kernel_inf():

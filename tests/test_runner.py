@@ -394,13 +394,17 @@ def test_cli_classify_and_constants(capsys):
     assert cli_main(["constants", "blowup-1d-unconditional"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["beta_cross"]["value"] is not None
-    # oscillator-means is not centered, so R0 does not floor its kernel: the
-    # report gives R0 but no floor-dependent constant
+    # oscillator-means is not centered, so R0 neither bounds its run nor
+    # floors its kernel: the report gives no R0 and no floor-dependent constant
     assert cli_main(["constants", "oscillator-means"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert "kernel floor source: unavailable" in doc["notes"]
-    assert doc["r0"]["value"] is not None
+    assert doc["r0"]["value"] is None and doc["phi_minus_from_r0"]["value"] is None
     assert all(doc[name]["value"] is None for name in ("lam", "c_inf", "c", "c_0", "c_star"))
+    # a centered quadratic run reports the analysis's own R0
+    assert cli_main(["constants", "quadratic-flocking-1d"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["r0"]["value"] == runner.analyze(preset_config("quadratic-flocking-1d")).r0 > 0.0
 
 
 def test_cli_sweep(tmp_path):
