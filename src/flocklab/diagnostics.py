@@ -11,12 +11,14 @@ The functionals monitored per output frame:
   quadratic potential with the same a.
 * P, D: maximal particle energy and support diameter.  With quadratic
   confinement (a/8) D^2 <= P and P stays below the closed-form scale R0.
-* V: mean energy with a position-velocity cross term, the decaying
-  functional behind the exponential L2 bound (quadratic case).
-* F1_max: the per-agent analog of V whose decay yields the worst-pair
-  bound.
 * F_const_max: worst-pair value of the pair functional
   K/2 |dx|^2 + dx.du + beta/2 |du|^2 used for constant couplings.
+* V, F1_max: mean and per-agent energy with a position-velocity cross
+  term, whose decay gives the L2 and worst-pair bounds (quadratic case).
+
+A frame's deltaE_L2, deltaE_Linf, D and F_const_max come from one
+``pair_scan``; ``fluctuations``, ``particle_energy_support`` and
+``pair_functional_f`` wrap it.
 """
 
 from __future__ import annotations
@@ -28,14 +30,16 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import Ensemble, means, pair_product
+from .dynamics import Ensemble, means, product_rows
 from .potentials import Potential, value_at
 
 __all__ = [
     "DiagnosticsFrame",
     "RateFit",
     "energy",
+    "pair_scan",
     "fluctuations",
+    "particle_energy_max",
     "particle_energy_support",
     "lyapunov_v",
     "perturbed_particle_energy_max",
@@ -51,34 +55,84 @@ def energy(ens: Ensemble, potential: Potential) -> tuple[float, float]:
     return total, kinetic
 
 
-def _pairwise_sq_norms(z: np.ndarray) -> np.ndarray:
-    diff = z[:, None, :] - z[None, :, :]
-    return np.einsum("ijd,ijd->ij", diff, diff)
+# pair_scan's five (N, 64) column-block buffers, grown to the largest N
+# seen (runs are sequential and sweeps use processes); a narrow block keeps
+# the row stride 64, which is part of what keeps its product's bytes
+_block_scratch = np.empty((5, 0, 64))
+
+
+def _column_blocks(n: int, m: np.ndarray):
+    """Ranges of at most 64 columns whose ``block.T @ m`` give ``pair_product(pair.T, m)``'s bytes.
+
+    They restart at each of its row blocks and never leave 1 to 3 columns,
+    which OpenBLAS 0.3.31 multiplies on another path.
+    """
+    step = product_rows(m)
+    for start in range(0, n, step):
+        cuts = [*range(start, min(start + step, n), 64), min(start + step, n)]
+        if len(cuts) > 2 and cuts[-1] - cuts[-2] < 4:
+            cuts[-2] -= 4
+        yield from zip(cuts, cuts[1:])
+
+
+def pair_scan(ens: Ensemble, a: float, coupling: Optional[float] = None, beta: Optional[float] = None):
+    """(deltaE_L2, deltaE_Linf, D, F_const_max) of a state from one pass over its pairs.
+
+    With dx = x_i - x_j, du = u_i - u_j and pair = |du|^2 + a |dx|^2:
+    deltaE_L2 = sum_ij m_i m_j pair, deltaE_Linf = max pair, D = max |dx| and,
+    given K = ``coupling``, F_const_max = max K/2 |dx|^2 + dx.du + beta/2 |du|^2
+    (else NaN).  Coordinates are summed even ones first (numpy einsum's order
+    up to d = 3), so the results are bitwise those of the dense N x N x d forms.
+    """
+    global _block_scratch
+    if a < 0.0:
+        raise ValueError(f"fluctuation weight a must be nonnegative, got {a}")
+    cross = coupling is not None
+    x, u, m = ens.x, ens.u, ens.m
+    n, d = x.shape
+    if _block_scratch.shape[1] < n:
+        _block_scratch = np.empty((5, n, 64))
+    col_sums = np.empty(n)
+    linf = d_sq = f_max = -np.inf
+    for lo, hi in _column_blocks(n, m):
+        tx, tu, sx, su, xu = _block_scratch[:, :n, :hi - lo]
+        for k in (*range(0, d, 2), *range(1, d, 2)):
+            dx = np.subtract(x[:, k, None], x[None, lo:hi, k], out=tx)
+            if k == 0:
+                np.multiply(dx, dx, out=sx)
+                du = np.subtract(u[:, 0, None], u[None, lo:hi, 0], out=tu)
+                if cross:
+                    np.multiply(dx, du, out=xu)
+                np.multiply(du, du, out=su)
+            else:  # tu holds dx^2 until du needs it, then tx takes dx * du
+                sx += np.multiply(dx, dx, out=tu)
+                du = np.subtract(u[:, k, None], u[None, lo:hi, k], out=tu)
+                if cross:
+                    xu += np.multiply(dx, du, out=tx)
+                su += np.multiply(du, du, out=du)
+        d_sq = max(d_sq, sx.max())
+        pair = np.add(np.multiply(sx, a, out=tx), su, out=tx) if a != 0.0 else su
+        linf = max(linf, pair.max())
+        col_sums[lo:hi] = pair.T @ m  # the block's share of m @ pair, on one BLAS thread
+        if cross:
+            np.add(np.multiply(sx, 0.5 * coupling, out=tu), xu, out=tu)
+            f_max = max(f_max, np.add(tu, np.multiply(su, 0.5 * beta, out=su), out=tu).max())
+    return float(col_sums @ m), float(linf), float(math.sqrt(d_sq)), float(f_max) if cross else math.nan
 
 
 def fluctuations(ens: Ensemble, a: float) -> tuple[float, float]:
-    """Mass-weighted and worst-pair fluctuation metrics (deltaE_L2, deltaE_Linf).
+    """Mass-weighted and worst-pair fluctuation metrics (deltaE_L2, deltaE_Linf) of ``pair_scan``."""
+    return pair_scan(ens, a)[:2]
 
-    deltaE_L2  = sum_ij m_i m_j (|u_i - u_j|^2 + a |x_i - x_j|^2)
-    deltaE_Linf = max_ij (|u_i - u_j|^2 + a |x_i - x_j|^2)
 
-    ``a`` is the convexity floor of the potential (quadratic coefficient
-    in the quadratic case); pass 0 for an unconfined run.
-    """
-    if a < 0.0:
-        raise ValueError(f"fluctuation weight a must be nonnegative, got {a}")
-    pair = _pairwise_sq_norms(ens.u)
-    if a != 0.0:
-        pair = pair + a * _pairwise_sq_norms(ens.x)
-    weighted = float(pair_product(pair.T, ens.m) @ ens.m)  # m @ pair @ m
-    return weighted, float(pair.max())
+def particle_energy_max(ens: Ensemble, potential: Potential) -> float:
+    """Maximal particle energy P = max_i |u_i|^2/2 + U(x_i)."""
+    return float((0.5 * np.einsum("nd,nd->n", ens.u, ens.u) + value_at(potential, ens.x)).max())
 
 
 def particle_energy_support(ens: Ensemble, potential: Potential) -> tuple[float, float]:
-    """Maximal particle energy P and support diameter D (exact pairwise scan)."""
-    per_particle = 0.5 * np.einsum("nd,nd->n", ens.u, ens.u) + value_at(potential, ens.x)
-    d_sq = _pairwise_sq_norms(ens.x).max()
-    return float(per_particle.max()), float(math.sqrt(d_sq))
+    """Maximal particle energy P and support diameter D (D from ``pair_scan``)."""
+    return particle_energy_max(ens, potential), pair_scan(ens, 0.0)[2]
 
 
 def _cross_energy(ens: Ensemble, a: float, lam: float) -> np.ndarray:
@@ -115,18 +169,13 @@ def perturbed_particle_energy_max(ens: Ensemble, a: float, lam1: float) -> float
 
 
 def pair_functional_f(ens: Ensemble, coupling: float, beta: float) -> float:
-    """Worst-pair value of K/2 |dx|^2 + dx . du + beta/2 |du|^2.
+    """Worst-pair value of K/2 |dx|^2 + dx . du + beta/2 |du|^2 (``pair_scan``'s F_const_max).
 
     ``coupling`` is K = m0 * phi for a constant kernel and ``beta`` its
     velocity weight.  The form is positive definite precisely when
     K * beta > 1, in which case the result is nonnegative for any state.
     """
-    dx = ens.x[:, None, :] - ens.x[None, :, :]
-    du = ens.u[:, None, :] - ens.u[None, :, :]
-    vals = 0.5 * coupling * np.einsum("ijd,ijd->ij", dx, dx)
-    vals += np.einsum("ijd,ijd->ij", dx, du)
-    vals += 0.5 * beta * np.einsum("ijd,ijd->ij", du, du)
-    return float(vals.max())
+    return pair_scan(ens, 0.0, coupling, beta)[3]
 
 
 @dataclass(frozen=True)

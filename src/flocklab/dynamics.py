@@ -51,7 +51,7 @@ __all__ = [
     "pairwise_phi_weights",
     "conv_phi",
     "alignment_force",
-    "pair_sq_distances", "pair_product", "weighted_alignment",
+    "pair_sq_distances", "product_rows", "pair_product", "weighted_alignment",
 ]
 
 # any |x|, |u| or |grad_u| beyond this (or a non-finite value) is treated as blow-up
@@ -174,13 +174,18 @@ def _kernel_matrix(x: np.ndarray, kernel: Kernel) -> np.ndarray:
     return kernel_eval_sq(kernel, r_sq, out=r_sq)
 
 
-def pair_product(w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """w @ b for an N x N matrix w, in row blocks of at most 2**19 multiplies (2**18 for a vector).
+def product_rows(b: np.ndarray) -> int:
+    """Rows per block of ``pair_product(w, b)``: at most 2**19 multiplies (2**18 for a vector).
 
     OpenBLAS 0.3.31 ran products of 1e6 multiplies (4.9e5 for a vector) on
     two threads, which moves their last bits; blocks this small stay on one.
     """
-    rows = max(1, (2**19 if b.ndim > 1 else 2**18) // b.size)
+    return max(1, (2**19 if b.ndim > 1 else 2**18) // b.size)
+
+
+def pair_product(w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """w @ b for an N x N matrix w, in row blocks of ``product_rows(b)`` rows."""
+    rows = product_rows(b)
     return np.concatenate([w[lo:lo + rows] @ b for lo in range(0, w.shape[0], rows)])
 
 
@@ -195,10 +200,10 @@ def pairwise_phi_weights(x: np.ndarray, m: np.ndarray, kernel: Kernel) -> np.nda
     return _kernel_matrix(x, kernel) * m[None, :]
 
 
-def conv_phi(x: np.ndarray, m: np.ndarray, kernel: Kernel) -> np.ndarray:
-    """Quadrature of the kernel convolution with the density: sum_j m_j phi(|x_i - x_j|)."""
+def conv_phi(x: np.ndarray, m: np.ndarray, kernel: Kernel):
+    """sum_j m_j phi(|x_i - x_j|), the quadrature of phi * rho; the scalar phi * m0 for a constant kernel."""
     if isinstance(kernel, ConstantKernel):
-        return np.full(x.shape[0], kernel.value * m.sum())
+        return kernel.value * m.sum()
     return pair_product(_kernel_matrix(x, kernel), m)
 
 
@@ -207,14 +212,13 @@ def alignment_force(x: np.ndarray, u: np.ndarray, m: np.ndarray, kernel: Kernel)
 
     Returns ``(force, phi_conv)`` so callers that also need the convolution
     sum_j m_j phi_ij do not pay for the pairwise pass twice.  A constant
-    kernel collapses to the O(N) form value * (sum_j m_j u_j - m0 u_i).
+    kernel collapses to the O(N) form value * (sum_j m_j u_j - m0 u_i), and
+    its phi_conv is the scalar value * m0, as in ``conv_phi``.
     """
     if isinstance(kernel, ConstantKernel):
         m0 = m.sum()
         mu = m @ u
-        force = kernel.value * (mu[None, :] - m0 * u)
-        phi_conv = np.full(x.shape[0], kernel.value * m0)
-        return force, phi_conv
+        return kernel.value * (mu[None, :] - m0 * u), kernel.value * m0
     return weighted_alignment(_kernel_matrix(x, kernel), u, m)
 
 

@@ -160,7 +160,7 @@ def _rhs_arrays_2d(x, u, grad_u, m, kernel, potential):
     g00, g01, g10, g11 = grad_u[:, 0, 0], grad_u[:, 0, 1], grad_u[:, 1, 0], grad_u[:, 1, 1]
     square = [g00 * g00 + g01 * g10, g00 * g01 + g01 * g11, g10 * g00 + g11 * g10, g10 * g01 + g11 * g11]
     d_grad = -np.stack(square, axis=-1).reshape(grad_u.shape)
-    d_grad -= phi_conv[:, None, None] * grad_u
+    d_grad -= np.reshape(phi_conv, (-1, 1, 1)) * grad_u  # phi_conv may be a scalar
     if not isinstance(kernel, ConstantKernel):
         d_grad += forcing
     hess = hess_diag_at(potential, x)

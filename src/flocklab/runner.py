@@ -39,13 +39,15 @@ import numpy as np
 
 from . import constants as consts
 from .config import ConfigError, ExperimentConfig, override_value, serialize_config, with_override
-from .diagnostics import (
+from .diagnostics import (  # noqa: F401 (the benchmark binds the three pair_scan wrappers here)
     DiagnosticsFrame,
     energy,
     fit_rate,
     fluctuations,
     lyapunov_v,
     pair_functional_f,
+    pair_scan,
+    particle_energy_max,
     particle_energy_support,
     perturbed_particle_energy_max,
 )
@@ -162,11 +164,13 @@ class Analysis:
     centered data is floored through the support bound,
     phi_minus = phi(sqrt(8 R0 / a)) ("support-chain"); otherwise it is None
     ("unavailable") and the floor has to be measured from the run
-    diameter.  ``coupling`` is m0 * phi for a constant kernel, else None.
+    diameter.  ``coupling`` is m0 * phi for a constant kernel, else None;
+    ``pair_f`` is (K, beta) of the pair functional F when that coupling K
+    passes the stability condition K > A / sqrt(a), else ().
 
-    ``frame0`` is run's first frame with NaN in the report columns V,
-    F1_max and F_const_max.  ``r0`` is the support bound R0 under quadratic
-    confinement with centered data, else (or without a closed form) None.
+    ``frame0`` is run's first frame with NaN in the report columns V and
+    F1_max.  ``r0`` is the support bound R0 under quadratic confinement
+    with centered data, else (or without a closed form) None.
     """
 
     state: Ensemble
@@ -178,6 +182,7 @@ class Analysis:
     phi_plus: float
     dphi_inf: float
     coupling: Optional[float]
+    pair_f: tuple
     centered: bool
     r0: Optional[float]
 
@@ -186,7 +191,11 @@ def analyze(cfg: ExperimentConfig) -> Analysis:
     """Build the initial state and the a-priori bounds that run, classify and the CLI share."""
     state = build_state(cfg)
     a_lo, a_hi = convexity_bounds(cfg.potential)
-    frame0 = _state_frame(cfg, a_lo, state)
+    coupling = cfg.m0 * cfg.kernel.value if isinstance(cfg.kernel, ConstantKernel) else None
+    pair_f = ()
+    if coupling is not None and a_lo > 0.0 and coupling > a_hi / math.sqrt(a_lo):
+        pair_f = (coupling, consts.pair_beta(a_lo, a_hi, coupling))
+    frame0 = _state_frame(cfg, a_lo, state, pair_f)
     _, phi_plus, dphi_inf = kernel_bounds(cfg.kernel, 0.0)
     centered = max(map(abs, frame0.x_c + frame0.u_c), default=0.0) <= _CENTERED_TOL
     r0 = None
@@ -202,9 +211,8 @@ def analyze(cfg: ExperimentConfig) -> Analysis:
         if r0 is not None:
             phi_minus = consts.phi_min_from_support(cfg.kernel, cfg.potential.a, r0)
             phi_source = "support-chain"
-    coupling = cfg.m0 * cfg.kernel.value if isinstance(cfg.kernel, ConstantKernel) else None
     return Analysis(
-        state, frame0, a_lo, a_hi, phi_minus, phi_source, phi_plus, dphi_inf, coupling, centered, r0
+        state, frame0, a_lo, a_hi, phi_minus, phi_source, phi_plus, dphi_inf, coupling, pair_f, centered, r0
     )
 
 
@@ -377,36 +385,31 @@ class _FrameContext:
     def __init__(self, cfg, an: Analysis, report):
         self.cfg = cfg
         self.a_lo = an.a_lo
-        self.coupling = an.coupling
         lyapunov = isinstance(cfg.potential, QuadraticPotential) and an.centered
         self.lam = report.lam if lyapunov else None
         self.lam1 = report.lam1 if lyapunov else None
-        self.beta_cross = report.beta_cross
-        self.stable_pair = report.mu1 is not None
+        self.pair_f = an.pair_f
 
     def build(self, ens: Ensemble) -> DiagnosticsFrame:
-        return self.complete(_state_frame(self.cfg, self.a_lo, ens), ens)
+        return self.complete(_state_frame(self.cfg, self.a_lo, ens, self.pair_f), ens)
 
     def complete(self, frame: DiagnosticsFrame, ens: Ensemble) -> DiagnosticsFrame:
-        """Fill in the columns that need the report (V, F1_max, F_const_max) of ``ens``'s frame."""
+        """Fill in V and F1_max, which need the report's rates."""
         if self.lam is not None:
             frame.lyapunov = lyapunov_v(ens, self.a_lo, self.lam)
             frame.f1_max = perturbed_particle_energy_max(ens, self.a_lo, self.lam1)
-        if self.coupling is not None and self.beta_cross is not None and self.stable_pair:
-            frame.f_const_max = pair_functional_f(ens, self.coupling, self.beta_cross)
         return frame
 
 
-def _state_frame(cfg: ExperimentConfig, a_lo: float, ens: Ensemble) -> DiagnosticsFrame:
-    """Every frame column that needs no constants report; V, F1_max and F_const_max are NaN."""
+def _state_frame(cfg: ExperimentConfig, a_lo: float, ens: Ensemble, pair_f: tuple) -> DiagnosticsFrame:
+    """Every frame column but V and F1_max (NaN); the pair columns come from one ``pair_scan``."""
     e_total, e_kin = energy(ens, cfg.potential)
-    delta_l2, delta_inf = fluctuations(ens, a_lo)
-    p, d = particle_energy_support(ens, cfg.potential)
+    delta_l2, delta_inf, d, f_const = pair_scan(ens, a_lo, *pair_f)
     c = means(ens)
     frame = DiagnosticsFrame(
-        t=ens.t, total_energy=e_total, kinetic_energy=e_kin,
-        delta_e_l2=delta_l2, delta_e_linf=delta_inf, particle_energy=p, diameter=d,
-        lyapunov=math.nan, f1_max=math.nan, f_const_max=math.nan,
+        t=ens.t, total_energy=e_total, kinetic_energy=e_kin, delta_e_l2=delta_l2,
+        delta_e_linf=delta_inf, particle_energy=particle_energy_max(ens, cfg.potential),
+        diameter=d, lyapunov=math.nan, f1_max=math.nan, f_const_max=f_const,
         x_c=tuple(float(v) for v in c.x_c), u_c=tuple(float(v) for v in c.u_c),
     )
     if ens.e is not None:
@@ -478,7 +481,7 @@ def _evaluate_checks(summary, cfg, an: Analysis, frames, track, threshold):
         ))
         checks.append(_means_check(cfg, an.frame0, frames))
 
-    if an.coupling is not None and a_lo > 0.0 and an.coupling > a_hi / math.sqrt(a_lo):
+    if an.pair_f:
         mu1, mu2, mu3 = consts.pair_rates(a_lo, a_hi, an.coupling)
         bound = (mu2 / mu3) * delta_l2[0] * np.exp(-(mu1 / mu2) * times)
         checks.append(BoundCheck(

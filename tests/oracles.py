@@ -3,11 +3,17 @@
 These deliberately avoid the package's code paths: the Riccati solution is
 derived by hand from e' = -e(e - K) - A, the oscillator from x'' = -a x,
 and the pairwise-attraction variant is summed over explicit pair arrays.
+The dense frame functionals build the full N x N x d pair arrays that
+``diagnostics.pair_scan`` visits in column blocks; they take the mass sum
+through ``pair_product``, whose bytes the scan keeps.
 """
 
 import math
 
 import numpy as np
+
+from flocklab.dynamics import pair_product
+from flocklab.potentials import value_at
 
 
 def riccati_exact(t, e0, K, A):
@@ -69,3 +75,34 @@ def pairwise_attraction_du(x, u, m, phi, a):
     w = m[None, :] * phi(np.sqrt(np.einsum("ijd,ijd->ij", dx, dx)))
     alignment = np.einsum("ij,ijd->id", w, u[None, :, :] - u[:, None, :])
     return alignment - (a / m.sum()) * np.einsum("j,ijd->id", m, dx)
+
+
+def _pairwise_sq_norms(z):
+    diff = z[:, None, :] - z[None, :, :]
+    return np.einsum("ijd,ijd->ij", diff, diff)
+
+
+def dense_fluctuations(ens, a):
+    """(deltaE_L2, deltaE_Linf) from the dense pair matrix |du|^2 + a |dx|^2."""
+    pair = _pairwise_sq_norms(ens.u)
+    if a != 0.0:
+        pair = pair + a * _pairwise_sq_norms(ens.x)
+    weighted = float(pair_product(pair.T, ens.m) @ ens.m)  # m @ pair @ m
+    return weighted, float(pair.max())
+
+
+def dense_particle_energy_support(ens, potential):
+    """(P, D) with D from the dense matrix of squared distances."""
+    per_particle = 0.5 * np.einsum("nd,nd->n", ens.u, ens.u) + value_at(potential, ens.x)
+    d_sq = _pairwise_sq_norms(ens.x).max()
+    return float(per_particle.max()), float(math.sqrt(d_sq))
+
+
+def dense_pair_functional_f(ens, coupling, beta):
+    """max over pairs of K/2 |dx|^2 + dx . du + beta/2 |du|^2 from dense N x N x d arrays."""
+    dx = ens.x[:, None, :] - ens.x[None, :, :]
+    du = ens.u[:, None, :] - ens.u[None, :, :]
+    vals = 0.5 * coupling * np.einsum("ijd,ijd->ij", dx, dx)
+    vals += np.einsum("ijd,ijd->ij", dx, du)
+    vals += 0.5 * beta * np.einsum("ijd,ijd->ij", du, du)
+    return float(vals.max())

@@ -1,21 +1,25 @@
 """Functionals and rate fitting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from flocklab import diagnostics
 from flocklab.diagnostics import (
     energy,
     fit_rate,
     fluctuations,
     lyapunov_v,
     pair_functional_f,
+    pair_scan,
     particle_energy_support,
     perturbed_particle_energy_max,
 )
-from flocklab.dynamics import Ensemble, recenter
+from flocklab.dynamics import Ensemble, pair_product, recenter
 from flocklab.potentials import QuadraticPotential, ZeroPotential
+from oracles import dense_fluctuations, dense_pair_functional_f, dense_particle_energy_support
 
 
 def _pair():
@@ -150,6 +154,84 @@ def test_lyapunov_warns_off_center():
     ens = Ensemble(x=[[1.0]], u=[[1.0]], m=[1.0])
     with pytest.warns(UserWarning):
         lyapunov_v(ens, 1.0, 0.1)
+
+
+def _bits(*values):
+    return tuple(float(v).hex() for v in values)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 700])
+def test_pair_scan_is_bitwise_the_dense_forms(n):
+    # the column-blocked scan against the N x N x d arrays it replaces, bit for bit
+    rng = np.random.default_rng(n)
+    potential = QuadraticPotential(0.8)
+    for d in (1, 2, 3):
+        ens = Ensemble(
+            x=rng.normal(0.0, 2.0, (n, d)),
+            u=rng.normal(0.3, 10.0 ** rng.uniform(-6, 1), (n, d)),
+            m=rng.uniform(0.1, 1.0, n),
+        )
+        p, diameter = dense_particle_energy_support(ens, potential)
+        for a in (0.0, 0.8):
+            l2, linf = dense_fluctuations(ens, a)
+            f = dense_pair_functional_f(ens, 1.7, 0.9)
+            assert _bits(*pair_scan(ens, a, 1.7, 0.9)) == _bits(l2, linf, diameter, f), (d, a)
+            scan = pair_scan(ens, a)
+            assert _bits(*scan[:3]) == _bits(l2, linf, diameter) and math.isnan(scan[3])
+            assert _bits(*fluctuations(ens, a)) == _bits(l2, linf)
+        assert _bits(*particle_energy_support(ens, potential)) == _bits(p, diameter)
+        assert _bits(pair_functional_f(ens, 1.7, 0.9)) == _bits(dense_pair_functional_f(ens, 1.7, 0.9))
+
+
+def test_column_blocks_keep_the_bytes_of_pair_product():
+    # entry for entry, in the scan's layout (rows 64 apart): a block product
+    # can differ in a last bit that the final sum over m happens to hide
+    rng = np.random.default_rng(7)
+    buffer = np.empty((1025, 64))
+    for n in (65, 66, 129, 513, 514, 515, 700, 1025):
+        pair, m = rng.uniform(0.0, 2.0, (n, n)), rng.uniform(0.1, 1.0, n)
+        col_sums = np.empty(n)
+        for lo, hi in diagnostics._column_blocks(n, m):
+            assert 0 < hi - lo <= 64
+            block = buffer[:n, :hi - lo]
+            block[...] = pair[:, lo:hi]
+            col_sums[lo:hi] = block.T @ m
+        assert np.array_equal(col_sums, pair_product(pair.T, m)), n
+
+
+def test_pair_scan_at_the_consensus_floor():
+    # identical agents give exact zeros; velocities one ulp apart give the
+    # pairwise sum's bits, which a centered O(N) form (u_i - u_c, with u_c
+    # carrying round-off) does not reproduce
+    rng = np.random.default_rng(3)
+    n = 130
+    m = rng.uniform(0.1, 1.0, n)
+    x = np.tile([0.25, -1.5], (n, 1))
+    same = pair_scan(Ensemble(x=x, u=np.tile([1.7, -0.3], (n, 1)), m=m), 0.9, 2.0, 1.0)
+    assert same == (0.0, 0.0, 0.0, 0.0)
+    u = np.tile([1.7, -0.3], (n, 1))
+    u[rng.permutation(n)[: n // 3], 0] = np.nextafter(1.7, 2.0)
+    ens = Ensemble(x=x, u=u, m=m)
+    scan = pair_scan(ens, 0.9, 2.0, 1.0)
+    assert scan[1] == np.spacing(1.7) ** 2
+    assert _bits(*scan[:2]) == _bits(*dense_fluctuations(ens, 0.9))
+    assert _bits(scan[3]) == _bits(dense_pair_functional_f(ens, 2.0, 1.0))
+
+
+def test_pair_scan_builds_no_pair_matrix(monkeypatch):
+    n = 700
+    rng = np.random.default_rng(2)
+    ens = Ensemble(x=rng.normal(size=(n, 2)), u=rng.normal(size=(n, 2)), m=rng.uniform(0.1, 1.0, n))
+    monkeypatch.setattr(diagnostics, "_block_scratch", np.empty((5, 0, 64)))
+    pair_scan(ens, 1.0, 2.0, 1.0)  # grows the block buffer
+    assert diagnostics._block_scratch.nbytes == 5 * 64 * n * 8
+    tracemalloc.start()
+    try:
+        pair_scan(ens, 1.0, 2.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 // 4
 
 
 def test_pair_functional_identical_pair():

@@ -151,9 +151,9 @@ def test_rhs_constant_kernel_drops_forcing():
     kernel = ConstantKernel(2.0)
     potential = QuadraticPotential(1.0)
     _, _, d_grad = rhs_2d(state, kernel, potential)
-    phi_conv = conv_phi(state.x, state.m, kernel)
+    phi_conv = conv_phi(state.x, state.m, kernel)  # the scalar phi * m0
     expect = -np.einsum("nij,njk->nik", state.grad_u, state.grad_u)
-    expect -= phi_conv[:, None, None] * state.grad_u
+    expect -= phi_conv * state.grad_u
     expect -= np.eye(2)[None, :, :] * 1.0
     assert np.allclose(d_grad, expect, atol=1e-14)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import flocklab
-from flocklab import initial, runner
+from flocklab import runner
 from flocklab.cli import main as cli_main
 from flocklab.config import ConfigError, parse_config, preset_config, preset_text
 from flocklab.runner import classify, run, sweep, sweep_csv
@@ -149,17 +149,22 @@ def test_run_builds_the_initial_state_once(monkeypatch):
 
 
 def test_run_computes_the_first_frame_once(monkeypatch):
+    # each frame's pair columns come from one pair_scan, frame 0's from the
+    # analysis, also where F_const_max is a column (a stable constant coupling)
     calls = []
-    for module in (runner, initial):
-        original = module.fluctuations
+    original = runner.pair_scan
 
-        def counting(*args, _original=original):
-            calls.append(args)
-            return _original(*args)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
-        monkeypatch.setattr(module, "fluctuations", counting)
+    monkeypatch.setattr(runner, "pair_scan", counting)
     result = run(parse_config(SMALL))
     assert len(calls) == result.summary.n_frames == 11
+    calls.clear()
+    result = run(parse_config(SMOOTH_SHORT.replace("t = 5.0", "t = 0.2")))
+    assert len(calls) == result.summary.n_frames == 3
+    assert not any(math.isnan(frame.f_const_max) for frame in result.frames)
 
 
 @pytest.mark.parametrize("text", [
@@ -172,7 +177,7 @@ def test_analysis_frame0_is_the_first_frame(text):
     an = runner.analyze(cfg)
     frame0 = dataclasses.asdict(an.frame0)
     first = dataclasses.asdict(run(cfg).frames[0])
-    report_columns = ("lyapunov", "f1_max", "f_const_max")
+    report_columns = ("lyapunov", "f1_max")
     assert all(math.isnan(frame0[name]) for name in report_columns)
     for name, value in frame0.items():
         if name not in report_columns:
