@@ -28,6 +28,7 @@ __all__ = [
     "linf_constant_conservative",
     "pair_rates",
     "pair_beta",
+    "pair_functional",
     "support_scale",
     "phi_min_from_support",
     "reduction_constants",
@@ -130,6 +131,11 @@ def pair_rates(a: float, A: float, K: float) -> tuple[float, float, float]:
     mu2 = (p + disc) / (2.0 * a)
     mu3 = (p - disc) / (2.0 * a)
     return mu1, mu2, mu3
+
+
+def pair_functional(a: float, A: float, K: float):
+    """(beta, (mu1, mu2, mu3)) of the pair functional, the rates () unless K > A / sqrt(a) (a > 0)."""
+    return pair_beta(a, A, K), pair_rates(a, A, K) if K > A / math.sqrt(a) else ()
 
 
 def support_scale(
@@ -371,9 +377,9 @@ def constants_report(
     elif a <= 0.0:
         rep.notes.append("a <= 0: decay-rate constants not applicable")
     if K is not None and a > 0.0:
-        rep.beta_cross = pair_beta(a, A, K)
-        if K > A / math.sqrt(a):
-            rep.mu1, rep.mu2, rep.mu3 = pair_rates(a, A, K)
+        rep.beta_cross, rates = pair_functional(a, A, K)
+        if rates:
+            rep.mu1, rep.mu2, rep.mu3 = rates
         else:
             rep.notes.append(
                 f"stability condition fails (K = {K} <= A/sqrt(a) = {A / math.sqrt(a):.6g}):"

@@ -62,7 +62,7 @@ _block_scratch = np.empty((5, 0, 64))
 
 
 def _column_blocks(n: int, m: np.ndarray):
-    """Ranges of at most 64 columns whose ``block.T @ m`` give ``pair_product(pair.T, m)``'s bytes.
+    """Ranges of at most 64 columns whose ``block.T @ m`` give ``pair.T @ m``'s bytes in ``product_rows(m)`` row blocks.
 
     They restart at each of its row blocks and never leave 1 to 3 columns,
     which OpenBLAS 0.3.31 multiplies on another path.

@@ -12,10 +12,13 @@ total mass sum(m).  Equal weights m_j = m0/N recover the plain arithmetic
 average.  The vanishing i = j term is kept in the sums (it contributes
 exactly zero).
 
-The pairwise sums are a BLAS product of the kernel matrix with the block
-[m, m*u], taken in row blocks that OpenBLAS keeps on one thread, so runs
-give the same bytes whatever OPENBLAS_NUM_THREADS is (a test compares 1
-and 2 threads up to N = 700).
+The pairwise sums visit each pair i <= j once: ``pair_blocks`` builds the
+squared distances of a row block against the columns from its first row on,
+the kernel is evaluated there once, and ``add_block`` adds the block's BLAS
+product with [m, m*u] to its rows and its transpose's to the rows below.
+No N x N array is built, and every product stays on one OpenBLAS thread, so
+runs give the same bytes whatever OPENBLAS_NUM_THREADS is (a test compares
+1 and 2 threads at the config cap N = 2048).
 
 ``Ensemble`` is the one state record of every solver mode: particles
 carry (x, u), 1D characteristics add the threshold variable e and the
@@ -51,7 +54,7 @@ __all__ = [
     "pairwise_phi_weights",
     "conv_phi",
     "alignment_force",
-    "pair_sq_distances", "product_rows", "pair_product", "weighted_alignment",
+    "product_rows", "pair_blocks", "add_block", "kernel_sums", "alignment_sums",
 ]
 
 # any |x|, |u| or |grad_u| beyond this (or a non-finite value) is treated as blow-up
@@ -144,38 +147,13 @@ class Means:
     u_c: np.ndarray
 
 
-# fresh (N, N) allocations are expensive (page faulting dominates the
-# pairwise pass), so the hot path reuses two flat buffers that grow to the
-# largest N^2 seen; runs are sequential and sweeps use processes
-_scratch = (np.empty(0), np.empty(0))
-
-
-def pair_sq_distances(x: np.ndarray):
-    """r^2[i, j] = |x_i - x_j|^2, and a second N x N array free for the caller.
-
-    Both are views of the process's scratch buffers, overwritten by the next call.
-    """
-    global _scratch
-    n = x.shape[0]
-    if _scratch[0].size < n * n:
-        _scratch = (np.empty(n * n), np.empty(n * n))
-    r_sq, spare = (buf[: n * n].reshape(n, n) for buf in _scratch)
-    for k in range(x.shape[1]):
-        dk = np.subtract(x[:, k, None], x[None, :, k], out=spare if k else r_sq)
-        np.multiply(dk, dk, out=dk)
-        if k:
-            r_sq += dk
-    return r_sq, spare
-
-
-def _kernel_matrix(x: np.ndarray, kernel: Kernel) -> np.ndarray:
-    """W[i, j] = phi(|x_i - x_j|), masses left out, in scratch valid until its next use."""
-    r_sq, _ = pair_sq_distances(x)
-    return kernel_eval_sq(kernel, r_sq, out=r_sq)
+# pair_blocks' two flat (rows, N) buffers, grown to the largest N seen (runs are
+# sequential and sweeps use processes); flat, so a block's layout depends on N alone
+_block_buffers = (np.empty(0), np.empty(0))
 
 
 def product_rows(b: np.ndarray) -> int:
-    """Rows per block of ``pair_product(w, b)``: at most 2**19 multiplies (2**18 for a vector).
+    """Rows of an N-column block whose product with b has at most 2**19 multiplies (2**18 for a vector).
 
     OpenBLAS 0.3.31 ran products of 1e6 multiplies (4.9e5 for a vector) on
     two threads, which moves their last bits; blocks this small stay on one.
@@ -183,28 +161,63 @@ def product_rows(b: np.ndarray) -> int:
     return max(1, (2**19 if b.ndim > 1 else 2**18) // b.size)
 
 
-def pair_product(w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """w @ b for an N x N matrix w, in row blocks of ``product_rows(b)`` rows."""
-    rows = product_rows(b)
-    return np.concatenate([w[lo:lo + rows] @ b for lo in range(0, w.shape[0], rows)])
+def pair_blocks(x: np.ndarray, b: np.ndarray):
+    """Upper-triangle row blocks (lo, hi, r_sq, spare, diffs) of the pair matrices, for sums against b.
+
+    r_sq[i - lo, j - lo] = |x_i - x_j|^2 for i in [lo, hi), j in [lo, N), and spare is free, both
+    overwritten by the next block; ``np.matmul(*diffs[k], out=spare)`` gives (x_i - x_j)_k as the
+    GEMM x_i * 1 + (-1) * x_j, the subtraction bit for bit.  Blocks of min(128, product_rows(b))
+    rows keep each product of ``add_block`` on one BLAS thread.
+    """
+    global _block_buffers
+    n, d = x.shape
+    rows = min(128, product_rows(b))
+    if _block_buffers[0].size < rows * n:
+        _block_buffers = (np.empty(rows * n), np.empty(rows * n))
+    left, right = np.empty((d, n, 2)), np.ones((d, 2, n))  # left[k] = [x_k, -1], right[k] = [1; x_k^T]
+    left[:, :, 0], left[:, :, 1], right[:, 1] = x.T, -1.0, x.T
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        r_sq, spare = (buf[: (hi - lo) * (n - lo)].reshape(hi - lo, n - lo) for buf in _block_buffers)
+        diffs = [(left[k, lo:hi], right[k, :, lo:]) for k in range(d)]
+        for k, pair in enumerate(diffs):
+            dk = np.matmul(*pair, out=spare if k else r_sq)
+            np.multiply(dk, dk, out=dk)
+            if k:
+                r_sq += dk
+        yield lo, hi, r_sq, spare, diffs
 
 
-def weighted_alignment(w: np.ndarray, u: np.ndarray, m: np.ndarray):
-    """(sum_j w_ij m_j (u_j - u_i), sum_j w_ij m_j) from one product of w with [m, m*u]."""
-    r = pair_product(w, np.column_stack((m, m[:, None] * u)))
+def add_block(out: np.ndarray, w: np.ndarray, b: np.ndarray, lo: int, hi: int, sign: float = 1.0):
+    """Add a ``pair_blocks`` block w = W[lo:hi, lo:] to out = W @ b, for W = sign * W^T (sign 1 or -1)."""
+    out[lo:hi] += w @ b[lo:]
+    if hi < len(out):
+        out[hi:] += sign * (w[:, hi - lo:].T @ b[lo:hi])
+
+
+def kernel_sums(x: np.ndarray, b: np.ndarray, kernel: Kernel) -> np.ndarray:
+    """sum_j phi(|x_i - x_j|) b_j, with phi evaluated once per pair i <= j."""
+    out = np.zeros(b.shape)
+    for lo, hi, r_sq, _, _ in pair_blocks(x, b):
+        add_block(out, kernel_eval_sq(kernel, r_sq, out=r_sq), b, lo, hi)
+    return out
+
+
+def alignment_sums(r: np.ndarray, u: np.ndarray):
+    """(sum_j W_ij m_j (u_j - u_i), sum_j W_ij m_j) from r = W @ [m, m*u]."""
     return r[:, 1:] - u * r[:, :1], r[:, 0]
 
 
 def pairwise_phi_weights(x: np.ndarray, m: np.ndarray, kernel: Kernel) -> np.ndarray:
-    """Mass-weighted kernel matrix W[i, j] = m_j * phi(|x_i - x_j|)."""
-    return _kernel_matrix(x, kernel) * m[None, :]
+    """Mass-weighted kernel matrix W[i, j] = m_j * phi(|x_i - x_j|), built whole."""
+    return kernel_eval_sq(kernel, ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1)) * m[None, :]
 
 
 def conv_phi(x: np.ndarray, m: np.ndarray, kernel: Kernel):
     """sum_j m_j phi(|x_i - x_j|), the quadrature of phi * rho; the scalar phi * m0 for a constant kernel."""
     if isinstance(kernel, ConstantKernel):
         return kernel.value * m.sum()
-    return pair_product(_kernel_matrix(x, kernel), m)
+    return kernel_sums(x, m, kernel)
 
 
 def alignment_force(x: np.ndarray, u: np.ndarray, m: np.ndarray, kernel: Kernel):
@@ -219,7 +232,7 @@ def alignment_force(x: np.ndarray, u: np.ndarray, m: np.ndarray, kernel: Kernel)
         m0 = m.sum()
         mu = m @ u
         return kernel.value * (mu[None, :] - m0 * u), kernel.value * m0
-    return weighted_alignment(_kernel_matrix(x, kernel), u, m)
+    return alignment_sums(kernel_sums(x, np.column_stack((m, m[:, None] * u)), kernel), u)
 
 
 def _rhs_u(x, u, m, kernel, potential):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants as _constants
-from .dynamics import Ensemble, advance_rk4, alignment_force, pair_sq_distances, weighted_alignment
+from .dynamics import Ensemble, add_block, advance_rk4, alignment_force, alignment_sums, pair_blocks
 from .kernels import ConstantKernel, Kernel, kernel_eval_sq, kernel_slope_over_r_sq
 from .potentials import Potential, grad_at, hess_diag_at
 
@@ -137,18 +137,21 @@ def init_characteristics_2d(
 
 
 def _pair_terms_2d(x, u, m, kernel):
-    """Alignment force, phi*rho and gradient forcing R from one set of pair distances.
+    """Alignment force, phi*rho and gradient forcing R from one pass over the pairs i <= j.
 
-    R[:, :, l] is the alignment form with the weights (phi'(r)/r) (x_i - x_j)_l.
+    R[:, :, l] is the alignment form with the antisymmetric weights (phi'(r)/r) (x_i - x_j)_l.
     """
-    r_sq, spare = pair_sq_distances(x)
-    slope = kernel_slope_over_r_sq(kernel, r_sq)
-    force, phi_conv = weighted_alignment(kernel_eval_sq(kernel, r_sq, out=r_sq), u, m)
-    forcing = np.empty((x.shape[0], 2, 2))
-    for l in range(2):
-        np.multiply(slope, np.subtract(x[:, l, None], x[None, :, l], out=spare), out=spare)
-        forcing[:, :, l] = weighted_alignment(spare, u, m)[0]
-    return force, phi_conv, forcing
+    b = np.column_stack((m, m[:, None] * u))
+    sums = np.zeros((3, *b.shape))
+    for lo, hi, r_sq, spare, diffs in pair_blocks(x, b):
+        phi = kernel_eval_sq(kernel, r_sq, out=spare)
+        slope = kernel_slope_over_r_sq(kernel, r_sq, phi, out=r_sq)
+        add_block(sums[0], phi, b, lo, hi)
+        for l in range(2):
+            weights = np.multiply(np.matmul(*diffs[l], out=spare), slope, out=spare)
+            add_block(sums[1 + l], weights, b, lo, hi, sign=-1.0)
+    force, phi_conv = alignment_sums(sums[0], u)
+    return force, phi_conv, np.stack([alignment_sums(s, u)[0] for s in sums[1:]], axis=-1)
 
 
 def _rhs_arrays_2d(x, u, grad_u, m, kernel, potential):

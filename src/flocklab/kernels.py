@@ -111,14 +111,12 @@ def kernel_eval_sq(kernel: Kernel, r_sq, out=None):
     never need a square root.  ``out`` may alias ``r_sq``.
     """
     r_sq = np.asarray(r_sq, dtype=float)
+    if out is None:
+        out = np.empty_like(r_sq)
     if isinstance(kernel, ConstantKernel):
-        if out is None:
-            return np.full_like(r_sq, kernel.value)
         out[...] = kernel.value
         return out
     if isinstance(kernel, PowerLawKernel):
-        if out is None:
-            out = np.empty_like(r_sq)
         np.add(r_sq, 1.0, out=out)
         # scalar/array ufunc forms with explicit out avoid a slow numpy
         # dispatch path for the expression c0 / (1 + r^2)
@@ -132,34 +130,31 @@ def kernel_eval_sq(kernel: Kernel, r_sq, out=None):
             np.multiply(out, kernel.c0, out=out)
         return out
     if isinstance(kernel, FloorClippedKernel):
-        out = kernel_eval_sq(kernel.inner, r_sq, out=out)
-        np.maximum(out, kernel.alpha, out=out)
-        return out
+        return np.maximum(kernel_eval_sq(kernel.inner, r_sq, out=out), kernel.alpha, out=out)
     raise TypeError(f"unknown kernel {kernel!r}")
 
 
-def kernel_slope_over_r_sq(kernel: Kernel, r_sq):
+def kernel_slope_over_r_sq(kernel: Kernel, r_sq, phi=None, out=None):
     """Return phi'(r) / r as a function of the squared radius.
 
     This is the radial factor of the kernel gradient,
     grad phi(z) = (phi'(|z|) / |z|) * z, which is smooth through z = 0
     for every supported family (phi'(0) = 0).  Used by the 2D velocity
-    gradient forcing.
+    gradient forcing.  ``phi`` may give phi(r), and ``out`` may alias ``r_sq`` (not ``phi``).
     """
     r_sq = np.asarray(r_sq, dtype=float)
     if isinstance(kernel, ConstantKernel):
-        return np.zeros_like(r_sq)
+        return np.multiply(r_sq, 0.0, out=out)  # r^2 >= 0, so +0.0
+    if phi is None:
+        phi = kernel_eval_sq(kernel, r_sq)
     if isinstance(kernel, PowerLawKernel):
-        # phi'(r)/r = -2 c0 beta (1 + r^2)^(-beta - 1)
-        base = r_sq + 1.0
-        out = np.empty_like(base)
-        np.power(base, -(kernel.beta + 1.0), out=out)
-        np.multiply(out, -2.0 * kernel.c0 * kernel.beta, out=out)
+        # phi'(r)/r = -2 c0 beta (1 + r^2)^(-beta - 1) = -2 beta phi / (1 + r^2)
+        slope = np.divide(phi, np.add(r_sq, 1.0, out=out), out=out)
+        return np.multiply(slope, -2.0 * kernel.beta, out=out)
+    if isinstance(kernel, FloorClippedKernel):  # flat where phi = alpha, the inner slope where phi > alpha
+        out = np.asarray(kernel_slope_over_r_sq(kernel.inner, r_sq, phi, out=out))
+        np.copyto(out, 0.0, where=phi <= kernel.alpha)
         return out
-    if isinstance(kernel, FloorClippedKernel):
-        slope = kernel_slope_over_r_sq(kernel.inner, r_sq)
-        unclipped = kernel_eval_sq(kernel.inner, r_sq) > kernel.alpha
-        return np.where(unclipped, slope, 0.0)
     raise TypeError(f"unknown kernel {kernel!r}")
 
 

@@ -165,8 +165,9 @@ class Analysis:
     phi_minus = phi(sqrt(8 R0 / a)) ("support-chain"); otherwise it is None
     ("unavailable") and the floor has to be measured from the run
     diameter.  ``coupling`` is m0 * phi for a constant kernel, else None;
-    ``pair_f`` is (K, beta) of the pair functional F when that coupling K
-    passes the stability condition K > A / sqrt(a), else ().
+    ``pair_f`` is (K, beta) of the pair functional F and ``pair_mu`` its
+    rates (mu1, mu2, mu3) when that coupling K passes the stability
+    condition K > A / sqrt(a) (``constants.pair_functional``), else both ().
 
     ``frame0`` is run's first frame with NaN in the report columns V and
     F1_max.  ``r0`` is the support bound R0 under quadratic confinement
@@ -183,6 +184,7 @@ class Analysis:
     dphi_inf: float
     coupling: Optional[float]
     pair_f: tuple
+    pair_mu: tuple
     centered: bool
     r0: Optional[float]
 
@@ -192,9 +194,10 @@ def analyze(cfg: ExperimentConfig) -> Analysis:
     state = build_state(cfg)
     a_lo, a_hi = convexity_bounds(cfg.potential)
     coupling = cfg.m0 * cfg.kernel.value if isinstance(cfg.kernel, ConstantKernel) else None
-    pair_f = ()
-    if coupling is not None and a_lo > 0.0 and coupling > a_hi / math.sqrt(a_lo):
-        pair_f = (coupling, consts.pair_beta(a_lo, a_hi, coupling))
+    pair_f = pair_mu = ()
+    if coupling is not None and a_lo > 0.0:
+        beta, pair_mu = consts.pair_functional(a_lo, a_hi, coupling)
+        pair_f = (coupling, beta) if pair_mu else ()
     frame0 = _state_frame(cfg, a_lo, state, pair_f)
     _, phi_plus, dphi_inf = kernel_bounds(cfg.kernel, 0.0)
     centered = max(map(abs, frame0.x_c + frame0.u_c), default=0.0) <= _CENTERED_TOL
@@ -212,7 +215,7 @@ def analyze(cfg: ExperimentConfig) -> Analysis:
             phi_minus = consts.phi_min_from_support(cfg.kernel, cfg.potential.a, r0)
             phi_source = "support-chain"
     return Analysis(
-        state, frame0, a_lo, a_hi, phi_minus, phi_source, phi_plus, dphi_inf, coupling, pair_f, centered, r0
+        state, frame0, a_lo, a_hi, phi_minus, phi_source, phi_plus, dphi_inf, coupling, pair_f, pair_mu, centered, r0
     )
 
 
@@ -481,8 +484,8 @@ def _evaluate_checks(summary, cfg, an: Analysis, frames, track, threshold):
         ))
         checks.append(_means_check(cfg, an.frame0, frames))
 
-    if an.pair_f:
-        mu1, mu2, mu3 = consts.pair_rates(a_lo, a_hi, an.coupling)
+    if an.pair_mu:
+        mu1, mu2, mu3 = an.pair_mu
         bound = (mu2 / mu3) * delta_l2[0] * np.exp(-(mu1 / mu2) * times)
         checks.append(BoundCheck(
             name="deltaE_pair_bound",

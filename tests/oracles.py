@@ -5,14 +5,17 @@ derived by hand from e' = -e(e - K) - A, the oscillator from x'' = -a x,
 and the pairwise-attraction variant is summed over explicit pair arrays.
 The dense frame functionals build the full N x N x d pair arrays that
 ``diagnostics.pair_scan`` visits in column blocks; they take the mass sum
-through ``pair_product``, whose bytes the scan keeps.
+through ``pair_product``, whose bytes the scan keeps.  The dense pair sums
+build the N x N kernel and gradient-weight matrices that the blocked pass of
+``dynamics.pair_blocks`` visits one upper-triangle row block at a time.
 """
 
 import math
 
 import numpy as np
 
-from flocklab.dynamics import pair_product
+from flocklab.dynamics import product_rows
+from flocklab.kernels import ConstantKernel, FloorClippedKernel, kernel_eval_sq
 from flocklab.potentials import value_at
 
 
@@ -77,6 +80,12 @@ def pairwise_attraction_du(x, u, m, phi, a):
     return alignment - (a / m.sum()) * np.einsum("j,ijd->id", m, dx)
 
 
+def pair_product(w, b):
+    """w @ b for an N x N matrix w, in row blocks of ``product_rows(b)`` rows (one BLAS thread each)."""
+    rows = product_rows(b)
+    return np.concatenate([w[lo:lo + rows] @ b for lo in range(0, w.shape[0], rows)])
+
+
 def _pairwise_sq_norms(z):
     diff = z[:, None, :] - z[None, :, :]
     return np.einsum("ijd,ijd->ij", diff, diff)
@@ -106,3 +115,35 @@ def dense_pair_functional_f(ens, coupling, beta):
     vals += np.einsum("ijd,ijd->ij", dx, du)
     vals += 0.5 * beta * np.einsum("ijd,ijd->ij", du, du)
     return float(vals.max())
+
+
+def _dense_alignment(w, u, m):
+    r = pair_product(w, np.column_stack((m, m[:, None] * u)))
+    return r[:, 1:] - u * r[:, :1], r[:, 0]
+
+
+def dense_alignment_force(x, u, m, kernel):
+    """(sum_j m_j phi_ij (u_j - u_i), sum_j m_j phi_ij) from the whole N x N kernel matrix."""
+    return _dense_alignment(kernel_eval_sq(kernel, _pairwise_sq_norms(x)), u, m)
+
+
+def dense_conv_phi(x, m, kernel):
+    """sum_j m_j phi(|x_i - x_j|) from the whole N x N kernel matrix."""
+    return pair_product(kernel_eval_sq(kernel, _pairwise_sq_norms(x)), m)
+
+
+def _closed_form_slope(kernel, r_sq):
+    """phi'(r)/r: -2 c0 beta (1 + r^2)^(-beta - 1) for a power law, 0 where the kernel is flat."""
+    if isinstance(kernel, ConstantKernel):
+        return np.zeros_like(r_sq)
+    if isinstance(kernel, FloorClippedKernel):
+        unclipped = kernel_eval_sq(kernel.inner, r_sq) > kernel.alpha
+        return np.where(unclipped, _closed_form_slope(kernel.inner, r_sq), 0.0)
+    return -2.0 * kernel.c0 * kernel.beta * np.power(1.0 + r_sq, -kernel.beta - 1.0)
+
+
+def dense_gradient_forcing(x, u, m, kernel):
+    """R[i, a, l] = sum_j m_j (phi'(r)/r)(x_i - x_j)_l (u_j - u_i)_a from whole N x N weight matrices."""
+    slope = _closed_form_slope(kernel, _pairwise_sq_norms(x))
+    dx = x[:, None, :] - x[None, :, :]
+    return np.stack([_dense_alignment(slope * dx[:, :, l], u, m)[0] for l in range(x.shape[1])], axis=-1)

@@ -14,6 +14,7 @@ from flocklab.constants import (
     linf_constant_conservative,
     linf_constant_via_f1,
     pair_beta,
+    pair_functional,
     pair_rates,
     phi_min_from_support,
     reduction_constants,
@@ -81,6 +82,12 @@ def test_pair_beta_reference():
 def test_pair_rates_require_stability():
     with pytest.raises(ValueError):
         pair_rates(1.0, 1.5, 1.5)  # K = A/sqrt(a) exactly: not strict
+
+
+def test_pair_functional_decides_stability_once():
+    # the run's analysis and the constants report both take (beta, rates) from here
+    assert pair_functional(1.0, 1.5, 2.0) == (pair_beta(1.0, 1.5, 2.0), pair_rates(1.0, 1.5, 2.0))
+    assert pair_functional(1.0, 1.5, 1.5) == (pair_beta(1.0, 1.5, 1.5), ())  # K = A/sqrt(a): not strict
 
 
 def test_pair_rates_consistent_on_grid():

@@ -17,9 +17,9 @@ from flocklab.diagnostics import (
     particle_energy_support,
     perturbed_particle_energy_max,
 )
-from flocklab.dynamics import Ensemble, pair_product, recenter
+from flocklab.dynamics import Ensemble, recenter
 from flocklab.potentials import QuadraticPotential, ZeroPotential
-from oracles import dense_fluctuations, dense_pair_functional_f, dense_particle_energy_support
+from oracles import dense_fluctuations, dense_pair_functional_f, dense_particle_energy_support, pair_product
 
 
 def _pair():

@@ -1,6 +1,11 @@
 """Agent dynamics: right-hand side, RK4 stepping, means, recentering."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +21,16 @@ from flocklab.dynamics import (
     step_rk4,
 )
 from flocklab.dynamics import _rhs_u
-from flocklab.kernels import ConstantKernel, FloorClippedKernel, PowerLawKernel, kernel_eval
+from flocklab.hydro2d import _pair_terms_2d, _rhs_arrays_2d
+from flocklab.kernels import ConstantKernel, FloorClippedKernel, PowerLawKernel, kernel_bounds, kernel_eval
 from flocklab.potentials import QuadraticPotential, ZeroPotential
 
-from oracles import pairwise_attraction_du
+from oracles import (
+    dense_alignment_force,
+    dense_conv_phi,
+    dense_gradient_forcing,
+    pairwise_attraction_du,
+)
 
 
 def _random_ensemble(rng, n, d, equal_mass=False):
@@ -291,14 +302,100 @@ def test_ensemble_validation():
         Ensemble(x=[[0.0, 0.0]], u=[[0.0, 0.0]], m=[1.0], grad_u=np.zeros((1, 2)))
 
 
-def test_pair_scratch_grows_to_the_largest_n_only(monkeypatch):
-    # the scratch is one pair of flat buffers per process, not a pair per N
-    monkeypatch.setattr(dynamics, "_scratch", (np.empty(0), np.empty(0)))
-    rng = np.random.default_rng(4)
-    for n in range(100, 1001, 100):
-        ens = _random_ensemble(rng, n, 1)
-        dynamics.alignment_force(ens.x, ens.u, ens.m, PowerLawKernel(1.0, 1.0))
-    assert sum(buf.nbytes for buf in dynamics._scratch) <= 2 * 8 * 1000**2
+_PAIR_KERNELS = (
+    PowerLawKernel(1.3, 0.5),
+    PowerLawKernel(0.8, 1.0),
+    PowerLawKernel(1.1, 0.7),
+    ConstantKernel(0.6),
+    FloorClippedKernel(PowerLawKernel(1.0, 0.7), 0.2),  # clips beyond r of about 3
+)
+
+
+def _assert_close(got, want, scale):
+    # the blocked sums differ from the dense ones in summation order only
+    assert np.abs(got - want).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 130, 700])
+def test_pair_pass_matches_the_dense_sums(n):
+    # every row block, its transposed share and the ragged last block, against
+    # N x N kernel and gradient-weight matrices; the scales bound each sum's
+    # terms: |phi| <= phi(0), |phi'(r)/r (x_i - x_j)| <= sup |phi'|, |u_j - u_i| <= 2 max |u|
+    rng = np.random.default_rng(n)
+    for d in (1, 2, 3):
+        ens = _random_ensemble(rng, n, d)
+        for kernel in _PAIR_KERNELS:
+            _, phi_plus, dphi_inf = kernel_bounds(kernel, 0.0)
+            conv_scale = ens.total_mass * phi_plus
+            force_scale = 2.0 * np.abs(ens.u).max() * conv_scale
+            force, phi_conv = dynamics.alignment_force(ens.x, ens.u, ens.m, kernel)
+            dense_force, dense_conv = dense_alignment_force(ens.x, ens.u, ens.m, kernel)
+            _assert_close(force, dense_force, force_scale)
+            _assert_close(phi_conv, dense_conv, conv_scale)
+            _assert_close(conv_phi(ens.x, ens.m, kernel), dense_conv_phi(ens.x, ens.m, kernel), conv_scale)
+            if d == 2:
+                force, phi_conv, forcing = _pair_terms_2d(ens.x, ens.u, ens.m, kernel)
+                _assert_close(force, dense_force, force_scale)
+                _assert_close(phi_conv, dense_conv, conv_scale)
+                want = dense_gradient_forcing(ens.x, ens.u, ens.m, kernel)
+                _assert_close(forcing, want, force_scale / phi_plus * dphi_inf)
+
+
+def test_pair_pass_builds_no_pair_matrix(monkeypatch):
+    n = 700
+    rng = np.random.default_rng(5)
+    ens = _random_ensemble(rng, n, 2)
+    grad_u = rng.uniform(-1.0, 1.0, (n, 2, 2))
+    kernel, potential = PowerLawKernel(1.0, 0.5), QuadraticPotential(1.0)
+    monkeypatch.setattr(dynamics, "_block_buffers", (np.empty(0), np.empty(0)))
+
+    def passes():
+        dynamics.alignment_force(ens.x, ens.u, ens.m, kernel)
+        conv_phi(ens.x, ens.m, kernel)
+        _rhs_arrays_2d(ens.x, ens.u, grad_u, ens.m, kernel, potential)
+
+    passes()  # grows the block buffers, once per process
+    assert sum(buf.nbytes for buf in dynamics._block_buffers) == 2 * 128 * n * 8
+    tracemalloc.start()
+    try:
+        passes()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 // 4
+
+
+_CAP_PASS = """
+import hashlib, sys
+import numpy as np
+from flocklab.dynamics import alignment_force, conv_phi
+from flocklab.hydro2d import _pair_terms_2d
+from flocklab.kernels import PowerLawKernel
+kernel = PowerLawKernel(1.0, 0.5)
+digest = hashlib.sha256()
+for n in (700, 2048):
+    rng = np.random.default_rng(n)
+    x, u, m = rng.normal(size=(n, 2)), rng.normal(size=(n, 2)), rng.uniform(0.1, 1.0, n)
+    for arr in (*alignment_force(x, u, m, kernel), conv_phi(x, m, kernel), *_pair_terms_2d(x, u, m, kernel)):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+sys.stdout.write(digest.hexdigest())
+"""
+
+
+def test_pair_pass_bytes_do_not_depend_on_blas_threads():
+    # up to the config cap N = 2048 every block product stays on one BLAS
+    # thread; at N = 700 unblocked products of these shapes differ under 2 threads
+    src = str(Path(dynamics.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = [
+        subprocess.run(
+            [sys.executable, "-c", _CAP_PASS],
+            env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads},
+            check=True, capture_output=True, text=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def test_pairwise_weights_match_definition():

@@ -494,3 +494,14 @@ def test_cli_bad_axis_spec(tmp_path, capsys):
     cfg_path = tmp_path / "sweep.cfg"
     cfg_path.write_text(SHARP_SWEEP)
     assert cli_main(["sweep", str(cfg_path), "--axis", "oops"]) == 2
+
+
+def test_analysis_carries_the_report_pair_rates():
+    # a stable coupling: pair_f and pair_mu are filled together, with the report's rates;
+    # below the stability condition both stay empty and the report has no rates
+    for name, stable in (("convex-flocking-constant", True), ("blowup-1d-unconditional", False)):
+        cfg = preset_config(name)
+        an = runner.analyze(cfg)
+        rep = runner.constants_for(cfg, an)
+        assert bool(an.pair_f) == bool(an.pair_mu) == stable
+        assert an.pair_mu == ((rep.mu1, rep.mu2, rep.mu3) if stable else ())
