@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: simulate, classify, constants, sweep, check.  A config
-argument is a file path or a preset name.  The FLOCKLAB_THREADS variable
-caps sweep parallelism; single runs are sequential and bitwise
-reproducible regardless of its value.
+argument is a file path or a preset name.  The FLOCKLAB_THREADS variable,
+a positive integer, caps sweep parallelism; single runs are sequential and
+bitwise reproducible regardless of its value.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ from .runner import analyze, apriori_velocity_bound, classify, constants_for, ru
 
 def _thread_cap() -> int:
     raw = os.environ.get("FLOCKLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    if not (raw.strip().isdecimal() and int(raw) > 0):
+        raise ConfigError(f"FLOCKLAB_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _parse_axis(spec: str):

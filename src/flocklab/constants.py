@@ -26,6 +26,7 @@ __all__ = [
     "linf_constant",
     "linf_constant_via_f1",
     "linf_constant_conservative",
+    "pair_stable",
     "pair_rates",
     "pair_beta",
     "pair_functional",
@@ -102,6 +103,15 @@ def pair_beta(a: float, A: float, K: float) -> float:
     return 2.0 * a * K / (A * A)
 
 
+def pair_stable(a: float, A: float, K: float) -> bool:
+    """The pair functional's stability condition K > A / sqrt(a), False if a <= 0.
+
+    The one place it is decided: ``pair_rates``, ``pair_functional`` and the
+    runner's sqrt-weighted trend check all ask it.
+    """
+    return a > 0.0 and K > A / math.sqrt(a)
+
+
 def pair_rates(a: float, A: float, K: float) -> tuple[float, float, float]:
     """Decay and comparability constants (mu1, mu2, mu3) of the pair functional.
 
@@ -119,7 +129,7 @@ def pair_rates(a: float, A: float, K: float) -> tuple[float, float, float]:
     K > A / sqrt(a); a ValueError is raised otherwise.
     """
     _require(a > 0.0 and A >= a, "A >= a > 0")
-    if not K > A / math.sqrt(a):
+    if not pair_stable(a, A, K):
         raise ValueError(
             f"stability condition fails: K = {K} must exceed A/sqrt(a) = {A / math.sqrt(a)}"
         )
@@ -134,8 +144,8 @@ def pair_rates(a: float, A: float, K: float) -> tuple[float, float, float]:
 
 
 def pair_functional(a: float, A: float, K: float):
-    """(beta, (mu1, mu2, mu3)) of the pair functional, the rates () unless K > A / sqrt(a) (a > 0)."""
-    return pair_beta(a, A, K), pair_rates(a, A, K) if K > A / math.sqrt(a) else ()
+    """(beta, (mu1, mu2, mu3)) of the pair functional, the rates () unless ``pair_stable(a, A, K)``."""
+    return pair_beta(a, A, K), pair_rates(a, A, K) if pair_stable(a, A, K) else ()
 
 
 def support_scale(

@@ -17,8 +17,9 @@ The functionals monitored per output frame:
   term, whose decay gives the L2 and worst-pair bounds (quadratic case).
 
 A frame's deltaE_L2, deltaE_Linf, D and F_const_max come from one
-``pair_scan``; ``fluctuations``, ``particle_energy_support`` and
-``pair_functional_f`` wrap it.
+``pair_scan`` over the upper-triangle row blocks of ``dynamics.pair_blocks``,
+the pass that serves the right-hand sides; ``fluctuations``,
+``particle_energy_support`` and ``pair_functional_f`` wrap it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import Ensemble, means, product_rows
+from .dynamics import Ensemble, add_block, means, pair_blocks
 from .potentials import Potential, value_at
 
 __all__ = [
@@ -55,69 +56,41 @@ def energy(ens: Ensemble, potential: Potential) -> tuple[float, float]:
     return total, kinetic
 
 
-# pair_scan's five (N, 64) column-block buffers, grown to the largest N
-# seen (runs are sequential and sweeps use processes); a narrow block keeps
-# the row stride 64, which is part of what keeps its product's bytes
-_block_scratch = np.empty((5, 0, 64))
-
-
-def _column_blocks(n: int, m: np.ndarray):
-    """Ranges of at most 64 columns whose ``block.T @ m`` give ``pair.T @ m``'s bytes in ``product_rows(m)`` row blocks.
-
-    They restart at each of its row blocks and never leave 1 to 3 columns,
-    which OpenBLAS 0.3.31 multiplies on another path.
-    """
-    step = product_rows(m)
-    for start in range(0, n, step):
-        cuts = [*range(start, min(start + step, n), 64), min(start + step, n)]
-        if len(cuts) > 2 and cuts[-1] - cuts[-2] < 4:
-            cuts[-2] -= 4
-        yield from zip(cuts, cuts[1:])
-
-
 def pair_scan(ens: Ensemble, a: float, coupling: Optional[float] = None, beta: Optional[float] = None):
-    """(deltaE_L2, deltaE_Linf, D, F_const_max) of a state from one pass over its pairs.
+    """(deltaE_L2, deltaE_Linf, D, F_const_max) of a state from one pass over its pairs i <= j.
 
     With dx = x_i - x_j, du = u_i - u_j and pair = |du|^2 + a |dx|^2:
     deltaE_L2 = sum_ij m_i m_j pair, deltaE_Linf = max pair, D = max |dx| and,
     given K = ``coupling``, F_const_max = max K/2 |dx|^2 + dx.du + beta/2 |du|^2
-    (else NaN).  Coordinates are summed even ones first (numpy einsum's order
-    up to d = 3), so the results are bitwise those of the dense N x N x d forms.
+    (else NaN).  The pairs come in ``pair_blocks``' upper-triangle row blocks,
+    with coordinates summed even ones first, so the maxima are bitwise those
+    of the dense N x N x d forms; deltaE_L2 is m @ (pair @ m) from ``add_block``.
     """
-    global _block_scratch
     if a < 0.0:
         raise ValueError(f"fluctuation weight a must be nonnegative, got {a}")
     cross = coupling is not None
     x, u, m = ens.x, ens.u, ens.m
-    n, d = x.shape
-    if _block_scratch.shape[1] < n:
-        _block_scratch = np.empty((5, n, 64))
-    col_sums = np.empty(n)
+    d = x.shape[1]
+    sums = np.zeros(len(m))
     linf = d_sq = f_max = -np.inf
-    for lo, hi in _column_blocks(n, m):
-        tx, tu, sx, su, xu = _block_scratch[:, :n, :hi - lo]
+    for lo, hi, sx, (su, du, tx, xu), diffs in pair_blocks(x, m, spares=4):
         for k in (*range(0, d, 2), *range(1, d, 2)):
-            dx = np.subtract(x[:, k, None], x[None, lo:hi, k], out=tx)
-            if k == 0:
-                np.multiply(dx, dx, out=sx)
-                du = np.subtract(u[:, 0, None], u[None, lo:hi, 0], out=tu)
-                if cross:
-                    np.multiply(dx, du, out=xu)
-                np.multiply(du, du, out=su)
-            else:  # tu holds dx^2 until du needs it, then tx takes dx * du
-                sx += np.multiply(dx, dx, out=tu)
-                du = np.subtract(u[:, k, None], u[None, lo:hi, k], out=tu)
-                if cross:
-                    xu += np.multiply(dx, du, out=tx)
-                su += np.multiply(du, du, out=du)
+            uk = np.subtract(u[lo:hi, k, None], u[None, lo:, k], out=du if k else su)
+            if cross:
+                xk = np.multiply(np.matmul(*diffs[k], out=tx), uk, out=tx if k else xu)
+                if k:
+                    xu += xk
+            np.multiply(uk, uk, out=uk)
+            if k:
+                su += uk
         d_sq = max(d_sq, sx.max())
-        pair = np.add(np.multiply(sx, a, out=tx), su, out=tx) if a != 0.0 else su
+        pair = np.add(np.multiply(sx, a, out=du), su, out=du) if a != 0.0 else su
         linf = max(linf, pair.max())
-        col_sums[lo:hi] = pair.T @ m  # the block's share of m @ pair, on one BLAS thread
+        add_block(sums, pair, m, lo, hi)
         if cross:
-            np.add(np.multiply(sx, 0.5 * coupling, out=tu), xu, out=tu)
-            f_max = max(f_max, np.add(tu, np.multiply(su, 0.5 * beta, out=su), out=tu).max())
-    return float(col_sums @ m), float(linf), float(math.sqrt(d_sq)), float(f_max) if cross else math.nan
+            np.add(np.multiply(sx, 0.5 * coupling, out=tx), xu, out=tx)
+            f_max = max(f_max, np.add(tx, np.multiply(su, 0.5 * beta, out=su), out=tx).max())
+    return float(m @ sums), float(linf), float(math.sqrt(d_sq)), float(f_max) if cross else math.nan
 
 
 def fluctuations(ens: Ensemble, a: float) -> tuple[float, float]:

@@ -12,13 +12,15 @@ total mass sum(m).  Equal weights m_j = m0/N recover the plain arithmetic
 average.  The vanishing i = j term is kept in the sums (it contributes
 exactly zero).
 
-The pairwise sums visit each pair i <= j once: ``pair_blocks`` builds the
-squared distances of a row block against the columns from its first row on,
-the kernel is evaluated there once, and ``add_block`` adds the block's BLAS
-product with [m, m*u] to its rows and its transpose's to the rows below.
-No N x N array is built, and every product stays on one OpenBLAS thread, so
-runs give the same bytes whatever OPENBLAS_NUM_THREADS is (a test compares
-1 and 2 threads at the config cap N = 2048).
+The pairwise sums, and the frame functionals of ``diagnostics.pair_scan``,
+visit each pair i <= j once: ``pair_blocks`` builds the squared distances of
+a row block against the columns from its first row on, in one pool of flat
+buffers per process, the kernel (or the frame's pair value) is evaluated
+there once, and ``add_block`` adds the block's BLAS product with [m, m*u]
+(or m) to its rows and its transpose's to the rows below.  No N x N array
+is built, and every product stays on one OpenBLAS thread, so runs give the
+same bytes whatever OPENBLAS_NUM_THREADS is (a test compares 1 and 2
+threads at the config cap N = 2048).
 
 ``Ensemble`` is the one state record of every solver mode: particles
 carry (x, u), 1D characteristics add the threshold variable e and the
@@ -147,7 +149,7 @@ class Means:
     u_c: np.ndarray
 
 
-# pair_blocks' two flat (rows, N) buffers, grown to the largest N seen (runs are
+# pair_blocks' flat (rows, N) buffers, grown to the largest count and N seen (runs are
 # sequential and sweeps use processes); flat, so a block's layout depends on N alone
 _block_buffers = (np.empty(0), np.empty(0))
 
@@ -161,27 +163,30 @@ def product_rows(b: np.ndarray) -> int:
     return max(1, (2**19 if b.ndim > 1 else 2**18) // b.size)
 
 
-def pair_blocks(x: np.ndarray, b: np.ndarray):
+def pair_blocks(x: np.ndarray, b: np.ndarray, spares: int = 1):
     """Upper-triangle row blocks (lo, hi, r_sq, spare, diffs) of the pair matrices, for sums against b.
 
-    r_sq[i - lo, j - lo] = |x_i - x_j|^2 for i in [lo, hi), j in [lo, N), and spare is free, both
-    overwritten by the next block; ``np.matmul(*diffs[k], out=spare)`` gives (x_i - x_j)_k as the
-    GEMM x_i * 1 + (-1) * x_j, the subtraction bit for bit.  Blocks of min(128, product_rows(b))
-    rows keep each product of ``add_block`` on one BLAS thread.
+    r_sq[i - lo, j - lo] = |x_i - x_j|^2 for i in [lo, hi), j in [lo, N), its coordinates summed even
+    ones first (numpy einsum's order up to d = 3), and spare is a list of ``spares`` >= 1 free arrays
+    of its shape, all overwritten by the next block; ``np.matmul(*diffs[k], out=...)`` gives
+    (x_i - x_j)_k as the GEMM x_i * 1 + (-1) * x_j, the subtraction bit for bit.  Blocks of
+    min(128, product_rows(b)) rows keep each product of ``add_block`` on one BLAS thread.
     """
     global _block_buffers
     n, d = x.shape
     rows = min(128, product_rows(b))
-    if _block_buffers[0].size < rows * n:
-        _block_buffers = (np.empty(rows * n), np.empty(rows * n))
+    if len(_block_buffers) <= spares or _block_buffers[0].size < rows * n:
+        size = max(rows * n, _block_buffers[0].size)
+        _block_buffers = tuple(np.empty(size) for _ in range(max(1 + spares, len(_block_buffers))))
     left, right = np.empty((d, n, 2)), np.ones((d, 2, n))  # left[k] = [x_k, -1], right[k] = [1; x_k^T]
     left[:, :, 0], left[:, :, 1], right[:, 1] = x.T, -1.0, x.T
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        r_sq, spare = (buf[: (hi - lo) * (n - lo)].reshape(hi - lo, n - lo) for buf in _block_buffers)
+        size = (hi - lo) * (n - lo)
+        r_sq, *spare = (buf[:size].reshape(hi - lo, n - lo) for buf in _block_buffers[: 1 + spares])
         diffs = [(left[k, lo:hi], right[k, :, lo:]) for k in range(d)]
-        for k, pair in enumerate(diffs):
-            dk = np.matmul(*pair, out=spare if k else r_sq)
+        for k in (*range(0, d, 2), *range(1, d, 2)):
+            dk = np.matmul(*diffs[k], out=spare[0] if k else r_sq)
             np.multiply(dk, dk, out=dk)
             if k:
                 r_sq += dk

@@ -143,7 +143,7 @@ def _pair_terms_2d(x, u, m, kernel):
     """
     b = np.column_stack((m, m[:, None] * u))
     sums = np.zeros((3, *b.shape))
-    for lo, hi, r_sq, spare, diffs in pair_blocks(x, b):
+    for lo, hi, r_sq, (spare,), diffs in pair_blocks(x, b):
         phi = kernel_eval_sq(kernel, r_sq, out=spare)
         slope = kernel_slope_over_r_sq(kernel, r_sq, phi, out=r_sq)
         add_block(sums[0], phi, b, lo, hi)

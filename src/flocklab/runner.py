@@ -496,11 +496,7 @@ def _evaluate_checks(summary, cfg, an: Analysis, frames, track, threshold):
             tol=1e-9,
             max_violation=float((delta_l2 - bound).max()),
         ))
-    if (
-        isinstance(cfg.kernel, PowerLawKernel)
-        and a_lo > 0.0
-        and m0 * phi_plus > a_hi / math.sqrt(a_lo)
-    ):
+    if isinstance(cfg.kernel, PowerLawKernel) and consts.pair_stable(a_lo, a_hi, m0 * phi_plus):
         check = _sqrt_trend_check(times, delta_l2, cfg.t_final)
         if check is not None:
             checks.append(check)
@@ -694,7 +690,8 @@ def sweep(cfg: ExperimentConfig, axes, simulate: bool = False, max_workers: Opti
     """Classify (and optionally simulate) over a grid of one or two config axes.
 
     ``axes`` is a list of (key_path, values); the grid is traversed in
-    row-major order and the output rows preserve it even in parallel mode.
+    row-major order and the output rows preserve it even in parallel mode,
+    which runs at most min(``max_workers``, grid points) processes.
     """
     if not 1 <= len(axes) <= 2:
         raise ConfigError("sweep supports one or two axes")
@@ -704,10 +701,11 @@ def sweep(cfg: ExperimentConfig, axes, simulate: bool = False, max_workers: Opti
         points = [p + [(axes[1][0], w)] for p in points for w in axes[1][1]]
 
     tasks = [(cfg, overrides, simulate) for overrides in points]
-    if max_workers is not None and max_workers > 1:
+    workers = min(max_workers or 1, len(tasks))
+    if workers > 1:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, tasks))
     else:
         rows = [_sweep_point(t) for t in tasks]

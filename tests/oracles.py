@@ -3,18 +3,16 @@
 These deliberately avoid the package's code paths: the Riccati solution is
 derived by hand from e' = -e(e - K) - A, the oscillator from x'' = -a x,
 and the pairwise-attraction variant is summed over explicit pair arrays.
-The dense frame functionals build the full N x N x d pair arrays that
-``diagnostics.pair_scan`` visits in column blocks; they take the mass sum
-through ``pair_product``, whose bytes the scan keeps.  The dense pair sums
-build the N x N kernel and gradient-weight matrices that the blocked pass of
-``dynamics.pair_blocks`` visits one upper-triangle row block at a time.
+The dense frame functionals build the full N x N x d pair arrays, and the
+dense pair sums the N x N kernel and gradient-weight matrices, that
+``diagnostics.pair_scan`` and the blocked pass of ``dynamics.pair_blocks``
+visit one upper-triangle row block at a time.
 """
 
 import math
 
 import numpy as np
 
-from flocklab.dynamics import product_rows
 from flocklab.kernels import ConstantKernel, FloorClippedKernel, kernel_eval_sq
 from flocklab.potentials import value_at
 
@@ -80,12 +78,6 @@ def pairwise_attraction_du(x, u, m, phi, a):
     return alignment - (a / m.sum()) * np.einsum("j,ijd->id", m, dx)
 
 
-def pair_product(w, b):
-    """w @ b for an N x N matrix w, in row blocks of ``product_rows(b)`` rows (one BLAS thread each)."""
-    rows = product_rows(b)
-    return np.concatenate([w[lo:lo + rows] @ b for lo in range(0, w.shape[0], rows)])
-
-
 def _pairwise_sq_norms(z):
     diff = z[:, None, :] - z[None, :, :]
     return np.einsum("ijd,ijd->ij", diff, diff)
@@ -96,7 +88,7 @@ def dense_fluctuations(ens, a):
     pair = _pairwise_sq_norms(ens.u)
     if a != 0.0:
         pair = pair + a * _pairwise_sq_norms(ens.x)
-    weighted = float(pair_product(pair.T, ens.m) @ ens.m)  # m @ pair @ m
+    weighted = float(ens.m @ (pair @ ens.m))
     return weighted, float(pair.max())
 
 
@@ -118,7 +110,7 @@ def dense_pair_functional_f(ens, coupling, beta):
 
 
 def _dense_alignment(w, u, m):
-    r = pair_product(w, np.column_stack((m, m[:, None] * u)))
+    r = w @ np.column_stack((m, m[:, None] * u))
     return r[:, 1:] - u * r[:, :1], r[:, 0]
 
 
@@ -129,7 +121,7 @@ def dense_alignment_force(x, u, m, kernel):
 
 def dense_conv_phi(x, m, kernel):
     """sum_j m_j phi(|x_i - x_j|) from the whole N x N kernel matrix."""
-    return pair_product(kernel_eval_sq(kernel, _pairwise_sq_norms(x)), m)
+    return kernel_eval_sq(kernel, _pairwise_sq_norms(x)) @ m
 
 
 def _closed_form_slope(kernel, r_sq):

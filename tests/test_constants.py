@@ -16,6 +16,7 @@ from flocklab.constants import (
     pair_beta,
     pair_functional,
     pair_rates,
+    pair_stable,
     phi_min_from_support,
     reduction_constants,
     support_scale,
@@ -88,6 +89,18 @@ def test_pair_functional_decides_stability_once():
     # the run's analysis and the constants report both take (beta, rates) from here
     assert pair_functional(1.0, 1.5, 2.0) == (pair_beta(1.0, 1.5, 2.0), pair_rates(1.0, 1.5, 2.0))
     assert pair_functional(1.0, 1.5, 1.5) == (pair_beta(1.0, 1.5, 1.5), ())  # K = A/sqrt(a): not strict
+
+
+def test_pair_stable_on_both_sides_of_the_threshold():
+    # A / sqrt(a) is exactly 1.5 for both pairs; the condition is strict
+    for a, A in ((1.0, 1.5), (0.25, 0.75)):
+        below, above = np.nextafter(1.5, 0.0), np.nextafter(1.5, 2.0)
+        assert [pair_stable(a, A, K) for K in (below, 1.5, above)] == [False, False, True]
+        assert pair_functional(a, A, 1.5)[1] == ()
+        assert pair_functional(a, A, above)[1] == pair_rates(a, A, above)
+        with pytest.raises(ValueError, match="stability condition"):
+            pair_rates(a, A, 1.5)
+    assert not pair_stable(0.0, 1.0, 1e300)  # no convexity, no stability
 
 
 def test_pair_rates_consistent_on_grid():

@@ -368,7 +368,8 @@ def test_pair_pass_builds_no_pair_matrix(monkeypatch):
 _CAP_PASS = """
 import hashlib, sys
 import numpy as np
-from flocklab.dynamics import alignment_force, conv_phi
+from flocklab.diagnostics import pair_scan
+from flocklab.dynamics import Ensemble, alignment_force, conv_phi
 from flocklab.hydro2d import _pair_terms_2d
 from flocklab.kernels import PowerLawKernel
 kernel = PowerLawKernel(1.0, 0.5)
@@ -378,13 +379,15 @@ for n in (700, 2048):
     x, u, m = rng.normal(size=(n, 2)), rng.normal(size=(n, 2)), rng.uniform(0.1, 1.0, n)
     for arr in (*alignment_force(x, u, m, kernel), conv_phi(x, m, kernel), *_pair_terms_2d(x, u, m, kernel)):
         digest.update(np.ascontiguousarray(arr).tobytes())
+    digest.update(np.array(pair_scan(Ensemble(x=x, u=u, m=m), 0.8, 1.7, 0.9)).tobytes())
 sys.stdout.write(digest.hexdigest())
 """
 
 
 def test_pair_pass_bytes_do_not_depend_on_blas_threads():
     # up to the config cap N = 2048 every block product stays on one BLAS
-    # thread; at N = 700 unblocked products of these shapes differ under 2 threads
+    # thread; at N = 700 unblocked products of these shapes differ under 2
+    # threads.  The frame scan's mass sums run through the same blocks
     src = str(Path(dynamics.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     digests = [

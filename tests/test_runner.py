@@ -345,6 +345,40 @@ def test_sweep_parallel_preserves_order():
     assert parallel == sequential
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every process pool a sweep opens; the pools map in this process."""
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_sweep_caps_workers_at_the_grid_points(pool_sizes):
+    cfg = parse_config(SHARP_SWEEP)
+    axes = [("initial.amplitude", [-1.5, -0.5])]
+    _, sequential = sweep(cfg, axes)
+    _, rows = sweep(cfg, axes, max_workers=5000)
+    assert pool_sizes == [2] and rows == sequential
+    sweep(cfg, [("initial.amplitude", [0.5])], max_workers=5000)  # one point opens no pool
+    assert pool_sizes == [2]
+
+
 def test_sweep_simulate_outcome_column(monkeypatch):
     cfg = parse_config(SHARP_SWEEP.replace("t = 1.0", "t = 2.0"))
     columns, rows = sweep(cfg, [("initial.amplitude", [-1.5, 0.0])], simulate=True)
@@ -442,6 +476,21 @@ def test_cli_sweep_parallel_matches_sequential(tmp_path, monkeypatch):
     monkeypatch.setenv("FLOCKLAB_THREADS", "2")
     assert cli_main(["sweep", str(cfg_path), *axis, "--parallel", "--out", str(par)]) == 0
     assert seq.read_text() == par.read_text()
+
+
+def test_cli_sweep_thread_cap(tmp_path, monkeypatch, capsys, pool_sizes):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(SHARP_SWEEP)
+    args = ["sweep", str(cfg_path), "--axis", "initial.amplitude=-1.5:-0.5:2", "--parallel",
+            "--out", str(tmp_path / "grid.csv")]
+    monkeypatch.setenv("FLOCKLAB_THREADS", "5000")
+    assert cli_main(args) == 0
+    assert pool_sizes == [2]
+    for bad in ("abc", "0", "-3", "2.5", ""):
+        monkeypatch.setenv("FLOCKLAB_THREADS", bad)
+        assert cli_main(args) == 2
+        assert "FLOCKLAB_THREADS must be a positive integer" in capsys.readouterr().err
+    assert pool_sizes == [2]
 
 
 def test_cli_check_blowup_preset(capsys):

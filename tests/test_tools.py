@@ -1,0 +1,47 @@
+"""The preset tools: ``tools/preset_roundoff.py``'s exit status, with its preset runs stubbed."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from flocklab.config import preset_names
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+FRAMES = "# columns: t,E\n0.0,1.0\n1.0,0.5\n"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "other_csv, other_checks, status",
+    [
+        (FRAMES, {"bound": True}, 0),
+        (FRAMES.replace("0.5\n", "0.5000000000000001\n"), {"bound": True}, 0),  # round-off only
+        (FRAMES, {"bound": False}, 1),  # a verdict changed
+        (FRAMES, {}, 1),  # a check is gone
+        ("# columns: t,E\n0.0,1.0\n", {"bound": True}, 1),  # another frame count
+        (FRAMES.replace("t,E", "t,E_k"), {"bound": True}, 1),  # other columns
+    ],
+    ids=["same", "roundoff", "verdict", "check-gone", "frame-count", "columns"],
+)
+def test_preset_roundoff_exit_status(monkeypatch, tmp_path, capsys, other_csv, other_checks, status):
+    roundoff = _load("preset_roundoff")
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main puts this checkout's src first
+
+    def fake_run(checkout, preset):  # no subprocess: the other checkout gives the case's frames
+        if checkout == tmp_path:
+            return {"csv": other_csv, "checks": other_checks}
+        return {"csv": FRAMES, "checks": {"bound": True}}
+
+    monkeypatch.setattr(roundoff, "_run", fake_run)
+    assert roundoff.main([str(tmp_path)]) == status
+    lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith(" ")]
+    assert [line.split(":")[0] for line in lines] == list(preset_names())

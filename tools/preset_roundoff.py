@@ -8,7 +8,8 @@ on one OpenBLAS thread.  For each preset the report gives the largest
 relative difference in every frame column, by bench/verify.py's rule:
 |this - other| over the larger of |other| and the largest |value| of that
 column in the other run.  NaN must meet NaN.  The preset's line also says
-whether any bound-check verdict changed.
+whether any bound-check verdict changed.  The exit status is 1 when any
+verdict changed or any preset's frame tables differ in shape, else 0.
 """
 
 import json
@@ -68,13 +69,15 @@ def column_roundoff(this_csv: str, other_csv: str) -> dict:
     return worst
 
 
-def main() -> None:
-    if len(sys.argv) != 2:
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
         sys.exit(__doc__)
-    other = Path(sys.argv[1]).resolve()
+    other = Path(args[0]).resolve()
     sys.path.insert(0, str(HERE / "src"))
     from flocklab.config import preset_names
 
+    status = 0
     for preset in preset_names():
         with ThreadPoolExecutor(max_workers=2) as pool:
             mine, theirs = pool.map(lambda root: _run(root, preset), (HERE, other))
@@ -82,9 +85,12 @@ def main() -> None:
             name for name in mine["checks"].keys() | theirs["checks"].keys()
             if mine["checks"].get(name) != theirs["checks"].get(name)
         )
+        if changed:
+            status = 1
         try:
             worst = column_roundoff(mine["csv"], theirs["csv"])
         except ValueError as exc:
+            status = 1
             print(f"{preset}: {exc}; verdicts changed: {', '.join(changed) or 'none'}", flush=True)
             continue
         largest = max(worst.values(), key=lambda v: math.inf if math.isnan(v) else v, default=0.0)
@@ -93,7 +99,8 @@ def main() -> None:
             + " ".join(f"{name}={value:.2g}" for name, value in worst.items()),
             flush=True,
         )
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
