@@ -6,8 +6,8 @@ Characteristic modes never use randomness: positions are quadrature nodes
 of the bump profile and velocities come from the analytic profile, whose
 exact derivative initializes e (1D) and the velocity gradient (2D).
 
-``build_state`` returns the state only; ``runner.analyze`` summarizes it
-as the t = 0 diagnostics frame, which every a-priori decision reads.
+``build_state`` returns the state only; ``runner.analyze`` decides the
+a-priori bounds from it and summarizes it as the t = 0 diagnostics frame.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 
 # energy, fluctuations, particle_energy_support, conv_phi, means, spectral_arrays and
 # convexity_bounds are unused here but stay imported: the benchmark's tracer rebinds them.
@@ -46,36 +46,27 @@ def build_state(cfg: ExperimentConfig) -> Ensemble:
     if cfg.mode == "hydro1d":
         return init_characteristics(
             BumpDensity(cfg.initial.bump_height, cfg.initial.half_width),
-            _velocity_profile_1d(cfg),
+            _velocity_profile(cfg),
             cfg.n,
             cfg.kernel,
             m0=cfg.m0,
         )
     return init_characteristics_2d(
         BumpDensity2D(cfg.initial.bump_height, cfg.initial.half_width),
-        _velocity_profile_2d(cfg),
+        _velocity_profile(cfg),
         math.isqrt(cfg.n),
         cfg.kernel,
         m0=cfg.m0,
     )
 
 
-def _velocity_profile_1d(cfg: ExperimentConfig):
-    kind = cfg.initial.velocities
-    if kind == "linear":
-        return LinearVelocity(cfg.initial.amplitude)
-    if kind == "sinusoidal":
-        return SineVelocity(cfg.initial.amplitude)
-    raise ConfigError(f"initial.velocities: {kind!r} has no analytic profile")
-
-
-def _velocity_profile_2d(cfg: ExperimentConfig):
-    kind = cfg.initial.velocities
-    if kind == "linear":
-        return ShearRotationVelocity(cfg.initial.amplitude, cfg.initial.rotation)
-    if kind == "sinusoidal":
-        return SineShearVelocity(cfg.initial.amplitude, cfg.initial.rotation)
-    raise ConfigError(f"initial.velocities: {kind!r} has no analytic profile")
+def _velocity_profile(cfg: ExperimentConfig):
+    """The analytic velocity profile of a linear or sinusoidal configuration in its dimension."""
+    init = cfg.initial
+    if cfg.dim == 1:
+        return {"linear": LinearVelocity, "sinusoidal": SineVelocity}[init.velocities](init.amplitude)
+    profile = {"linear": ShearRotationVelocity, "sinusoidal": SineShearVelocity}[init.velocities]
+    return profile(init.amplitude, init.rotation)
 
 
 def _build_particles(cfg: ExperimentConfig) -> Ensemble:
@@ -91,9 +82,9 @@ def _build_particles(cfg: ExperimentConfig) -> Ensemble:
     if init.velocities == "random":
         u = rng.uniform(-init.amplitude, init.amplitude, size=(n, d))
     elif d == 1:
-        u = _velocity_profile_1d(cfg).value(x[:, 0])[:, None]
+        u = _velocity_profile(cfg).value(x[:, 0])[:, None]
     else:
-        u = _velocity_profile_2d(cfg).value(x)
+        u = _velocity_profile(cfg).value(x)
 
     if init.x_shift:
         x = x + np.asarray(init.x_shift)[None, :]

@@ -1,9 +1,10 @@
 """Simulation orchestration: time loop, frames, bound checks, sweeps.
 
-``analyze`` builds the initial state, summarizes it once as the t = 0
-frame, and decides every a-priori quantity (convexity and kernel bounds,
-R0, the kernel floor and its source) from that frame; run, classify and
-the CLI's constants report all read its record.
+``analyze`` builds the initial state, decides every a-priori quantity
+(confinement, convexity and kernel bounds, R0, the kernel floor and its
+source, the rates of V) once, and summarizes the state as the t = 0
+frame, built like every later frame; run, classify and the CLI's
+constants report all read its record.
 
 ``run`` integrates a configuration to T, emits one DiagnosticsFrame per
 output stride, and then evaluates post hoc every quantitative bound that
@@ -28,7 +29,6 @@ Identical configurations produce byte-identical frames.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import time
@@ -52,7 +52,8 @@ from .diagnostics import (  # noqa: F401 (the benchmark binds the three pair_sca
     perturbed_particle_energy_max,
 )
 from .dynamics import BlowupSignal, Ensemble, conv_phi, means, step_rk4
-from .hydro1d import classify_1d, detect_blowup, e_upper_bound, smooth_lower_root, step_1d
+from .hydro1d import classify_1d, e_upper_bound, smooth_lower_root, step_1d
+from .hydro1d import detect_blowup  # noqa: F401 (bound by the benchmark)
 from .hydro2d import classify_2d_general, classify_2d_quadratic, spectral_arrays, step_2d
 from .initial import build_state, ensemble_view  # noqa: F401 (bound by the benchmark)
 from .kernels import (
@@ -96,13 +97,7 @@ class BoundCheck:
         return self.max_violation <= self.tol
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "tol": self.tol,
-            "max_violation": self.max_violation,
-            "pass": self.passed,
-        }
+        return {**asdict(self), "pass": self.passed}
 
 
 @dataclass
@@ -158,20 +153,24 @@ class RunResult:
 class Analysis:
     """What a configuration fixes before the first step, decided once.
 
+    ``confined`` holds for a quadratic potential with centered data, the
+    setting of the paper's flocking theorem.  ``r0`` is then the support
+    bound R0, else (or without a closed form) None.
+
     ``phi_minus`` is the best a-priori kernel floor and ``phi_source`` the
     chain that produced it: kernels bounded below give their infimum
-    ("kernel-infimum"); a decaying kernel under quadratic confinement with
-    centered data is floored through the support bound,
-    phi_minus = phi(sqrt(8 R0 / a)) ("support-chain"); otherwise it is None
-    ("unavailable") and the floor has to be measured from the run
-    diameter.  ``coupling`` is m0 * phi for a constant kernel, else None;
-    ``pair_f`` is (K, beta) of the pair functional F and ``pair_mu`` its
-    rates (mu1, mu2, mu3) when that coupling K passes the stability
-    condition K > A / sqrt(a) (``constants.pair_functional``), else both ().
+    ("kernel-infimum"); a decaying kernel in a confined run is floored
+    through the support bound, phi_minus = phi(sqrt(8 R0 / a))
+    ("support-chain"); otherwise it is None ("unavailable") and the floor
+    has to be measured from the run diameter.  ``coupling`` is m0 * phi for
+    a constant kernel, else None; ``pair_f`` is (K, beta) of the pair
+    functional F and ``pair_mu`` its rates (mu1, mu2, mu3) when that
+    coupling K passes the stability condition K > A / sqrt(a)
+    (``constants.pair_functional``), else both ().  ``v_rates`` is
+    (lambda, lambda_1) of V and F1 in a confined run with a kernel floor,
+    else ().
 
-    ``frame0`` is run's first frame with NaN in the report columns V and
-    F1_max.  ``r0`` is the support bound R0 under quadratic confinement
-    with centered data, else (or without a closed form) None.
+    ``frame0`` is run's first frame.
     """
 
     state: Ensemble
@@ -185,8 +184,9 @@ class Analysis:
     coupling: Optional[float]
     pair_f: tuple
     pair_mu: tuple
-    centered: bool
+    confined: bool
     r0: Optional[float]
+    v_rates: tuple
 
 
 def analyze(cfg: ExperimentConfig) -> Analysis:
@@ -198,12 +198,11 @@ def analyze(cfg: ExperimentConfig) -> Analysis:
     if coupling is not None and a_lo > 0.0:
         beta, pair_mu = consts.pair_functional(a_lo, a_hi, coupling)
         pair_f = (coupling, beta) if pair_mu else ()
-    frame0 = _state_frame(cfg, a_lo, state, pair_f)
     _, phi_plus, dphi_inf = kernel_bounds(cfg.kernel, 0.0)
-    centered = max(map(abs, frame0.x_c + frame0.u_c), default=0.0) <= _CENTERED_TOL
+    confined = isinstance(cfg.potential, QuadraticPotential) and _centered(state)
     r0 = None
-    if isinstance(cfg.potential, QuadraticPotential) and centered:
-        e0, p0 = frame0.total_energy, frame0.particle_energy
+    if confined:
+        e0, p0 = energy(state, cfg.potential)[0], particle_energy_max(state, cfg.potential)
         try:
             r0 = consts.support_scale(cfg.potential.a, cfg.m0, e0, p0, cfg.kernel)
         except ValueError:  # no closed-form R0 for this kernel
@@ -214,9 +213,20 @@ def analyze(cfg: ExperimentConfig) -> Analysis:
         if r0 is not None:
             phi_minus = consts.phi_min_from_support(cfg.kernel, cfg.potential.a, r0)
             phi_source = "support-chain"
+    v_rates = ()
+    if confined and phi_minus is not None:
+        rate_args = (a_lo, cfg.m0, phi_minus, phi_plus)
+        v_rates = (consts.decay_rate(*rate_args), consts.decay_rate_f1(*rate_args))
+    frame0 = _state_frame(cfg, state, a_lo, pair_f, v_rates)
     return Analysis(
-        state, frame0, a_lo, a_hi, phi_minus, phi_source, phi_plus, dphi_inf, coupling, pair_f, pair_mu, centered, r0
+        state, frame0, a_lo, a_hi, phi_minus, phi_source, phi_plus, dphi_inf, coupling, pair_f, pair_mu,
+        confined, r0, v_rates,
     )
+
+
+def _centered(state: Ensemble) -> bool:
+    c = means(state)
+    return max(map(abs, (*c.x_c, *c.u_c))) <= _CENTERED_TOL
 
 
 def apriori_velocity_bound(cfg: ExperimentConfig, an: Analysis) -> Optional[float]:
@@ -317,29 +327,27 @@ def _integrate(cfg: ExperimentConfig, an: Analysis) -> RunResult:
         except ConfigError as exc:
             report.notes.append(f"classification skipped: {exc}")
 
-    frame_ctx = _FrameContext(cfg, an, report)
+    # read at call time, so a rebound stepper applies
+    step = {"particles": step_rk4, "hydro1d": step_1d, "hydro2d": step_2d}[cfg.mode]
     state = an.state
-    frames = [frame_ctx.complete(dataclasses.replace(an.frame0), state)]
-    track = _StepTrack(an.frame0, active=cfg.mode == "hydro1d")
+    frames = [an.frame0]
+    # the 1D run's e range is taken every step; the persistence checks need more than the frames
+    track_e = state.e is not None
+    min_e, max_e = an.frame0.min_e, an.frame0.max_e
     blowup = None
     n_steps = cfg.n_steps
     try:
         for i in range(1, n_steps + 1):
-            if cfg.mode == "particles":
-                state = step_rk4(state, cfg.kernel, cfg.potential, cfg.dt)
-            elif cfg.mode == "hydro1d":
-                state = step_1d(state, cfg.kernel, cfg.potential, cfg.dt)
-            else:
-                state = step_2d(state, cfg.kernel, cfg.potential, cfg.dt)
+            state = step(state, cfg.kernel, cfg.potential, cfg.dt)
             state.t = i * cfg.dt
-            track.observe(state)
+            if track_e:
+                min_e, max_e = min(min_e, float(state.e.min())), max(max_e, float(state.e.max()))
             if i % cfg.output_stride == 0 or i == n_steps:
-                frames.append(frame_ctx.build(state))
+                frames.append(_state_frame(cfg, state, an.a_lo, an.pair_f, an.v_rates))
     except BlowupSignal as sig:
         blowup = (sig.t_lo, sig.t_hi)
-        track.observe_blowup(sig)
         if state.t > frames[-1].t:  # the last finite state is a frame too
-            frames.append(frame_ctx.build(state))
+            frames.append(_state_frame(cfg, state, an.a_lo, an.pair_f, an.v_rates))
 
     summary = RunSummary(
         scenario=cfg.scenario,
@@ -350,62 +358,15 @@ def _integrate(cfg: ExperimentConfig, an: Analysis) -> RunResult:
         blowup=blowup,
         n_frames=len(frames),
     )
-    if track.active:
-        summary.extrema = {"run_min_e": track.run_min_e, "run_max_e": track.run_max_e}
-    _evaluate_checks(summary, cfg, an, frames, track, threshold)
+    if track_e:
+        summary.extrema = {"run_min_e": min_e, "run_max_e": max_e}
+    _evaluate_checks(summary, cfg, an, frames, threshold)
     _fit_rates(summary, cfg, frames)
     return RunResult(summary=summary, frames=frames)
 
 
-class _StepTrack:
-    """Per-step e-extrema for the 1D mode; frame sampling would miss the crossing."""
-
-    def __init__(self, frame0: DiagnosticsFrame, active: bool):
-        self.active = active
-        self.times, self.min_e = [0.0], [frame0.min_e]
-        self.run_min_e, self.run_max_e = frame0.min_e, frame0.max_e
-
-    def observe(self, state):
-        if self.active:
-            lo = float(state.e.min())
-            self.times.append(state.t)
-            self.min_e.append(lo)
-            self.run_min_e = min(self.run_min_e, lo)
-            self.run_max_e = max(self.run_max_e, float(state.e.max()))
-
-    def observe_blowup(self, sig: BlowupSignal):
-        if self.active:
-            self.times.append(sig.t_hi)
-            self.min_e.append(math.nan)
-
-    def series(self):
-        if not self.active:
-            return None
-        return np.asarray(self.times), np.asarray(self.min_e)
-
-
-class _FrameContext:
-    def __init__(self, cfg, an: Analysis, report):
-        self.cfg = cfg
-        self.a_lo = an.a_lo
-        lyapunov = isinstance(cfg.potential, QuadraticPotential) and an.centered
-        self.lam = report.lam if lyapunov else None
-        self.lam1 = report.lam1 if lyapunov else None
-        self.pair_f = an.pair_f
-
-    def build(self, ens: Ensemble) -> DiagnosticsFrame:
-        return self.complete(_state_frame(self.cfg, self.a_lo, ens, self.pair_f), ens)
-
-    def complete(self, frame: DiagnosticsFrame, ens: Ensemble) -> DiagnosticsFrame:
-        """Fill in V and F1_max, which need the report's rates."""
-        if self.lam is not None:
-            frame.lyapunov = lyapunov_v(ens, self.a_lo, self.lam)
-            frame.f1_max = perturbed_particle_energy_max(ens, self.a_lo, self.lam1)
-        return frame
-
-
-def _state_frame(cfg: ExperimentConfig, a_lo: float, ens: Ensemble, pair_f: tuple) -> DiagnosticsFrame:
-    """Every frame column but V and F1_max (NaN); the pair columns come from one ``pair_scan``."""
+def _state_frame(cfg: ExperimentConfig, ens: Ensemble, a_lo: float, pair_f: tuple, v_rates: tuple) -> DiagnosticsFrame:
+    """Every frame column; the pair columns come from one ``pair_scan``, V and F1_max need ``v_rates``."""
     e_total, e_kin = energy(ens, cfg.potential)
     delta_l2, delta_inf, d, f_const = pair_scan(ens, a_lo, *pair_f)
     c = means(ens)
@@ -415,6 +376,10 @@ def _state_frame(cfg: ExperimentConfig, a_lo: float, ens: Ensemble, pair_f: tupl
         diameter=d, lyapunov=math.nan, f1_max=math.nan, f_const_max=f_const,
         x_c=tuple(float(v) for v in c.x_c), u_c=tuple(float(v) for v in c.u_c),
     )
+    if v_rates:
+        lam, lam1 = v_rates
+        frame.lyapunov = lyapunov_v(ens, a_lo, lam)
+        frame.f1_max = perturbed_particle_energy_max(ens, a_lo, lam1)
     if ens.e is not None:
         frame.min_e, frame.max_e = float(ens.e.min()), float(ens.e.max())
         frame.min_rho, frame.max_rho = float(ens.rho.min()), float(ens.rho.max())
@@ -428,9 +393,8 @@ def _state_frame(cfg: ExperimentConfig, a_lo: float, ens: Ensemble, pair_f: tupl
     return frame
 
 
-def _evaluate_checks(summary, cfg, an: Analysis, frames, track, threshold):
+def _evaluate_checks(summary, cfg, an: Analysis, frames, threshold):
     checks = summary.bound_checks
-    quadratic = isinstance(cfg.potential, QuadraticPotential)
     m0 = cfg.m0
     a_lo, a_hi, phi_plus = an.a_lo, an.a_hi, an.phi_plus
     times = np.asarray([f.t for f in frames])
@@ -439,7 +403,7 @@ def _evaluate_checks(summary, cfg, an: Analysis, frames, track, threshold):
     p_vals = np.asarray([f.particle_energy for f in frames])
     d_vals = np.asarray([f.diameter for f in frames])
 
-    if quadratic and an.centered:
+    if an.confined:
         a = cfg.potential.a
         d_max = float(d_vals.max())
         phi_floor = float(kernel_eval(cfg.kernel, d_max))
@@ -474,7 +438,7 @@ def _evaluate_checks(summary, cfg, an: Analysis, frames, track, threshold):
             ))
         else:
             summary.notes.append("particle energy bound skipped: no closed-form R0 for this kernel")
-    if quadratic:
+    if isinstance(cfg.potential, QuadraticPotential):
         a = cfg.potential.a
         checks.append(BoundCheck(
             name="support_energy_inequality",
@@ -505,7 +469,7 @@ def _evaluate_checks(summary, cfg, an: Analysis, frames, track, threshold):
 
     verdict = getattr(threshold, "verdict", None)
     if cfg.mode == "hydro1d":
-        _hydro1d_checks(summary, cfg, an, track, verdict)
+        _hydro1d_checks(summary, cfg, an, verdict)
     if cfg.mode == "hydro2d" and verdict in ("subcritical_quadratic", "subcritical_general"):
         _hydro2d_checks(summary, cfg, an, frames, threshold)
     if verdict != "blowup_guaranteed":
@@ -561,7 +525,7 @@ def _sqrt_trend_check(times, delta_l2, t_final) -> Optional[BoundCheck]:
     )
 
 
-def _hydro1d_checks(summary, cfg, an: Analysis, track, verdict):
+def _hydro1d_checks(summary, cfg, an: Analysis, verdict):
     checks = summary.bound_checks
     m0 = cfg.m0
     if verdict == "smooth_guaranteed":
@@ -571,27 +535,23 @@ def _hydro1d_checks(summary, cfg, an: Analysis, track, verdict):
             name="min_e_persistence",
             description=f"min e over the run stays above the lower fixed point {root:.6g}",
             tol=1e-6,
-            max_violation=root - track.run_min_e,
+            max_violation=root - summary.extrema["run_min_e"],
         ))
         upper = e_upper_bound(an.frame0.max_e, m0, an.phi_plus, an.a_lo)
         checks.append(BoundCheck(
             name="max_e_bound",
             description=f"max e over the run stays below {upper:.6g}",
             tol=1e-6,
-            max_violation=track.run_max_e - upper,
+            max_violation=summary.extrema["run_max_e"] - upper,
         ))
     if verdict == "blowup_guaranteed":
-        series = track.series()
-        bracket = detect_blowup(series[0], series[1]) if series else None
-        ok = bracket is not None and bracket[1] <= cfg.t_final
+        ok = summary.blowup is not None and summary.blowup[1] <= cfg.t_final
         checks.append(BoundCheck(
             name="blowup_detected",
             description="run predicted to blow up must cross the e-threshold before T",
             tol=0.0,
             max_violation=0.0 if ok else 1.0,
         ))
-        if bracket is not None:
-            summary.notes.append(f"blow-up bracket from min-e series: [{bracket[0]:.6g}, {bracket[1]:.6g}]")
 
 
 def _hydro2d_checks(summary, cfg, an: Analysis, frames, threshold):

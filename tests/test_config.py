@@ -198,8 +198,8 @@ def test_with_override():
 
 
 def test_run_n_is_bounded_before_any_state(monkeypatch):
-    # every frame builds N x N x d temporaries, so config text must not be
-    # able to ask for gigabytes; the bound fails before a state exists
+    # the bytes are checked thread-independent up to N = 2048, so config text
+    # must not ask for more; the bound fails before a state exists
     from flocklab import initial, runner
 
     def no_state(cfg):

@@ -368,12 +368,18 @@ def test_pair_pass_builds_no_pair_matrix(monkeypatch):
 _CAP_PASS = """
 import hashlib, sys
 import numpy as np
+from flocklab import diagnostics
 from flocklab.diagnostics import pair_scan
 from flocklab.dynamics import Ensemble, alignment_force, conv_phi
 from flocklab.hydro2d import _pair_terms_2d
 from flocklab.kernels import PowerLawKernel
 kernel = PowerLawKernel(1.0, 0.5)
 digest = hashlib.sha256()
+add_block = diagnostics.add_block
+def digest_block(out, *args):  # the frame scan's per-row mass sums, after every block
+    add_block(out, *args)
+    digest.update(out.tobytes())
+diagnostics.add_block = digest_block
 for n in (700, 2048):
     rng = np.random.default_rng(n)
     x, u, m = rng.normal(size=(n, 2)), rng.normal(size=(n, 2)), rng.uniform(0.1, 1.0, n)
@@ -387,7 +393,8 @@ sys.stdout.write(digest.hexdigest())
 def test_pair_pass_bytes_do_not_depend_on_blas_threads():
     # up to the config cap N = 2048 every block product stays on one BLAS
     # thread; at N = 700 unblocked products of these shapes differ under 2
-    # threads.  The frame scan's mass sums run through the same blocks
+    # threads.  The frame scan's per-row mass sums run through the same
+    # blocks and are digested after each one
     src = str(Path(dynamics.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     digests = [

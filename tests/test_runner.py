@@ -173,19 +173,17 @@ def test_run_computes_the_first_frame_once(monkeypatch):
     POWER_LAW_2D.replace("n = 256", "n = 16").replace("t = 0.2", "t = 0.02"),
 ], ids=["particles", "hydro1d", "hydro2d"])
 def test_analysis_frame0_is_the_first_frame(text):
+    # frame 0 is built like every frame: every column, V and F1_max included
     cfg = parse_config(text)
     an = runner.analyze(cfg)
     frame0 = dataclasses.asdict(an.frame0)
     first = dataclasses.asdict(run(cfg).frames[0])
-    report_columns = ("lyapunov", "f1_max")
-    assert all(math.isnan(frame0[name]) for name in report_columns)
     for name, value in frame0.items():
-        if name not in report_columns:
-            assert value == first[name] or (math.isnan(value) and math.isnan(first[name])), name
-    assert not math.isnan(first["lyapunov"])  # the run fills in the report columns
-    # on a copy: integrating the analysis leaves its frame 0 as it was
-    runner._integrate(cfg, an)
-    assert all(math.isnan(getattr(an.frame0, name)) for name in report_columns)
+        assert value == first[name] or (math.isnan(value) and math.isnan(first[name])), name
+    for name in ("lyapunov", "f1_max"):
+        assert math.isnan(frame0[name]) != bool(an.v_rates), name
+    if text is SMALL:  # recentered quadratic with a support-chain floor
+        assert an.confined and an.v_rates and an.phi_source == "support-chain"
 
 
 def test_frames_csv_shape():
@@ -258,6 +256,22 @@ def test_classify_zero_floor_fallback():
     assert report.margin > 0.0
 
 
+def test_confined_run_without_closed_form_r0():
+    # a power law with beta = 1.5 has no closed-form R0, so a confined run
+    # has no support-chain floor, no V rates and no particle energy bound
+    cfg = parse_config(SMALL.replace("n = 12", "n = 64").replace("beta = 1.0", "beta = 1.5"))
+    an = runner.analyze(cfg)
+    assert an.confined and an.r0 is None
+    assert (an.phi_minus, an.phi_source, an.v_rates) == (None, "unavailable", ())
+    result = run(cfg)
+    assert all(math.isnan(f.lyapunov) and math.isnan(f.f1_max) for f in result.frames)
+    assert "particle energy bound skipped: no closed-form R0 for this kernel" in result.summary.notes
+    names = {c.name for c in result.summary.bound_checks}
+    assert "particle_energy_bound" not in names
+    assert {"deltaE_exp_bound", "deltaEinf_exp_bound", "support_energy_inequality"} <= names
+    assert result.summary.all_checks_pass
+
+
 def test_summary_json_serializes():
     result = run(parse_config(SMALL))
     doc = json.loads(result.summary.to_json())
@@ -300,6 +314,23 @@ def test_classify_general_potential_records_umax_source():
     report2, details2 = classify(cfg, u_max=1.0)
     assert details2["u_max_source"] == "supplied"
     assert report2.constants["C_max"] <= report.constants["C_max"]
+
+
+def test_general_potential_hydro2d_run_checks():
+    # the general-potential branch of the 2D checks: the gap budget falls back
+    # to etaS_max and the vorticity budget is the C_max / c2 forcing bound
+    text = GENERAL_2D.replace("n = 64\nt = 1.0", "n = 16\nt = 0.5").replace("k = 4.0", "k = 5.0")
+    text = text.replace("a = 1.25\neps = 0.25", "a = 1.0\neps = 0.1")
+    text = text.replace("amplitude = 0.2", "amplitude = 0.1\nrotation = 0.25\nlength = 1.2")
+    result = run(parse_config(text))
+    threshold = result.summary.threshold
+    assert threshold.verdict == "subcritical_general"
+    assert "etaS_budget" not in threshold.constants and "etaS_max" in threshold.constants
+    checks = {c.name: c for c in result.summary.bound_checks}
+    for name in ("min_e_nonneg", "eta_s_bound", "omega_bound"):
+        assert checks[name].passed, name
+    assert f"{threshold.constants['etaS_max']:.6g}" in checks["eta_s_bound"].description
+    assert result.summary.all_checks_pass
 
 
 def test_sweep_cardinality_and_order():

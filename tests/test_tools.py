@@ -1,8 +1,15 @@
-"""The preset tools: ``tools/preset_roundoff.py``'s exit status, with its preset runs stubbed."""
+"""The preset tools, with their preset runs stubbed.
 
+``tools/preset_roundoff.py``'s exit status and ``tools/preset_hashes.py``'s lines.
+"""
+
+import hashlib
 import importlib.util
+import json
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -45,3 +52,27 @@ def test_preset_roundoff_exit_status(monkeypatch, tmp_path, capsys, other_csv, o
     assert roundoff.main([str(tmp_path)]) == status
     lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith(" ")]
     assert [line.split(":")[0] for line in lines] == list(preset_names())
+
+
+def test_preset_hashes_lines(monkeypatch, capsys):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # the tool sets it on import; restored after
+    monkeypatch.setattr(sys, "path", list(sys.path))  # and puts this checkout's src first
+    hashes = _load("preset_hashes")
+    scenarios = []
+
+    def fake_run(cfg):  # each preset's own frames, and a summary that records its wall time
+        scenarios.append(cfg.scenario)
+        summary = SimpleNamespace(wall_time=12.5)
+        summary.to_json = lambda: json.dumps({"scenario": cfg.scenario, "wall_time": summary.wall_time})
+        return SimpleNamespace(summary=summary, csv=lambda: f"# columns: t\n{len(scenarios)}\n")
+
+    monkeypatch.setattr(hashes, "run", fake_run)
+    hashes.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(scenarios) == len(preset_names())
+    for i, (name, line) in enumerate(zip(preset_names(), lines), start=1):
+        match = re.fullmatch(r"(\S+) frames ([0-9a-f]{64}) summary ([0-9a-f]{64})", line)
+        assert match and match[1] == name, line
+        assert match[2] == hashlib.sha256(f"# columns: t\n{i}\n".encode()).hexdigest()
+        summary = json.dumps({"scenario": scenarios[i - 1], "wall_time": 0.0})
+        assert match[3] == hashlib.sha256(summary.encode()).hexdigest()
