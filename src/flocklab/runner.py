@@ -168,7 +168,9 @@ class Analysis:
     coupling K passes the stability condition K > A / sqrt(a)
     (``constants.pair_functional``), else both ().  ``v_rates`` is
     (lambda, lambda_1) of V and F1 in a confined run with a kernel floor,
-    else ().
+    else ().  The constants report computes the same two rates for any
+    a_lo > 0 with a floor, where no V exists, because its C_inf and C_*
+    constants need them.
 
     ``frame0`` is run's first frame.
     """
