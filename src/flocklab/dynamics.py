@@ -25,17 +25,25 @@ threads at the config cap N = 2048).
 ``Ensemble`` is the one state record of every solver mode: particles
 carry (x, u), 1D characteristics add the threshold variable e and the
 density value rho (x and u are then (N, 1)), and 2D characteristics add
-the velocity gradient grad_u.  ``advance_rk4`` is the one time stepper:
-classical fixed-step RK4 over whichever of these arrays a state carries,
-given the mode's array right-hand side.  It checks each new state once; a
-component that turns non-finite or leaves its cap (STATE_CAP, E_BLOWUP_CAP
-for e, none for the density), or a negative density, raises BlowupSignal
-with the bracketing time interval instead of propagating NaNs.
+the velocity gradient grad_u.  The evolved arrays are packed: each is a
+view of a segment of one flat float64 vector, in that order.
+
+``advance_rk4`` is the one time stepper: classical fixed-step RK4 on the
+flat vector.  The mode's right-hand side writes each derivative into views
+of a stage buffer, and each stage is two in-place operations on flat
+vectors.  The buffers (``_Scratch``) are made with an Ensemble and passed
+on to the states stepped from it, so a step allocates only the new
+state's vector.  The new vector
+is screened in one pass against bound vectors: a value that turns
+non-finite or leaves its cap (STATE_CAP, E_BLOWUP_CAP for e, none for the
+density), or a negative density, raises BlowupSignal with the bracketing
+time interval instead of propagating NaNs; only then are the arrays walked
+one by one to name the reason.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -91,6 +99,11 @@ class Ensemble:
 
     x and u are (N, d) and m is (N,).  1D characteristics also carry e and
     rho, each (N,), with d = 1; 2D characteristics carry grad_u, (N, 2, 2).
+    The evolved arrays are C-contiguous views of consecutive segments of
+    one float64 vector ``flat``, in the order x, u, e, rho, grad_u.  Write
+    into them or build a new Ensemble: assigning another array to one
+    raises, since the stepper reads ``flat``.  ``_scratch`` holds the RK4
+    driver's buffers, which the states stepped from this one share.
     """
 
     x: np.ndarray
@@ -100,6 +113,8 @@ class Ensemble:
     e: Optional[np.ndarray] = None
     rho: Optional[np.ndarray] = None
     grad_u: Optional[np.ndarray] = None
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    _scratch: "_Scratch" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
@@ -127,8 +142,21 @@ class Ensemble:
             self.grad_u = np.asarray(self.grad_u, dtype=float)
             if self.grad_u.shape != (n, 2, 2) or d != 2:
                 raise ValueError(f"grad_u must be (N, 2, 2) on a 2D state, got {self.grad_u.shape}")
-        if not all(np.isfinite(a).all() for a in self.evolved().values()):
+        arrays = self.evolved()
+        if not all(np.isfinite(a).all() for a in arrays.values()):
             raise ValueError("state values must be finite")
+        scratch = _Scratch(arrays)
+        flat = np.concatenate([a.ravel() for a in arrays.values()])
+        self.__dict__.update(_views(flat, scratch.layout), flat=flat, _scratch=scratch)
+
+    def __setattr__(self, name, value):
+        if name in _EVOLVED and "flat" in self.__dict__:
+            raise AttributeError(f"{name} is a view of the packed state; write into it or build a new Ensemble")
+        object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # copies and pickles are built anew, since copying the arrays one by one would unpack them
+        return Ensemble, (self.x, self.u, self.m, self.t, self.e, self.rho, self.grad_u)
 
     def evolved(self) -> dict:
         """The arrays the time stepper advances by name: x, u, then e and rho or grad_u."""
@@ -240,52 +268,106 @@ def alignment_force(x: np.ndarray, u: np.ndarray, m: np.ndarray, kernel: Kernel)
     return alignment_sums(kernel_sums(x, np.column_stack((m, m[:, None] * u)), kernel), u)
 
 
-def _rhs_u(x, u, m, kernel, potential):
-    """du/dt of the particle system: alignment minus grad U."""
-    return alignment_force(x, u, m, kernel)[0] - grad_at(potential, x)
+def _rhs_u(x, u, m, kernel, potential, out):
+    """du/dt of the particle system, alignment minus grad U, written into out."""
+    return np.subtract(alignment_force(x, u, m, kernel)[0], grad_at(potential, x), out=out)
+
+
+def _views(flat: np.ndarray, layout) -> dict:
+    """The evolved arrays by name, as views of the segments of flat."""
+    return {name: flat[lo:hi].reshape(shape) for name, lo, hi, shape in layout}
+
+
+class _Scratch:
+    """The RK4 driver's buffers for the evolved arrays of a state, given by name.
+
+    ``layout`` lists each array's (name, start, stop, shape) in the flat
+    vector of P values.  ``rows`` holds k1, k2, k3, k4 and the stage
+    argument as one (5, P) array, ``views`` each row's views shaped like
+    the arrays, and ``lo`` and ``hi`` the bounds of the one-pass screen:
+    |value| within the array's cap, and 0 <= rho.  A state and the states
+    stepped from it share one, so a thread steps one such chain at a time.
+    """
+
+    def __init__(self, arrays: dict):
+        self.names, self.layout, size = tuple(arrays), [], 0
+        for name, arr in arrays.items():
+            self.layout.append((name, size, size + arr.size, arr.shape))
+            size += arr.size
+        self.rows = np.empty((5, size))
+        self.views = [tuple(_views(row, self.layout).values()) for row in self.rows]
+        self.lo, self.hi = np.empty(size), np.empty(size)
+        for name, lo, hi, _ in self.layout:
+            cap = _CAPS.get(name, STATE_CAP)
+            self.lo[lo:hi], self.hi[lo:hi] = 0.0 if name == "rho" else -cap, cap
+
+
+def _blowup_reason(arrays: dict) -> str:
+    """Why new arrays failed the screen, found array by array in ``_EVOLVED`` order."""
+    for name, arr in arrays.items():
+        cap = _CAPS.get(name, STATE_CAP)
+        if not np.abs(arr).max() <= cap:  # a NaN fails this comparison too
+            return f"|{name}| exceeded {cap:.0e} or non-finite"
+    # the density ODE preserves positivity; leaving it means the step
+    # left the trusted regime
+    return "density left the nonnegative range"
 
 
 def advance_rk4(state: Ensemble, f, dt: float) -> Ensemble:
     """One classical RK4 step of size dt > 0 of the arrays in ``state.evolved()``.
 
-    ``f(*arrays)`` returns their time derivatives in the same order.  The
-    new arrays are checked once: each must be finite, x, u and grad_u
-    within STATE_CAP, e within E_BLOWUP_CAP and rho nonnegative, else
-    BlowupSignal brackets the step.  The new state is assembled without
-    validating it again.
+    ``f(*arrays, *outs)`` writes their time derivatives into outs, arrays
+    of the same shapes in the same order.  Each stage is two in-place
+    operations on flat vectors, and the update keeps the bits of
+    a + (dt/6)(k1 + 2(k2 + k3) + k4).  The new flat vector is screened in
+    one pass: each value must be finite, x, u and grad_u within STATE_CAP,
+    e within E_BLOWUP_CAP and rho nonnegative, else BlowupSignal brackets
+    the step.  The new state is assembled without validating it again; it
+    owns its flat vector, and the input state is never written.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    arrays = state.evolved()
-    y = arrays.values()
+    scratch = state._scratch
+    k1, k2, k3, k4, stage = scratch.rows
+    v1, v2, v3, v4, args = scratch.views
+    y = state.flat
     h = 0.5 * dt
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = f(*y)
-        k2 = f(*[a + h * b for a, b in zip(y, k1)])
-        k3 = f(*[a + h * b for a, b in zip(y, k2)])
-        k4 = f(*[a + dt * b for a, b in zip(y, k3)])
-        y1 = [
-            a + (dt / 6.0) * (b1 + 2.0 * (b2 + b3) + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-        ]
+        f(*[state.__dict__[name] for name in scratch.names], *v1)
+        np.multiply(k1, h, out=stage)
+        stage += y
+        f(*args, *v2)
+        np.multiply(k2, h, out=stage)
+        stage += y
+        f(*args, *v3)
+        np.multiply(k3, dt, out=stage)
+        stage += y
+        f(*args, *v4)
+        k2 += k3
+        k2 *= 2.0
+        k2 += k1
+        k2 += k4
+        k2 *= dt / 6.0
+        y1 = y + k2
+        # a NaN fails both comparisons; count_nonzero is the cheapest reduction
+        inside = np.count_nonzero(scratch.lo <= y1) + np.count_nonzero(y1 <= scratch.hi)
+    new = _views(y1, scratch.layout)
     t_hi = state.t + dt
-    new = dict(zip(arrays, y1))
-    for name, arr in new.items():
-        cap = _CAPS.get(name, STATE_CAP)
-        if not np.abs(arr).max() <= cap:  # a NaN fails this comparison too
-            raise BlowupSignal(state.t, t_hi, f"|{name}| exceeded {cap:.0e} or non-finite")
-    if "rho" in new and new["rho"].min() < 0.0:
-        # the density ODE preserves positivity; leaving it means the step
-        # left the trusted regime
-        raise BlowupSignal(state.t, t_hi, "density left the nonnegative range")
+    if inside < 2 * y1.size:
+        raise BlowupSignal(state.t, t_hi, _blowup_reason(new))
     out = object.__new__(Ensemble)
-    out.__dict__.update(state.__dict__, t=t_hi, **new)
+    out.__dict__.update(state.__dict__, t=t_hi, flat=y1, **new)
     return out
 
 
 def step_rk4(ens: Ensemble, kernel: Kernel, potential: Potential, dt: float) -> Ensemble:
     """Advance the particle ensemble by one RK4 step of size dt > 0."""
-    return advance_rk4(ens, lambda x, u: (u, _rhs_u(x, u, ens.m, kernel, potential)), dt)
+
+    def f(x, u, dx, du):
+        dx[...] = u
+        _rhs_u(x, u, ens.m, kernel, potential, du)
+
+    return advance_rk4(ens, f, dt)
 
 
 def means(ens: Ensemble) -> Means:

@@ -16,12 +16,13 @@ as the quadrature sum over characteristics sum_j m_j phi(|x - x_j|).
 The sign of e at t = 0 (relative to explicit thresholds built from the
 convexity bounds of U and the kernel bounds) decides between global
 smoothness and finite-time gradient blow-up; classify_1d evaluates those
-thresholds, and detect_blowup locates the blow-up time in a simulated
-min-e series.
+thresholds.  A run's blow-up bracket is the interval of the step in which
+the RK4 driver raised ``dynamics.BlowupSignal``; ``detect_blowup`` is a
+helper that finds the first threshold crossing in a recorded min-e series.
 
 The state is a ``dynamics.Ensemble`` whose x and u are (N, 1) and which
-carries e and rho; ``step_1d`` hands this module's right-hand side to the
-shared RK4 driver, which also caps |e| at E_BLOWUP_CAP.  The evolved rho
+carries e and rho; ``step_1d`` hands this module's in-place right-hand
+side to the shared RK4 driver, which also caps |e| at E_BLOWUP_CAP.  The evolved rho
 is carried for output only: the (x, u, e) dynamics always reads the
 quadrature sums, never the evolved density, so quadrature error cannot
 feed back.
@@ -123,18 +124,25 @@ def init_characteristics(
     return Ensemble(x=x[:, None], u=velocity.value(x)[:, None], m=m, e=e, rho=rho)
 
 
-def _rhs_arrays_1d(x, u, e, rho, m, kernel, potential):
-    """Time derivative (dx, du, de, drho) along the characteristics."""
+def _rhs_arrays_1d(x, u, e, rho, m, kernel, potential, out):
+    """Time derivative (dx, du, de, drho) along the characteristics, written into the four arrays of out."""
+    dx, du, de, drho = out
     force, phi_conv = alignment_force(x, u, m, kernel)
-    shear = e - phi_conv
-    de = -e * shear - hess_diag_at(potential, x)[:, 0]
-    return u, force - grad_at(potential, x), de, -rho * shear
+    dx[...] = u
+    np.subtract(force, grad_at(potential, x), out=du)
+    # with -shear = phi*rho - e: de = -e shear - U''(x) and drho = -rho shear, bit for bit
+    np.subtract(phi_conv, e, out=de)
+    np.multiply(rho, de, out=drho)
+    de *= e
+    hess = hess_diag_at(potential, x)  # a scalar when U'' is constant
+    de -= hess[:, 0] if isinstance(hess, np.ndarray) else hess
+    return out
 
 
 def step_1d(state: Ensemble, kernel: Kernel, potential: Potential, dt: float) -> Ensemble:
     """One RK4 step; raises BlowupSignal when the new state leaves the trusted range."""
     return advance_rk4(
-        state, lambda x, u, e, rho: _rhs_arrays_1d(x, u, e, rho, state.m, kernel, potential), dt
+        state, lambda x, u, e, rho, *out: _rhs_arrays_1d(x, u, e, rho, state.m, kernel, potential, out), dt
     )
 
 

@@ -154,33 +154,41 @@ def _pair_terms_2d(x, u, m, kernel):
     return force, phi_conv, np.stack([alignment_sums(s, u)[0] for s in sums[1:]], axis=-1)
 
 
-def _rhs_arrays_2d(x, u, grad_u, m, kernel, potential):
+def _rhs_arrays_2d(x, u, grad_u, m, kernel, potential, out):
+    """Time derivative (dx, du, dgrad_u) along the characteristics, written into the three arrays of out."""
+    dx, du, d_grad = out
     if isinstance(kernel, ConstantKernel):
         force, phi_conv = alignment_force(x, u, m, kernel)
     else:
         force, phi_conv, forcing = _pair_terms_2d(x, u, m, kernel)
-    du = force - grad_at(potential, x)
-    g00, g01, g10, g11 = grad_u[:, 0, 0], grad_u[:, 0, 1], grad_u[:, 1, 0], grad_u[:, 1, 1]
-    square = [g00 * g00 + g01 * g10, g00 * g01 + g01 * g11, g10 * g00 + g11 * g10, g10 * g01 + g11 * g11]
-    d_grad = -np.stack(square, axis=-1).reshape(grad_u.shape)
-    d_grad -= np.reshape(phi_conv, (-1, 1, 1)) * grad_u  # phi_conv may be a scalar
+    dx[...] = u
+    np.subtract(force, grad_at(potential, x), out=du)
+    for i in range(2):
+        for j in range(2):  # [G^2]_ij = G_i0 G_0j + G_i1 G_1j
+            entry = d_grad[:, i, j]
+            np.multiply(grad_u[:, i, 0], grad_u[:, 0, j], out=entry)
+            entry += grad_u[:, i, 1] * grad_u[:, 1, j]
+    np.negative(d_grad, out=d_grad)
+    # phi_conv is a scalar for a constant kernel
+    d_grad -= (phi_conv[:, None, None] if isinstance(phi_conv, np.ndarray) else phi_conv) * grad_u
     if not isinstance(kernel, ConstantKernel):
         d_grad += forcing
-    hess = hess_diag_at(potential, x)
-    d_grad[:, 0, 0] -= hess[:, 0]
-    d_grad[:, 1, 1] -= hess[:, 1]
-    return u, du, d_grad
+    hess = hess_diag_at(potential, x)  # a scalar when the Hessian is constant
+    for k in range(2):
+        d_grad[:, k, k] -= hess[:, k] if isinstance(hess, np.ndarray) else hess
+    return out
 
 
 def rhs_2d(state: Ensemble, kernel: Kernel, potential: Potential):
     """Time derivative (dx, du, dgrad_u) along the characteristics."""
-    return _rhs_arrays_2d(state.x, state.u, state.grad_u, state.m, kernel, potential)
+    arrays = (state.x, state.u, state.grad_u)
+    return _rhs_arrays_2d(*arrays, state.m, kernel, potential, tuple(map(np.empty_like, arrays)))
 
 
 def step_2d(state: Ensemble, kernel: Kernel, potential: Potential, dt: float) -> Ensemble:
     """One RK4 step; raises BlowupSignal when the new state leaves the trusted range."""
     return advance_rk4(
-        state, lambda x, u, g: _rhs_arrays_2d(x, u, g, state.m, kernel, potential), dt
+        state, lambda x, u, g, *out: _rhs_arrays_2d(x, u, g, state.m, kernel, potential, out), dt
     )
 
 

@@ -90,19 +90,19 @@ def grad_at(potential: Potential, x: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown potential {potential!r}")
 
 
-def hess_diag_at(potential: Potential, x: np.ndarray) -> np.ndarray:
+def hess_diag_at(potential: Potential, x: np.ndarray) -> Union[np.ndarray, float]:
     """Diagonal of the Hessian of U at each row of x, shape (N, d) -> (N, d).
 
     Every supported family has a diagonal Hessian, so the diagonal is the
-    whole matrix.
+    whole matrix.  Where it is constant (quadratic or zero potential) it is
+    returned as the float a or 0.0, which broadcasts to (N, d).
     """
-    x = np.asarray(x, dtype=float)
     if isinstance(potential, ZeroPotential):
-        return np.zeros_like(x)
+        return 0.0
     if isinstance(potential, QuadraticPotential):
-        return np.full_like(x, potential.a)
+        return potential.a
     if isinstance(potential, PerturbedQuadraticPotential):
-        return potential.a + potential.eps * np.cos(potential.kappa * x)
+        return potential.a + potential.eps * np.cos(potential.kappa * np.asarray(x, dtype=float))
     raise TypeError(f"unknown potential {potential!r}")
 
 

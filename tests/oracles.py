@@ -6,15 +6,19 @@ and the pairwise-attraction variant is summed over explicit pair arrays.
 The dense frame functionals build the full N x N x d pair arrays, and the
 dense pair sums the N x N kernel and gradient-weight matrices, that
 ``diagnostics.pair_scan`` and the blocked pass of ``dynamics.pair_blocks``
-visit one upper-triangle row block at a time.
+visit one upper-triangle row block at a time.  ``reference_rk4`` is the
+list-comprehension RK4 driver that the packed in-place driver replaced, and
+the ``reference_rhs_*`` functions the allocating right-hand sides it called.
 """
 
 import math
 
 import numpy as np
 
+from flocklab.dynamics import E_BLOWUP_CAP, STATE_CAP, BlowupSignal, Ensemble, alignment_force
+from flocklab.hydro2d import _pair_terms_2d
 from flocklab.kernels import ConstantKernel, FloorClippedKernel, kernel_eval_sq
-from flocklab.potentials import value_at
+from flocklab.potentials import grad_at, hess_diag_at, value_at
 
 
 def riccati_exact(t, e0, K, A):
@@ -139,3 +143,75 @@ def dense_gradient_forcing(x, u, m, kernel):
     slope = _closed_form_slope(kernel, _pairwise_sq_norms(x))
     dx = x[:, None, :] - x[None, :, :]
     return np.stack([_dense_alignment(slope * dx[:, :, l], u, m)[0] for l in range(x.shape[1])], axis=-1)
+
+
+def reference_rk4(state, f, dt):
+    """One classical RK4 step of the arrays in ``state.evolved()``, ``f(*arrays)`` returning their derivatives.
+
+    Each stage is a list comprehension over the arrays; the new arrays are
+    screened one by one (|value| within its cap, then rho >= 0).
+    """
+    caps = {"e": E_BLOWUP_CAP, "rho": np.finfo(float).max}
+    arrays = state.evolved()
+    y = arrays.values()
+    h = 0.5 * dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = f(*y)
+        k2 = f(*[a + h * b for a, b in zip(y, k1)])
+        k3 = f(*[a + h * b for a, b in zip(y, k2)])
+        k4 = f(*[a + dt * b for a, b in zip(y, k3)])
+        y1 = [
+            a + (dt / 6.0) * (b1 + 2.0 * (b2 + b3) + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+        ]
+    t_hi = state.t + dt
+    new = dict(zip(arrays, y1))
+    for name, arr in new.items():
+        cap = caps.get(name, STATE_CAP)
+        if not np.abs(arr).max() <= cap:
+            raise BlowupSignal(state.t, t_hi, f"|{name}| exceeded {cap:.0e} or non-finite")
+    if "rho" in new and new["rho"].min() < 0.0:
+        raise BlowupSignal(state.t, t_hi, "density left the nonnegative range")
+    return Ensemble(m=state.m, t=t_hi, **new)
+
+
+def _full_hess(potential, x):
+    return np.broadcast_to(hess_diag_at(potential, x), x.shape)
+
+
+def reference_rhs_particles(m, kernel, potential):
+    """f(x, u) -> (dx, du) of the particle system."""
+    return lambda x, u: (u, alignment_force(x, u, m, kernel)[0] - grad_at(potential, x))
+
+
+def reference_rhs_1d(m, kernel, potential):
+    """f(x, u, e, rho) -> (dx, du, de, drho) along 1D characteristics."""
+
+    def f(x, u, e, rho):
+        force, phi_conv = alignment_force(x, u, m, kernel)
+        shear = e - phi_conv
+        return u, force - grad_at(potential, x), -e * shear - _full_hess(potential, x)[:, 0], -rho * shear
+
+    return f
+
+
+def reference_rhs_2d(m, kernel, potential):
+    """f(x, u, grad_u) -> (dx, du, dgrad_u) along 2D characteristics, the 2x2 square stacked."""
+
+    def f(x, u, grad_u):
+        if isinstance(kernel, ConstantKernel):
+            force, phi_conv = alignment_force(x, u, m, kernel)
+        else:
+            force, phi_conv, forcing = _pair_terms_2d(x, u, m, kernel)
+        g00, g01, g10, g11 = grad_u[:, 0, 0], grad_u[:, 0, 1], grad_u[:, 1, 0], grad_u[:, 1, 1]
+        square = [g00 * g00 + g01 * g10, g00 * g01 + g01 * g11, g10 * g00 + g11 * g10, g10 * g01 + g11 * g11]
+        d_grad = -np.stack(square, axis=-1).reshape(grad_u.shape)
+        d_grad -= np.reshape(phi_conv, (-1, 1, 1)) * grad_u
+        if not isinstance(kernel, ConstantKernel):
+            d_grad += forcing
+        hess = _full_hess(potential, x)
+        d_grad[:, 0, 0] -= hess[:, 0]
+        d_grad[:, 1, 1] -= hess[:, 1]
+        return u, force - grad_at(potential, x), d_grad
+
+    return f

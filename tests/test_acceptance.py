@@ -20,7 +20,6 @@ from flocklab.constants import (
 )
 from flocklab.diagnostics import fit_rate
 from flocklab.dynamics import Ensemble, _rhs_u
-from flocklab.hydro1d import init_characteristics, step_1d, BumpDensity, LinearVelocity
 from flocklab.hydro2d import spectral_arrays
 from flocklab.kernels import ConstantKernel, PowerLawKernel, kernel_eval
 from flocklab.potentials import (
@@ -135,7 +134,7 @@ def test_criterion_05_energy_dissipation_identity():
             u=rng.uniform(-2, 2, (n, d)),
             m=rng.uniform(0.1, 1.0, n),
         )
-        du = _rhs_u(ens.x, ens.u, ens.m, kernel, potential)
+        du = _rhs_u(ens.x, ens.u, ens.m, kernel, potential, np.empty_like(ens.u))
         lhs = float(ens.m @ np.einsum("nd,nd->n", ens.u, du)
                     + ens.m @ np.einsum("nd,nd->n", grad_at(potential, ens.x), ens.u))
         dissipation = 0.0
@@ -178,15 +177,9 @@ def test_criterion_07_guaranteed_smoothness():
     _report(7, "smooth run keeps e inside its trapping region over T=100", worst, 1e-6)
 
 
-def test_criterion_08_riccati_oracle():
-    K, A = 1.0, 0.2
-    state = init_characteristics(BumpDensity(1.0, 1.0), LinearVelocity(-0.7), 1, ConstantKernel(K))
-    dt, t_final = 1e-4, 5.0
-    worst = 0.0
-    for i in range(1, int(round(t_final / dt)) + 1):
-        state = step_1d(state, ConstantKernel(K), QuadraticPotential(A), dt)
-        if i % 200 == 0:
-            worst = max(worst, abs(state.e[0] - float(riccati_exact(i * dt, 0.3, K, A))))
+def test_criterion_08_riccati_oracle(riccati_trajectory):
+    _, samples = riccati_trajectory
+    worst = max(abs(e - float(riccati_exact(t, 0.3, 1.0, 0.2))) for t, e in samples)
     _report(8, "single-characteristic e matches the closed-form solution", worst, 1e-8)
 
 

@@ -44,13 +44,13 @@ def _random_ensemble(rng, n, d, equal_mass=False):
 
 def test_single_agent_feels_only_potential():
     ens = Ensemble(x=[[0.7]], u=[[0.3]], m=[1.0])
-    du = _rhs_u(ens.x, ens.u, ens.m, PowerLawKernel(1.0, 1.0), QuadraticPotential(2.0))
+    du = _rhs_u(ens.x, ens.u, ens.m, PowerLawKernel(1.0, 1.0), QuadraticPotential(2.0), np.empty_like(ens.u))
     assert du[0, 0] == pytest.approx(-2.0 * 0.7, abs=0)
 
 
 def test_two_agent_hand_evaluation():
     ens = Ensemble(x=[[0.0], [0.0]], u=[[1.0], [-1.0]], m=[0.5, 0.5])
-    du = _rhs_u(ens.x, ens.u, ens.m, ConstantKernel(2.0), ZeroPotential())
+    du = _rhs_u(ens.x, ens.u, ens.m, ConstantKernel(2.0), ZeroPotential(), np.empty_like(ens.u))
     assert du[0, 0] == pytest.approx(-2.0, abs=1e-15)
     assert du[1, 0] == pytest.approx(2.0, abs=1e-15)
 
@@ -60,7 +60,7 @@ def test_aligned_velocities_feel_no_alignment():
     x = rng.uniform(-1, 1, (8, 2))
     u = np.tile([0.4, -0.2], (8, 1))
     ens = Ensemble(x=x, u=u, m=np.full(8, 0.125))
-    du = _rhs_u(ens.x, ens.u, ens.m, PowerLawKernel(1.0, 0.5), ZeroPotential())
+    du = _rhs_u(ens.x, ens.u, ens.m, PowerLawKernel(1.0, 0.5), ZeroPotential(), np.empty_like(ens.u))
     assert np.allclose(du, 0.0, atol=1e-15)
 
 
@@ -84,7 +84,7 @@ def test_rhs_mass_weighted_quadrature():
         for d in (1, 2, 3):
             for n in (12, 70):
                 ens = _random_ensemble(rng, n, d)
-                du = _rhs_u(ens.x, ens.u, ens.m, kernel, QuadraticPotential(a))
+                du = _rhs_u(ens.x, ens.u, ens.m, kernel, QuadraticPotential(a), np.empty_like(ens.u))
                 conv = conv_phi(ens.x, ens.m, kernel)
                 for i in range(ens.n):
                     acc = np.zeros(d)
@@ -99,7 +99,7 @@ def test_rhs_mass_weighted_quadrature():
     # at N = 600 the products are taken in several row blocks
     kernel = kernels[-1]
     ens = _random_ensemble(rng, 600, 2)
-    du = _rhs_u(ens.x, ens.u, ens.m, kernel, QuadraticPotential(a))
+    du = _rhs_u(ens.x, ens.u, ens.m, kernel, QuadraticPotential(a), np.empty_like(ens.u))
     r = np.linalg.norm(ens.x[:, None, :] - ens.x[None, :, :], axis=-1)
     w = np.maximum(1.3 * (1.0 + r * r) ** -0.8, 0.4) * ens.m[None, :]
     expected = np.einsum("ij,ijd->id", w, ens.u[None, :, :] - ens.u[:, None, :]) - a * ens.x
@@ -123,7 +123,7 @@ def test_energy_dissipation_identity_random_states():
                     if count >= 100:
                         break
                     ens = _random_ensemble(rng, 10, d)
-                    du = _rhs_u(ens.x, ens.u, ens.m, kernel, potential)
+                    du = _rhs_u(ens.x, ens.u, ens.m, kernel, potential, np.empty_like(ens.u))
                     lhs = float(
                         ens.m @ np.einsum("nd,nd->n", ens.u, du)
                         + ens.m @ np.einsum("nd,nd->n", grad_at(potential, ens.x), ens.u)
@@ -146,7 +146,7 @@ def test_means_dynamics_is_exact_oscillator():
     rng = np.random.default_rng(8)
     ens = _random_ensemble(rng, 20, 2)
     a = 1.7
-    du = _rhs_u(ens.x, ens.u, ens.m, PowerLawKernel(1.0, 1.0), QuadraticPotential(a))
+    du = _rhs_u(ens.x, ens.u, ens.m, PowerLawKernel(1.0, 1.0), QuadraticPotential(a), np.empty_like(ens.u))
     c = means(ens)
     mean_du = (ens.m @ du) / ens.total_mass
     assert np.allclose(mean_du, -a * c.x_c, rtol=1e-12, atol=1e-14)
@@ -242,7 +242,7 @@ def test_pairwise_variant_equals_quadratic_on_centered_data():
     ens = recenter(_random_ensemble(rng, 14, 2))
     a = 1.3
     kernel = PowerLawKernel(1.0, 1.0)
-    du_potential = _rhs_u(ens.x, ens.u, ens.m, kernel, QuadraticPotential(a))
+    du_potential = _rhs_u(ens.x, ens.u, ens.m, kernel, QuadraticPotential(a), np.empty_like(ens.u))
     du_pairwise = pairwise_attraction_du(ens.x, ens.u, ens.m, partial(kernel_eval, kernel), a)
     assert np.allclose(du_potential, du_pairwise, atol=1e-12)
 
@@ -348,11 +348,12 @@ def test_pair_pass_builds_no_pair_matrix(monkeypatch):
     grad_u = rng.uniform(-1.0, 1.0, (n, 2, 2))
     kernel, potential = PowerLawKernel(1.0, 0.5), QuadraticPotential(1.0)
     monkeypatch.setattr(dynamics, "_block_buffers", (np.empty(0), np.empty(0)))
+    outs = (np.empty_like(ens.x), np.empty_like(ens.u), np.empty_like(grad_u))
 
     def passes():
         dynamics.alignment_force(ens.x, ens.u, ens.m, kernel)
         conv_phi(ens.x, ens.m, kernel)
-        _rhs_arrays_2d(ens.x, ens.u, grad_u, ens.m, kernel, potential)
+        _rhs_arrays_2d(ens.x, ens.u, grad_u, ens.m, kernel, potential, outs)
 
     passes()  # grows the block buffers, once per process
     assert sum(buf.nbytes for buf in dynamics._block_buffers) == 2 * 128 * n * 8

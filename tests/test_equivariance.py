@@ -39,6 +39,10 @@ def ensembles(draw, dims=(1, 2)):
     return x, u, m, np.array(draw(st.permutations(range(n))), dtype=int)
 
 
+def _outs(*arrays):
+    return tuple(map(np.empty_like, arrays))
+
+
 def _assert_permuted(got, want, perm):
     scale = max(1.0, float(np.abs(want).max()))
     assert np.abs(got - want[perm]).max() <= 1e-12 * scale
@@ -48,8 +52,8 @@ def _assert_permuted(got, want, perm):
 @given(ensembles(), KERNELS, POTENTIALS)
 def test_particle_rhs_is_permutation_equivariant(ens, kernel, potential):
     x, u, m, perm = ens
-    want = _rhs_u(x, u, m, kernel, potential)
-    _assert_permuted(_rhs_u(x[perm], u[perm], m[perm], kernel, potential), want, perm)
+    want = _rhs_u(x, u, m, kernel, potential, np.empty_like(u))
+    _assert_permuted(_rhs_u(x[perm], u[perm], m[perm], kernel, potential, np.empty_like(u)), want, perm)
 
 
 @settings(max_examples=60, deadline=None)
@@ -59,7 +63,7 @@ def test_1d_characteristic_rhs_is_permutation_equivariant(ens, data, kernel, pot
     n = x.shape[0]
     e = data.draw(hnp.arrays(float, n, elements=st.floats(-3.0, 3.0, allow_subnormal=False)))
     rho = data.draw(hnp.arrays(float, n, elements=st.floats(0.0, 2.0, allow_subnormal=False)))
-    want = _rhs_arrays_1d(x, u, e, rho, m, kernel, potential)
-    got = _rhs_arrays_1d(x[perm], u[perm], e[perm], rho[perm], m[perm], kernel, potential)
+    want = _rhs_arrays_1d(x, u, e, rho, m, kernel, potential, _outs(x, u, e, rho))
+    got = _rhs_arrays_1d(x[perm], u[perm], e[perm], rho[perm], m[perm], kernel, potential, _outs(x, u, e, rho))
     for g, w in zip(got, want):
         _assert_permuted(g, w, perm)

@@ -71,9 +71,14 @@ def test_init_density_values_match_mass_per_cell():
 # --- right-hand side ---
 
 
+def _rhs_1d(state, kernel, potential):
+    arrays = state.evolved().values()
+    return _rhs_arrays_1d(*arrays, state.m, kernel, potential, tuple(map(np.empty_like, arrays)))
+
+
 def test_rhs_zero_e_feels_only_hessian():
     state = Ensemble(x=[[0.2]], u=[[0.0]], e=[0.0], rho=[1.0], m=[1.0])
-    _, _, de, _ = _rhs_arrays_1d(*state.evolved().values(), state.m, ConstantKernel(1.0), QuadraticPotential(0.7))
+    _, _, de, _ = _rhs_1d(state, ConstantKernel(1.0), QuadraticPotential(0.7))
     assert de[0] == pytest.approx(-0.7)
 
 
@@ -81,13 +86,13 @@ def test_rhs_riccati_fixed_points():
     K, A = 1.0, 0.2
     root_hi = 0.5 + math.sqrt(0.05)
     state = Ensemble(x=[[0.0]], u=[[0.0]], e=[root_hi], rho=[1.0], m=[1.0])
-    _, _, de, _ = _rhs_arrays_1d(*state.evolved().values(), state.m, ConstantKernel(K), QuadraticPotential(A))
+    _, _, de, _ = _rhs_1d(state, ConstantKernel(K), QuadraticPotential(A))
     assert de[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_rhs_vacuum_density_is_invariant():
     state = Ensemble(x=[[0.0], [1.0]], u=[[0.1], [-0.1]], e=[0.5, 0.5], rho=[0.0, 1.0], m=[0.5, 0.5])
-    _, _, _, drho = _rhs_arrays_1d(*state.evolved().values(), state.m, ConstantKernel(1.0), ZeroPotential())
+    _, _, _, drho = _rhs_1d(state, ConstantKernel(1.0), ZeroPotential())
     assert drho[0] == 0.0
 
 
@@ -104,21 +109,13 @@ def test_step_signals_on_huge_e():
 # --- integration against the closed form ---
 
 
-def test_riccati_oracle_single_characteristic():
+def test_riccati_oracle_single_characteristic(riccati_trajectory):
     # constant kernel and constant Hessian make e an autonomous scalar ODE;
-    # integrate with the production stepper and compare to the closed form
-    K, A = 1.0, 0.2
-    state = init_characteristics(BumpDensity(1.0, 1.0), LinearVelocity(-0.7), 1, ConstantKernel(K))
-    assert state.e[0] == pytest.approx(0.3, abs=1e-15)
-    dt, t_final = 1e-4, 5.0
-    n_steps = int(round(t_final / dt))
-    worst = 0.0
-    for i in range(1, n_steps + 1):
-        state = step_1d(state, ConstantKernel(K), QuadraticPotential(A), dt)
-        if i % 100 == 0:
-            exact = riccati_exact(i * dt, 0.3, K, A)
-            worst = max(worst, abs(state.e[0] - float(exact)))
-    assert worst <= 1e-8
+    # the production stepper's trajectory is compared to the closed form
+    e0, samples = riccati_trajectory
+    assert e0 == pytest.approx(0.3, abs=1e-15)
+    worst = max(abs(e - float(riccati_exact(t, 0.3, 1.0, 0.2))) for t, e in samples)
+    assert len(samples) == 500 and worst <= 1e-8
 
 
 def test_blowup_bracket_matches_closed_form_time():

@@ -17,7 +17,8 @@ from flocklab.potentials import (
 def _eval(potential, point):
     """U, grad U and the Hessian diagonal at one point, through a one-row x."""
     row = np.asarray(point, dtype=float)[None, :]
-    return value_at(potential, row)[0], grad_at(potential, row)[0], hess_diag_at(potential, row)[0]
+    hess = np.broadcast_to(hess_diag_at(potential, row), row.shape)  # a constant diagonal is a scalar
+    return value_at(potential, row)[0], grad_at(potential, row)[0], hess[0]
 
 
 def test_quadratic_eval():
