@@ -49,8 +49,7 @@ def cmd_simulate(args) -> int:
         with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
             fh.write(result.summary.to_json() + "\n")
     print(result.summary.to_json())
-    failed = [c for c in result.summary.bound_checks if not c.passed]
-    return 1 if failed else 0
+    return 0 if result.summary.all_checks_pass else 1
 
 
 def cmd_classify(args) -> int:

@@ -6,9 +6,13 @@ source, the rates of V) once, and summarizes the state as the t = 0
 frame, built like every later frame; run, classify and the CLI's
 constants report all read its record.
 
-``run`` integrates a configuration to T, emits one DiagnosticsFrame per
-output stride, and then evaluates post hoc every quantitative bound that
-applies to the scenario, each with its stated tolerance:
+``run`` integrates a configuration to T and emits one DiagnosticsFrame per
+output stride.  Its bound checks are one table: ``_check_rows`` yields a
+row ``(name, description, tol, excess)`` for each check that applies, and
+``_integrate`` makes every BoundCheck from a row, with max_violation =
+max(excess).  ``excess`` is the checked quantity minus its bound, one value
+per frame, or one value for the run-extrema and one-sample rows (the 1D e
+range, the sqrt trend's slope, the blow-up rows).  The rows, in order:
 
 * exponential fluctuation bounds (L2 and worst-pair) for quadratic
   confinement, with the kernel floor taken at the measured run diameter;
@@ -19,7 +23,8 @@ applies to the scenario, each with its stated tolerance:
   stability threshold, and the no-growth trend of sqrt(1+t)-weighted
   fluctuations for decaying kernels above it;
 * threshold persistence (e-bounds, gap and vorticity budgets) for the
-  characteristic modes, plus blow-up bracket detection.
+  characteristic modes, plus blow-up bracket detection;
+* ``no_blowup`` for every run not predicted to blow up.
 
 A blow-up in a run whose classifier predicts blow-up is data, not
 failure; a blow-up in any other run, particle runs included, fails its
@@ -362,8 +367,15 @@ def _integrate(cfg: ExperimentConfig, an: Analysis) -> RunResult:
     )
     if track_e:
         summary.extrema = {"run_min_e": min_e, "run_max_e": max_e}
-    _evaluate_checks(summary, cfg, an, frames, threshold)
-    _fit_rates(summary, cfg, frames)
+    columns = tuple(np.asarray([getattr(f, name) for f in frames]) for name in _CHECKED_COLUMNS)
+    for name, description, tol, excess in _check_rows(summary, cfg, an, frames, columns):
+        summary.bound_checks.append(BoundCheck(name, description, tol, float(np.max(excess))))
+    times, delta_l2 = columns[:2]
+    window = (0.5 * cfg.t_final, float(times.max()))
+    try:  # needs 5 samples in the window, all positive
+        summary.rate_fits["deltaE_L2"] = fit_rate(times, delta_l2, window=window)
+    except ValueError:
+        pass
     return RunResult(summary=summary, frames=frames)
 
 
@@ -395,217 +407,133 @@ def _state_frame(cfg: ExperimentConfig, ens: Ensemble, a_lo: float, pair_f: tupl
     return frame
 
 
-def _evaluate_checks(summary, cfg, an: Analysis, frames, threshold):
-    checks = summary.bound_checks
-    m0 = cfg.m0
-    a_lo, a_hi, phi_plus = an.a_lo, an.a_hi, an.phi_plus
-    times = np.asarray([f.t for f in frames])
-    delta_l2 = np.asarray([f.delta_e_l2 for f in frames])
-    delta_inf = np.asarray([f.delta_e_linf for f in frames])
-    p_vals = np.asarray([f.particle_energy for f in frames])
-    d_vals = np.asarray([f.diameter for f in frames])
+# the frame columns the checks and the rate fit read, as unpacked by _check_rows
+_CHECKED_COLUMNS = ("t", "delta_e_l2", "delta_e_linf", "particle_energy", "diameter")
 
+
+def _check_rows(summary, cfg, an: Analysis, frames, columns):
+    """Yield ``(name, description, tol, excess)`` for every bound check that applies, in summary order.
+
+    ``columns`` holds the frames' t, deltaE_L2, deltaE_Linf, P and D; a skipped check leaves a note.
+    """
+    times, delta_l2, delta_inf, p_vals, d_vals = columns
+    m0, a_lo, a_hi, phi_plus = cfg.m0, an.a_lo, an.a_hi, an.phi_plus
     if an.confined:
         a = cfg.potential.a
         d_max = float(d_vals.max())
         phi_floor = float(kernel_eval(cfg.kernel, d_max))
         lam = consts.decay_rate(a, m0, phi_floor, phi_plus)
-        bound = 2.0 * delta_l2[0] * np.exp(-lam * times)
-        checks.append(BoundCheck(
-            name="deltaE_exp_bound",
-            description=(
-                f"deltaE_L2(t) <= 2 deltaE_L2(0) exp(-lam t), lam = {lam:.6g} from"
-                f" phi floor {phi_floor:.6g} at measured diameter {d_max:.6g}"
-            ),
-            tol=1e-9,
-            max_violation=float((delta_l2 - bound).max()),
-        ))
+        yield (
+            "deltaE_exp_bound",
+            f"deltaE_L2(t) <= 2 deltaE_L2(0) exp(-lam t), lam = {lam:.6g} from"
+            f" phi floor {phi_floor:.6g} at measured diameter {d_max:.6g}",
+            1e-9, delta_l2 - 2.0 * delta_l2[0] * np.exp(-lam * times),
+        )
         c_inf = consts.linf_constant_conservative(a, m0, phi_floor, phi_plus)
-        bound = c_inf * delta_inf[0] * np.exp(-0.5 * lam * times)
-        checks.append(BoundCheck(
-            name="deltaEinf_exp_bound",
-            description=(
-                f"deltaE_Linf(t) <= C_inf deltaE_Linf(0) exp(-lam t / 2),"
-                f" C_inf = {c_inf:.6g} (conservative)"
-            ),
-            tol=1e-9,
-            max_violation=float((delta_inf - bound).max()),
-        ))
+        yield (
+            "deltaEinf_exp_bound",
+            f"deltaE_Linf(t) <= C_inf deltaE_Linf(0) exp(-lam t / 2), C_inf = {c_inf:.6g} (conservative)",
+            1e-9, delta_inf - c_inf * delta_inf[0] * np.exp(-0.5 * lam * times),
+        )
         if an.r0 is not None:
-            checks.append(BoundCheck(
-                name="particle_energy_bound",
-                description=f"P(t) <= R0 = {an.r0:.6g}",
-                tol=1e-9,
-                max_violation=float((p_vals - an.r0).max()),
-            ))
+            yield "particle_energy_bound", f"P(t) <= R0 = {an.r0:.6g}", 1e-9, p_vals - an.r0
         else:
             summary.notes.append("particle energy bound skipped: no closed-form R0 for this kernel")
     if isinstance(cfg.potential, QuadraticPotential):
         a = cfg.potential.a
-        checks.append(BoundCheck(
-            name="support_energy_inequality",
-            description="(a/8) D(t)^2 <= P(t)",
-            tol=1e-9,
-            max_violation=float((a / 8.0 * d_vals * d_vals - p_vals).max()),
-        ))
-        checks.append(_means_check(cfg, an.frame0, frames))
+        yield "support_energy_inequality", "(a/8) D(t)^2 <= P(t)", 1e-9, a / 8.0 * d_vals * d_vals - p_vals
+        omega = math.sqrt(a)
+        x0, u0 = np.asarray(an.frame0.x_c), np.asarray(an.frame0.u_c)
+        errors = []
+        for f in frames:
+            ct, st = math.cos(omega * f.t), math.sin(omega * f.t)
+            x_ref = x0 * ct + u0 * (st / omega)
+            u_ref = -x0 * omega * st + u0 * ct
+            err = max(np.abs(np.asarray(f.x_c) - x_ref).max(), np.abs(np.asarray(f.u_c) - u_ref).max())
+            errors.append(err)
+        yield (
+            "means_oscillator", "means follow the closed-form oscillation of frequency sqrt(a)",
+            1e-7, np.asarray(errors),
+        )
 
     if an.pair_mu:
         mu1, mu2, mu3 = an.pair_mu
-        bound = (mu2 / mu3) * delta_l2[0] * np.exp(-(mu1 / mu2) * times)
-        checks.append(BoundCheck(
-            name="deltaE_pair_bound",
-            description=(
-                f"deltaE_L2(t) <= (mu2/mu3) deltaE_L2(0) exp(-(mu1/mu2) t),"
-                f" mu = ({mu1:.6g}, {mu2:.6g}, {mu3:.6g})"
-            ),
-            tol=1e-9,
-            max_violation=float((delta_l2 - bound).max()),
-        ))
-    if isinstance(cfg.kernel, PowerLawKernel) and consts.pair_stable(a_lo, a_hi, m0 * phi_plus):
-        check = _sqrt_trend_check(times, delta_l2, cfg.t_final)
-        if check is not None:
-            checks.append(check)
-        else:
-            summary.notes.append("sqrt-weighted trend skipped: not enough positive samples")
-
-    verdict = getattr(threshold, "verdict", None)
-    if cfg.mode == "hydro1d":
-        _hydro1d_checks(summary, cfg, an, verdict)
-    if cfg.mode == "hydro2d" and verdict in ("subcritical_quadratic", "subcritical_general"):
-        _hydro2d_checks(summary, cfg, an, frames, threshold)
-    if verdict != "blowup_guaranteed":
-        checks.append(BoundCheck(
-            name="no_blowup",
-            description="run not predicted to blow up must reach T without blow-up",
-            tol=0.0,
-            max_violation=1.0 if summary.blowup else 0.0,
-        ))
-
-
-def _means_check(cfg, frame0, frames) -> BoundCheck:
-    omega = math.sqrt(cfg.potential.a)
-    x0 = np.asarray(frame0.x_c)
-    u0 = np.asarray(frame0.u_c)
-    worst = 0.0
-    for f in frames:
-        ct, st = math.cos(omega * f.t), math.sin(omega * f.t)
-        x_ref = x0 * ct + u0 * (st / omega)
-        u_ref = -x0 * omega * st + u0 * ct
-        err = max(np.abs(np.asarray(f.x_c) - x_ref).max(), np.abs(np.asarray(f.u_c) - u_ref).max())
-        worst = max(worst, float(err))
-    return BoundCheck(
-        name="means_oscillator",
-        description="means follow the closed-form oscillation of frequency sqrt(a)",
-        tol=1e-7,
-        max_violation=worst,
-    )
-
-
-def _sqrt_trend_check(times, delta_l2, t_final) -> Optional[BoundCheck]:
-    window = times >= 0.5 * t_final
-    if window.sum() < 5:
-        return None
-    positive = window & (delta_l2 > 0.0)
-    if positive.sum() >= 5:
-        weighted = delta_l2[positive] * np.sqrt(1.0 + times[positive])
-        fit = fit_rate(times[positive], weighted, window=None)
-        slope = -fit.rate
-        note = f"fitted slope {slope:.3e}"
-    else:
-        # fluctuations collapsed to the floating-point floor inside the
-        # window: bounded outright, no trend to fit
-        slope = -math.inf
-        note = "fluctuations fully collapsed within the window"
-    return BoundCheck(
-        name="deltaE_sqrt_trend",
-        description=(
-            f"trailing-window slope of log(deltaE_L2 sqrt(1+t)) stays below 1e-3 ({note})"
-        ),
-        tol=1e-3,
-        max_violation=slope,
-    )
-
-
-def _hydro1d_checks(summary, cfg, an: Analysis, verdict):
-    checks = summary.bound_checks
-    m0 = cfg.m0
-    if verdict == "smooth_guaranteed":
-        # the classifier only certifies smoothness with a known floor
-        root = smooth_lower_root(m0, an.phi_minus, an.a_hi)
-        checks.append(BoundCheck(
-            name="min_e_persistence",
-            description=f"min e over the run stays above the lower fixed point {root:.6g}",
-            tol=1e-6,
-            max_violation=root - summary.extrema["run_min_e"],
-        ))
-        upper = e_upper_bound(an.frame0.max_e, m0, an.phi_plus, an.a_lo)
-        checks.append(BoundCheck(
-            name="max_e_bound",
-            description=f"max e over the run stays below {upper:.6g}",
-            tol=1e-6,
-            max_violation=summary.extrema["run_max_e"] - upper,
-        ))
-    if verdict == "blowup_guaranteed":
-        ok = summary.blowup is not None and summary.blowup[1] <= cfg.t_final
-        checks.append(BoundCheck(
-            name="blowup_detected",
-            description="run predicted to blow up must cross the e-threshold before T",
-            tol=0.0,
-            max_violation=0.0 if ok else 1.0,
-        ))
-
-
-def _hydro2d_checks(summary, cfg, an: Analysis, frames, threshold):
-    checks = summary.bound_checks
-    f0 = an.frame0
-    min_e = min(f.min_e for f in frames)
-    checks.append(BoundCheck(
-        name="min_e_nonneg",
-        description="e stays nonnegative on all characteristics and frames",
-        tol=1e-6,
-        max_violation=-min_e,
-    ))
-    gap_budget = threshold.constants.get("etaS_budget")
-    if gap_budget is None:
-        gap_budget = threshold.constants.get("etaS_max", math.inf)
-    max_gap = max(f.max_abs_eta_s for f in frames)
-    checks.append(BoundCheck(
-        name="eta_s_bound",
-        description=f"spectral gap stays within its budget {gap_budget:.6g}",
-        tol=1e-6,
-        max_violation=max_gap - gap_budget,
-    ))
-    if threshold.verdict == "subcritical_quadratic":
-        lam = threshold.constants["lambda"]
-        c_inf = threshold.constants["C_inf"]
-        omega_budget = f0.max_abs_omega + 32.0 / lam * cfg.m0 * an.dphi_inf * math.sqrt(
-            c_inf * f0.delta_e_linf
+        yield (
+            "deltaE_pair_bound",
+            f"deltaE_L2(t) <= (mu2/mu3) deltaE_L2(0) exp(-(mu1/mu2) t),"
+            f" mu = ({mu1:.6g}, {mu2:.6g}, {mu3:.6g})",
+            1e-9, delta_l2 - (mu2 / mu3) * delta_l2[0] * np.exp(-(mu1 / mu2) * times),
         )
-    else:
-        # general potential: the transport forcing is bounded by half the
-        # kernel part of C_max, divided by the persistent floor c2 of e
-        forcing = 0.5 * (threshold.constants["C_max"] - 2.0 * an.a_hi)
-        omega_budget = max(f0.max_abs_omega, forcing / threshold.constants["c2"])
-    max_omega = max(f.max_abs_omega for f in frames)
-    checks.append(BoundCheck(
-        name="omega_bound",
-        description=f"vorticity stays within its budget {omega_budget:.6g}",
-        tol=1e-6,
-        max_violation=max_omega - omega_budget,
-    ))
+    if isinstance(cfg.kernel, PowerLawKernel) and consts.pair_stable(a_lo, a_hi, m0 * phi_plus):
+        window = times >= 0.5 * cfg.t_final
+        positive = window & (delta_l2 > 0.0)
+        if window.sum() < 5:
+            summary.notes.append("sqrt-weighted trend skipped: not enough positive samples")
+        else:
+            if positive.sum() >= 5:
+                weighted = delta_l2[positive] * np.sqrt(1.0 + times[positive])
+                slope = -fit_rate(times[positive], weighted, window=None).rate
+                note = f"fitted slope {slope:.3e}"
+            else:
+                # fluctuations collapsed to the floating-point floor inside the
+                # window: bounded outright, no trend to fit
+                slope, note = -math.inf, "fluctuations fully collapsed within the window"
+            yield (
+                "deltaE_sqrt_trend",
+                f"trailing-window slope of log(deltaE_L2 sqrt(1+t)) stays below 1e-3 ({note})",
+                1e-3, slope,
+            )
 
-
-def _fit_rates(summary, cfg, frames):
-    times = np.asarray([f.t for f in frames])
-    delta = np.asarray([f.delta_e_l2 for f in frames])
-    window = (0.5 * cfg.t_final, float(times.max()))
-    mask = (times >= window[0]) & (delta > 0.0)
-    if mask.sum() >= 5:
-        try:
-            summary.rate_fits["deltaE_L2"] = fit_rate(times, delta, window=window)
-        except ValueError:
-            pass
+    threshold = summary.threshold
+    verdict = getattr(threshold, "verdict", None)
+    if cfg.mode == "hydro1d" and verdict == "smooth_guaranteed":
+        # the classifier only certifies smoothness with a known floor
+        root = smooth_lower_root(m0, an.phi_minus, a_hi)
+        yield (
+            "min_e_persistence", f"min e over the run stays above the lower fixed point {root:.6g}",
+            1e-6, root - summary.extrema["run_min_e"],
+        )
+        upper = e_upper_bound(an.frame0.max_e, m0, phi_plus, a_lo)
+        yield (
+            "max_e_bound", f"max e over the run stays below {upper:.6g}",
+            1e-6, summary.extrema["run_max_e"] - upper,
+        )
+    if cfg.mode == "hydro1d" and verdict == "blowup_guaranteed":
+        ok = summary.blowup is not None and summary.blowup[1] <= cfg.t_final
+        yield (
+            "blowup_detected", "run predicted to blow up must cross the e-threshold before T",
+            0.0, 0.0 if ok else 1.0,
+        )
+    if cfg.mode == "hydro2d" and verdict in ("subcritical_quadratic", "subcritical_general"):
+        budgets, f0 = threshold.constants, an.frame0
+        yield (
+            "min_e_nonneg", "e stays nonnegative on all characteristics and frames",
+            1e-6, -np.asarray([f.min_e for f in frames]),
+        )
+        gap_budget = budgets.get("etaS_budget")
+        if gap_budget is None:
+            gap_budget = budgets.get("etaS_max", math.inf)
+        yield (
+            "eta_s_bound", f"spectral gap stays within its budget {gap_budget:.6g}",
+            1e-6, np.asarray([f.max_abs_eta_s for f in frames]) - gap_budget,
+        )
+        if verdict == "subcritical_quadratic":
+            omega_budget = f0.max_abs_omega + 32.0 / budgets["lambda"] * m0 * an.dphi_inf * math.sqrt(
+                budgets["C_inf"] * f0.delta_e_linf
+            )
+        else:
+            # general potential: the transport forcing is bounded by half the
+            # kernel part of C_max, divided by the persistent floor c2 of e
+            omega_budget = max(f0.max_abs_omega, 0.5 * (budgets["C_max"] - 2.0 * a_hi) / budgets["c2"])
+        yield (
+            "omega_bound", f"vorticity stays within its budget {omega_budget:.6g}",
+            1e-6, np.asarray([f.max_abs_omega for f in frames]) - omega_budget,
+        )
+    if verdict != "blowup_guaranteed":
+        yield (
+            "no_blowup", "run not predicted to blow up must reach T without blow-up",
+            0.0, 1.0 if summary.blowup else 0.0,
+        )
 
 
 _SCALAR_COLUMNS = [

@@ -1,4 +1,13 @@
-"""Relabelling the agents permutes the right-hand sides the same way (property tests)."""
+"""Symmetries of the particle and 1D characteristic right-hand sides (property tests).
+
+Relabelling the agents permutes the right-hand sides the same way.  The
+alignment force sum_j m_j phi(|x_i - x_j|)(u_j - u_i) does not change when
+every position moves by c (zero potential) or every velocity by v, and
+sum_i m_i F_i = 0.  The last three hold up to round-off, bounded a priori
+from the operations of one computed force (``_force_error``).
+"""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,8 +16,8 @@ from hypothesis.extra import numpy as hnp
 
 from flocklab.dynamics import _rhs_u
 from flocklab.hydro1d import _rhs_arrays_1d
-from flocklab.kernels import ConstantKernel, FloorClippedKernel, PowerLawKernel
-from flocklab.potentials import PerturbedQuadraticPotential, QuadraticPotential, ZeroPotential
+from flocklab.kernels import ConstantKernel, FloorClippedKernel, PowerLawKernel, kernel_eval
+from flocklab.potentials import PerturbedQuadraticPotential, QuadraticPotential, ZeroPotential, grad_at
 
 KERNELS = st.sampled_from([
     ConstantKernel(1.3),
@@ -39,6 +48,18 @@ def ensembles(draw, dims=(1, 2)):
     return x, u, m, np.array(draw(st.permutations(range(n))), dtype=int)
 
 
+def _characteristics(data, n):
+    """(e, rho) of n characteristics."""
+    e = data.draw(hnp.arrays(float, n, elements=st.floats(-3.0, 3.0, allow_subnormal=False)))
+    rho = data.draw(hnp.arrays(float, n, elements=st.floats(0.0, 2.0, allow_subnormal=False)))
+    return e, rho
+
+
+def _shifts(data, d):
+    """One (1, d) position or velocity shift."""
+    return data.draw(_vectors(1, d, -2.0, 2.0))
+
+
 def _outs(*arrays):
     return tuple(map(np.empty_like, arrays))
 
@@ -60,10 +81,133 @@ def test_particle_rhs_is_permutation_equivariant(ens, kernel, potential):
 @given(ensembles(dims=(1,)), st.data(), KERNELS, POTENTIALS)
 def test_1d_characteristic_rhs_is_permutation_equivariant(ens, data, kernel, potential):
     x, u, m, perm = ens
-    n = x.shape[0]
-    e = data.draw(hnp.arrays(float, n, elements=st.floats(-3.0, 3.0, allow_subnormal=False)))
-    rho = data.draw(hnp.arrays(float, n, elements=st.floats(0.0, 2.0, allow_subnormal=False)))
+    e, rho = _characteristics(data, x.shape[0])
     want = _rhs_arrays_1d(x, u, e, rho, m, kernel, potential, _outs(x, u, e, rho))
     got = _rhs_arrays_1d(x[perm], u[perm], e[perm], rho[perm], m[perm], kernel, potential, _outs(x, u, e, rho))
     for g, w in zip(got, want):
         _assert_permuted(g, w, perm)
+
+
+# eps is twice the unit round-off, which covers the second-order terms of the
+# bounds below; ETA is the absolute error of a product that underflows
+EPS = np.finfo(float).eps
+ETA = np.finfo(float).smallest_subnormal
+
+
+def _force_error(n, m, kernel, scale, c):
+    """c eps m0 phi(0) scale, plus c ETA for the products that underflow.
+
+    One computed force W @ [m, m u] - u (W @ m) is within (2n + 6) eps
+    m0 phi(0) max|u| of the exact force on the same kernel values: each of
+    the two n-term sums is within (n + 1) eps of m0 phi(0) max|u| (resp.
+    m0 phi(0)), the products m_j u_j and u_i (W @ m)_i add eps each, and
+    the final subtraction 2 eps of |F_i| <= 2 m0 phi(0) max|u|.  A constant
+    kernel's K (m @ u - m0 u) takes fewer operations.
+    """
+    phi0 = float(kernel_eval(kernel, 0.0))
+    return c * EPS * m.sum() * phi0 * scale + c * ETA * (1.0 + m.sum() * phi0)
+
+
+def _translation_error(x, shift, u, m, kernel):
+    """Bound on |F(x + shift) - F(x)|, both computed.
+
+    Two computed forces (2 (2n + 6) eps) plus the change of the kernel
+    values: each computed phi_ij is within (d + 7) eps phi(0) of phi at its
+    computed positions' distance (r^2 carries d + 2 roundings, 1 + r^2 one
+    more, and beta <= 1 in KERNELS; the power and c0 add up to three), the
+    rounded x + shift moves a distance by at most 2 sqrt(d) eps (max|x| +
+    max|shift|), and |phi'| <= beta phi(0) for phi = c0 (1 + r^2)^(-beta),
+    clipped or not.  A kernel change dw moves F_i by at most dw m0 2 max|u|.
+    """
+    n, d = x.shape
+    beta = getattr(getattr(kernel, "inner", kernel), "beta", 0.0)
+    dw = 2 * (d + 7) + 2 * math.sqrt(d) * beta * (np.abs(x).max() + np.abs(shift).max())
+    return _force_error(n, m, kernel, np.abs(u).max(), 2 * (2 * n + 6) + 2 * dw)
+
+
+def _galilean_error(x, u, v, m, kernel, potential):
+    """Bound on |du(u + v) - du(u)|, both computed, du = F - grad U(x).
+
+    Two computed forces at velocity scale max|u| + max|v| (2 (2n + 6) eps),
+    the rounding of u + v (F is linear in u: 2 eps), and the two final
+    subtractions of grad U (2 eps of |F| and eps of max|grad U| each).
+    """
+    scale = np.abs(u).max() + np.abs(v).max()
+    grad = float(np.abs(grad_at(potential, x)).max())
+    return _force_error(x.shape[0], m, kernel, scale, 4 * x.shape[0] + 18) + 2 * EPS * grad
+
+
+def _momentum_error(u, m, kernel):
+    """Bound on |sum_i m_i F_i| as the test computes it.
+
+    The exact sum vanishes on the computed kernel values, which are
+    symmetric (one evaluation per pair), so it is m0 times one force's
+    error (2n + 6) plus the n-term sum's (n + 1) eps m0 2 m0 phi(0) max|u|.
+    """
+    n = u.shape[0]
+    return m.sum() * _force_error(n, m, kernel, np.abs(u).max(), 4 * n + 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ensembles(), st.data(), KERNELS)
+def test_particle_alignment_force_is_translation_invariant(ens, data, kernel):
+    x, u, m, _ = ens
+    shift = _shifts(data, x.shape[1])
+    zero = ZeroPotential()
+    got = _rhs_u(x + shift, u, m, kernel, zero, np.empty_like(u))
+    want = _rhs_u(x, u, m, kernel, zero, np.empty_like(u))
+    assert np.abs(got - want).max() <= _translation_error(x, shift, u, m, kernel)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ensembles(), st.data(), KERNELS, POTENTIALS)
+def test_particle_rhs_is_galilean_invariant(ens, data, kernel, potential):
+    x, u, m, _ = ens
+    v = _shifts(data, x.shape[1])
+    got = _rhs_u(x, u + v, m, kernel, potential, np.empty_like(u))
+    want = _rhs_u(x, u, m, kernel, potential, np.empty_like(u))
+    assert np.abs(got - want).max() <= _galilean_error(x, u, v, m, kernel, potential)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ensembles(), KERNELS)
+def test_particle_alignment_force_conserves_momentum(ens, kernel):
+    x, u, m, _ = ens
+    force = _rhs_u(x, u, m, kernel, ZeroPotential(), np.empty_like(u))
+    assert np.abs(m @ force).max() <= _momentum_error(u, m, kernel)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ensembles(dims=(1,)), st.data(), KERNELS)
+def test_1d_characteristic_alignment_force_is_translation_invariant(ens, data, kernel):
+    x, u, m, _ = ens
+    e, rho = _characteristics(data, x.shape[0])
+    shift = _shifts(data, 1)
+    zero = ZeroPotential()
+    got = _rhs_arrays_1d(x + shift, u, e, rho, m, kernel, zero, _outs(x, u, e, rho))
+    want = _rhs_arrays_1d(x, u, e, rho, m, kernel, zero, _outs(x, u, e, rho))
+    assert np.array_equal(got[0], want[0])  # dx = u
+    assert np.abs(got[1] - want[1]).max() <= _translation_error(x, shift, u, m, kernel)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ensembles(dims=(1,)), st.data(), KERNELS, POTENTIALS)
+def test_1d_characteristic_rhs_is_galilean_invariant(ens, data, kernel, potential):
+    x, u, m, _ = ens
+    e, rho = _characteristics(data, x.shape[0])
+    v = _shifts(data, 1)
+    got = _rhs_arrays_1d(x, u + v, e, rho, m, kernel, potential, _outs(x, u, e, rho))
+    want = _rhs_arrays_1d(x, u, e, rho, m, kernel, potential, _outs(x, u, e, rho))
+    assert np.array_equal(got[0], u + v)
+    assert np.abs(got[1] - want[1]).max() <= _galilean_error(x, u, v, m, kernel, potential)
+    # de and drho read the positions and the kernel convolution, not u
+    assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(ensembles(dims=(1,)), st.data(), KERNELS)
+def test_1d_characteristic_alignment_force_conserves_momentum(ens, data, kernel):
+    x, u, m, _ = ens
+    e, rho = _characteristics(data, x.shape[0])
+    du = _rhs_arrays_1d(x, u, e, rho, m, kernel, ZeroPotential(), _outs(x, u, e, rho))[1]
+    assert np.abs(m @ du).max() <= _momentum_error(u, m, kernel)

@@ -567,6 +567,15 @@ def test_cli_check_fails_a_diverged_run(tmp_path, capsys):
     assert result.summary.blowup[0] > 0.0
 
 
+def test_cli_simulate_fails_a_diverged_run(tmp_path, capsys):
+    # simulate and check share the summary's pass rule
+    cfg_path = tmp_path / "diverging.cfg"
+    cfg_path.write_text(DIVERGING)
+    assert cli_main(["simulate", str(cfg_path)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert "no_blowup" in [c["name"] for c in doc["bound_checks"] if not c["pass"]]
+
+
 def test_cli_unknown_preset_is_config_error(capsys):
     assert cli_main(["check", "nope"]) == 2
     assert "error:" in capsys.readouterr().err
