@@ -58,7 +58,6 @@ class InitialSpec:
     amplitude: float = 1.0
     rotation: float = 0.0
     half_width: float = 1.0
-    bump_height: float = 1.0
     recenter: bool = False
     x_shift: tuple = ()
     u_shift: tuple = ()
@@ -140,7 +139,6 @@ _INITIAL = (
     ("velocities", "velocities", VELOCITY_KINDS, "random"),
     ("amplitude", "amplitude", "real", 1.0),
     ("length", "half_width", "pos", 1.0),
-    ("z", "bump_height", "pos", 1.0),
     ("recenter", "recenter", "bool", False),
     ("rotation", "rotation", "real?", 0.0),
     ("x_shift", "x_shift", "vec?", ()),

@@ -276,75 +276,53 @@ def _require(cond: bool, what: str):
         raise ValueError(f"constants require {what}")
 
 
+def _formula(text: str):
+    """A report entry, None until computed, whose defining formula ``as_dict`` prints beside it."""
+    return field(default=None, metadata={"formula": text})
+
+
 @dataclass
 class ConstantsReport:
     """Every closed-form constant that applies to a parameter set.
 
     Fields that a given parameter set cannot support are None, with the
-    reason recorded in ``notes``.  ``as_dict`` pairs each value with the
-    formula it was computed from.
+    reason recorded in ``notes``.  Each field declares the formula it is
+    computed from, and ``as_dict`` pairs the value with it.
     """
 
-    lam: Optional[float] = None
-    lam1: Optional[float] = None
-    c_inf: Optional[float] = None
-    c_inf_via_f1: Optional[float] = None
-    c_inf_conservative: Optional[float] = None
-    mu1: Optional[float] = None
-    mu2: Optional[float] = None
-    mu3: Optional[float] = None
-    beta_cross: Optional[float] = None
-    r0: Optional[float] = None
-    phi_minus_from_r0: Optional[float] = None
-    c: Optional[float] = None
-    c_0: Optional[float] = None
-    c_f: Optional[float] = None
-    c_plus: Optional[float] = None
-    c_star: Optional[float] = None
-    c1: Optional[float] = None
-    c_max: Optional[float] = None
-    c_a: Optional[float] = None
-    c2: Optional[float] = None
+    lam: Optional[float] = _formula("0.5*min(m0*phi_minus/(m0^2*phi_plus^2/a + 3/2), sqrt(a)/2)")
+    lam1: Optional[float] = _formula("0.25*min(m0*phi_minus/(1 + (m0^2*phi_plus^2+1)/a + 1/4), sqrt(a)/2)")
+    c_inf: Optional[float] = _formula("4*(1 + phi_plus^2*m0^2*(2/(m0*phi_minus*lam) + 4/a))")
+    c_inf_via_f1: Optional[float] = _formula("4*(1 + 4*m0^2*(1/(2*m0*phi_minus) + 2*lam1/a)*phi_plus^2/lam)")
+    c_inf_conservative: Optional[float] = _formula("max(c_inf, c_inf_via_f1)")
+    mu1: Optional[float] = _formula("y - sqrt(y^2 - y + 1), y = a*K^2/A^2")
+    mu2: Optional[float] = _formula("(p + sqrt(p^2 - 4*a*q))/(2a),"
+                                    " p = a^2*K/A^2 + K/2, q = a*K^2/(2A^2) - 1/4")
+    mu3: Optional[float] = _formula("(p - sqrt(p^2 - 4*a*q))/(2a)")
+    beta_cross: Optional[float] = _formula("2*a*K/A^2")
+    r0: Optional[float] = _formula("closed-form scale with"
+                                   " int_{P0}^{R0} phi(sqrt(8r/a)) dr = phi_plus*E0/(4*m0)")
+    phi_minus_from_r0: Optional[float] = _formula("phi(sqrt(8*R0/a))")
+    c: Optional[float] = _formula("min(m0*phi_minus/(A + 2*(A + m0^2*phi_plus^2)), sqrt(a/(8*A^2)))")
+    c_0: Optional[float] = _formula("(2/(m0*phi_minus) + 4*c)*phi_plus^2*m0*E0")
+    c_f: Optional[float] = _formula("2*A*c_0/(a^2*c)")
+    c_plus: Optional[float] = _formula("2*sqrt(A)*(1 + 1/sqrt(a))")
+    c_star: Optional[float] = _formula("(64/lam)*m0*dphi_inf*sqrt(c_inf)")
+    c_max: Optional[float] = _formula("8*dphi_inf*m0*u_max + 2*A")
+    c_a: Optional[float] = _formula("m0^2*phi_minus^2/2 - 2*A")
+    c2: Optional[float] = _formula("sqrt(c_a - sqrt(c_a^2 - c_max^2))")
     notes: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            if f.name == "notes":
-                continue
-            entry = {"value": getattr(self, f.name)}
-            if f.name in _TAGS:
-                entry["formula"] = _TAGS[f.name]
-            out[f.name] = entry
+        out = {
+            f.name: {"value": getattr(self, f.name), "formula": f.metadata["formula"]}
+            for f in fields(self) if f.name != "notes"
+        }
         out["notes"] = list(self.notes)
         return out
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2)
-
-
-_TAGS = {
-    "lam": "0.5*min(m0*phi_minus/(m0^2*phi_plus^2/a + 3/2), sqrt(a)/2)",
-    "lam1": "0.25*min(m0*phi_minus/(1 + (m0^2*phi_plus^2+1)/a + 1/4), sqrt(a)/2)",
-    "c_inf": "4*(1 + phi_plus^2*m0^2*(2/(m0*phi_minus*lam) + 4/a))",
-    "c_inf_via_f1": "4*(1 + 4*m0^2*(1/(2*m0*phi_minus) + 2*lam1/a)*phi_plus^2/lam)",
-    "c_inf_conservative": "max(c_inf, c_inf_via_f1)",
-    "mu1": "y - sqrt(y^2 - y + 1), y = a*K^2/A^2",
-    "mu2": "(p + sqrt(p^2 - 4*a*q))/(2a), p = a^2*K/A^2 + K/2, q = a*K^2/(2A^2) - 1/4",
-    "mu3": "(p - sqrt(p^2 - 4*a*q))/(2a)",
-    "beta_cross": "2*a*K/A^2",
-    "r0": "closed-form scale with int_{P0}^{R0} phi(sqrt(8r/a)) dr = phi_plus*E0/(4*m0)",
-    "phi_minus_from_r0": "phi(sqrt(8*R0/a))",
-    "c": "min(m0*phi_minus/(A + 2*(A + m0^2*phi_plus^2)), sqrt(a/(8*A^2)))",
-    "c_0": "(2/(m0*phi_minus) + 4*c)*phi_plus^2*m0*E0",
-    "c_f": "2*A*c_0/(a^2*c)",
-    "c_plus": "2*sqrt(A)*(1 + 1/sqrt(a))",
-    "c_star": "(64/lam)*m0*dphi_inf*sqrt(c_inf)",
-    "c1": "sqrt(m0^2*phi_minus^2 - (etaS0_max + c_star*sqrt(deltaEinf0))^2 - 4a)",
-    "c_max": "8*dphi_inf*m0*u_max + 2*A",
-    "c_a": "m0^2*phi_minus^2/2 - 2*A",
-    "c2": "sqrt(c_a - sqrt(c_a^2 - c_max^2))",
-}
 
 
 def constants_report(

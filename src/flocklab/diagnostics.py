@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -36,6 +36,7 @@ from .potentials import Potential, value_at
 
 __all__ = [
     "DiagnosticsFrame",
+    "frame_columns",
     "RateFit",
     "energy",
     "pair_scan",
@@ -198,9 +199,14 @@ def fit_rate(times, values, window: Optional[tuple[float, float]] = None, mode: 
                    window=(float(lo), float(hi)), mode=mode)
 
 
+def _column(csv: str, **default):
+    """A frame field written as the CSV column ``csv``; x_c and u_c expand to ``csv_0, csv_1, ...``."""
+    return field(metadata={"csv": csv}, **default)
+
+
 @dataclass
 class DiagnosticsFrame:
-    """One output-time snapshot of every monitored functional.
+    """One output-time snapshot of every monitored functional; each field names its CSV column.
 
     Fields that a run mode does not produce are NaN: min_e/max_e and the
     density range come from the 1D characteristic solver, the spectral
@@ -208,22 +214,28 @@ class DiagnosticsFrame:
     recentered state, F_const_max a constant kernel with convex potential.
     """
 
-    t: float
-    total_energy: float
-    kinetic_energy: float
-    delta_e_l2: float
-    delta_e_linf: float
-    particle_energy: float
-    diameter: float
-    lyapunov: float
-    f1_max: float
-    f_const_max: float
-    x_c: tuple
-    u_c: tuple
-    min_e: float = math.nan
-    max_e: float = math.nan
-    min_rho: float = math.nan
-    max_rho: float = math.nan
-    max_abs_eta_s: float = math.nan
-    max_abs_omega: float = math.nan
-    max_tr_grad: float = math.nan
+    t: float = _column("t")
+    total_energy: float = _column("E")
+    kinetic_energy: float = _column("E_k")
+    delta_e_l2: float = _column("deltaE_L2")
+    delta_e_linf: float = _column("deltaE_Linf")
+    particle_energy: float = _column("P")
+    diameter: float = _column("D")
+    lyapunov: float = _column("V")
+    f1_max: float = _column("F1_max")
+    f_const_max: float = _column("F_const_max")
+    x_c: tuple = _column("xc")
+    u_c: tuple = _column("uc")
+    min_e: float = _column("min_e", default=math.nan)
+    max_e: float = _column("max_e", default=math.nan)
+    min_rho: float = _column("min_rho", default=math.nan)
+    max_rho: float = _column("max_rho", default=math.nan)
+    max_abs_eta_s: float = _column("max_abs_etaS", default=math.nan)
+    max_abs_omega: float = _column("max_abs_omega", default=math.nan)
+    max_tr_grad: float = _column("max_trM", default=math.nan)
+
+
+def frame_columns(frames) -> dict:
+    """Field name -> the frames' values of that field as one array, (F, d) for x_c and u_c."""
+    names = [f.name for f in fields(DiagnosticsFrame)]
+    return {name: np.asarray([getattr(f, name) for f in frames], dtype=float) for name in names}

@@ -45,14 +45,14 @@ def build_state(cfg: ExperimentConfig) -> Ensemble:
         return _build_particles(cfg)
     if cfg.mode == "hydro1d":
         return init_characteristics(
-            BumpDensity(cfg.initial.bump_height, cfg.initial.half_width),
+            BumpDensity(half_width=cfg.initial.half_width),
             _velocity_profile(cfg),
             cfg.n,
             cfg.kernel,
             m0=cfg.m0,
         )
     return init_characteristics_2d(
-        BumpDensity2D(cfg.initial.bump_height, cfg.initial.half_width),
+        BumpDensity2D(half_width=cfg.initial.half_width),
         _velocity_profile(cfg),
         math.isqrt(cfg.n),
         cfg.kernel,

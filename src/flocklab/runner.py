@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -49,6 +49,7 @@ from .diagnostics import (  # noqa: F401 (the benchmark binds the three pair_sca
     energy,
     fit_rate,
     fluctuations,
+    frame_columns,
     lyapunov_v,
     pair_functional_f,
     pair_scan,
@@ -367,13 +368,12 @@ def _integrate(cfg: ExperimentConfig, an: Analysis) -> RunResult:
     )
     if track_e:
         summary.extrema = {"run_min_e": min_e, "run_max_e": max_e}
-    columns = tuple(np.asarray([getattr(f, name) for f in frames]) for name in _CHECKED_COLUMNS)
-    for name, description, tol, excess in _check_rows(summary, cfg, an, frames, columns):
+    cols = frame_columns(frames)
+    for name, description, tol, excess in _check_rows(summary, cfg, an, cols):
         summary.bound_checks.append(BoundCheck(name, description, tol, float(np.max(excess))))
-    times, delta_l2 = columns[:2]
-    window = (0.5 * cfg.t_final, float(times.max()))
+    window = (0.5 * cfg.t_final, float(cols["t"].max()))
     try:  # needs 5 samples in the window, all positive
-        summary.rate_fits["deltaE_L2"] = fit_rate(times, delta_l2, window=window)
+        summary.rate_fits["deltaE_L2"] = fit_rate(cols["t"], cols["delta_e_l2"], window=window)
     except ValueError:
         pass
     return RunResult(summary=summary, frames=frames)
@@ -407,16 +407,13 @@ def _state_frame(cfg: ExperimentConfig, ens: Ensemble, a_lo: float, pair_f: tupl
     return frame
 
 
-# the frame columns the checks and the rate fit read, as unpacked by _check_rows
-_CHECKED_COLUMNS = ("t", "delta_e_l2", "delta_e_linf", "particle_energy", "diameter")
-
-
-def _check_rows(summary, cfg, an: Analysis, frames, columns):
+def _check_rows(summary, cfg, an: Analysis, cols: dict):
     """Yield ``(name, description, tol, excess)`` for every bound check that applies, in summary order.
 
-    ``columns`` holds the frames' t, deltaE_L2, deltaE_Linf, P and D; a skipped check leaves a note.
+    ``cols`` is the frames' ``frame_columns``; a skipped check leaves a note.
     """
-    times, delta_l2, delta_inf, p_vals, d_vals = columns
+    times, delta_l2, delta_inf = cols["t"], cols["delta_e_l2"], cols["delta_e_linf"]
+    p_vals, d_vals = cols["particle_energy"], cols["diameter"]
     m0, a_lo, a_hi, phi_plus = cfg.m0, an.a_lo, an.a_hi, an.phi_plus
     if an.confined:
         a = cfg.potential.a
@@ -443,14 +440,13 @@ def _check_rows(summary, cfg, an: Analysis, frames, columns):
         a = cfg.potential.a
         yield "support_energy_inequality", "(a/8) D(t)^2 <= P(t)", 1e-9, a / 8.0 * d_vals * d_vals - p_vals
         omega = math.sqrt(a)
-        x0, u0 = np.asarray(an.frame0.x_c), np.asarray(an.frame0.u_c)
+        x0, u0 = cols["x_c"][0], cols["u_c"][0]
         errors = []
-        for f in frames:
-            ct, st = math.cos(omega * f.t), math.sin(omega * f.t)
+        for t, x_c, u_c in zip(times.tolist(), cols["x_c"], cols["u_c"]):
+            ct, st = math.cos(omega * t), math.sin(omega * t)
             x_ref = x0 * ct + u0 * (st / omega)
             u_ref = -x0 * omega * st + u0 * ct
-            err = max(np.abs(np.asarray(f.x_c) - x_ref).max(), np.abs(np.asarray(f.u_c) - u_ref).max())
-            errors.append(err)
+            errors.append(max(np.abs(x_c - x_ref).max(), np.abs(u_c - u_ref).max()))
         yield (
             "means_oscillator", "means follow the closed-form oscillation of frequency sqrt(a)",
             1e-7, np.asarray(errors),
@@ -468,7 +464,7 @@ def _check_rows(summary, cfg, an: Analysis, frames, columns):
         window = times >= 0.5 * cfg.t_final
         positive = window & (delta_l2 > 0.0)
         if window.sum() < 5:
-            summary.notes.append("sqrt-weighted trend skipped: not enough positive samples")
+            summary.notes.append("sqrt-weighted trend skipped: fewer than 5 frames in the trailing half")
         else:
             if positive.sum() >= 5:
                 weighted = delta_l2[positive] * np.sqrt(1.0 + times[positive])
@@ -508,14 +504,14 @@ def _check_rows(summary, cfg, an: Analysis, frames, columns):
         budgets, f0 = threshold.constants, an.frame0
         yield (
             "min_e_nonneg", "e stays nonnegative on all characteristics and frames",
-            1e-6, -np.asarray([f.min_e for f in frames]),
+            1e-6, -cols["min_e"],
         )
         gap_budget = budgets.get("etaS_budget")
         if gap_budget is None:
             gap_budget = budgets.get("etaS_max", math.inf)
         yield (
             "eta_s_bound", f"spectral gap stays within its budget {gap_budget:.6g}",
-            1e-6, np.asarray([f.max_abs_eta_s for f in frames]) - gap_budget,
+            1e-6, cols["max_abs_eta_s"] - gap_budget,
         )
         if verdict == "subcritical_quadratic":
             omega_budget = f0.max_abs_omega + 32.0 / budgets["lambda"] * m0 * an.dphi_inf * math.sqrt(
@@ -527,7 +523,7 @@ def _check_rows(summary, cfg, an: Analysis, frames, columns):
             omega_budget = max(f0.max_abs_omega, 0.5 * (budgets["C_max"] - 2.0 * a_hi) / budgets["c2"])
         yield (
             "omega_bound", f"vorticity stays within its budget {omega_budget:.6g}",
-            1e-6, np.asarray([f.max_abs_omega for f in frames]) - omega_budget,
+            1e-6, cols["max_abs_omega"] - omega_budget,
         )
     if verdict != "blowup_guaranteed":
         yield (
@@ -536,44 +532,17 @@ def _check_rows(summary, cfg, an: Analysis, frames, columns):
         )
 
 
-_SCALAR_COLUMNS = [
-    ("t", "t"),
-    ("E", "total_energy"),
-    ("E_k", "kinetic_energy"),
-    ("deltaE_L2", "delta_e_l2"),
-    ("deltaE_Linf", "delta_e_linf"),
-    ("P", "particle_energy"),
-    ("D", "diameter"),
-    ("V", "lyapunov"),
-    ("F1_max", "f1_max"),
-    ("F_const_max", "f_const_max"),
-]
-_TAIL_COLUMNS = [
-    ("min_e", "min_e"),
-    ("max_e", "max_e"),
-    ("min_rho", "min_rho"),
-    ("max_rho", "max_rho"),
-    ("max_abs_etaS", "max_abs_eta_s"),
-    ("max_abs_omega", "max_abs_omega"),
-    ("max_trM", "max_tr_grad"),
-]
-
-
 def frames_csv(frames) -> str:
-    """Render frames as CSV with a '#' header comment naming the columns."""
+    """Render frames as CSV with a '#' header comment naming the columns that DiagnosticsFrame declares."""
     if not frames:
         return "# columns: (no frames)\n"
-    dim = len(frames[0].x_c)
-    names = [n for n, _ in _SCALAR_COLUMNS]
-    names += [f"xc_{k}" for k in range(dim)] + [f"uc_{k}" for k in range(dim)]
-    names += [n for n, _ in _TAIL_COLUMNS]
-    lines = ["# columns: " + ",".join(names)]
-    for f in frames:
-        vals = [getattr(f, attr) for _, attr in _SCALAR_COLUMNS]
-        vals += list(f.x_c) + list(f.u_c)
-        vals += [getattr(f, attr) for _, attr in _TAIL_COLUMNS]
-        lines.append(",".join(repr(float(v)) for v in vals))
-    return "\n".join(lines) + "\n"
+    cols = frame_columns(frames)
+    names = []
+    for f in fields(DiagnosticsFrame):
+        csv, values = f.metadata["csv"], cols[f.name]
+        names += [f"{csv}_{k}" for k in range(values.shape[1])] if values.ndim == 2 else [csv]
+    table = np.column_stack(list(cols.values())).tolist()
+    return "\n".join(["# columns: " + ",".join(names), *(",".join(map(repr, row)) for row in table)]) + "\n"
 
 
 def sweep(cfg: ExperimentConfig, axes, simulate: bool = False, max_workers: Optional[int] = None):

@@ -132,6 +132,11 @@ def dense_alignment_force(x, u, m, kernel):
     return _dense_alignment(kernel_eval_sq(kernel, _pairwise_sq_norms(x)), u, m)
 
 
+def dense_dissipation(x, u, m, kernel):
+    """-1/2 sum_ij m_i m_j phi_ij |u_i - u_j|^2 from the whole N x N kernel matrix."""
+    return -0.5 * float(m @ (kernel_eval_sq(kernel, _pairwise_sq_norms(x)) * _pairwise_sq_norms(u)) @ m)
+
+
 def dense_conv_phi(x, m, kernel):
     """sum_j m_j phi(|x_i - x_j|) from the whole N x N kernel matrix."""
     return kernel_eval_sq(kernel, _pairwise_sq_norms(x)) @ m
@@ -306,7 +311,7 @@ def _evaluate_checks(summary, cfg, an: Analysis, frames, threshold):
         if check is not None:
             checks.append(check)
         else:
-            summary.notes.append("sqrt-weighted trend skipped: not enough positive samples")
+            summary.notes.append("sqrt-weighted trend skipped: fewer than 5 frames in the trailing half")
 
     verdict = getattr(threshold, "verdict", None)
     if cfg.mode == "hydro1d":

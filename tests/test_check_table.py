@@ -110,7 +110,7 @@ def test_configs_reach_every_branch():
     summaries = {name: _table_and_oracle(name)[0] for name in CONFIGS if name not in PRESET_CHECKS}
     skipped_r0 = "particle energy bound skipped: no closed-form R0 for this kernel"
     assert skipped_r0 in summaries["confined-no-r0"].notes
-    skipped_trend = "sqrt-weighted trend skipped: not enough positive samples"
+    skipped_trend = "sqrt-weighted trend skipped: fewer than 5 frames in the trailing half"
     assert summaries["sqrt-trend-skipped"].notes == [skipped_trend]
     assert "fluctuations fully collapsed" in summaries["sqrt-trend-collapsed"].bound_checks[0].description
     assert summaries["general-2d"].threshold.verdict == "subcritical_general"

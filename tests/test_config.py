@@ -65,6 +65,13 @@ def test_unknown_key_rejected_with_path():
         parse_config(MINIMAL.replace("family = quadratic\na = 1.0", "family = quadratic\na = 1.0\neps = 0.1"))
 
 
+def test_bump_height_is_not_a_key():
+    # the masses are rescaled to m0, so a bump height would cancel out
+    with pytest.raises(ConfigError, match=r"^unknown key initial\.z$"):
+        parse_config(MINIMAL + "\n[initial]\npositions = bump\nz = 2\n")
+    assert "z =" not in serialize_config(parse_config(MINIMAL))
+
+
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match="plotting"):
         parse_config(MINIMAL + "\n[plotting]\nlive = yes\n")

@@ -237,7 +237,9 @@ def test_constants_report_full_inputs():
     assert rep.c_max == pytest.approx(3.0)  # 0 forcing slope: 2A
     d = rep.as_dict()
     assert d["lam"]["value"] == rep.lam
-    assert "formula" in d["lam"]
+    # every constant carries its formula; c1 belongs to the 2D threshold report, not here
+    assert all(sorted(entry) == ["formula", "value"] for key, entry in d.items() if key != "notes")
+    assert "c1" not in d
     assert rep.to_json().startswith("{")
 
 

@@ -3,8 +3,11 @@
 Relabelling the agents permutes the right-hand sides the same way.  The
 alignment force sum_j m_j phi(|x_i - x_j|)(u_j - u_i) does not change when
 every position moves by c (zero potential) or every velocity by v, and
-sum_i m_i F_i = 0.  The last three hold up to round-off, bounded a priori
-from the operations of one computed force (``_force_error``).
+sum_i m_i F_i = 0.  The particle right-hand side dissipates energy at the
+rate of the pair sum: sum_i m_i u_i . du_i + sum_i m_i grad U(x_i) . u_i =
+-1/2 sum_ij m_i m_j phi_ij |u_i - u_j|^2.  All but the first hold up to
+round-off, bounded a priori from the operations of one computed force
+(``_force_error``) and of the sums that the tests form.
 """
 
 import math
@@ -18,6 +21,7 @@ from flocklab.dynamics import _rhs_u
 from flocklab.hydro1d import _rhs_arrays_1d
 from flocklab.kernels import ConstantKernel, FloorClippedKernel, PowerLawKernel, kernel_eval
 from flocklab.potentials import PerturbedQuadraticPotential, QuadraticPotential, ZeroPotential, grad_at
+from oracles import dense_dissipation
 
 KERNELS = st.sampled_from([
     ConstantKernel(1.3),
@@ -146,6 +150,52 @@ def _momentum_error(u, m, kernel):
     """
     n = u.shape[0]
     return m.sum() * _force_error(n, m, kernel, np.abs(u).max(), 4 * n + 8)
+
+
+def _dissipation_error(x, u, m, kernel, potential):
+    """Bound on |sum_i m_i u_i . du_i + sum_i m_i g_i . u_i - D| as the test computes it.
+
+    du is the computed right-hand side, g = grad U(x) and D the dense
+    oracle's dissipation.  With a = max|u|, G = max|g| and sum_i m_i |u_i|_1
+    <= m0 d a, the terms are:
+
+    * the two einsum sums of n d triple products, (n d + 1) eps each, of
+      sum m |u| (|F| + |g|) and sum m |g| |u|, the rounding of du = F - g
+      (eps of |F| + |g|) and their sum (eps), with |F_i| <= 2 m0 phi(0) a:
+      (n d + 3) eps m0 d a 2 m0 phi(0) a + (2 n d + 5) eps m0 d a G;
+    * the computed force against the exact one on the same, symmetric
+      kernel values, m0 d a times ``_force_error``'s (2n + 6); on those
+      values sum_i m_i u_i . F_i equals -1/2 sum m_i m_j phi_ij |u_i - u_j|^2
+      exactly;
+    * the oracle's kernel values, each within 2 (d + 7) eps phi(0) of the
+      package's (see ``_translation_error``), times 1/2 sum m_i m_j |du_ij|^2
+      <= 2 d m0^2 a^2;
+    * the oracle's own roundings, (2n + d + 4) eps of its nonnegative sum
+      (|du_ij|^2 d + 2, phi and the two masses 3, the two n-term sums
+      2n - 2), at most 2 d m0^2 phi(0) a^2;
+    * ETA for each of the at most n^2 (d + 8) products that underflow,
+      times the masses and kernel values that multiply it later.
+    """
+    n, d = u.shape
+    m0, a = m.sum(), np.abs(u).max()
+    phi0 = float(kernel_eval(kernel, 0.0))
+    grad = float(np.abs(grad_at(potential, x)).max())
+    sums = (n * d + 3) * m0 * d * a * 2 * m0 * phi0 * a + (2 * n * d + 5) * m0 * d * a * grad
+    pair_sum = 2 * d * m0 * m0 * a * a
+    oracle = 2 * (d + 7) * pair_sum * phi0 + (2 * n + d + 4) * pair_sum * phi0
+    force = m0 * d * a * _force_error(n, m, kernel, a, 2 * n + 6)
+    underflow = n * n * (d + 8) * ETA * (1 + m0) * (1 + m0 * phi0)
+    return EPS * (sums + oracle) + force + underflow
+
+
+@settings(max_examples=60, deadline=None)
+@given(ensembles(), KERNELS, POTENTIALS)
+def test_particle_rhs_dissipates_energy_at_the_pair_rate(ens, kernel, potential):
+    x, u, m, _ = ens
+    du = _rhs_u(x, u, m, kernel, potential, np.empty_like(u))
+    grad = grad_at(potential, x)
+    rate = float(np.einsum("i,ik,ik->", m, u, du)) + float(np.einsum("i,ik,ik->", m, grad, u))
+    assert abs(rate - dense_dissipation(x, u, m, kernel)) <= _dissipation_error(x, u, m, kernel, potential)
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,12 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import flocklab
 from flocklab import runner
 from flocklab.cli import main as cli_main
 from flocklab.config import ConfigError, parse_config, preset_config, preset_text
+from flocklab.diagnostics import frame_columns
 from flocklab.runner import classify, run, sweep, sweep_csv
 
 SMALL = """
@@ -198,6 +200,34 @@ def test_frames_csv_shape():
         assert len(line.split(",")) == n_cols
     # t = 0 frame plus one per stride (the last step lands on a stride)
     assert len(lines) - 1 == result.summary.n_frames == 11
+
+
+_HEAD = "t,E,E_k,deltaE_L2,deltaE_Linf,P,D,V,F1_max,F_const_max,"
+_TAIL = ",min_e,max_e,min_rho,max_rho,max_abs_etaS,max_abs_omega,max_trM"
+
+
+@pytest.mark.parametrize("text, header", [
+    (SMALL, _HEAD + "xc_0,uc_0" + _TAIL),
+    (SMALL.replace("n = 12", "n = 12\ndim = 2"), _HEAD + "xc_0,xc_1,uc_0,uc_1" + _TAIL),
+    (SMOOTH_SHORT.replace("t = 5.0", "t = 0.2"), _HEAD + "xc_0,uc_0" + _TAIL),
+    (
+        POWER_LAW_2D.replace("n = 256", "n = 16").replace("t = 0.2", "t = 0.04"),
+        _HEAD + "xc_0,xc_1,uc_0,uc_1" + _TAIL,
+    ),
+], ids=["particles-1d", "particles-2d", "hydro1d", "hydro2d"])
+def test_frames_csv_layout_reads_back_to_the_column_view(text, header):
+    # the header is the layout every earlier version wrote; each row is the
+    # frame's fields in declaration order, x_c and u_c spread over d columns
+    cfg = parse_config(text)
+    result = run(cfg)
+    lines = result.csv().splitlines()
+    assert lines[0] == "# columns: " + header
+    cols = frame_columns(result.frames)
+    assert cols["x_c"].shape == cols["u_c"].shape == (len(result.frames), cfg.dim)
+    assert len(lines) - 1 == len(result.frames)
+    for i, line in enumerate(lines[1:]):
+        expected = [float(v) for name in cols for v in np.atleast_1d(cols[name][i])]
+        assert [float.hex(float(v)) for v in line.split(",")] == [float.hex(v) for v in expected]
 
 
 def test_quadratic_run_has_decay_checks():

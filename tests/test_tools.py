@@ -1,11 +1,12 @@
 """The preset tools, with their preset runs stubbed.
 
-``tools/preset_roundoff.py``'s exit status and ``tools/preset_hashes.py``'s lines.
+``tools/preset_roundoff.py``'s exit status and summary changes, and ``tools/preset_hashes.py``'s lines.
 """
 
 import hashlib
 import importlib.util
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -18,6 +19,12 @@ from flocklab.config import preset_names
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 FRAMES = "# columns: t,E\n0.0,1.0\n1.0,0.5\n"
+# NaN must meet NaN, as in the frames
+SUMMARY = {
+    "config": "[run]\nn = 4",
+    "constants": {"lam": {"value": math.nan}, "c2": {"value": None}},
+    "wall_time": 1.0,
+}
 
 
 def _load(name):
@@ -45,13 +52,44 @@ def test_preset_roundoff_exit_status(monkeypatch, tmp_path, capsys, other_csv, o
 
     def fake_run(checkout, preset):  # no subprocess: the other checkout gives the case's frames
         if checkout == tmp_path:
-            return {"csv": other_csv, "checks": other_checks}
-        return {"csv": FRAMES, "checks": {"bound": True}}
+            return {"csv": other_csv, "checks": other_checks, "summary": SUMMARY}
+        return {"csv": FRAMES, "checks": {"bound": True}, "summary": SUMMARY}
 
     monkeypatch.setattr(roundoff, "_run", fake_run)
     assert roundoff.main([str(tmp_path)]) == status
     lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith(" ")]
     assert [line.split(":")[0] for line in lines] == list(preset_names())
+    assert all(line.endswith("; summary changed: none") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "other_summary, changed",
+    [
+        (SUMMARY, "none"),
+        ({**SUMMARY, "wall_time": 9.0}, "none"),  # the one field that varies between runs
+        ({**SUMMARY, "config": "[run]\nn = 4\nz = 1.0"}, "config"),
+        ({**SUMMARY, "constants": {**SUMMARY["constants"], "c1": {"value": None}}}, "constants.c1"),
+        (
+            {**SUMMARY, "constants": {"lam": {"value": 0.25}, "c2": {}}},
+            "constants.c2.value, constants.lam.value",
+        ),
+        ({**SUMMARY, "notes": ["nan"]}, "notes"),
+    ],
+    ids=["same", "wall-time", "config", "key-gone", "values", "key-added"],
+)
+def test_preset_roundoff_names_summary_changes(monkeypatch, tmp_path, capsys, other_summary, changed):
+    roundoff = _load("preset_roundoff")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+
+    def fake_run(checkout, preset):  # equal frames and verdicts: only the summaries may differ
+        summary = other_summary if checkout == tmp_path else SUMMARY
+        return {"csv": FRAMES, "checks": {"bound": True}, "summary": summary}
+
+    monkeypatch.setattr(roundoff, "_run", fake_run)
+    assert roundoff.main([str(tmp_path)]) == 0  # a summary change alone leaves the exit status 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith(" ")]
+    assert len(lines) == len(preset_names())
+    assert all(line.endswith(f"; summary changed: {changed}") for line in lines), lines
 
 
 def test_preset_hashes_lines(monkeypatch, capsys):

@@ -8,8 +8,10 @@ on one OpenBLAS thread.  For each preset the report gives the largest
 relative difference in every frame column, by bench/verify.py's rule:
 |this - other| over the larger of |other| and the largest |value| of that
 column in the other run.  NaN must meet NaN.  The preset's line also says
-whether any bound-check verdict changed.  The exit status is 1 when any
-verdict changed or any preset's frame tables differ in shape, else 0.
+whether any bound-check verdict changed, and names the summary JSON keys
+(dotted paths into nested objects) whose values differ, ``wall_time``
+left out.  The exit status is 1 when any verdict changed or any preset's
+frame tables differ in shape, else 0.
 """
 
 import json
@@ -30,7 +32,8 @@ from flocklab.config import preset_config
 from flocklab.runner import run
 result = run(preset_config(sys.argv[2]))
 checks = {c.name: c.passed for c in result.summary.bound_checks}
-json.dump({"csv": result.csv(), "checks": checks}, sys.stdout)
+summary = json.loads(result.summary.to_json())
+json.dump({"csv": result.csv(), "checks": checks, "summary": summary}, sys.stdout)
 """
 
 
@@ -69,6 +72,21 @@ def column_roundoff(this_csv: str, other_csv: str) -> dict:
     return worst
 
 
+def summary_changes(this: dict, other: dict, prefix: str = "") -> list:
+    """Dotted keys of the values that differ between two summaries, ``wall_time`` left out."""
+    changed = []
+    for key in sorted(this.keys() | other.keys()):
+        path = prefix + key
+        a, b = this.get(key), other.get(key)
+        if path == "wall_time":
+            continue
+        if isinstance(a, dict) and isinstance(b, dict):
+            changed += summary_changes(a, b, path + ".")
+        elif key not in this or key not in other or json.dumps(a) != json.dumps(b):  # NaN meets NaN
+            changed.append(path)
+    return changed
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1:
@@ -87,15 +105,18 @@ def main(argv=None) -> int:
         )
         if changed:
             status = 1
+        changes = f"verdicts changed: {', '.join(changed) or 'none'}; summary changed: " + (
+            ", ".join(summary_changes(mine["summary"], theirs["summary"])) or "none"
+        )
         try:
             worst = column_roundoff(mine["csv"], theirs["csv"])
         except ValueError as exc:
             status = 1
-            print(f"{preset}: {exc}; verdicts changed: {', '.join(changed) or 'none'}", flush=True)
+            print(f"{preset}: {exc}; {changes}", flush=True)
             continue
         largest = max(worst.values(), key=lambda v: math.inf if math.isnan(v) else v, default=0.0)
         print(
-            f"{preset}: largest {largest:.3g}; verdicts changed: {', '.join(changed) or 'none'}\n  "
+            f"{preset}: largest {largest:.3g}; {changes}\n  "
             + " ".join(f"{name}={value:.2g}" for name, value in worst.items()),
             flush=True,
         )
