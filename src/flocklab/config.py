@@ -51,16 +51,17 @@ class ConfigError(ValueError):
     pass
 
 
+# only _build constructs these two, and it sets every field from the key tables, which hold the defaults
 @dataclass(frozen=True)
 class InitialSpec:
-    positions: str = "uniform"
-    velocities: str = "random"
-    amplitude: float = 1.0
-    rotation: float = 0.0
-    half_width: float = 1.0
-    recenter: bool = False
-    x_shift: tuple = ()
-    u_shift: tuple = ()
+    positions: str
+    velocities: str
+    amplitude: float
+    rotation: float
+    half_width: float
+    recenter: bool
+    x_shift: tuple
+    u_shift: tuple
 
 
 @dataclass(frozen=True)
@@ -69,14 +70,14 @@ class ExperimentConfig:
     t_final: float
     kernel: Kernel
     potential: Potential
-    initial: InitialSpec = InitialSpec()
-    scenario: Optional[str] = None
-    mode: str = "particles"
-    dim: int = 1
-    dt: float = 1.0e-3
-    output_stride: int = 100
-    seed: int = 0
-    m0: float = 1.0
+    initial: InitialSpec
+    scenario: Optional[str]
+    mode: str
+    dim: int
+    dt: float
+    output_stride: int
+    seed: int
+    m0: float
 
     @property
     def n_steps(self) -> int:
@@ -285,9 +286,13 @@ def _validate_mode(cfg: ExperimentConfig):
             raise ConfigError(f"run.n: hydro2d uses a tensor grid, n must be a perfect square, got {cfg.n}")
     if cfg.mode in ("hydro1d", "hydro2d"):
         if init.positions != "bump":
-            raise ConfigError("initial.positions: characteristic modes quadrature the bump profile; set positions = bump")
+            raise ConfigError(
+                "initial.positions: characteristic modes quadrature the bump profile; set positions = bump"
+            )
         if init.velocities == "random":
-            raise ConfigError("initial.velocities: characteristic modes need an analytic profile (linear or sinusoidal)")
+            raise ConfigError(
+                "initial.velocities: characteristic modes need an analytic profile (linear or sinusoidal)"
+            )
         if init.recenter:
             raise ConfigError("initial.recenter: not supported for characteristic modes")
         if init.x_shift or init.u_shift:

@@ -163,7 +163,9 @@ class RateFit:
     mode: str = "exponential"
 
 
-def fit_rate(times, values, window: Optional[tuple[float, float]] = None, mode: str = "exponential") -> RateFit:
+def fit_rate(
+    times, values, window: Optional[tuple[float, float]] = None, mode: str = "exponential"
+) -> RateFit:
     """Fit a decay rate to positive samples of a time series.
 
     mode "exponential" regresses log v on t, so a series C e^(-r t) yields

@@ -151,7 +151,9 @@ class Ensemble:
 
     def __setattr__(self, name, value):
         if name in _EVOLVED and "flat" in self.__dict__:
-            raise AttributeError(f"{name} is a view of the packed state; write into it or build a new Ensemble")
+            raise AttributeError(
+                f"{name} is a view of the packed state; write into it or build a new Ensemble"
+            )
         object.__setattr__(self, name, value)
 
     def __reduce__(self):

@@ -26,6 +26,10 @@ side to the shared RK4 driver, which also caps |e| at E_BLOWUP_CAP.  The evolved
 is carried for output only: the (x, u, e) dynamics always reads the
 quadrature sums, never the evolved density, so quadrature error cannot
 feed back.
+
+The initial data of every mode are declared here once, in 1D and 2D: the
+separable ``BumpDensity``, the linear or sinusoidal ``VelocityProfile`` and
+the ``midpoint_quadrature`` that places characteristics on the bump.
 """
 
 from __future__ import annotations
@@ -42,9 +46,9 @@ from .potentials import Potential, grad_at, hess_diag_at
 __all__ = [
     "E_BLOWUP_CAP",
     "BumpDensity",
-    "LinearVelocity",
-    "SineVelocity",
+    "VelocityProfile",
     "ThresholdReport1D",
+    "midpoint_quadrature",
     "init_characteristics",
     "step_1d",
     "classify_1d",
@@ -55,7 +59,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BumpDensity:
-    """Compactly supported profile height * max(0, 1 - (x/L)^2)^2 on [-L, L]."""
+    """Separable compactly supported profile height * prod_k max(0, 1 - (x_k/L)^2)^2 on [-L, L]^d."""
 
     height: float = 1.0
     half_width: float = 1.0
@@ -65,63 +69,91 @@ class BumpDensity:
             raise ValueError("bump density needs positive height and half_width")
 
     def value(self, x):
+        """The density at points x of shape (..., d)."""
         s = np.clip(1.0 - (np.asarray(x, dtype=float) / self.half_width) ** 2, 0.0, None)
-        return self.height * s * s
+        return self.height * (s * s).prod(axis=-1)
 
 
 @dataclass(frozen=True)
-class LinearVelocity:
-    """u(x) = slope * x."""
+class VelocityProfile:
+    """Analytic u0 from g(s) = s ("linear") or sin s ("sinusoidal").
 
-    slope: float
+    In 1D u = amplitude g(x); in 2D u = amplitude (g(x2), g(x1)) + rotation (-x2, x1).
+    """
 
-    def value(self, x):
-        return self.slope * np.asarray(x, dtype=float)
-
-    def deriv(self, x):
-        return np.full_like(np.asarray(x, dtype=float), self.slope)
-
-
-@dataclass(frozen=True)
-class SineVelocity:
-    """u(x) = amplitude * sin(x)."""
-
+    kind: str
     amplitude: float
+    rotation: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in ("linear", "sinusoidal"):
+            raise ValueError(f"velocity profile is linear or sinusoidal, got {self.kind!r}")
+
+    def _g(self, s):
+        return s if self.kind == "linear" else np.sin(s)
+
+    def _dg(self, s):
+        return 1.0 if self.kind == "linear" else np.cos(s)
 
     def value(self, x):
-        return self.amplitude * np.sin(np.asarray(x, dtype=float))
+        """u at points x of shape (N, d)."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1] == 1:
+            return self.amplitude * self._g(x)
+        out = np.empty_like(x)
+        out[..., 0] = self.amplitude * self._g(x[..., 1]) - self.rotation * x[..., 1]
+        out[..., 1] = self.amplitude * self._g(x[..., 0]) + self.rotation * x[..., 0]
+        return out
 
-    def deriv(self, x):
-        return self.amplitude * np.cos(np.asarray(x, dtype=float))
+    def jacobian(self, x):
+        """du_i/dx_j at points x of shape (N, d), as (N, d, d)."""
+        x = np.asarray(x, dtype=float)
+        n, d = x.shape
+        jac = np.zeros((n, d, d))
+        if d == 1:
+            jac[:, 0, 0] = self.amplitude * self._dg(x[:, 0])
+        else:
+            jac[:, 0, 1] = self.amplitude * self._dg(x[:, 1]) - self.rotation
+            jac[:, 1, 0] = self.amplitude * self._dg(x[:, 0]) + self.rotation
+        return jac
+
+
+def midpoint_quadrature(density: BumpDensity, n_side: int, d: int, m0: float):
+    """Midpoint tensor nodes of [-L, L]^d, n_side per axis, with masses rho0(x) dx^d rescaled to sum to m0.
+
+    Returns ``(x, m, dx)``: x is (n_side^d, d) in row-major order of the axes.
+    """
+    if n_side < 1:
+        raise ValueError("need at least one node per side")
+    half = density.half_width
+    dx = 2.0 * half / n_side
+    axis = -half + (np.arange(n_side) + 0.5) * dx
+    x = np.stack([g.ravel() for g in np.meshgrid(*[axis] * d, indexing="ij")], axis=-1)
+    w = density.value(x)
+    for _ in range(d):
+        w = w * dx
+    total = w.sum()
+    if not total > 0.0:
+        raise ValueError("density profile has zero total mass on its support")
+    return x, w * (m0 / total), dx
 
 
 def init_characteristics(
     density: BumpDensity,
-    velocity,
+    velocity: VelocityProfile,
     n: int,
     kernel: Kernel,
     m0: float = 1.0,
 ) -> Ensemble:
-    """Place n characteristics at midpoint quadrature nodes of the density support.
+    """Place n characteristics at the midpoint quadrature nodes of the density support.
 
-    Masses are m_i = rho0(x_i) dx, rescaled so they sum to m0 exactly.  The
-    initial e is assembled from the analytic profile derivative plus the
+    The initial e is assembled from the analytic profile derivative plus the
     quadrature convolution, which removes any finite-difference ambiguity
     at t = 0.
     """
-    if n < 1:
-        raise ValueError("need at least one characteristic")
-    half = density.half_width
-    dx = 2.0 * half / n
-    x = -half + (np.arange(n) + 0.5) * dx
-    w = density.value(x) * dx
-    total = w.sum()
-    if not total > 0.0:
-        raise ValueError("density profile has zero total mass on its support")
-    m = w * (m0 / total)
-    rho = m / dx
-    e = velocity.deriv(x) + conv_phi(x[:, None], m, kernel)
-    return Ensemble(x=x[:, None], u=velocity.value(x)[:, None], m=m, e=e, rho=rho)
+    x, m, dx = midpoint_quadrature(density, n, 1, m0)
+    e = velocity.jacobian(x)[:, 0, 0] + conv_phi(x, m, kernel)
+    return Ensemble(x=x, u=velocity.value(x), m=m, e=e, rho=m / dx)
 
 
 def _rhs_arrays_1d(x, u, e, rho, m, kernel, potential, out):
@@ -175,20 +207,14 @@ def e_upper_bound(e0_max: float, m0: float, phi_plus: float, a: float) -> float:
 
 
 def classify_1d(
-    a: float,
-    A: float,
-    m0: float,
-    phi_minus: Optional[float],
-    phi_plus: float,
-    e0_min: float,
-    e0_max: float,
+    a: float, A: float, m0: float, phi_minus: Optional[float], phi_plus: float, e0_min: float
 ) -> ThresholdReport1D:
     """Classify 1D initial data as smooth_guaranteed, blowup_guaranteed or indeterminate.
 
     ``a`` and ``A`` are the lower/upper bounds on U'' and phi_minus/phi_plus
     the kernel bounds; ``e0_min`` is the minimum of du0/dx + phi*rho0 over
-    the support (``e0_max`` is accepted for context but the thresholds only
-    involve the minimum).  Smoothness is guaranteed when
+    the support, the only value of e0 the thresholds read.  Smoothness is
+    guaranteed when
 
         A < (m0 phi_minus)^2 / 4   and   e0_min > lower root of e(e - m0 phi_minus) + A,
 

@@ -32,12 +32,12 @@ import numpy as np
 
 from . import constants as _constants
 from .dynamics import Ensemble, add_block, advance_rk4, alignment_force, alignment_sums, pair_blocks
+from .hydro1d import BumpDensity, VelocityProfile, midpoint_quadrature
 from .kernels import ConstantKernel, Kernel, kernel_eval_sq, kernel_slope_over_r_sq
 from .potentials import Potential, grad_at, hess_diag_at
 
 __all__ = [
     "BumpDensity2D",
-    "ShearRotationVelocity",
     "SineShearVelocity",
     "ThresholdReport2D",
     "init_characteristics_2d",
@@ -49,90 +49,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BumpDensity2D:
-    """Separable bump height * b(x1) b(x2), b(s) = max(0, 1 - (s/L)^2)^2 on the square."""
-
-    height: float = 1.0
-    half_width: float = 1.0
-
-    def __post_init__(self):
-        if not (self.height > 0.0 and self.half_width > 0.0):
-            raise ValueError("bump density needs positive height and half_width")
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        s = np.clip(1.0 - (x / self.half_width) ** 2, 0.0, None)
-        b = s * s
-        return self.height * b[..., 0] * b[..., 1]
+# BumpDensity2D and SineShearVelocity are the names bench/layer_timings.py builds its 2D state with.
+BumpDensity2D = BumpDensity
 
 
-@dataclass(frozen=True)
-class ShearRotationVelocity:
-    """u(x) = shear * (x2, x1) + rotation * (-x2, x1); divergence-free."""
-
-    shear: float
-    rotation: float = 0.0
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        out[..., 0] = self.shear * x[..., 1] - self.rotation * x[..., 1]
-        out[..., 1] = self.shear * x[..., 0] + self.rotation * x[..., 0]
-        return out
-
-    def jacobian(self, x):
-        x = np.asarray(x, dtype=float)
-        n = x.shape[0]
-        jac = np.zeros((n, 2, 2))
-        jac[:, 0, 1] = self.shear - self.rotation
-        jac[:, 1, 0] = self.shear + self.rotation
-        return jac
-
-
-@dataclass(frozen=True)
-class SineShearVelocity:
-    """u(x) = amplitude * (sin x2, sin x1) + rotation * (-x2, x1)."""
-
-    amplitude: float
-    rotation: float = 0.0
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        out[..., 0] = self.amplitude * np.sin(x[..., 1]) - self.rotation * x[..., 1]
-        out[..., 1] = self.amplitude * np.sin(x[..., 0]) + self.rotation * x[..., 0]
-        return out
-
-    def jacobian(self, x):
-        x = np.asarray(x, dtype=float)
-        n = x.shape[0]
-        jac = np.zeros((n, 2, 2))
-        jac[:, 0, 1] = self.amplitude * np.cos(x[:, 1]) - self.rotation
-        jac[:, 1, 0] = self.amplitude * np.cos(x[:, 0]) + self.rotation
-        return jac
+def SineShearVelocity(amplitude: float, rotation: float = 0.0) -> VelocityProfile:
+    """The sinusoidal profile under the name bench/layer_timings.py calls."""
+    return VelocityProfile("sinusoidal", amplitude, rotation)
 
 
 def init_characteristics_2d(
-    density: BumpDensity2D,
-    velocity,
+    density: BumpDensity,
+    velocity: VelocityProfile,
     n_side: int,
     kernel: Kernel,
     m0: float = 1.0,
 ) -> Ensemble:
-    """Midpoint tensor quadrature of the density with analytic initial gradient."""
-    if n_side < 1:
-        raise ValueError("need at least one node per side")
-    half = density.half_width
-    dx = 2.0 * half / n_side
-    axis = -half + (np.arange(n_side) + 0.5) * dx
-    g0, g1 = np.meshgrid(axis, axis, indexing="ij")
-    x = np.column_stack([g0.ravel(), g1.ravel()])
-    w = density.value(x) * dx * dx
-    total = w.sum()
-    if not total > 0.0:
-        raise ValueError("density profile has zero total mass on its support")
-    m = w * (m0 / total)
+    """Midpoint tensor quadrature of the density with analytic initial gradient.
+
+    ``kernel`` is not read; bench/spans.py binds this signature.
+    """
+    x, m, _ = midpoint_quadrature(density, n_side, 2, m0)
     return Ensemble(x=x, u=velocity.value(x), m=m, grad_u=velocity.jacobian(x))
 
 

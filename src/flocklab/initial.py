@@ -22,14 +22,8 @@ from .config import ExperimentConfig
 # convexity_bounds are unused here but stay imported: the benchmark's tracer rebinds them.
 from .diagnostics import energy, fluctuations, particle_energy_support  # noqa: F401
 from .dynamics import Ensemble, conv_phi, means, recenter  # noqa: F401
-from .hydro1d import BumpDensity, LinearVelocity, SineVelocity, init_characteristics
-from .hydro2d import (
-    BumpDensity2D,
-    ShearRotationVelocity,
-    SineShearVelocity,
-    init_characteristics_2d,
-    spectral_arrays,  # noqa: F401
-)
+from .hydro1d import BumpDensity, VelocityProfile, init_characteristics
+from .hydro2d import init_characteristics_2d, spectral_arrays  # noqa: F401
 from .potentials import convexity_bounds  # noqa: F401
 
 __all__ = ["build_state", "ensemble_view"]
@@ -43,30 +37,15 @@ def ensemble_view(state: Ensemble) -> Ensemble:
 def build_state(cfg: ExperimentConfig) -> Ensemble:
     if cfg.mode == "particles":
         return _build_particles(cfg)
+    density, velocity = BumpDensity(half_width=cfg.initial.half_width), _velocity_profile(cfg)
     if cfg.mode == "hydro1d":
-        return init_characteristics(
-            BumpDensity(half_width=cfg.initial.half_width),
-            _velocity_profile(cfg),
-            cfg.n,
-            cfg.kernel,
-            m0=cfg.m0,
-        )
-    return init_characteristics_2d(
-        BumpDensity2D(half_width=cfg.initial.half_width),
-        _velocity_profile(cfg),
-        math.isqrt(cfg.n),
-        cfg.kernel,
-        m0=cfg.m0,
-    )
+        return init_characteristics(density, velocity, cfg.n, cfg.kernel, m0=cfg.m0)
+    return init_characteristics_2d(density, velocity, math.isqrt(cfg.n), cfg.kernel, m0=cfg.m0)
 
 
-def _velocity_profile(cfg: ExperimentConfig):
-    """The analytic velocity profile of a linear or sinusoidal configuration in its dimension."""
+def _velocity_profile(cfg: ExperimentConfig) -> VelocityProfile:
     init = cfg.initial
-    if cfg.dim == 1:
-        return {"linear": LinearVelocity, "sinusoidal": SineVelocity}[init.velocities](init.amplitude)
-    profile = {"linear": ShearRotationVelocity, "sinusoidal": SineShearVelocity}[init.velocities]
-    return profile(init.amplitude, init.rotation)
+    return VelocityProfile(init.velocities, init.amplitude, init.rotation)
 
 
 def _build_particles(cfg: ExperimentConfig) -> Ensemble:
@@ -81,8 +60,6 @@ def _build_particles(cfg: ExperimentConfig) -> Ensemble:
 
     if init.velocities == "random":
         u = rng.uniform(-init.amplitude, init.amplitude, size=(n, d))
-    elif d == 1:
-        u = _velocity_profile(cfg).value(x[:, 0])[:, None]
     else:
         u = _velocity_profile(cfg).value(x)
 
@@ -103,9 +80,7 @@ def _sample_bump(rng, n: int, d: int, half_width: float) -> np.ndarray:
     filled = 0
     while filled < n:
         cand = rng.uniform(-half_width, half_width, size=(n, d))
-        s = np.clip(1.0 - (cand / half_width) ** 2, 0.0, None)
-        density = (s * s).prod(axis=1)
-        accept = rng.uniform(0.0, 1.0, size=n) < density
+        accept = rng.uniform(0.0, 1.0, size=n) < BumpDensity(half_width=half_width).value(cand)
         take = min(int(accept.sum()), n - filled)
         out[filled : filled + take] = cand[accept][:take]
         filled += take

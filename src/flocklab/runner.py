@@ -150,9 +150,10 @@ class RunSummary:
 class RunResult:
     summary: RunSummary
     frames: list
+    columns: dict  # frame_columns(frames), built once by the run
 
     def csv(self) -> str:
-        return frames_csv(self.frames)
+        return frames_csv(self.columns)
 
 
 @dataclass(frozen=True)
@@ -287,10 +288,7 @@ def _classify(cfg: ExperimentConfig, an: Analysis, u_max: Optional[float] = None
             # conservative zero-floor fallback: only the floor-free blow-up
             # branches can fire, smoothness can never be certified
             details["phi_minus_source"] = "zero-fallback"
-        report = classify_1d(
-            an.a_lo, an.a_hi, cfg.m0, an.phi_minus, an.phi_plus, f0.min_e, f0.max_e
-        )
-        return report, details
+        return classify_1d(an.a_lo, an.a_hi, cfg.m0, an.phi_minus, an.phi_plus, f0.min_e), details
 
     if isinstance(cfg.potential, ZeroPotential):
         raise ConfigError("2D classification needs a uniformly convex potential")
@@ -376,10 +374,12 @@ def _integrate(cfg: ExperimentConfig, an: Analysis) -> RunResult:
         summary.rate_fits["deltaE_L2"] = fit_rate(cols["t"], cols["delta_e_l2"], window=window)
     except ValueError:
         pass
-    return RunResult(summary=summary, frames=frames)
+    return RunResult(summary=summary, frames=frames, columns=cols)
 
 
-def _state_frame(cfg: ExperimentConfig, ens: Ensemble, a_lo: float, pair_f: tuple, v_rates: tuple) -> DiagnosticsFrame:
+def _state_frame(
+    cfg: ExperimentConfig, ens: Ensemble, a_lo: float, pair_f: tuple, v_rates: tuple
+) -> DiagnosticsFrame:
     """Every frame column; the pair columns come from one ``pair_scan``, V and F1_max need ``v_rates``."""
     e_total, e_kin = energy(ens, cfg.potential)
     delta_l2, delta_inf, d, f_const = pair_scan(ens, a_lo, *pair_f)
@@ -532,11 +532,8 @@ def _check_rows(summary, cfg, an: Analysis, cols: dict):
         )
 
 
-def frames_csv(frames) -> str:
-    """Render frames as CSV with a '#' header comment naming the columns that DiagnosticsFrame declares."""
-    if not frames:
-        return "# columns: (no frames)\n"
-    cols = frame_columns(frames)
+def frames_csv(cols: dict) -> str:
+    """Render a run's ``frame_columns`` as CSV, with a '#' header naming DiagnosticsFrame's columns."""
     names = []
     for f in fields(DiagnosticsFrame):
         csv, values = f.metadata["csv"], cols[f.name]

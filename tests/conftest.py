@@ -2,7 +2,7 @@
 
 import pytest
 
-from flocklab.hydro1d import BumpDensity, LinearVelocity, init_characteristics, step_1d
+from flocklab.hydro1d import BumpDensity, VelocityProfile, init_characteristics, step_1d
 from flocklab.kernels import ConstantKernel
 from flocklab.potentials import QuadraticPotential
 
@@ -16,7 +16,7 @@ def riccati_trajectory():
     autonomous, so the samples can be held against ``oracles.riccati_exact``.
     """
     K, A = 1.0, 0.2
-    state = init_characteristics(BumpDensity(1.0, 1.0), LinearVelocity(-0.7), 1, ConstantKernel(K))
+    state = init_characteristics(BumpDensity(1.0, 1.0), VelocityProfile("linear", -0.7), 1, ConstantKernel(K))
     e0 = float(state.e[0])
     dt, n_steps = 1e-4, 50_000
     samples = []

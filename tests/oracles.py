@@ -12,6 +12,10 @@ the ``reference_rhs_*`` functions the allocating right-hand sides it called.
 ``_evaluate_checks``, its four helpers and ``_fit_rates`` are the runner's
 bound checks and rate fit as they were written before the one table of
 ``runner._check_rows``: each check built by hand with its own reduction.
+The initial-data section keeps the per-dimension bump densities, the four
+velocity profile classes, the two characteristic init functions and the
+particle bump sampler as they were before ``hydro1d.BumpDensity``,
+``VelocityProfile`` and ``midpoint_quadrature`` replaced them.
 """
 
 import dataclasses
@@ -22,7 +26,7 @@ import numpy as np
 
 from flocklab import constants as consts
 from flocklab.diagnostics import fit_rate
-from flocklab.dynamics import E_BLOWUP_CAP, STATE_CAP, BlowupSignal, Ensemble, alignment_force
+from flocklab.dynamics import E_BLOWUP_CAP, STATE_CAP, BlowupSignal, Ensemble, alignment_force, conv_phi
 from flocklab.hydro1d import e_upper_bound, smooth_lower_root
 from flocklab.hydro2d import _pair_terms_2d
 from flocklab.kernels import ConstantKernel, FloorClippedKernel, PowerLawKernel, kernel_eval, kernel_eval_sq
@@ -450,3 +454,149 @@ def _fit_rates(summary, cfg, frames):
             summary.rate_fits["deltaE_L2"] = fit_rate(times, delta, window=window)
         except ValueError:
             pass
+
+
+# --- initial data, one class per dimension and profile ---
+
+
+@dataclasses.dataclass(frozen=True)
+class ReferenceBump:
+    """height * max(0, 1 - (x/L)^2)^2 of a 1D array x."""
+
+    height: float = 1.0
+    half_width: float = 1.0
+
+    def value(self, x):
+        s = np.clip(1.0 - (np.asarray(x, dtype=float) / self.half_width) ** 2, 0.0, None)
+        return self.height * s * s
+
+
+@dataclasses.dataclass(frozen=True)
+class ReferenceBump2D:
+    """height * b(x1) b(x2) of points x of shape (..., 2)."""
+
+    height: float = 1.0
+    half_width: float = 1.0
+
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
+        s = np.clip(1.0 - (x / self.half_width) ** 2, 0.0, None)
+        b = s * s
+        return self.height * b[..., 0] * b[..., 1]
+
+
+@dataclasses.dataclass(frozen=True)
+class LinearVelocity:
+    """u(x) = slope * x."""
+
+    slope: float
+
+    def value(self, x):
+        return self.slope * np.asarray(x, dtype=float)
+
+    def deriv(self, x):
+        return np.full_like(np.asarray(x, dtype=float), self.slope)
+
+
+@dataclasses.dataclass(frozen=True)
+class SineVelocity:
+    """u(x) = amplitude * sin(x)."""
+
+    amplitude: float
+
+    def value(self, x):
+        return self.amplitude * np.sin(np.asarray(x, dtype=float))
+
+    def deriv(self, x):
+        return self.amplitude * np.cos(np.asarray(x, dtype=float))
+
+
+@dataclasses.dataclass(frozen=True)
+class ShearRotationVelocity:
+    """u(x) = shear * (x2, x1) + rotation * (-x2, x1)."""
+
+    shear: float
+    rotation: float = 0.0
+
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
+        out = np.empty_like(x)
+        out[..., 0] = self.shear * x[..., 1] - self.rotation * x[..., 1]
+        out[..., 1] = self.shear * x[..., 0] + self.rotation * x[..., 0]
+        return out
+
+    def jacobian(self, x):
+        jac = np.zeros((x.shape[0], 2, 2))
+        jac[:, 0, 1] = self.shear - self.rotation
+        jac[:, 1, 0] = self.shear + self.rotation
+        return jac
+
+
+@dataclasses.dataclass(frozen=True)
+class SineShearVelocity:
+    """u(x) = amplitude * (sin x2, sin x1) + rotation * (-x2, x1)."""
+
+    amplitude: float
+    rotation: float = 0.0
+
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
+        out = np.empty_like(x)
+        out[..., 0] = self.amplitude * np.sin(x[..., 1]) - self.rotation * x[..., 1]
+        out[..., 1] = self.amplitude * np.sin(x[..., 0]) + self.rotation * x[..., 0]
+        return out
+
+    def jacobian(self, x):
+        jac = np.zeros((x.shape[0], 2, 2))
+        jac[:, 0, 1] = self.amplitude * np.cos(x[:, 1]) - self.rotation
+        jac[:, 1, 0] = self.amplitude * np.cos(x[:, 0]) + self.rotation
+        return jac
+
+
+def reference_velocity(velocities, d, amplitude, rotation=0.0):
+    """The per-dimension profile class of a configuration's velocity word."""
+    if d == 1:
+        return {"linear": LinearVelocity, "sinusoidal": SineVelocity}[velocities](amplitude)
+    return {"linear": ShearRotationVelocity, "sinusoidal": SineShearVelocity}[velocities](amplitude, rotation)
+
+
+def reference_init_characteristics(density, velocity, n, kernel, m0=1.0):
+    """1D midpoint quadrature: masses rho0(x_i) dx rescaled to m0, e = du0/dx + phi*rho."""
+    half = density.half_width
+    dx = 2.0 * half / n
+    x = -half + (np.arange(n) + 0.5) * dx
+    w = density.value(x) * dx
+    m = w * (m0 / w.sum())
+    e = velocity.deriv(x) + conv_phi(x[:, None], m, kernel)
+    return Ensemble(x=x[:, None], u=velocity.value(x)[:, None], m=m, e=e, rho=m / dx)
+
+
+def reference_init_characteristics_2d(density, velocity, n_side, m0=1.0):
+    """2D midpoint tensor quadrature: masses (rho0 dx) dx rescaled to m0, analytic gradient."""
+    half = density.half_width
+    dx = 2.0 * half / n_side
+    axis = -half + (np.arange(n_side) + 0.5) * dx
+    g0, g1 = np.meshgrid(axis, axis, indexing="ij")
+    x = np.column_stack([g0.ravel(), g1.ravel()])
+    w = density.value(x) * dx * dx
+    m = w * (m0 / w.sum())
+    return Ensemble(x=x, u=velocity.value(x), m=m, grad_u=velocity.jacobian(x))
+
+
+def reference_bump_particles(cfg):
+    """Particles at bump-sampled positions with an analytic velocity profile and equal masses."""
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    init, n, d = cfg.initial, cfg.n, cfg.dim
+    half_width = init.half_width
+    x = np.empty((n, d))
+    filled = 0
+    while filled < n:
+        cand = rng.uniform(-half_width, half_width, size=(n, d))
+        s = np.clip(1.0 - (cand / half_width) ** 2, 0.0, None)
+        accept = rng.uniform(0.0, 1.0, size=n) < (s * s).prod(axis=1)
+        take = min(int(accept.sum()), n - filled)
+        x[filled : filled + take] = cand[accept][:take]
+        filled += take
+    profile = reference_velocity(init.velocities, d, init.amplitude, init.rotation)
+    u = profile.value(x[:, 0])[:, None] if d == 1 else profile.value(x)
+    return Ensemble(x=x, u=u, m=np.full(n, cfg.m0 / n), t=0.0)

@@ -8,8 +8,7 @@ import pytest
 from flocklab.dynamics import BlowupSignal, Ensemble
 from flocklab.hydro1d import (
     BumpDensity,
-    LinearVelocity,
-    SineVelocity,
+    VelocityProfile,
     classify_1d,
     detect_blowup,
     e_upper_bound,
@@ -28,7 +27,9 @@ from oracles import lagrange_derivative, riccati_blowup_time, riccati_exact
 
 
 def test_init_constant_kernel_rest_velocity():
-    state = init_characteristics(BumpDensity(1.0, 1.0), LinearVelocity(0.0), 32, ConstantKernel(2.0), m0=1.5)
+    state = init_characteristics(
+        BumpDensity(1.0, 1.0), VelocityProfile("linear", 0.0), 32, ConstantKernel(2.0), m0=1.5
+    )
     assert np.allclose(state.e, 1.5 * 2.0, atol=1e-14)
     assert state.total_mass == pytest.approx(1.5, abs=1e-13)
     assert np.all(state.m > 0.0)
@@ -36,7 +37,7 @@ def test_init_constant_kernel_rest_velocity():
 
 def test_init_profile_derivative_enters_e_exactly():
     kernel = PowerLawKernel(1.0, 1.0)
-    state = init_characteristics(BumpDensity(1.0, 1.0), LinearVelocity(1.0), 16, kernel)
+    state = init_characteristics(BumpDensity(1.0, 1.0), VelocityProfile("linear", 1.0), 16, kernel)
     conv = np.array([
         sum(state.m[j] * kernel_eval(kernel, abs(state.x[i, 0] - state.x[j, 0])) for j in range(16))
         for i in range(16)
@@ -45,7 +46,9 @@ def test_init_profile_derivative_enters_e_exactly():
 
 
 def test_init_symmetric_profile_gives_symmetric_e():
-    state = init_characteristics(BumpDensity(2.0, 1.3), SineVelocity(0.5), 40, PowerLawKernel(1.0, 0.5))
+    state = init_characteristics(
+        BumpDensity(2.0, 1.3), VelocityProfile("sinusoidal", 0.5), 40, PowerLawKernel(1.0, 0.5)
+    )
     assert np.allclose(state.e, state.e[::-1], atol=1e-13)
     assert np.allclose(state.x, -state.x[::-1], atol=1e-15)
 
@@ -58,12 +61,12 @@ def test_init_rejects_zero_mass_profile():
             return np.zeros_like(np.asarray(x, dtype=float))
 
     with pytest.raises(ValueError):
-        init_characteristics(Flat(), LinearVelocity(0.0), 8, ConstantKernel(1.0))
+        init_characteristics(Flat(), VelocityProfile("linear", 0.0), 8, ConstantKernel(1.0))
 
 
 def test_init_density_values_match_mass_per_cell():
     density = BumpDensity(3.0, 1.0)
-    state = init_characteristics(density, LinearVelocity(0.0), 64, ConstantKernel(1.0), m0=2.0)
+    state = init_characteristics(density, VelocityProfile("linear", 0.0), 64, ConstantKernel(1.0), m0=2.0)
     dx = 2.0 / 64
     assert np.allclose(state.rho * dx, state.m, atol=1e-15)
 
@@ -122,7 +125,7 @@ def test_blowup_bracket_matches_closed_form_time():
     # every characteristic blows up; the first crossing is set by min e0
     K, A = 2.0, 5.0
     kernel = ConstantKernel(K)
-    state = init_characteristics(BumpDensity(1.0, 1.0), SineVelocity(0.4), 32, kernel)
+    state = init_characteristics(BumpDensity(1.0, 1.0), VelocityProfile("sinusoidal", 0.4), 32, kernel)
     t_star = min(riccati_blowup_time(float(e0), K, A) for e0 in state.e)
     dt = 1e-3
     times, mins = [0.0], [float(state.e.min())]
@@ -150,7 +153,7 @@ def test_blowup_bracket_matches_closed_form_time():
 def test_smooth_case_bounds_hold_short_run():
     K, A = 1.0, 0.2
     kernel = ConstantKernel(K)
-    state = init_characteristics(BumpDensity(1.0, 1.5), SineVelocity(-0.7), 64, kernel)
+    state = init_characteristics(BumpDensity(1.0, 1.5), VelocityProfile("sinusoidal", -0.7), 64, kernel)
     root = smooth_lower_root(1.0, K, A)
     upper = e_upper_bound(float(state.e.max()), 1.0, K, A)
     for i in range(5000):
@@ -162,7 +165,7 @@ def test_smooth_case_bounds_hold_short_run():
 
 def test_masses_never_change():
     kernel = PowerLawKernel(1.0, 1.0)
-    state = init_characteristics(BumpDensity(1.0, 1.0), SineVelocity(0.3), 16, kernel)
+    state = init_characteristics(BumpDensity(1.0, 1.0), VelocityProfile("sinusoidal", 0.3), 16, kernel)
     m0 = state.m.copy()
     for _ in range(50):
         state = step_1d(state, kernel, QuadraticPotential(1.0), 1e-3)
@@ -174,7 +177,7 @@ def test_e_consistency_with_neighbor_reconstruction():
     # characteristics at second order in the node spacing
     def max_error(n):
         kernel = ConstantKernel(1.0)
-        state = init_characteristics(BumpDensity(1.0, 1.5), SineVelocity(-0.7), n, kernel)
+        state = init_characteristics(BumpDensity(1.0, 1.5), VelocityProfile("sinusoidal", -0.7), n, kernel)
         worst = 0.0
         for i in range(1, 2001):
             state = step_1d(state, kernel, QuadraticPotential(0.2), 1e-3)
@@ -198,70 +201,70 @@ def test_e_consistency_with_neighbor_reconstruction():
 
 
 def test_classify_potential_free_sharp_threshold():
-    report = classify_1d(0.0, 0.0, 1.0, 1.0, 1.0, 0.01, 0.5)
+    report = classify_1d(0.0, 0.0, 1.0, 1.0, 1.0, 0.01)
     assert report.verdict == "smooth_guaranteed"
 
 
 def test_classify_unconditional_blowup():
-    report = classify_1d(5.0, 5.0, 1.0, 2.0, 2.0, 10.0, 10.0)
+    report = classify_1d(5.0, 5.0, 1.0, 2.0, 2.0, 10.0)
     assert report.verdict == "blowup_guaranteed"
     assert report.triggered_condition == "assuB_1"
     assert report.margin == pytest.approx(4.0)
 
 
 def test_classify_smooth_example():
-    report = classify_1d(0.2, 0.2, 1.0, 1.0, 1.0, 0.3, 1.0)
+    report = classify_1d(0.2, 0.2, 1.0, 1.0, 1.0, 0.3)
     assert report.verdict == "smooth_guaranteed"
     assert report.margin == pytest.approx(0.3 - (0.5 - math.sqrt(0.05)))
 
 
 def test_classify_supercritical_data_blowup():
-    report = classify_1d(0.5, 0.5, 1.0, 2.0, 2.0, 0.1, 0.2)
+    report = classify_1d(0.5, 0.5, 1.0, 2.0, 2.0, 0.1)
     assert report.verdict == "blowup_guaranteed"
     assert report.triggered_condition == "assuB_2"
 
 
 def test_classify_concave_branch():
-    report = classify_1d(-1.0, 0.0, 1.0, 1.0, 1.0, -1.0, 0.0)
+    report = classify_1d(-1.0, 0.0, 1.0, 1.0, 1.0, -1.0)
     assert report.verdict == "blowup_guaranteed"
     assert report.triggered_condition == "assuB_3"
 
 
 def test_classify_indeterminate_between_thresholds():
-    report = classify_1d(0.2, 0.3, 1.0, 1.0, 1.0, 0.5, 0.6)
+    report = classify_1d(0.2, 0.3, 1.0, 1.0, 1.0, 0.5)
     assert report.verdict == "indeterminate"
     assert report.margin <= 0.0
 
 
 def test_classify_equality_is_indeterminate():
     # thresholds are strict: zero margin must not certify either verdict
-    report = classify_1d(0.25, 0.25, 1.0, 1.0, 1.0, 1.0, 1.0)
+    report = classify_1d(0.25, 0.25, 1.0, 1.0, 1.0, 1.0)
     assert report.verdict == "indeterminate"
 
 
 def test_classify_without_kernel_floor():
     # phi_minus=None: only the floor-free blow-up branches can fire
-    report = classify_1d(5.0, 5.0, 1.0, None, 2.0, 10.0, 10.0)
+    report = classify_1d(5.0, 5.0, 1.0, None, 2.0, 10.0)
     assert (report.verdict, report.triggered_condition) == ("blowup_guaranteed", "assuB_1")
     assert report.margin == pytest.approx(4.0)
-    report = classify_1d(0.2, 0.2, 1.0, None, 1.0, 0.0, 1.0)
+    report = classify_1d(0.2, 0.2, 1.0, None, 1.0, 0.0)
     assert (report.verdict, report.triggered_condition) == ("blowup_guaranteed", "assuB_2")
     assert report.margin == pytest.approx(0.5 - math.sqrt(0.05))
     # data the floor phi_minus = 1 certifies smooth stay indeterminate without it
-    assert classify_1d(0.2, 0.2, 1.0, 1.0, 1.0, 0.3, 1.0).verdict == "smooth_guaranteed"
-    report = classify_1d(0.2, 0.2, 1.0, None, 1.0, 0.3, 1.0)
+    assert classify_1d(0.2, 0.2, 1.0, 1.0, 1.0, 0.3).verdict == "smooth_guaranteed"
+    report = classify_1d(0.2, 0.2, 1.0, None, 1.0, 0.3)
     assert (report.verdict, report.triggered_condition) == ("indeterminate", "none")
     assert report.margin == pytest.approx(0.5 - math.sqrt(0.05) - 0.3)
     # a <= 0 without a floor: assuB_3 needs phi_minus, so nothing fires
-    report = classify_1d(-1.0, 0.0, 1.0, None, 1.0, -5.0, 1.0)
+    report = classify_1d(-1.0, 0.0, 1.0, None, 1.0, -5.0)
     assert (report.verdict, report.margin) == ("indeterminate", -1.25)
 
 
 def test_classify_rejects_bad_bounds():
     with pytest.raises(ValueError):
-        classify_1d(1.0, 0.5, 1.0, 1.0, 1.0, 0.0, 0.0)
+        classify_1d(1.0, 0.5, 1.0, 1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        classify_1d(0.0, 0.0, 1.0, 2.0, 1.0, 0.0, 0.0)
+        classify_1d(0.0, 0.0, 1.0, 2.0, 1.0, 0.0)
 
 
 # --- blow-up detection on synthetic series ---

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from flocklab.dynamics import Ensemble, conv_phi
+from flocklab.hydro1d import BumpDensity, VelocityProfile
 from flocklab.hydro2d import (
-    BumpDensity2D,
-    ShearRotationVelocity,
-    SineShearVelocity,
     classify_2d_general,
     classify_2d_quadratic,
     init_characteristics_2d,
@@ -71,8 +69,8 @@ def test_trace_identity_random_matrices():
 
 
 def test_init_grid_and_jacobian():
-    density = BumpDensity2D(1.0, 1.2)
-    profile = SineShearVelocity(0.5, 0.25)
+    density = BumpDensity(1.0, 1.2)
+    profile = VelocityProfile("sinusoidal", 0.5, 0.25)
     state = init_characteristics_2d(density, profile, 8, ConstantKernel(3.0), m0=1.0)
     assert state.n == 64
     assert state.total_mass == pytest.approx(1.0, abs=1e-13)
@@ -87,7 +85,7 @@ def test_init_grid_and_jacobian():
 
 
 def test_shear_rotation_profile_spectrum():
-    profile = ShearRotationVelocity(shear=0.5, rotation=0.25)
+    profile = VelocityProfile("linear", 0.5, rotation=0.25)
     x = np.array([[0.3, -0.4]])
     jac = profile.jacobian(x)
     d, eta_s, omega, _ = spectral_arrays(jac, np.zeros(1))
@@ -171,7 +169,7 @@ def _short_run(n_side=6, steps=400, dt=1e-3):
     kernel = ConstantKernel(3.0)
     potential = QuadraticPotential(1.0)
     state = init_characteristics_2d(
-        BumpDensity2D(1.0, 1.2), SineShearVelocity(0.5, 0.0), n_side, kernel, m0=1.0
+        BumpDensity(1.0, 1.2), VelocityProfile("sinusoidal", 0.5, 0.0), n_side, kernel, m0=1.0
     )
     history = [state]
     for _ in range(steps):
@@ -242,7 +240,7 @@ def test_gap_decay_bounded_by_integrated_e():
 def test_vorticity_sign_preserved_per_characteristic():
     kernel = ConstantKernel(3.0)
     state = init_characteristics_2d(
-        BumpDensity2D(1.0, 1.2), SineShearVelocity(0.5, 0.0), 6, kernel, m0=1.0
+        BumpDensity(1.0, 1.2), VelocityProfile("sinusoidal", 0.5, 0.0), 6, kernel, m0=1.0
     )
     conv = conv_phi(state.x, state.m, kernel)
     _, _, omega0, _ = spectral_arrays(state.grad_u, conv)
@@ -261,7 +259,7 @@ def test_gradient_consistency_with_neighbor_jacobian():
     def max_error(n_side):
         kernel = ConstantKernel(3.0)
         state = init_characteristics_2d(
-            BumpDensity2D(1.0, 1.2), SineShearVelocity(0.5, 0.0), n_side, kernel, m0=1.0
+            BumpDensity(1.0, 1.2), VelocityProfile("sinusoidal", 0.5, 0.0), n_side, kernel, m0=1.0
         )
         for _ in range(1000):
             state = step_2d(state, kernel, QuadraticPotential(1.0), 1e-3)

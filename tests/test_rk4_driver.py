@@ -16,14 +16,8 @@ import pytest
 
 from flocklab.config import preset_config, with_override
 from flocklab.dynamics import BlowupSignal, Ensemble, advance_rk4, step_rk4
-from flocklab.hydro1d import BumpDensity, LinearVelocity, SineVelocity, init_characteristics, step_1d
-from flocklab.hydro2d import (
-    BumpDensity2D,
-    SineShearVelocity,
-    _rhs_arrays_2d,
-    init_characteristics_2d,
-    step_2d,
-)
+from flocklab.hydro1d import BumpDensity, VelocityProfile, init_characteristics, step_1d
+from flocklab.hydro2d import _rhs_arrays_2d, init_characteristics_2d, step_2d
 from flocklab.kernels import ConstantKernel, PowerLawKernel
 from flocklab.potentials import PerturbedQuadraticPotential, QuadraticPotential, ZeroPotential
 from flocklab.runner import _integrate, analyze
@@ -56,11 +50,15 @@ def _particles(d):
 
 
 def _chars_1d():
-    return init_characteristics(BumpDensity(1.0, 1.0), SineVelocity(0.4), 16, ConstantKernel(1.0))
+    return init_characteristics(
+        BumpDensity(1.0, 1.0), VelocityProfile("sinusoidal", 0.4), 16, ConstantKernel(1.0)
+    )
 
 
 def _chars_2d():
-    return init_characteristics_2d(BumpDensity2D(1.0, 1.2), SineShearVelocity(0.5, 0.25), 5, ConstantKernel(3.0))
+    return init_characteristics_2d(
+        BumpDensity(1.0, 1.2), VelocityProfile("sinusoidal", 0.5, 0.25), 5, ConstantKernel(3.0)
+    )
 
 
 POWER_LAW = PowerLawKernel(1.0, 0.5)
@@ -215,7 +213,7 @@ def test_rk4_order_particles_oscillator():
 def test_rk4_order_hydro1d_riccati():
     # one characteristic: e' = -e (e - K) - A against its closed form
     K, A, t_final = 1.0, 0.2, 5.0
-    start = init_characteristics(BumpDensity(1.0, 1.0), LinearVelocity(-0.7), 1, ConstantKernel(K))
+    start = init_characteristics(BumpDensity(1.0, 1.0), VelocityProfile("linear", -0.7), 1, ConstantKernel(K))
     errors = []
     for dt in (0.2, 0.1, 0.05):
         end = _integrate_to(start, step_1d, ConstantKernel(K), QuadraticPotential(A), dt, t_final)
@@ -225,7 +223,9 @@ def test_rk4_order_hydro1d_riccati():
 
 def test_rk4_order_hydro2d_self_convergence():
     # no closed form: differences of successive halvings shrink by 2^4
-    start = init_characteristics_2d(BumpDensity2D(1.0, 1.2), SineShearVelocity(0.5, 0.25), 3, PowerLawKernel(3.0, 0.5))
+    start = init_characteristics_2d(
+        BumpDensity(1.0, 1.2), VelocityProfile("sinusoidal", 0.5, 0.25), 3, PowerLawKernel(3.0, 0.5)
+    )
     kernel, potential, t_final = PowerLawKernel(3.0, 0.5), PERTURBED, 1.0
     ends = [
         _integrate_to(start, step_2d, kernel, potential, dt, t_final).flat for dt in (0.2, 0.1, 0.05, 0.025)

@@ -230,6 +230,21 @@ def test_frames_csv_layout_reads_back_to_the_column_view(text, header):
         assert [float.hex(float(v)) for v in line.split(",")] == [float.hex(v) for v in expected]
 
 
+def test_run_and_csv_build_the_column_view_once(monkeypatch):
+    calls = []
+
+    def counted(frames):
+        calls.append(len(frames))
+        return frame_columns(frames)
+
+    monkeypatch.setattr(runner, "frame_columns", counted)
+    result = run(parse_config(SMALL))
+    text = result.csv()
+    assert calls == [11]
+    monkeypatch.undo()
+    assert text == runner.frames_csv(frame_columns(result.frames))
+
+
 def test_quadratic_run_has_decay_checks():
     result = run(parse_config(SMALL))
     names = {c.name for c in result.summary.bound_checks}
