@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict
 
 from .config import ConfigError, preset_names, resolve_config
-from .runner import analyze, apriori_velocity_bound, classify, constants_for, run, sweep, sweep_csv
+from .runner import analyze, classify, run, sweep, sweep_csv
 
 
 def _thread_cap() -> int:
@@ -66,8 +66,7 @@ def cmd_constants(args) -> int:
 
 
 def constants_json(cfg) -> str:
-    an = analyze(cfg)
-    return constants_for(cfg, an, u_max=apriori_velocity_bound(cfg, an)).to_json()
+    return analyze(cfg).report.to_json()
 
 
 def cmd_sweep(args) -> int:

@@ -29,11 +29,9 @@ __all__ = [
     "pair_stable",
     "pair_rates",
     "pair_beta",
-    "pair_functional",
     "support_scale",
     "phi_min_from_support",
     "reduction_constants",
-    "velocity_bound",
     "gap_forcing_constant",
     "general_gap_budget",
     "ConstantsReport",
@@ -106,7 +104,7 @@ def pair_beta(a: float, A: float, K: float) -> float:
 def pair_stable(a: float, A: float, K: float) -> bool:
     """The pair functional's stability condition K > A / sqrt(a), False if a <= 0.
 
-    The one place it is decided: ``pair_rates``, ``pair_functional`` and the
+    The one place it is decided: ``pair_rates``, ``constants_report`` and the
     runner's sqrt-weighted trend check all ask it.
     """
     return a > 0.0 and K > A / math.sqrt(a)
@@ -141,11 +139,6 @@ def pair_rates(a: float, A: float, K: float) -> tuple[float, float, float]:
     mu2 = (p + disc) / (2.0 * a)
     mu3 = (p - disc) / (2.0 * a)
     return mu1, mu2, mu3
-
-
-def pair_functional(a: float, A: float, K: float):
-    """(beta, (mu1, mu2, mu3)) of the pair functional, the rates () unless ``pair_stable(a, A, K)``."""
-    return pair_beta(a, A, K), pair_rates(a, A, K) if pair_stable(a, A, K) else ()
 
 
 def support_scale(
@@ -221,28 +214,6 @@ def reduction_constants(
     return c, c0, c_f, c_plus
 
 
-def velocity_bound(
-    a: float,
-    A: float,
-    m0: float,
-    phi_minus: float,
-    phi_plus: float,
-    energy0: float,
-    max0_speed_position: float,
-) -> float:
-    """A-priori uniform bound on max(|u| + |x|) over the whole evolution.
-
-    max(|u| + |x|) <= max(C_plus * max0, 2 (1 + 1/sqrt(a)) sqrt(C_F)) where
-    max0 is the initial maximum of |u| + |x| over the support.
-    """
-    c, _, c_f, c_plus = reduction_constants(a, A, m0, phi_minus, phi_plus, energy0)
-    del c
-    return max(
-        c_plus * max0_speed_position,
-        2.0 * (1.0 + 1.0 / math.sqrt(a)) * math.sqrt(c_f),
-    )
-
-
 def gap_forcing_constant(lam: float, m0: float, dphi_inf: float, c_inf: float) -> float:
     """Budget constant C_star = (64 / lambda) m0 dphi_inf sqrt(C_inf).
 
@@ -287,7 +258,9 @@ class ConstantsReport:
 
     Fields that a given parameter set cannot support are None, with the
     reason recorded in ``notes``.  Each field declares the formula it is
-    computed from, and ``as_dict`` pairs the value with it.
+    computed from, and ``as_dict`` pairs the value with it.  A run's
+    summary, its classifier and ``flocklab constants`` all read the one
+    report that ``runner.analyze`` builds.
     """
 
     lam: Optional[float] = _formula("0.5*min(m0*phi_minus/(m0^2*phi_plus^2/a + 3/2), sqrt(a)/2)")
@@ -307,6 +280,8 @@ class ConstantsReport:
     c_0: Optional[float] = _formula("(2/(m0*phi_minus) + 4*c)*phi_plus^2*m0*E0")
     c_f: Optional[float] = _formula("2*A*c_0/(a^2*c)")
     c_plus: Optional[float] = _formula("2*sqrt(A)*(1 + 1/sqrt(a))")
+    u_max: Optional[float] = _formula("max(c_plus*max0, 2*(1 + 1/sqrt(a))*sqrt(c_f)),"
+                                      " max0 = initial max(|u| + |x|)")
     c_star: Optional[float] = _formula("(64/lam)*m0*dphi_inf*sqrt(c_inf)")
     c_max: Optional[float] = _formula("8*dphi_inf*m0*u_max + 2*A")
     c_a: Optional[float] = _formula("m0^2*phi_minus^2/2 - 2*A")
@@ -336,7 +311,7 @@ def constants_report(
     energy0: Optional[float] = None,
     r0: Optional[float] = None,
     kernel: Optional[Kernel] = None,
-    u_max: Optional[float] = None,
+    max0: Optional[float] = None,
 ) -> ConstantsReport:
     """Assemble every constant the inputs support; inapplicable ones become notes.
 
@@ -346,8 +321,9 @@ def constants_report(
     ``r0`` is the support bound R0, which the paper gives only for a
     quadratic potential with centered data (``runner.analyze`` decides
     that); with it and ``kernel`` the report fills R0 and
-    phi(sqrt(8 R0/a)), else both stay None.  ``u_max`` enables the
-    general-potential budget constants.
+    phi(sqrt(8 R0/a)), else both stay None.  ``max0`` is the initial
+    max(|u| + |x|); with C_F and C_plus it gives the a-priori velocity
+    bound u_max, and u_max the general-potential budget C_max, C_A, c2.
     """
     rep = ConstantsReport()
     if r0 is not None and kernel is not None:
@@ -365,9 +341,9 @@ def constants_report(
     elif a <= 0.0:
         rep.notes.append("a <= 0: decay-rate constants not applicable")
     if K is not None and a > 0.0:
-        rep.beta_cross, rates = pair_functional(a, A, K)
-        if rates:
-            rep.mu1, rep.mu2, rep.mu3 = rates
+        rep.beta_cross = pair_beta(a, A, K)
+        if pair_stable(a, A, K):
+            rep.mu1, rep.mu2, rep.mu3 = pair_rates(a, A, K)
         else:
             rep.notes.append(
                 f"stability condition fails (K = {K} <= A/sqrt(a) = {A / math.sqrt(a):.6g}):"
@@ -379,8 +355,9 @@ def constants_report(
         )
         if energy0 is None:
             rep.notes.append("E0 missing: C0 and C_F evaluated with E0 = 0")
-    if u_max is not None and a > 0.0 and A >= a and phi_minus is not None:
-        rep.c_max, rep.c_a, rep.c2, _ = general_gap_budget(A, m0, phi_minus, dphi_inf, u_max)
-        if rep.c2 is None:
-            rep.notes.append("C_max >= C_A: general-potential gap budget not applicable")
+        if max0 is not None:
+            rep.u_max = max(rep.c_plus * max0, 2.0 * (1.0 + 1.0 / math.sqrt(a)) * math.sqrt(rep.c_f))
+            rep.c_max, rep.c_a, rep.c2, _ = general_gap_budget(A, m0, phi_minus, dphi_inf, rep.u_max)
+            if rep.c2 is None:
+                rep.notes.append("C_max >= C_A: general-potential gap budget not applicable")
     return rep

@@ -191,8 +191,8 @@ def classify_2d_quadratic(
 
 
 def classify_2d_general(
-    A: float,
     a: float,
+    A: float,
     m0: float,
     phi_minus: float,
     dphi_inf: float,

@@ -1,10 +1,12 @@
 """Simulation orchestration: time loop, frames, bound checks, sweeps.
 
 ``analyze`` builds the initial state, decides every a-priori quantity
-(confinement, convexity and kernel bounds, R0, the kernel floor and its
-source, the rates of V) once, and summarizes the state as the t = 0
-frame, built like every later frame; run, classify and the CLI's
-constants report all read its record.
+(confinement, convexity and kernel bounds, the kernel floor and its
+source) once, and builds the configuration's one constants report (R0,
+the rates of V and of the pair functional, the velocity bound u_max and
+the gap budget).  It summarizes the state as the t = 0 frame, built like
+every later frame.  The run summary, the classifier and ``flocklab
+constants`` all read its record, and none of them changes the report.
 
 ``run`` integrates a configuration to T and emits one DiagnosticsFrame per
 output stride.  Its bound checks are one table: ``_check_rows`` yields a
@@ -74,8 +76,6 @@ from .potentials import QuadraticPotential, ZeroPotential, convexity_bounds
 __all__ = [
     "Analysis",
     "analyze",
-    "apriori_velocity_bound",
-    "constants_for",
     "BoundCheck",
     "RunSummary",
     "RunResult",
@@ -161,57 +161,52 @@ class Analysis:
     """What a configuration fixes before the first step, decided once.
 
     ``confined`` holds for a quadratic potential with centered data, the
-    setting of the paper's flocking theorem.  ``r0`` is then the support
-    bound R0, else (or without a closed form) None.
+    setting of the paper's flocking theorem; only then does ``report``
+    carry the support bound R0 (where a closed form exists).
 
     ``phi_minus`` is the best a-priori kernel floor and ``phi_source`` the
     chain that produced it: kernels bounded below give their infimum
     ("kernel-infimum"); a decaying kernel in a confined run is floored
     through the support bound, phi_minus = phi(sqrt(8 R0 / a))
     ("support-chain"); otherwise it is None ("unavailable") and the floor
-    has to be measured from the run diameter.  ``coupling`` is m0 * phi for
-    a constant kernel, else None; ``pair_f`` is (K, beta) of the pair
-    functional F and ``pair_mu`` its rates (mu1, mu2, mu3) when that
-    coupling K passes the stability condition K > A / sqrt(a)
-    (``constants.pair_functional``), else both ().  ``v_rates`` is
-    (lambda, lambda_1) of V and F1 in a confined run with a kernel floor,
-    else ().  The constants report computes the same two rates for any
-    a_lo > 0 with a floor, where no V exists, because its C_inf and C_*
-    constants need them.
+    has to be measured from the run diameter.
+
+    ``report`` is the configuration's constants report, with the note
+    ``kernel floor source: ...`` last.  The record copies from it only the
+    two pairs that every frame needs: ``pair_f`` is (K, beta_cross) of the
+    pair functional F when the constant-kernel coupling K = m0 * phi has
+    the rates mu1..mu3, else (); ``v_rates`` is (lam, lam1), the rates of
+    V and F1, in a confined run with a kernel floor, else ().  The report
+    has the same two rates for any a_lo > 0 with a floor, where no V
+    exists, because its C_inf and C_* constants need them.
 
     ``frame0`` is run's first frame.
     """
 
     state: Ensemble
     frame0: DiagnosticsFrame
+    report: consts.ConstantsReport
     a_lo: float
     a_hi: float
     phi_minus: Optional[float]
     phi_source: str
     phi_plus: float
     dphi_inf: float
-    coupling: Optional[float]
     pair_f: tuple
-    pair_mu: tuple
     confined: bool
-    r0: Optional[float]
     v_rates: tuple
 
 
 def analyze(cfg: ExperimentConfig) -> Analysis:
-    """Build the initial state and the a-priori bounds that run, classify and the CLI share."""
+    """The initial state, its a-priori bounds and its constants report, for run, classify and the CLI."""
     state = build_state(cfg)
     a_lo, a_hi = convexity_bounds(cfg.potential)
-    coupling = cfg.m0 * cfg.kernel.value if isinstance(cfg.kernel, ConstantKernel) else None
-    pair_f = pair_mu = ()
-    if coupling is not None and a_lo > 0.0:
-        beta, pair_mu = consts.pair_functional(a_lo, a_hi, coupling)
-        pair_f = (coupling, beta) if pair_mu else ()
     _, phi_plus, dphi_inf = kernel_bounds(cfg.kernel, 0.0)
     confined = isinstance(cfg.potential, QuadraticPotential) and _centered(state)
+    e0 = energy(state, cfg.potential)[0]
     r0 = None
     if confined:
-        e0, p0 = energy(state, cfg.potential)[0], particle_energy_max(state, cfg.potential)
+        p0 = particle_energy_max(state, cfg.potential)
         try:
             r0 = consts.support_scale(cfg.potential.a, cfg.m0, e0, p0, cfg.kernel)
         except ValueError:  # no closed-form R0 for this kernel
@@ -222,14 +217,20 @@ def analyze(cfg: ExperimentConfig) -> Analysis:
         if r0 is not None:
             phi_minus = consts.phi_min_from_support(cfg.kernel, cfg.potential.a, r0)
             phi_source = "support-chain"
-    v_rates = ()
-    if confined and phi_minus is not None:
-        rate_args = (a_lo, cfg.m0, phi_minus, phi_plus)
-        v_rates = (consts.decay_rate(*rate_args), consts.decay_rate_f1(*rate_args))
+    coupling = cfg.m0 * cfg.kernel.value if isinstance(cfg.kernel, ConstantKernel) else None
+    x, u = state.x, state.u
+    max0 = float((np.sqrt(np.einsum("nd,nd->n", u, u)) + np.sqrt(np.einsum("nd,nd->n", x, x))).max())
+    report = consts.constants_report(  # through the module, so a rebound report builder applies
+        a_lo, a_hi, cfg.m0, phi_minus, phi_plus, dphi_inf, K=coupling, energy0=e0, r0=r0,
+        kernel=cfg.kernel, max0=max0,
+    )
+    report.notes.append(f"kernel floor source: {phi_source}")
+    pair_f = (coupling, report.beta_cross) if report.mu1 is not None else ()
+    v_rates = (report.lam, report.lam1) if confined and report.lam is not None else ()
     frame0 = _state_frame(cfg, state, a_lo, pair_f, v_rates)
     return Analysis(
-        state, frame0, a_lo, a_hi, phi_minus, phi_source, phi_plus, dphi_inf, coupling, pair_f, pair_mu,
-        confined, r0, v_rates,
+        state, frame0, report, a_lo, a_hi, phi_minus, phi_source, phi_plus, dphi_inf, pair_f, confined,
+        v_rates,
     )
 
 
@@ -238,38 +239,12 @@ def _centered(state: Ensemble) -> bool:
     return max(map(abs, (*c.x_c, *c.u_c))) <= _CENTERED_TOL
 
 
-def apriori_velocity_bound(cfg: ExperimentConfig, an: Analysis) -> Optional[float]:
-    """A-priori bound on max(|u| + |x|); None without a kernel floor or for a_lo <= 0."""
-    if an.phi_minus is None or not an.a_lo > 0.0:
-        return None
-    x, u = an.state.x, an.state.u
-    speed_position0 = np.sqrt(np.einsum("nd,nd->n", u, u)) + np.sqrt(np.einsum("nd,nd->n", x, x))
-    return consts.velocity_bound(
-        an.a_lo, an.a_hi, cfg.m0, an.phi_minus, an.phi_plus, an.frame0.total_energy,
-        float(speed_position0.max()),
-    )
-
-
-def constants_for(cfg: ExperimentConfig, an: Analysis, u_max: Optional[float] = None):
-    """The closed-form constants report of an analyzed configuration.
-
-    ``u_max`` enables the general-potential budget constants.
-    """
-    f0 = an.frame0
-    report = consts.constants_report(
-        an.a_lo, an.a_hi, cfg.m0, an.phi_minus, an.phi_plus, an.dphi_inf, K=an.coupling,
-        energy0=f0.total_energy, r0=an.r0, kernel=cfg.kernel, u_max=u_max,
-    )
-    report.notes.append(f"kernel floor source: {an.phi_source}")
-    return report
-
-
 def classify(cfg: ExperimentConfig, u_max: Optional[float] = None):
     """Threshold classification of a characteristic-mode configuration.
 
     Returns ``(report, details)``; ``details`` records the kernel floor
     source and, for the general-potential branch, whether u_max was
-    supplied (a-posteriori) or derived from the a-priori velocity bound.
+    supplied (a-posteriori) or is the constants report's a-priori bound.
     """
     return _classify(cfg, _analyze_characteristic(cfg), u_max)
 
@@ -304,13 +279,12 @@ def _classify(cfg: ExperimentConfig, an: Analysis, u_max: Optional[float] = None
         )
         return report, details
     if u_max is None:
-        u_max = apriori_velocity_bound(cfg, an)
-        details["u_max_source"] = "apriori-bound"
+        u_max, details["u_max_source"] = an.report.u_max, "apriori-bound"
     else:
         details["u_max_source"] = "supplied"
     details["u_max"] = u_max
     report = classify_2d_general(
-        an.a_hi, an.a_lo, cfg.m0, an.phi_minus, an.dphi_inf, u_max, f0.max_abs_eta_s, f0.min_e
+        an.a_lo, an.a_hi, cfg.m0, an.phi_minus, an.dphi_inf, u_max, f0.max_abs_eta_s, f0.min_e
     )
     return report, details
 
@@ -324,14 +298,12 @@ def run(cfg: ExperimentConfig) -> RunResult:
 
 
 def _integrate(cfg: ExperimentConfig, an: Analysis) -> RunResult:
-    report = constants_for(cfg, an)
-
-    threshold = None
+    threshold, notes = None, []
     if cfg.mode in ("hydro1d", "hydro2d"):
         try:
             threshold, _ = _classify(cfg, an)
         except ConfigError as exc:
-            report.notes.append(f"classification skipped: {exc}")
+            notes.append(f"classification skipped: {exc}")
 
     # read at call time, so a rebound stepper applies
     step = {"particles": step_rk4, "hydro1d": step_1d, "hydro2d": step_2d}[cfg.mode]
@@ -359,10 +331,11 @@ def _integrate(cfg: ExperimentConfig, an: Analysis) -> RunResult:
         scenario=cfg.scenario,
         mode=cfg.mode,
         config_text=serialize_config(cfg),
-        constants=report,
+        constants=an.report,
         threshold=threshold,
         blowup=blowup,
         n_frames=len(frames),
+        notes=notes,
     )
     if track_e:
         summary.extrema = {"run_min_e": min_e, "run_max_e": max_e}
@@ -432,8 +405,9 @@ def _check_rows(summary, cfg, an: Analysis, cols: dict):
             f"deltaE_Linf(t) <= C_inf deltaE_Linf(0) exp(-lam t / 2), C_inf = {c_inf:.6g} (conservative)",
             1e-9, delta_inf - c_inf * delta_inf[0] * np.exp(-0.5 * lam * times),
         )
-        if an.r0 is not None:
-            yield "particle_energy_bound", f"P(t) <= R0 = {an.r0:.6g}", 1e-9, p_vals - an.r0
+        r0 = an.report.r0
+        if r0 is not None:
+            yield "particle_energy_bound", f"P(t) <= R0 = {r0:.6g}", 1e-9, p_vals - r0
         else:
             summary.notes.append("particle energy bound skipped: no closed-form R0 for this kernel")
     if isinstance(cfg.potential, QuadraticPotential):
@@ -452,8 +426,8 @@ def _check_rows(summary, cfg, an: Analysis, cols: dict):
             1e-7, np.asarray(errors),
         )
 
-    if an.pair_mu:
-        mu1, mu2, mu3 = an.pair_mu
+    if an.pair_f:
+        mu1, mu2, mu3 = an.report.mu1, an.report.mu2, an.report.mu3
         yield (
             "deltaE_pair_bound",
             f"deltaE_L2(t) <= (mu2/mu3) deltaE_L2(0) exp(-(mu1/mu2) t),"

@@ -236,8 +236,12 @@ def reference_rhs_2d(m, kernel, potential):
 
 
 def reference_check_summary(summary, cfg, an: Analysis, frames):
-    """A copy of a run's summary with its checks, notes and rate fits made again by the old code."""
-    ref = dataclasses.replace(summary, bound_checks=[], rate_fits={}, notes=[])
+    """A copy of a run's summary with its checks, notes and rate fits made again by the old code.
+
+    A "classification skipped" note is written before the checks, so the copy keeps it.
+    """
+    notes = [note for note in summary.notes if note.startswith("classification skipped: ")]
+    ref = dataclasses.replace(summary, bound_checks=[], rate_fits={}, notes=notes)
     _evaluate_checks(ref, cfg, an, frames, ref.threshold)
     _fit_rates(ref, cfg, frames)
     return ref
@@ -279,12 +283,13 @@ def _evaluate_checks(summary, cfg, an: Analysis, frames, threshold):
             tol=1e-9,
             max_violation=float((delta_inf - bound).max()),
         ))
-        if an.r0 is not None:
+        r0 = an.report.r0
+        if r0 is not None:
             checks.append(BoundCheck(
                 name="particle_energy_bound",
-                description=f"P(t) <= R0 = {an.r0:.6g}",
+                description=f"P(t) <= R0 = {r0:.6g}",
                 tol=1e-9,
-                max_violation=float((p_vals - an.r0).max()),
+                max_violation=float((p_vals - r0).max()),
             ))
         else:
             summary.notes.append("particle energy bound skipped: no closed-form R0 for this kernel")
@@ -298,8 +303,8 @@ def _evaluate_checks(summary, cfg, an: Analysis, frames, threshold):
         ))
         checks.append(_means_check(cfg, an.frame0, frames))
 
-    if an.pair_mu:
-        mu1, mu2, mu3 = an.pair_mu
+    if an.report.mu1 is not None:
+        mu1, mu2, mu3 = an.report.mu1, an.report.mu2, an.report.mu3
         bound = (mu2 / mu3) * delta_l2[0] * np.exp(-(mu1 / mu2) * times)
         checks.append(BoundCheck(
             name="deltaE_pair_bound",

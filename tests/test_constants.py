@@ -14,13 +14,11 @@ from flocklab.constants import (
     linf_constant_conservative,
     linf_constant_via_f1,
     pair_beta,
-    pair_functional,
     pair_rates,
     pair_stable,
     phi_min_from_support,
     reduction_constants,
     support_scale,
-    velocity_bound,
 )
 from flocklab.kernels import ConstantKernel, PowerLawKernel, kernel_eval
 
@@ -85,10 +83,16 @@ def test_pair_rates_require_stability():
         pair_rates(1.0, 1.5, 1.5)  # K = A/sqrt(a) exactly: not strict
 
 
+def _pair_functional(a, A, K):
+    """(beta, (mu1, mu2, mu3)) of the constants report for coupling K, the rates () where it has none."""
+    rep = constants_report(a=a, A=A, m0=1.0, phi_minus=None, phi_plus=1.0, dphi_inf=0.0, K=K)
+    return rep.beta_cross, () if rep.mu1 is None else (rep.mu1, rep.mu2, rep.mu3)
+
+
 def test_pair_functional_decides_stability_once():
-    # the run's analysis and the constants report both take (beta, rates) from here
-    assert pair_functional(1.0, 1.5, 2.0) == (pair_beta(1.0, 1.5, 2.0), pair_rates(1.0, 1.5, 2.0))
-    assert pair_functional(1.0, 1.5, 1.5) == (pair_beta(1.0, 1.5, 1.5), ())  # K = A/sqrt(a): not strict
+    # the report takes beta and, only where pair_stable holds, the rates; the run's analysis reads them there
+    assert _pair_functional(1.0, 1.5, 2.0) == (pair_beta(1.0, 1.5, 2.0), pair_rates(1.0, 1.5, 2.0))
+    assert _pair_functional(1.0, 1.5, 1.5) == (pair_beta(1.0, 1.5, 1.5), ())  # K = A/sqrt(a): not strict
 
 
 def test_pair_stable_on_both_sides_of_the_threshold():
@@ -96,8 +100,8 @@ def test_pair_stable_on_both_sides_of_the_threshold():
     for a, A in ((1.0, 1.5), (0.25, 0.75)):
         below, above = np.nextafter(1.5, 0.0), np.nextafter(1.5, 2.0)
         assert [pair_stable(a, A, K) for K in (below, 1.5, above)] == [False, False, True]
-        assert pair_functional(a, A, 1.5)[1] == ()
-        assert pair_functional(a, A, above)[1] == pair_rates(a, A, above)
+        assert _pair_functional(a, A, 1.5)[1] == ()
+        assert _pair_functional(a, A, above)[1] == pair_rates(a, A, above)
         with pytest.raises(ValueError, match="stability condition"):
             pair_rates(a, A, 1.5)
     assert not pair_stable(0.0, 1.0, 1e300)  # no convexity, no stability
@@ -207,10 +211,16 @@ def test_reduction_constants_floor_scaling():
 def test_velocity_bound_uses_the_larger_branch():
     a, big_a, m0, lo, hi, e0 = 1.0, 1.5, 1.0, 0.5, 1.0, 2.0
     _, _, c_f, c_plus = reduction_constants(a, big_a, m0, lo, hi, e0)
-    small_data = velocity_bound(a, big_a, m0, lo, hi, e0, 1e-6)
-    assert small_data == pytest.approx(2.0 * (1.0 + 1.0) * math.sqrt(c_f))
-    huge_data = velocity_bound(a, big_a, m0, lo, hi, e0, 1e6)
-    assert huge_data == pytest.approx(c_plus * 1e6)
+
+    def u_max(max0):
+        return constants_report(a, big_a, m0, lo, hi, 0.1, energy0=e0, max0=max0).u_max
+
+    assert u_max(1e-6) == pytest.approx(2.0 * (1.0 + 1.0) * math.sqrt(c_f))
+    assert u_max(1e6) == pytest.approx(c_plus * 1e6)
+    # u_max feeds the budget: C_max = 8 dphi_inf m0 u_max + 2A
+    rep = constants_report(a, big_a, m0, lo, hi, 0.1, energy0=e0, max0=1e6)
+    assert rep.c_max == 8.0 * 0.1 * m0 * rep.u_max + 2.0 * big_a
+    assert constants_report(a, big_a, m0, lo, hi, 0.1, energy0=e0).u_max is None  # no max0, no bound
 
 
 def test_gap_forcing_constant():
@@ -227,13 +237,14 @@ def test_constants_report_full_inputs():
     rep = constants_report(
         a=1.0, A=1.5, m0=1.0, phi_minus=1.0, phi_plus=1.0, dphi_inf=0.0,
         K=2.0, energy0=1.0, r0=support_scale(1.0, 1.0, 1.0, 1.0, PowerLawKernel(1.0, 0.75)),
-        kernel=PowerLawKernel(1.0, 0.75), u_max=3.0,
+        kernel=PowerLawKernel(1.0, 0.75), max0=3.0,
     )
     assert rep.lam == pytest.approx(0.2)
     assert rep.mu1 is not None and rep.mu2 > rep.mu3 > 0.0
     assert rep.beta_cross == pytest.approx(16.0 / 9.0)
     assert rep.r0 == pytest.approx(2.978, abs=5e-4)
     assert rep.phi_minus_from_r0 == pytest.approx((1.0 + 8.0 * rep.r0) ** -0.75, rel=1e-14)
+    assert rep.u_max == max(rep.c_plus * 3.0, 4.0 * math.sqrt(rep.c_f))
     assert rep.c_max == pytest.approx(3.0)  # 0 forcing slope: 2A
     d = rep.as_dict()
     assert d["lam"]["value"] == rep.lam

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import flocklab
-from flocklab import runner
+from flocklab import cli, runner
 from flocklab.cli import main as cli_main
-from flocklab.config import ConfigError, parse_config, preset_config, preset_text
+from flocklab.config import ConfigError, parse_config, preset_config, preset_names, preset_text, with_override
 from flocklab.diagnostics import frame_columns
 from flocklab.runner import classify, run, sweep, sweep_csv
 
@@ -308,7 +308,7 @@ def test_confined_run_without_closed_form_r0():
     # has no support-chain floor, no V rates and no particle energy bound
     cfg = parse_config(SMALL.replace("n = 12", "n = 64").replace("beta = 1.0", "beta = 1.5"))
     an = runner.analyze(cfg)
-    assert an.confined and an.r0 is None
+    assert an.confined and an.report.r0 is None
     assert (an.phi_minus, an.phi_source, an.v_rates) == (None, "unavailable", ())
     result = run(cfg)
     assert all(math.isnan(f.lyapunov) and math.isnan(f.f1_max) for f in result.frames)
@@ -357,6 +357,7 @@ def test_classify_general_potential_records_umax_source():
     cfg = parse_config(GENERAL_2D)
     report, details = classify(cfg)
     assert details["u_max_source"] == "apriori-bound"
+    assert details["u_max"] == runner.analyze(cfg).report.u_max > 0.0
     assert "C_max" in report.constants
     report2, details2 = classify(cfg, u_max=1.0)
     assert details2["u_max_source"] == "supplied"
@@ -521,7 +522,7 @@ def test_cli_classify_and_constants(capsys):
     # a centered quadratic run reports the analysis's own R0
     assert cli_main(["constants", "quadratic-flocking-1d"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["r0"]["value"] == runner.analyze(preset_config("quadratic-flocking-1d")).r0 > 0.0
+    assert doc["r0"]["value"] == runner.analyze(preset_config("quadratic-flocking-1d")).report.r0 > 0.0
 
 
 def test_cli_sweep(tmp_path):
@@ -633,11 +634,43 @@ def test_cli_bad_axis_spec(tmp_path, capsys):
 
 
 def test_analysis_carries_the_report_pair_rates():
-    # a stable coupling: pair_f and pair_mu are filled together, with the report's rates;
-    # below the stability condition both stay empty and the report has no rates
+    # a stable coupling: pair_f is (K, beta) where the report has the rates;
+    # below the stability condition it stays empty and the report has no rates
     for name, stable in (("convex-flocking-constant", True), ("blowup-1d-unconditional", False)):
         cfg = preset_config(name)
         an = runner.analyze(cfg)
-        rep = runner.constants_for(cfg, an)
-        assert bool(an.pair_f) == bool(an.pair_mu) == stable
-        assert an.pair_mu == ((rep.mu1, rep.mu2, rep.mu3) if stable else ())
+        rep = an.report
+        assert bool(an.pair_f) == (rep.mu1 is not None) == stable
+        assert an.pair_f == ((cfg.m0 * cfg.kernel.value, rep.beta_cross) if stable else ())
+        assert an.v_rates == ((rep.lam, rep.lam1) if an.confined else ())
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_summary_constants_are_the_constants_command(name):
+    # one report per configuration: the run summary carries what `flocklab constants` prints
+    cfg = preset_config(name)
+    cfg = with_override(cfg, "run.t", cfg.output_stride * cfg.dt)
+    constants = run(cfg).summary.as_dict()["constants"]
+    assert constants == json.loads(cli.constants_json(cfg))
+    assert constants["notes"][-1].startswith("kernel floor source: ")
+
+
+ZERO_POTENTIAL_2D = POWER_LAW_2D.replace("n = 256", "n = 16").replace("t = 0.2", "t = 0.01").replace(
+    "family = quadratic\na = 1.0", "family = zero"
+)
+
+
+@pytest.mark.parametrize(
+    "text", [SMALL, ZERO_POTENTIAL_2D, GENERAL_2D.replace("n = 64\nt = 1.0", "n = 16\nt = 0.05")],
+    ids=["particles", "zero-potential-2d", "general-2d"],
+)
+def test_integrate_leaves_the_report_untouched(text):
+    cfg = parse_config(text)
+    an = runner.analyze(cfg)
+    report = an.report.as_dict()
+    first, second = (runner._integrate(cfg, an).summary for _ in range(2))
+    assert first.to_json() == second.to_json()
+    assert first.constants is an.report and an.report.as_dict() == report
+    skipped = "classification skipped: 2D classification needs a uniformly convex potential"
+    assert (skipped in first.notes) == ("family = zero" in text)
+    assert not any(note.startswith("classification skipped") for note in an.report.notes)

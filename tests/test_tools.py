@@ -1,6 +1,7 @@
 """The preset tools, with their preset runs stubbed.
 
-``tools/preset_roundoff.py``'s exit status and summary changes, and ``tools/preset_hashes.py``'s lines.
+``tools/preset_roundoff.py``'s exit status and summary changes, and ``tools/preset_hashes.py``'s lines,
+with its CLI calls stubbed too.
 """
 
 import hashlib
@@ -14,7 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from flocklab.config import preset_names
+from flocklab.config import preset_config, preset_names
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -104,13 +105,28 @@ def test_preset_hashes_lines(monkeypatch, capsys):
         summary.to_json = lambda: json.dumps({"scenario": cfg.scenario, "wall_time": summary.wall_time})
         return SimpleNamespace(summary=summary, csv=lambda: f"# columns: t\n{len(scenarios)}\n")
 
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def fake_cli(argv):  # what each subcommand prints for its preset
+        print(" ".join(argv))
+        return 0
+
     monkeypatch.setattr(hashes, "run", fake_run)
+    monkeypatch.setattr(hashes, "cli_main", fake_cli)
     hashes.main()
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(scenarios) == len(preset_names())
     for i, (name, line) in enumerate(zip(preset_names(), lines), start=1):
-        match = re.fullmatch(r"(\S+) frames ([0-9a-f]{64}) summary ([0-9a-f]{64})", line)
+        match = re.fullmatch(
+            r"(\S+) frames ([0-9a-f]{64}) summary ([0-9a-f]{64})"
+            r" constants ([0-9a-f]{64}) classify ([0-9a-f]{64}|-)",
+            line,
+        )
         assert match and match[1] == name, line
-        assert match[2] == hashlib.sha256(f"# columns: t\n{i}\n".encode()).hexdigest()
-        summary = json.dumps({"scenario": scenarios[i - 1], "wall_time": 0.0})
-        assert match[3] == hashlib.sha256(summary.encode()).hexdigest()
+        assert match[2] == sha(f"# columns: t\n{i}\n")
+        assert match[3] == sha(json.dumps({"scenario": scenarios[i - 1], "wall_time": 0.0}))
+        assert match[4] == sha(f"constants {name}\n")
+        particles = preset_config(name).mode == "particles"
+        assert match[5] == ("-" if particles else sha(f"classify {name}\n"))
+    assert {line.endswith(" classify -") for line in lines} == {True, False}  # both kinds of preset
