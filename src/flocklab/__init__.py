@@ -10,17 +10,8 @@ from .config import ExperimentConfig, parse_config, preset_config, preset_names,
 from .constants import ConstantsReport, constants_report
 from .diagnostics import DiagnosticsFrame, RateFit, fit_rate
 from .dynamics import BlowupSignal, Ensemble, means, recenter, step_rk4
-from .hydro1d import ThresholdReport1D, classify_1d, detect_blowup, init_characteristics
-from .hydro2d import ThresholdReport2D
-from .kernels import (
-    ConstantKernel,
-    FloorClippedKernel,
-    PowerLawKernel,
-    TailClass,
-    classify_tail,
-    kernel_bounds,
-    kernel_eval,
-)
+from .hydro1d import ThresholdReport, classify_1d, detect_blowup, init_characteristics
+from .kernels import ConstantKernel, FloorClippedKernel, PowerLawKernel, kernel_bounds, kernel_eval
 from .potentials import (
     PerturbedQuadraticPotential,
     QuadraticPotential,

@@ -105,7 +105,7 @@ def pair_stable(a: float, A: float, K: float) -> bool:
     """The pair functional's stability condition K > A / sqrt(a), False if a <= 0.
 
     The one place it is decided: ``pair_rates``, ``constants_report`` and the
-    runner's sqrt-weighted trend check all ask it.
+    runner's record of which convex flocking statements apply all ask it.
     """
     return a > 0.0 and K > A / math.sqrt(a)
 

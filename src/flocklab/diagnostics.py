@@ -160,18 +160,14 @@ class RateFit:
     intercept: float
     residual_rms: float
     window: tuple[float, float]
-    mode: str = "exponential"
 
 
-def fit_rate(
-    times, values, window: Optional[tuple[float, float]] = None, mode: str = "exponential"
-) -> RateFit:
-    """Fit a decay rate to positive samples of a time series.
+def fit_rate(times, values, window: Optional[tuple[float, float]] = None) -> RateFit:
+    """Fit an exponential decay rate to positive samples of a time series.
 
-    mode "exponential" regresses log v on t, so a series C e^(-r t) yields
-    rate = r.  mode "algebraic" regresses log v on log(1 + t), so
-    C (1 + t)^(-p) yields rate = p.  The window defaults to the full
-    series; it must contain at least 5 samples, all positive.
+    Regresses log v on t, so a series C e^(-r t) yields rate = r.  The
+    window defaults to the full series; it must contain at least 5
+    samples, all positive.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -186,19 +182,13 @@ def fit_rate(
         raise ValueError(f"need at least 5 samples in window [{lo}, {hi}], got {t_w.size}")
     if np.any(v_w <= 0.0):
         raise ValueError("rate fit window contains nonpositive samples")
-    if mode == "exponential":
-        abscissa = t_w
-    elif mode == "algebraic":
-        abscissa = np.log1p(t_w)
-    else:
-        raise ValueError(f"unknown fit mode {mode!r}")
     log_v = np.log(v_w)
-    design = np.column_stack([abscissa, np.ones_like(abscissa)])
+    design = np.column_stack([t_w, np.ones_like(t_w)])
     coef, *_ = np.linalg.lstsq(design, log_v, rcond=None)
     resid = log_v - design @ coef
     rms = float(np.sqrt(np.mean(resid * resid)))
-    return RateFit(rate=float(-coef[0]), intercept=float(coef[1]), residual_rms=rms,
-                   window=(float(lo), float(hi)), mode=mode)
+    window = (float(lo), float(hi))
+    return RateFit(rate=float(-coef[0]), intercept=float(coef[1]), residual_rms=rms, window=window)
 
 
 def _column(csv: str, **default):

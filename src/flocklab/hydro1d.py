@@ -34,7 +34,7 @@ the ``midpoint_quadrature`` that places characteristics on the bump.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -47,7 +47,7 @@ __all__ = [
     "E_BLOWUP_CAP",
     "BumpDensity",
     "VelocityProfile",
-    "ThresholdReport1D",
+    "ThresholdReport",
     "midpoint_quadrature",
     "init_characteristics",
     "step_1d",
@@ -179,18 +179,24 @@ def step_1d(state: Ensemble, kernel: Kernel, potential: Potential, dt: float) ->
 
 
 @dataclass(frozen=True)
-class ThresholdReport1D:
-    """Verdict of the 1D critical-threshold test.
+class ThresholdReport:
+    """Verdict of a critical-threshold classifier, one shape in 1D and 2D.
 
-    ``margin`` is the slack of the inequality that decided the verdict
-    (positive when the verdict fired; for ``indeterminate`` it is the
-    largest of the candidate slacks, all nonpositive).  The thresholds use
-    strict inequalities, so a zero margin is indeterminate.
+    ``margin`` is the slack of the inequality ``condition`` that decided the
+    verdict.  In 1D it is positive when the verdict fired; for
+    ``indeterminate`` (condition ``none``) it is the largest of the
+    candidate slacks, all nonpositive, and the strict thresholds make a zero
+    margin indeterminate.  The 2D classifiers fill ``margins`` with the
+    slack of every inequality and ``constants`` with their budget; there
+    ``condition`` joins the margin names with ";" and ``margin`` is the
+    smallest margin that is not NaN (NaN if none is).  In 1D both are empty.
     """
 
     verdict: str
-    triggered_condition: str
+    condition: str
     margin: float
+    margins: dict = field(default_factory=dict)
+    constants: dict = field(default_factory=dict)
 
 
 def smooth_lower_root(m0: float, phi_minus: float, c: float) -> float:
@@ -208,7 +214,7 @@ def e_upper_bound(e0_max: float, m0: float, phi_plus: float, a: float) -> float:
 
 def classify_1d(
     a: float, A: float, m0: float, phi_minus: Optional[float], phi_plus: float, e0_min: float
-) -> ThresholdReport1D:
+) -> ThresholdReport:
     """Classify 1D initial data as smooth_guaranteed, blowup_guaranteed or indeterminate.
 
     ``a`` and ``A`` are the lower/upper bounds on U'' and phi_minus/phi_plus
@@ -239,25 +245,25 @@ def classify_1d(
         else:
             margin_smooth = gap_smooth
         if margin_smooth > 0.0:
-            return ThresholdReport1D("smooth_guaranteed", "1d_assu2+1d_assu3", margin_smooth)
+            return ThresholdReport("smooth_guaranteed", "1d_assu2+1d_assu3", margin_smooth)
         candidates.append(margin_smooth)
 
     # blow-up side
     margin_uncond = a - (m0 * phi_plus) ** 2 / 4.0
     if margin_uncond > 0.0:
-        return ThresholdReport1D("blowup_guaranteed", "assuB_1", margin_uncond)
+        return ThresholdReport("blowup_guaranteed", "assuB_1", margin_uncond)
     candidates.append(margin_uncond)
     if a > 0.0:
         margin_super = smooth_lower_root(m0, phi_plus, a) - e0_min
         if margin_super > 0.0:
-            return ThresholdReport1D("blowup_guaranteed", "assuB_2", margin_super)
+            return ThresholdReport("blowup_guaranteed", "assuB_2", margin_super)
         candidates.append(margin_super)
     elif phi_minus is not None:
         margin_neg = smooth_lower_root(m0, phi_minus, a) - e0_min
         if margin_neg > 0.0:
-            return ThresholdReport1D("blowup_guaranteed", "assuB_3", margin_neg)
+            return ThresholdReport("blowup_guaranteed", "assuB_3", margin_neg)
         candidates.append(margin_neg)
-    return ThresholdReport1D("indeterminate", "none", max(candidates))
+    return ThresholdReport("indeterminate", "none", max(candidates))
 
 
 def detect_blowup(times, min_e, threshold: float = -E_BLOWUP_CAP) -> Optional[tuple[float, float]]:

@@ -26,20 +26,19 @@ hands this module's right-hand side to the shared RK4 driver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from . import constants as _constants
 from .dynamics import Ensemble, add_block, advance_rk4, alignment_force, alignment_sums, pair_blocks
-from .hydro1d import BumpDensity, VelocityProfile, midpoint_quadrature
+from .hydro1d import BumpDensity, ThresholdReport, VelocityProfile, midpoint_quadrature
 from .kernels import ConstantKernel, Kernel, kernel_eval_sq, kernel_slope_over_r_sq
 from .potentials import Potential, grad_at, hess_diag_at
 
 __all__ = [
     "BumpDensity2D",
     "SineShearVelocity",
-    "ThresholdReport2D",
     "init_characteristics_2d",
     "rhs_2d",
     "step_2d",
@@ -139,30 +138,29 @@ def spectral_arrays(grad_u: np.ndarray, phi_conv: np.ndarray):
     return d, eta_s, omega, d + phi_conv
 
 
-@dataclass(frozen=True)
-class ThresholdReport2D:
-    """Subcriticality verdict with the constants and per-inequality margins."""
-
-    verdict: str
-    constants: dict
-    margins: dict
+def _threshold_report(verdict: str, constants: dict, margins: dict) -> ThresholdReport:
+    finite = [v for v in margins.values() if not math.isnan(v)]
+    margin = min(finite) if finite else math.nan
+    return ThresholdReport(verdict, ";".join(margins), margin, margins, constants)
 
 
 def classify_2d_quadratic(
     a: float,
     m0: float,
     phi_minus: float,
-    phi_plus: float,
-    dphi_inf: float,
+    lam: float,
+    c_inf: float,
+    c_star: float,
     etaS0_max: float,
     deltaEinf0: float,
     e0_min: float,
-) -> ThresholdReport2D:
+) -> ThresholdReport:
     """Subcriticality test for the quadratic potential.
 
-    Builds the decay rate and the uniform flocking constant from the
-    kernel bounds, converts them into the gap-forcing budget
-    C_star * sqrt(deltaEinf0), and requires
+    ``lam``, ``c_inf`` and ``c_star`` are the constants report's decay rate,
+    uniform flocking constant and gap-forcing constant for these kernel
+    bounds.  The gap-forcing budget is C_star * sqrt(deltaEinf0), and the
+    test requires
 
         c1^2 = (m0 phi_minus)^2 - (etaS0_max + C_star sqrt(deltaEinf0))^2 - 4a > 0
         e0_min >= 0.
@@ -171,9 +169,6 @@ def classify_2d_quadratic(
     """
     if not a > 0.0:
         raise ValueError(f"quadratic classifier needs a > 0, got {a}")
-    lam = _constants.decay_rate(a, m0, phi_minus, phi_plus)
-    c_inf = _constants.linf_constant(a, m0, phi_minus, phi_plus)
-    c_star = _constants.gap_forcing_constant(lam, m0, dphi_inf, c_inf)
     budget = etaS0_max + c_star * float(np.sqrt(deltaEinf0))
     c1_sq = (m0 * phi_minus) ** 2 - budget * budget - 4.0 * a
     subcritical = c1_sq > 0.0 and e0_min >= 0.0
@@ -186,8 +181,7 @@ def classify_2d_quadratic(
         "c1": float(np.sqrt(c1_sq)) if c1_sq > 0.0 else float("nan"),
     }
     margins = {"c1": c1_sq, "c1_cond1": e0_min}
-    verdict = "subcritical_quadratic" if subcritical else "not_subcritical"
-    return ThresholdReport2D(verdict, consts, margins)
+    return _threshold_report("subcritical_quadratic" if subcritical else "not_subcritical", consts, margins)
 
 
 def classify_2d_general(
@@ -199,7 +193,7 @@ def classify_2d_general(
     u_max: float,
     etaS0_max: float,
     e0_min: float,
-) -> ThresholdReport2D:
+) -> ThresholdReport:
     """Subcriticality test for a general uniformly convex potential.
 
     Uses a uniform velocity bound u_max instead of a decay estimate: the
@@ -215,10 +209,9 @@ def classify_2d_general(
     if c2 is None:
         consts.update({"c2": float("nan"), "etaS_max": float("nan")})
         margins.update({"etaS_cond2": float("nan"), "c1_cond2": float("nan")})
-        return ThresholdReport2D("not_subcritical", consts, margins)
+        return _threshold_report("not_subcritical", consts, margins)
     eta_s_max = max(etaS0_max, c_max / c2)
     consts.update({"c2": c2, "etaS_upper": upper, "etaS_max": eta_s_max})
     margins.update({"etaS_cond2": upper - etaS0_max, "c1_cond2": e0_min - c2})
     subcritical = margins["etaS_cond2"] >= 0.0 and margins["c1_cond2"] > 0.0
-    verdict = "subcritical_general" if subcritical else "not_subcritical"
-    return ThresholdReport2D(verdict, consts, margins)
+    return _threshold_report("subcritical_general" if subcritical else "not_subcritical", consts, margins)

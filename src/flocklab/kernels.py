@@ -9,8 +9,8 @@ together.  Three closed analytic families are supported:
 * floor clip  phi(r) = max(inner(r), alpha), a lower-bounded surrogate
   that agrees with ``inner`` wherever inner(r) >= alpha
 
-Keeping the families analytic makes the tail classification decidable and
-the bounds (phi at 0, phi at a given distance, the sup of |phi'|) exact.
+Keeping the families analytic makes the bounds (phi at 0, the sup of
+|phi'|, the infimum) exact.
 Tabulated kernels are deliberately not supported.
 """
 
@@ -26,11 +26,9 @@ __all__ = [
     "ConstantKernel",
     "FloorClippedKernel",
     "Kernel",
-    "TailClass",
     "kernel_eval",
     "kernel_eval_sq",
     "kernel_slope_over_r_sq",
-    "classify_tail",
     "kernel_bounds",
     "kernel_inf",
 ]
@@ -82,20 +80,6 @@ class FloorClippedKernel:
 
 
 Kernel = Union[PowerLawKernel, ConstantKernel, FloorClippedKernel]
-
-
-@dataclass(frozen=True)
-class TailClass:
-    """Decay-at-infinity classification of a kernel.
-
-    fat_tail:             the radial integral of phi diverges
-    thin_tail_admissible: the radial integral of r * phi diverges
-    limsup_admissible:    limsup of r * phi(r) is infinite
-    """
-
-    fat_tail: bool
-    thin_tail_admissible: bool
-    limsup_admissible: bool
 
 
 def kernel_eval(kernel: Kernel, r):
@@ -158,28 +142,6 @@ def kernel_slope_over_r_sq(kernel: Kernel, r_sq, phi=None, out=None):
     raise TypeError(f"unknown kernel {kernel!r}")
 
 
-def classify_tail(kernel: Kernel) -> TailClass:
-    """Classify the tail of the kernel.
-
-    For the power-law family the three criteria reduce to exponent
-    comparisons: the radial integral of phi converges iff 2*beta > 1, the
-    integral of r*phi converges iff 2*beta > 2, and r*phi(r) tends to a
-    finite limit unless 2*beta < 1.  Boundary cases follow the defining
-    inequalities as written (divergence is inclusive for the integrals,
-    strict for the limsup).  Constant and floor-clipped kernels do not
-    decay at all, so every criterion holds.
-    """
-    if isinstance(kernel, PowerLawKernel):
-        return TailClass(
-            fat_tail=kernel.beta <= 0.5,
-            thin_tail_admissible=kernel.beta <= 1.0,
-            limsup_admissible=kernel.beta < 0.5,
-        )
-    if isinstance(kernel, (ConstantKernel, FloorClippedKernel)):
-        return TailClass(fat_tail=True, thin_tail_admissible=True, limsup_admissible=True)
-    raise TypeError(f"unknown kernel {kernel!r}")
-
-
 def _power_law_abs_slope(c0: float, beta: float, r: float) -> float:
     return 2.0 * c0 * beta * r * (1.0 + r * r) ** (-beta - 1.0)
 
@@ -192,17 +154,13 @@ def _power_law_slope_sup(c0: float, beta: float) -> float:
     return _power_law_abs_slope(c0, beta, r_star)
 
 
-def kernel_bounds(kernel: Kernel, d_max: float):
+def kernel_bounds(kernel: Kernel):
     """Analytic bounds used by the decay and threshold estimates.
 
-    Returns ``(phi_minus, phi_plus, dphi_inf)`` where phi_minus = phi(d_max)
-    (the kernel is nonincreasing, so this bounds phi from below on any
-    configuration of diameter d_max), phi_plus = phi(0), and dphi_inf is
-    the exact supremum of |phi'| over all radii.
+    Returns ``(phi_plus, dphi_inf)``: phi_plus = phi(0), the maximum of the
+    nonincreasing kernel, and dphi_inf the exact supremum of |phi'| over
+    all radii.
     """
-    if d_max < 0.0:
-        raise ValueError(f"d_max must be nonnegative, got {d_max}")
-    phi_minus = float(kernel_eval(kernel, d_max))
     phi_plus = float(kernel_eval(kernel, 0.0))
     if isinstance(kernel, ConstantKernel):
         dphi_inf = 0.0
@@ -212,7 +170,7 @@ def kernel_bounds(kernel: Kernel, d_max: float):
         dphi_inf = _floor_clipped_slope_sup(kernel)
     else:
         raise TypeError(f"unknown kernel {kernel!r}")
-    return phi_minus, phi_plus, float(dphi_inf)
+    return phi_plus, float(dphi_inf)
 
 
 def _floor_clipped_slope_sup(kernel: FloorClippedKernel) -> float:

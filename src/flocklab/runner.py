@@ -1,31 +1,32 @@
 """Simulation orchestration: time loop, frames, bound checks, sweeps.
 
-``analyze`` builds the initial state, decides every a-priori quantity
-(confinement, convexity and kernel bounds, the kernel floor and its
-source) once, and builds the configuration's one constants report (R0,
-the rates of V and of the pair functional, the velocity bound u_max and
-the gap budget).  It summarizes the state as the t = 0 frame, built like
-every later frame.  The run summary, the classifier and ``flocklab
-constants`` all read its record, and none of them changes the report.
+``analyze`` builds the initial state and decides every a-priori quantity
+once: the convexity and kernel bounds, the kernel floor and its source,
+the ``Theorems`` record of which of the paper's statements apply (and why
+the others do not), and the configuration's one constants report.  It
+summarizes the state as the t = 0 frame, built like every later frame.
+The run summary, the checks, the classifier and ``flocklab constants``
+all read its record, and none of them changes it.
 
 ``run`` integrates a configuration to T and emits one DiagnosticsFrame per
 output stride.  Its bound checks are one table: ``_check_rows`` yields a
-row ``(name, description, tol, excess)`` for each check that applies, and
-``_integrate`` makes every BoundCheck from a row, with max_violation =
-max(excess).  ``excess`` is the checked quantity minus its bound, one value
-per frame, or one value for the run-extrema and one-sample rows (the 1D e
-range, the sqrt trend's slope, the blow-up rows).  The rows, in order:
+row ``(name, description, tol, excess)`` for each check whose statement
+applies, and ``_integrate`` makes every BoundCheck from a row, with
+max_violation = max(excess).  ``excess`` is the checked quantity minus its
+bound, one value per frame, or one value for the run-extrema and
+one-sample rows (the 1D e range, the sqrt trend's slope, the blow-up
+rows).  The rows, in order, by statement:
 
-* exponential fluctuation bounds (L2 and worst-pair) for quadratic
-  confinement, with the kernel floor taken at the measured run diameter;
-* the uniform particle-energy bound P <= R0 and the pointwise inequality
-  (a/8) D^2 <= P;
-* the closed-form oscillation of the means;
-* the pair-functional exponential bound for constant couplings above the
-  stability threshold, and the no-growth trend of sqrt(1+t)-weighted
-  fluctuations for decaying kernels above it;
-* threshold persistence (e-bounds, gap and vorticity budgets) for the
-  characteristic modes, plus blow-up bracket detection;
+* ``quadratic_flocking``: exponential fluctuation bounds (L2 and
+  worst-pair), the kernel floor taken at the measured run diameter, and
+  under ``support_bound`` the uniform particle-energy bound P <= R0;
+* ``means_oscillation``: (a/8) D^2 <= P and the closed-form oscillation
+  of the means;
+* ``convex_flocking_constant``: the pair-functional exponential bound;
+  ``convex_flocking_decaying``: the no-growth trend of sqrt(1+t)-weighted
+  fluctuations;
+* the threshold statement that classified the run: threshold persistence
+  (e-bounds, gap and vorticity budgets) or blow-up bracket detection;
 * ``no_blowup`` for every run not predicted to blow up.
 
 A blow-up in a run whose classifier predicts blow-up is data, not
@@ -71,7 +72,7 @@ from .kernels import (
     kernel_eval,
     kernel_inf,
 )
-from .potentials import QuadraticPotential, ZeroPotential, convexity_bounds
+from .potentials import QuadraticPotential, convexity_bounds
 
 __all__ = [
     "Analysis",
@@ -106,12 +107,41 @@ class BoundCheck:
         return {**asdict(self), "pass": self.passed}
 
 
+@dataclass(frozen=True)
+class Theorems:
+    """Which of the paper's statements a configuration meets the hypotheses of, decided by ``analyze``.
+
+    ``reasons`` maps each statement to None when it applies, else to why it
+    does not: ``quadratic_flocking`` (a quadratic potential, centered data)
+    with its R0 sub-hypothesis ``support_bound`` (a kernel with a
+    closed-form R0), ``means_oscillation`` (a quadratic potential), the
+    convex flocking statements ``convex_flocking_constant`` and
+    ``convex_flocking_decaying`` (a constant or power-law kernel whose
+    coupling passes K > A/sqrt(a)), and the critical thresholds
+    ``threshold_1d``, ``threshold_2d_quadratic``, ``threshold_2d_general``
+    (a uniformly convex potential and a kernel floor in 2D).  ``threshold``
+    is the threshold statement that the mode and the potential family
+    select, None for particles: classify judges by it, or raises its reason.
+    """
+
+    reasons: dict
+    threshold: Optional[str]
+
+    def applies(self, name: str) -> bool:
+        return self.reasons[name] is None
+
+    def as_dict(self) -> dict:
+        statements = {name: {"applies": why is None, "reason": why} for name, why in self.reasons.items()}
+        return {"threshold": self.threshold, "statements": statements}
+
+
 @dataclass
 class RunSummary:
     scenario: Optional[str]
     mode: str
     config_text: str
     constants: consts.ConstantsReport
+    theorems: Theorems
     threshold: Optional[object]
     bound_checks: list = field(default_factory=list)
     rate_fits: dict = field(default_factory=dict)
@@ -132,6 +162,7 @@ class RunSummary:
             "mode": self.mode,
             "config": self.config_text,
             "constants": self.constants.as_dict(),
+            "theorems": self.theorems.as_dict(),
             "threshold": threshold,
             "bound_checks": [c.as_dict() for c in self.bound_checks],
             "rate_fits": {k: asdict(v) for k, v in self.rate_fits.items()},
@@ -160,25 +191,22 @@ class RunResult:
 class Analysis:
     """What a configuration fixes before the first step, decided once.
 
-    ``confined`` holds for a quadratic potential with centered data, the
-    setting of the paper's flocking theorem; only then does ``report``
-    carry the support bound R0 (where a closed form exists).
-
     ``phi_minus`` is the best a-priori kernel floor and ``phi_source`` the
     chain that produced it: kernels bounded below give their infimum
-    ("kernel-infimum"); a decaying kernel in a confined run is floored
-    through the support bound, phi_minus = phi(sqrt(8 R0 / a))
+    ("kernel-infimum"); under ``support_bound`` a decaying kernel is floored
+    through the support bound R0, phi_minus = phi(sqrt(8 R0 / a))
     ("support-chain"); otherwise it is None ("unavailable") and the floor
     has to be measured from the run diameter.
 
     ``report`` is the configuration's constants report, with the note
-    ``kernel floor source: ...`` last.  The record copies from it only the
-    two pairs that every frame needs: ``pair_f`` is (K, beta_cross) of the
-    pair functional F when the constant-kernel coupling K = m0 * phi has
-    the rates mu1..mu3, else (); ``v_rates`` is (lam, lam1), the rates of
-    V and F1, in a confined run with a kernel floor, else ().  The report
-    has the same two rates for any a_lo > 0 with a floor, where no V
-    exists, because its C_inf and C_* constants need them.
+    ``kernel floor source: ...`` last; it has R0 only under
+    ``support_bound``.  The record copies from it only the two pairs that
+    every frame needs: ``pair_f`` is (K, beta_cross) of the pair functional
+    F under ``convex_flocking_constant``, else (); ``v_rates`` is (lam,
+    lam1), the rates of V and F1, under ``quadratic_flocking`` with a
+    kernel floor, else ().  The report has the same two rates for any
+    a_lo > 0 with a floor, where no V exists, because its C_inf and C_*
+    constants need them.
 
     ``frame0`` is run's first frame.
     """
@@ -186,6 +214,7 @@ class Analysis:
     state: Ensemble
     frame0: DiagnosticsFrame
     report: consts.ConstantsReport
+    theorems: Theorems
     a_lo: float
     a_hi: float
     phi_minus: Optional[float]
@@ -193,31 +222,28 @@ class Analysis:
     phi_plus: float
     dphi_inf: float
     pair_f: tuple
-    confined: bool
     v_rates: tuple
 
 
 def analyze(cfg: ExperimentConfig) -> Analysis:
-    """The initial state, its a-priori bounds and its constants report, for run, classify and the CLI."""
+    """The initial state, its a-priori bounds, the statements that apply and the constants report."""
     state = build_state(cfg)
     a_lo, a_hi = convexity_bounds(cfg.potential)
-    _, phi_plus, dphi_inf = kernel_bounds(cfg.kernel, 0.0)
-    confined = isinstance(cfg.potential, QuadraticPotential) and _centered(state)
+    phi_plus, dphi_inf = kernel_bounds(cfg.kernel)
+    phi_inf = kernel_inf(cfg.kernel)
+    coupling = cfg.m0 * cfg.kernel.value if isinstance(cfg.kernel, ConstantKernel) else None
+    theorems = _theorems(cfg, state, a_lo, a_hi, phi_plus, phi_inf, coupling)
     e0 = energy(state, cfg.potential)[0]
     r0 = None
-    if confined:
+    if theorems.applies("support_bound"):
         p0 = particle_energy_max(state, cfg.potential)
-        try:
-            r0 = consts.support_scale(cfg.potential.a, cfg.m0, e0, p0, cfg.kernel)
-        except ValueError:  # no closed-form R0 for this kernel
-            pass
-    phi_minus, phi_source = kernel_inf(cfg.kernel), "kernel-infimum"
+        r0 = consts.support_scale(cfg.potential.a, cfg.m0, e0, p0, cfg.kernel)
+    phi_minus, phi_source = phi_inf, "kernel-infimum"
     if not phi_minus > 0.0:
         phi_minus, phi_source = None, "unavailable"
         if r0 is not None:
             phi_minus = consts.phi_min_from_support(cfg.kernel, cfg.potential.a, r0)
             phi_source = "support-chain"
-    coupling = cfg.m0 * cfg.kernel.value if isinstance(cfg.kernel, ConstantKernel) else None
     x, u = state.x, state.u
     max0 = float((np.sqrt(np.einsum("nd,nd->n", u, u)) + np.sqrt(np.einsum("nd,nd->n", x, x))).max())
     report = consts.constants_report(  # through the module, so a rebound report builder applies
@@ -225,13 +251,58 @@ def analyze(cfg: ExperimentConfig) -> Analysis:
         kernel=cfg.kernel, max0=max0,
     )
     report.notes.append(f"kernel floor source: {phi_source}")
-    pair_f = (coupling, report.beta_cross) if report.mu1 is not None else ()
-    v_rates = (report.lam, report.lam1) if confined and report.lam is not None else ()
+    pair_f = (coupling, report.beta_cross) if theorems.applies("convex_flocking_constant") else ()
+    confined = theorems.applies("quadratic_flocking") and report.lam is not None
+    v_rates = (report.lam, report.lam1) if confined else ()
     frame0 = _state_frame(cfg, state, a_lo, pair_f, v_rates)
     return Analysis(
-        state, frame0, report, a_lo, a_hi, phi_minus, phi_source, phi_plus, dphi_inf, pair_f, confined,
+        state, frame0, report, theorems, a_lo, a_hi, phi_minus, phi_source, phi_plus, dphi_inf, pair_f,
         v_rates,
     )
+
+
+def _theorems(cfg, state: Ensemble, a_lo: float, a_hi: float, phi_plus: float, phi_inf: float, coupling):
+    """Decide every statement's hypotheses from the families, the convexity and kernel bounds, the means."""
+    kernel, quadratic = cfg.kernel, isinstance(cfg.potential, QuadraticPotential)
+    not_quadratic = None if quadratic else "the potential is not quadratic"
+    # the means are taken only under a quadratic potential
+    flocking = not_quadratic or (None if _centered(state) else "the initial data are not centered")
+    has_r0 = isinstance(kernel, ConstantKernel) or isinstance(kernel, PowerLawKernel) and kernel.beta <= 1.0
+    support = flocking or (None if has_r0 else "no closed-form R0 for this kernel")
+    constant, decaying = "the kernel is not constant", "the kernel is not a power law"
+    if coupling is not None:
+        constant = _stability_reason(a_lo, a_hi, coupling)
+    if isinstance(kernel, PowerLawKernel):
+        decaying = _stability_reason(a_lo, a_hi, cfg.m0 * phi_plus)
+    hypothesis_2d = None  # a kernel floor is the infimum, or comes from R0 through the support bound
+    if not a_lo > 0.0:
+        hypothesis_2d = "2D classification needs a uniformly convex potential"
+    elif not (phi_inf > 0.0 or support is None):
+        hypothesis_2d = (
+            "2D classification needs an a-priori kernel floor; use a constant or"
+            " floor-clipped kernel, or a quadratic potential with centered data"
+        )
+    mode_2d = None if cfg.mode == "hydro2d" else f"the mode is {cfg.mode}, not hydro2d"
+    reasons = {
+        "quadratic_flocking": flocking,
+        "support_bound": support,
+        "means_oscillation": not_quadratic,
+        "convex_flocking_constant": constant,
+        "convex_flocking_decaying": decaying,
+        "threshold_1d": None if cfg.mode == "hydro1d" else f"the mode is {cfg.mode}, not hydro1d",
+        "threshold_2d_quadratic": mode_2d or not_quadratic or hypothesis_2d,
+        "threshold_2d_general": mode_2d or ("the potential is quadratic" if quadratic else hypothesis_2d),
+    }
+    selected = "threshold_2d_quadratic" if quadratic else "threshold_2d_general"
+    return Theorems(reasons, {"hydro1d": "threshold_1d", "hydro2d": selected}.get(cfg.mode))
+
+
+def _stability_reason(a: float, A: float, K: float) -> Optional[str]:
+    if consts.pair_stable(a, A, K):
+        return None
+    if not a > 0.0:
+        return "the potential is not uniformly convex"
+    return f"stability condition fails: K = {K:.6g} <= A/sqrt(a) = {A / math.sqrt(a):.6g}"
 
 
 def _centered(state: Ensemble) -> bool:
@@ -246,37 +317,30 @@ def classify(cfg: ExperimentConfig, u_max: Optional[float] = None):
     source and, for the general-potential branch, whether u_max was
     supplied (a-posteriori) or is the constants report's a-priori bound.
     """
-    return _classify(cfg, _analyze_characteristic(cfg), u_max)
-
-
-def _analyze_characteristic(cfg: ExperimentConfig) -> Analysis:
-    if cfg.mode not in ("hydro1d", "hydro2d"):
-        raise ConfigError(f"classify needs a characteristic mode, got {cfg.mode!r}")
-    return analyze(cfg)
+    return _classify(cfg, analyze(cfg), u_max)
 
 
 def _classify(cfg: ExperimentConfig, an: Analysis, u_max: Optional[float] = None):
-    f0 = an.frame0
+    theorems, f0 = an.theorems, an.frame0
+    statement = theorems.threshold
+    if statement is None:
+        raise ConfigError(f"classify needs a characteristic mode, got {cfg.mode!r}")
+    if not theorems.applies(statement):
+        raise ConfigError(theorems.reasons[statement])
+    if u_max is not None and statement != "threshold_2d_general":
+        raise ConfigError(
+            f"u_max is read only by threshold_2d_general; this configuration is judged by {statement}"
+        )
     details = {"phi_minus": an.phi_minus, "phi_minus_source": an.phi_source}
-    if cfg.mode == "hydro1d":
+    if statement == "threshold_1d":
         if an.phi_minus is None:
             # conservative zero-floor fallback: only the floor-free blow-up
             # branches can fire, smoothness can never be certified
             details["phi_minus_source"] = "zero-fallback"
         return classify_1d(an.a_lo, an.a_hi, cfg.m0, an.phi_minus, an.phi_plus, f0.min_e), details
-
-    if isinstance(cfg.potential, ZeroPotential):
-        raise ConfigError("2D classification needs a uniformly convex potential")
-    if an.phi_minus is None:
-        raise ConfigError(
-            "2D classification needs an a-priori kernel floor; use a constant or"
-            " floor-clipped kernel, or a quadratic potential with centered data"
-        )
-    if isinstance(cfg.potential, QuadraticPotential):
-        report = classify_2d_quadratic(
-            an.a_lo, cfg.m0, an.phi_minus, an.phi_plus, an.dphi_inf,
-            f0.max_abs_eta_s, f0.delta_e_linf, f0.min_e,
-        )
+    if statement == "threshold_2d_quadratic":  # lam, C_inf and C_star from the constants report
+        rep, data = an.report, (f0.max_abs_eta_s, f0.delta_e_linf, f0.min_e)
+        report = classify_2d_quadratic(an.a_lo, cfg.m0, an.phi_minus, rep.lam, rep.c_inf, rep.c_star, *data)
         return report, details
     if u_max is None:
         u_max, details["u_max_source"] = an.report.u_max, "apriori-bound"
@@ -299,7 +363,7 @@ def run(cfg: ExperimentConfig) -> RunResult:
 
 def _integrate(cfg: ExperimentConfig, an: Analysis) -> RunResult:
     threshold, notes = None, []
-    if cfg.mode in ("hydro1d", "hydro2d"):
+    if an.theorems.threshold is not None:
         try:
             threshold, _ = _classify(cfg, an)
         except ConfigError as exc:
@@ -332,6 +396,7 @@ def _integrate(cfg: ExperimentConfig, an: Analysis) -> RunResult:
         mode=cfg.mode,
         config_text=serialize_config(cfg),
         constants=an.report,
+        theorems=an.theorems,
         threshold=threshold,
         blowup=blowup,
         n_frames=len(frames),
@@ -387,9 +452,8 @@ def _check_rows(summary, cfg, an: Analysis, cols: dict):
     """
     times, delta_l2, delta_inf = cols["t"], cols["delta_e_l2"], cols["delta_e_linf"]
     p_vals, d_vals = cols["particle_energy"], cols["diameter"]
-    m0, a_lo, a_hi, phi_plus = cfg.m0, an.a_lo, an.a_hi, an.phi_plus
-    if an.confined:
-        a = cfg.potential.a
+    m0, a, phi_plus, theorems = cfg.m0, an.a_lo, an.phi_plus, an.theorems
+    if theorems.applies("quadratic_flocking"):
         d_max = float(d_vals.max())
         phi_floor = float(kernel_eval(cfg.kernel, d_max))
         lam = consts.decay_rate(a, m0, phi_floor, phi_plus)
@@ -405,13 +469,12 @@ def _check_rows(summary, cfg, an: Analysis, cols: dict):
             f"deltaE_Linf(t) <= C_inf deltaE_Linf(0) exp(-lam t / 2), C_inf = {c_inf:.6g} (conservative)",
             1e-9, delta_inf - c_inf * delta_inf[0] * np.exp(-0.5 * lam * times),
         )
-        r0 = an.report.r0
-        if r0 is not None:
+        if theorems.applies("support_bound"):
+            r0 = an.report.r0
             yield "particle_energy_bound", f"P(t) <= R0 = {r0:.6g}", 1e-9, p_vals - r0
         else:
-            summary.notes.append("particle energy bound skipped: no closed-form R0 for this kernel")
-    if isinstance(cfg.potential, QuadraticPotential):
-        a = cfg.potential.a
+            summary.notes.append(f"particle energy bound skipped: {theorems.reasons['support_bound']}")
+    if theorems.applies("means_oscillation"):
         yield "support_energy_inequality", "(a/8) D(t)^2 <= P(t)", 1e-9, a / 8.0 * d_vals * d_vals - p_vals
         omega = math.sqrt(a)
         x0, u0 = cols["x_c"][0], cols["u_c"][0]
@@ -426,7 +489,7 @@ def _check_rows(summary, cfg, an: Analysis, cols: dict):
             1e-7, np.asarray(errors),
         )
 
-    if an.pair_f:
+    if theorems.applies("convex_flocking_constant"):
         mu1, mu2, mu3 = an.report.mu1, an.report.mu2, an.report.mu3
         yield (
             "deltaE_pair_bound",
@@ -434,7 +497,7 @@ def _check_rows(summary, cfg, an: Analysis, cols: dict):
             f" mu = ({mu1:.6g}, {mu2:.6g}, {mu3:.6g})",
             1e-9, delta_l2 - (mu2 / mu3) * delta_l2[0] * np.exp(-(mu1 / mu2) * times),
         )
-    if isinstance(cfg.kernel, PowerLawKernel) and consts.pair_stable(a_lo, a_hi, m0 * phi_plus):
+    if theorems.applies("convex_flocking_decaying"):
         window = times >= 0.5 * cfg.t_final
         positive = window & (delta_l2 > 0.0)
         if window.sum() < 5:
@@ -456,25 +519,25 @@ def _check_rows(summary, cfg, an: Analysis, cols: dict):
 
     threshold = summary.threshold
     verdict = getattr(threshold, "verdict", None)
-    if cfg.mode == "hydro1d" and verdict == "smooth_guaranteed":
-        # the classifier only certifies smoothness with a known floor
-        root = smooth_lower_root(m0, an.phi_minus, a_hi)
+    if verdict == "smooth_guaranteed":
+        # the 1D classifier only certifies smoothness with a known floor
+        root = smooth_lower_root(m0, an.phi_minus, an.a_hi)
         yield (
             "min_e_persistence", f"min e over the run stays above the lower fixed point {root:.6g}",
             1e-6, root - summary.extrema["run_min_e"],
         )
-        upper = e_upper_bound(an.frame0.max_e, m0, phi_plus, a_lo)
+        upper = e_upper_bound(an.frame0.max_e, m0, phi_plus, a)
         yield (
             "max_e_bound", f"max e over the run stays below {upper:.6g}",
             1e-6, summary.extrema["run_max_e"] - upper,
         )
-    if cfg.mode == "hydro1d" and verdict == "blowup_guaranteed":
+    if verdict == "blowup_guaranteed":
         ok = summary.blowup is not None and summary.blowup[1] <= cfg.t_final
         yield (
             "blowup_detected", "run predicted to blow up must cross the e-threshold before T",
             0.0, 0.0 if ok else 1.0,
         )
-    if cfg.mode == "hydro2d" and verdict in ("subcritical_quadratic", "subcritical_general"):
+    if verdict in ("subcritical_quadratic", "subcritical_general"):
         budgets, f0 = threshold.constants, an.frame0
         yield (
             "min_e_nonneg", "e stays nonnegative on all characteristics and frames",
@@ -494,7 +557,7 @@ def _check_rows(summary, cfg, an: Analysis, cols: dict):
         else:
             # general potential: the transport forcing is bounded by half the
             # kernel part of C_max, divided by the persistent floor c2 of e
-            omega_budget = max(f0.max_abs_omega, 0.5 * (budgets["C_max"] - 2.0 * a_hi) / budgets["c2"])
+            omega_budget = max(f0.max_abs_omega, 0.5 * (budgets["C_max"] - 2.0 * an.a_hi) / budgets["c2"])
         yield (
             "omega_bound", f"vorticity stays within its budget {omega_budget:.6g}",
             1e-6, cols["max_abs_omega"] - omega_budget,
@@ -549,15 +612,9 @@ def _sweep_point(task):
     cfg, overrides, simulate = task
     for key, value in overrides:
         cfg = with_override(cfg, key, value)
-    an = _analyze_characteristic(cfg)
+    an = analyze(cfg)
     report, _ = _classify(cfg, an)  # before stepping, so an unclassifiable point fails at once
-    row = [value for _, value in overrides]
-    if hasattr(report, "triggered_condition"):
-        row += [report.verdict, report.triggered_condition, report.margin]
-    else:
-        finite = [v for v in report.margins.values() if not math.isnan(v)]
-        margin = min(finite) if finite else math.nan
-        row += [report.verdict, ";".join(report.margins), margin]
+    row = [value for _, value in overrides] + [report.verdict, report.condition, report.margin]
     if simulate:
         blowup = _integrate(cfg, an).summary.blowup
         row.append(f"blowup[{blowup[0]:.6g},{blowup[1]:.6g}]" if blowup else "completed")

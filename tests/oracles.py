@@ -257,7 +257,9 @@ def _evaluate_checks(summary, cfg, an: Analysis, frames, threshold):
     p_vals = np.asarray([f.particle_energy for f in frames])
     d_vals = np.asarray([f.diameter for f in frames])
 
-    if an.confined:
+    f0 = an.frame0
+    confined = isinstance(cfg.potential, QuadraticPotential) and max(map(abs, (*f0.x_c, *f0.u_c))) <= 1e-9
+    if confined:
         a = cfg.potential.a
         d_max = float(d_vals.max())
         phi_floor = float(kernel_eval(cfg.kernel, d_max))

@@ -155,7 +155,7 @@ def test_criterion_06_unconditional_blowup_detection():
         summary.blowup is not None
         and summary.blowup[1] < 10.0
         and summary.threshold.verdict == "blowup_guaranteed"
-        and summary.threshold.triggered_condition == "assuB_1"
+        and summary.threshold.condition == "assuB_1"
         and all(c.passed for c in summary.bound_checks if c.name == "blowup_detected")
     )
     _report(6, "unconditional blow-up detected with the right tag", 0.0 if ok else 1.0, 0.0)

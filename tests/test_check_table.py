@@ -3,9 +3,12 @@
 ``runner._check_rows`` yields one row per check and ``runner._integrate``
 reduces each row to its ``max_violation``; ``oracles.reference_check_summary``
 builds the same checks, notes and rate fit with the code that wrote each
-check by hand.  Every preset at 20 output strides and six configs that
+check by hand.  Every preset at 20 output strides and seven configs that
 reach the remaining branches must give the same checks field for field,
 ``max_violation`` compared bit for bit, and the same notes and rate fit.
+On the same configs, every check belongs to a statement that applies in
+the run's ``theorems`` record, and every skip note quotes the record's
+reason for the statement it skips.
 """
 
 import functools
@@ -15,7 +18,7 @@ import pytest
 from flocklab import runner
 from flocklab.config import parse_config, preset_config, preset_names, with_override
 from oracles import reference_check_summary
-from test_runner import DIVERGING, GENERAL_2D, SMALL
+from test_runner import DIVERGING, GENERAL_2D, SMALL, ZERO_POTENTIAL_2D
 
 # each preset's checks in summary order; the full-horizon runs give the same lists
 PRESET_CHECKS = {
@@ -75,7 +78,31 @@ CONFIGS = {
     "sqrt-trend-collapsed": lambda: with_override(_at_strides("convex-flocking-powerlaw", 20), "run.n", 1),
     # predicted to blow up, but stopped long before it does
     "blowup-reaches-t": lambda: with_override(preset_config("blowup-1d-unconditional"), "run.t", 0.5),
+    # no uniformly convex potential: classification skipped, with a note
+    "zero-potential-2d": lambda: parse_config(ZERO_POTENTIAL_2D),
 }
+
+# the statement each check belongs to; "threshold" is the one the record selects, no_blowup belongs to every run
+CHECK_STATEMENTS = {
+    "deltaE_exp_bound": "quadratic_flocking",
+    "deltaEinf_exp_bound": "quadratic_flocking",
+    "particle_energy_bound": "support_bound",
+    "support_energy_inequality": "means_oscillation",
+    "means_oscillator": "means_oscillation",
+    "deltaE_pair_bound": "convex_flocking_constant",
+    "deltaE_sqrt_trend": "convex_flocking_decaying",
+    "min_e_persistence": "threshold",
+    "max_e_bound": "threshold",
+    "blowup_detected": "threshold",
+    "min_e_nonneg": "threshold",
+    "eta_s_bound": "threshold",
+    "omega_bound": "threshold",
+    "no_blowup": None,
+}
+# a skip note's prefix -> the statement whose reason it quotes
+SKIP_NOTES = {"particle energy bound skipped: ": "support_bound", "classification skipped: ": "threshold"}
+# the one note that is about the run's data, not a hypothesis: the statement applies, the frames are too few
+TREND_SKIPPED = "sqrt-weighted trend skipped: fewer than 5 frames in the trailing half"
 
 
 @functools.cache
@@ -105,7 +132,7 @@ def test_every_preset_has_pinned_checks():
 
 
 def test_configs_reach_every_branch():
-    # the extra configs add the two skip notes, the collapsed trend, the failing
+    # the extra configs add the three skip notes, the collapsed trend, the failing
     # one-sample rows and a general-potential omega budget to what the presets reach
     summaries = {name: _table_and_oracle(name)[0] for name in CONFIGS if name not in PRESET_CHECKS}
     skipped_r0 = "particle energy bound skipped: no closed-form R0 for this kernel"
@@ -114,6 +141,46 @@ def test_configs_reach_every_branch():
     assert summaries["sqrt-trend-skipped"].notes == [skipped_trend]
     assert "fluctuations fully collapsed" in summaries["sqrt-trend-collapsed"].bound_checks[0].description
     assert summaries["general-2d"].threshold.verdict == "subcritical_general"
+    skipped_2d = "classification skipped: 2D classification needs a uniformly convex potential"
+    assert summaries["zero-potential-2d"].notes == [skipped_2d]
     failed = {name: [c.name for c in s.bound_checks if not c.passed] for name, s in summaries.items()}
     assert "no_blowup" in failed["diverging"]
     assert failed["blowup-reaches-t"] == ["blowup_detected"]
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_checks_and_skip_notes_follow_the_theorems(name):
+    summary, _ = _table_and_oracle(name)
+    theorems = summary.theorems
+    block = summary.as_dict()["theorems"]
+    assert block["threshold"] == theorems.threshold
+    assert list(block["statements"]) == [
+        "quadratic_flocking", "support_bound", "means_oscillation", "convex_flocking_constant",
+        "convex_flocking_decaying", "threshold_1d", "threshold_2d_quadratic", "threshold_2d_general",
+    ]
+    assert all(entry["applies"] == (entry["reason"] is None) for entry in block["statements"].values())
+
+    def statement(key):
+        return theorems.threshold if key == "threshold" else key
+
+    names = [c.name for c in summary.bound_checks]
+    for check in names:
+        if CHECK_STATEMENTS[check] is not None:
+            assert theorems.applies(statement(CHECK_STATEMENTS[check])), check
+    # and the other way round: a flocking statement that applies has its checks, unless the trend's note says why not
+    for check, key in CHECK_STATEMENTS.items():
+        skipped = check == "deltaE_sqrt_trend" and TREND_SKIPPED in summary.notes
+        if key not in (None, "threshold") and theorems.applies(key) and not skipped:
+            assert check in names, check
+    for note in summary.notes:
+        if note == TREND_SKIPPED:
+            assert theorems.applies("convex_flocking_decaying")
+            continue
+        prefix = next(p for p in SKIP_NOTES if note.startswith(p))
+        key = statement(SKIP_NOTES[prefix])
+        assert not theorems.applies(key)
+        assert note == prefix + theorems.reasons[key]
+    if summary.threshold is not None:
+        assert theorems.applies(theorems.threshold)
+    if theorems.threshold is not None and not theorems.applies(theorems.threshold):
+        assert summary.threshold is None and any(n.startswith("classification skipped: ") for n in summary.notes)

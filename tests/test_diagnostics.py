@@ -281,13 +281,6 @@ def test_fit_rate_constant_series():
     assert fit.rate == pytest.approx(0.0, abs=1e-12)
 
 
-def test_fit_rate_algebraic_mode():
-    t = np.linspace(0.0, 40.0, 50)
-    v = (1.0 + t) ** -0.5
-    fit = fit_rate(t, v, mode="algebraic")
-    assert fit.rate == pytest.approx(0.5, abs=1e-10)
-
-
 def test_fit_rate_window_restriction():
     t = np.linspace(0.0, 10.0, 101)
     v = np.exp(-t)
@@ -305,8 +298,6 @@ def test_fit_rate_rejects_bad_windows():
     v[3] = 0.0
     with pytest.raises(ValueError):
         fit_rate(t, v)
-    with pytest.raises(ValueError):
-        fit_rate(t, np.exp(-t), mode="polynomial")
 
 
 def test_energy_zero_potential_is_kinetic():

@@ -325,7 +325,7 @@ def test_pair_pass_matches_the_dense_sums(n):
     for d in (1, 2, 3):
         ens = _random_ensemble(rng, n, d)
         for kernel in _PAIR_KERNELS:
-            _, phi_plus, dphi_inf = kernel_bounds(kernel, 0.0)
+            phi_plus, dphi_inf = kernel_bounds(kernel)
             conv_scale = ens.total_mass * phi_plus
             force_scale = 2.0 * np.abs(ens.u).max() * conv_scale
             force, phi_conv = dynamics.alignment_force(ens.x, ens.u, ens.m, kernel)

@@ -208,7 +208,7 @@ def test_classify_potential_free_sharp_threshold():
 def test_classify_unconditional_blowup():
     report = classify_1d(5.0, 5.0, 1.0, 2.0, 2.0, 10.0)
     assert report.verdict == "blowup_guaranteed"
-    assert report.triggered_condition == "assuB_1"
+    assert report.condition == "assuB_1"
     assert report.margin == pytest.approx(4.0)
 
 
@@ -221,13 +221,13 @@ def test_classify_smooth_example():
 def test_classify_supercritical_data_blowup():
     report = classify_1d(0.5, 0.5, 1.0, 2.0, 2.0, 0.1)
     assert report.verdict == "blowup_guaranteed"
-    assert report.triggered_condition == "assuB_2"
+    assert report.condition == "assuB_2"
 
 
 def test_classify_concave_branch():
     report = classify_1d(-1.0, 0.0, 1.0, 1.0, 1.0, -1.0)
     assert report.verdict == "blowup_guaranteed"
-    assert report.triggered_condition == "assuB_3"
+    assert report.condition == "assuB_3"
 
 
 def test_classify_indeterminate_between_thresholds():
@@ -245,15 +245,15 @@ def test_classify_equality_is_indeterminate():
 def test_classify_without_kernel_floor():
     # phi_minus=None: only the floor-free blow-up branches can fire
     report = classify_1d(5.0, 5.0, 1.0, None, 2.0, 10.0)
-    assert (report.verdict, report.triggered_condition) == ("blowup_guaranteed", "assuB_1")
+    assert (report.verdict, report.condition) == ("blowup_guaranteed", "assuB_1")
     assert report.margin == pytest.approx(4.0)
     report = classify_1d(0.2, 0.2, 1.0, None, 1.0, 0.0)
-    assert (report.verdict, report.triggered_condition) == ("blowup_guaranteed", "assuB_2")
+    assert (report.verdict, report.condition) == ("blowup_guaranteed", "assuB_2")
     assert report.margin == pytest.approx(0.5 - math.sqrt(0.05))
     # data the floor phi_minus = 1 certifies smooth stay indeterminate without it
     assert classify_1d(0.2, 0.2, 1.0, 1.0, 1.0, 0.3).verdict == "smooth_guaranteed"
     report = classify_1d(0.2, 0.2, 1.0, None, 1.0, 0.3)
-    assert (report.verdict, report.triggered_condition) == ("indeterminate", "none")
+    assert (report.verdict, report.condition) == ("indeterminate", "none")
     assert report.margin == pytest.approx(0.5 - math.sqrt(0.05) - 0.3)
     # a <= 0 without a floor: assuB_3 needs phi_minus, so nothing fires
     report = classify_1d(-1.0, 0.0, 1.0, None, 1.0, -5.0)

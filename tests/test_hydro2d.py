@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from flocklab.constants import constants_report
 from flocklab.dynamics import Ensemble, conv_phi
 from flocklab.hydro1d import BumpDensity, VelocityProfile
 from flocklab.hydro2d import (
@@ -291,8 +292,14 @@ def _jacobian_mismatch(state):
 # --- threshold classification ---
 
 
+def _classify_quadratic(a, m0, phi_minus, phi_plus, dphi_inf, **data):
+    """classify_2d_quadratic fed the constants report's lam, C_inf and C_star, as the runner feeds it."""
+    rep = constants_report(a, a, m0, phi_minus, phi_plus, dphi_inf)
+    return classify_2d_quadratic(a, m0, phi_minus, rep.lam, rep.c_inf, rep.c_star, **data)
+
+
 def test_classify_quadratic_constant_kernel_collapses():
-    report = classify_2d_quadratic(
+    report = _classify_quadratic(
         a=0.2, m0=1.0, phi_minus=1.0, phi_plus=1.0, dphi_inf=0.0,
         etaS0_max=0.0, deltaEinf0=123.0, e0_min=0.0,
     )
@@ -302,7 +309,7 @@ def test_classify_quadratic_constant_kernel_collapses():
 
 
 def test_classify_quadratic_reference_constants():
-    report = classify_2d_quadratic(
+    report = _classify_quadratic(
         a=1.0, m0=1.0, phi_minus=1.0, phi_plus=1.0, dphi_inf=0.5,
         etaS0_max=0.1, deltaEinf0=0.01, e0_min=0.2,
     )
@@ -312,7 +319,7 @@ def test_classify_quadratic_reference_constants():
 
 
 def test_classify_quadratic_negative_e_rejects():
-    report = classify_2d_quadratic(
+    report = _classify_quadratic(
         a=0.1, m0=2.0, phi_minus=1.0, phi_plus=1.0, dphi_inf=0.0,
         etaS0_max=0.0, deltaEinf0=0.0, e0_min=-0.1,
     )

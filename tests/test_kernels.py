@@ -1,4 +1,4 @@
-"""Kernel families: evaluation, tail classification, analytic bounds."""
+"""Kernel families: evaluation and analytic bounds."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from flocklab.kernels import (
     ConstantKernel,
     FloorClippedKernel,
     PowerLawKernel,
-    classify_tail,
     kernel_bounds,
     kernel_eval,
     kernel_eval_sq,
@@ -58,86 +57,28 @@ def test_nested_floor_flattens():
     assert np.array_equal(kernel_eval(nested, r), expect)
 
 
-# --- tail classification, checked against numeric divergence oracles ---
-
-
-def _integral_grows(f, r_lo=1.0):
-    """Numeric divergence test: the integral over [r_lo, R] keeps growing
-    by a nonvanishing amount for each decade of R."""
-    total = 0.0
-    increments = []
-    lo = r_lo
-    for _ in range(6):
-        hi = lo * 10.0
-        r = np.linspace(lo, hi, 20001)
-        inc = np.trapezoid(f(r), r)
-        increments.append(inc)
-        total += inc
-        lo = hi
-    # divergent integrands add at least as much in late decades; convergent
-    # tails add vanishing amounts
-    return increments[-1] > 0.5 * increments[0]
-
-
-def _limsup_grows(f):
-    r = 10.0 ** np.arange(1, 9)
-    vals = f(r)
-    return vals[-1] > 2.0 * vals[0]
-
-
-@pytest.mark.parametrize(
-    "beta,expected",
-    [
-        (0.4, (True, True, True)),
-        (0.5, (True, True, False)),
-        (1.0, (False, True, False)),
-        (1.5, (False, False, False)),
-    ],
-)
-def test_tail_classification_against_numeric_oracle(beta, expected):
-    k = PowerLawKernel(c0=1.0, beta=beta)
-    tc = classify_tail(k)
-    assert (tc.fat_tail, tc.thin_tail_admissible, tc.limsup_admissible) == expected
-    # oracle agreement away from the exact boundary exponents
-    phi = lambda r: kernel_eval(k, r)
-    if beta != 0.5:
-        assert _integral_grows(phi) == tc.fat_tail
-        assert _limsup_grows(lambda r: r * phi(r)) == tc.limsup_admissible
-    if beta != 1.0:
-        assert _integral_grows(lambda r: r * phi(r)) == tc.thin_tail_admissible
-
-
-def test_tail_constant_and_floor_all_true():
-    for k in (ConstantKernel(2.0), FloorClippedKernel(PowerLawKernel(1.0, 2.0), 0.1)):
-        tc = classify_tail(k)
-        assert tc.fat_tail and tc.thin_tail_admissible and tc.limsup_admissible
-
-
-def test_fat_tail_implies_thin_tail_on_grid():
-    for beta in np.linspace(0.0, 2.0, 21):
-        tc = classify_tail(PowerLawKernel(1.0, float(beta)))
-        assert not tc.fat_tail or tc.thin_tail_admissible
-
-
 # --- bounds ---
 
 
 def test_kernel_bounds_power_law():
-    lo, hi, slope = kernel_bounds(PowerLawKernel(1.0, 1.0), 2.0)
-    assert lo == pytest.approx(0.2)
+    k = PowerLawKernel(1.0, 1.0)
+    hi, slope = kernel_bounds(k)
+    assert kernel_eval(k, 2.0) == pytest.approx(0.2)
     assert hi == 1.0
     # maximum of 2r/(1+r^2)^2 sits at r = 1/sqrt(3)
     assert slope == pytest.approx(9.0 / (8.0 * np.sqrt(3.0)), rel=1e-14)
 
 
 def test_kernel_bounds_constant():
-    assert kernel_bounds(ConstantKernel(2.0), 10.0) == (2.0, 2.0, 0.0)
+    k = ConstantKernel(2.0)
+    assert kernel_bounds(k) == (2.0, 0.0)
+    assert kernel_eval(k, 10.0) == 2.0
 
 
 def test_kernel_bounds_floor_clipped():
     k = FloorClippedKernel(PowerLawKernel(1.0, 1.0), 0.3)
-    lo, hi, slope = kernel_bounds(k, 5.0)
-    assert lo == 0.3
+    hi, slope = kernel_bounds(k)
+    assert kernel_eval(k, 5.0) == 0.3
     assert hi == 1.0
     assert slope == pytest.approx(9.0 / (8.0 * np.sqrt(3.0)), rel=1e-14)
 
@@ -149,9 +90,9 @@ def test_floor_clip_slope_when_peak_clipped():
     k = FloorClippedKernel(inner, alpha)
     r_c = np.sqrt(1.0 / alpha - 1.0)
     expect = 2.0 * r_c / (1.0 + r_c**2) ** 2
-    assert kernel_bounds(k, 10.0)[2] == pytest.approx(expect, rel=1e-13)
+    assert kernel_bounds(k)[1] == pytest.approx(expect, rel=1e-13)
     # fully clipped kernel is constant
-    assert kernel_bounds(FloorClippedKernel(inner, 2.0), 1.0)[2] == 0.0
+    assert kernel_bounds(FloorClippedKernel(inner, 2.0))[1] == 0.0
 
 
 @pytest.mark.parametrize(
@@ -169,7 +110,8 @@ def test_floor_clip_slope_when_peak_clipped():
 def test_bound_consistency_random_radii(kernel):
     rng = np.random.default_rng(7)
     d_max = 4.0
-    lo, hi, slope_sup = kernel_bounds(kernel, d_max)
+    hi, slope_sup = kernel_bounds(kernel)
+    lo = kernel_eval(kernel, d_max)  # the kernel is nonincreasing, so phi(d_max) bounds it on [0, d_max]
     r = rng.uniform(0.0, d_max, 1000)
     vals = kernel_eval(kernel, r)
     assert np.all(vals >= lo - 1e-15)

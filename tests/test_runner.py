@@ -184,7 +184,7 @@ def test_analysis_frame0_is_the_first_frame(text):
         assert value == first[name] or (math.isnan(value) and math.isnan(first[name])), name
     # all three are quadratic with centered data and a kernel floor, so
     # frame 0 carries V and F1_max
-    assert an.confined and an.v_rates
+    assert an.theorems.applies("quadratic_flocking") and an.v_rates
     assert not any(math.isnan(frame0[name]) for name in ("lyapunov", "f1_max"))
     if text is SMALL:  # a decaying kernel floored through R0
         assert an.phi_source == "support-chain"
@@ -258,7 +258,7 @@ def test_blowup_preset_is_success_semantics():
     result = run(preset_config("blowup-1d-unconditional"))
     assert result.summary.blowup is not None
     assert result.summary.threshold.verdict == "blowup_guaranteed"
-    assert result.summary.threshold.triggered_condition == "assuB_1"
+    assert result.summary.threshold.condition == "assuB_1"
     assert result.summary.all_checks_pass
     lo, hi = result.summary.blowup
     assert 0.0 < lo < hi < 10.0
@@ -299,7 +299,7 @@ def test_classify_zero_floor_fallback():
     ).replace("family = quadratic\na = 0.2", "family = perturbed_quadratic\na = 0.2\neps = 0.1")
     report, details = classify(parse_config(text))
     assert details == {"phi_minus": None, "phi_minus_source": "zero-fallback"}
-    assert (report.verdict, report.triggered_condition) == ("blowup_guaranteed", "assuB_2")
+    assert (report.verdict, report.condition) == ("blowup_guaranteed", "assuB_2")
     assert report.margin > 0.0
 
 
@@ -308,7 +308,8 @@ def test_confined_run_without_closed_form_r0():
     # has no support-chain floor, no V rates and no particle energy bound
     cfg = parse_config(SMALL.replace("n = 12", "n = 64").replace("beta = 1.0", "beta = 1.5"))
     an = runner.analyze(cfg)
-    assert an.confined and an.report.r0 is None
+    assert an.theorems.applies("quadratic_flocking") and an.report.r0 is None
+    assert an.theorems.reasons["support_bound"] == "no closed-form R0 for this kernel"
     assert (an.phi_minus, an.phi_source, an.v_rates) == (None, "unavailable", ())
     result = run(cfg)
     assert all(math.isnan(f.lyapunov) and math.isnan(f.f1_max) for f in result.frames)
@@ -414,6 +415,38 @@ def test_sweep_single_point_matches_classify():
     _, rows = sweep(cfg, [("initial.amplitude", [0.0])])
     assert rows[0][1] == report.verdict
     assert rows[0][3] == pytest.approx(report.margin)
+
+
+def test_sweep_csv_keeps_its_bytes():
+    # pinned bytes: a 1D row gives the deciding condition and its margin, a 2D row the
+    # joined margin names and the least non-NaN margin
+    cfg = parse_config(SHARP_SWEEP)
+    text = sweep_csv(*sweep(cfg, [("initial.amplitude", [-1.5, -1.0, -0.75, 0.0])], simulate=True))
+    assert text == (
+        "# columns: initial.amplitude,verdict,condition,margin,outcome\n"
+        "-1.5,blowup_guaranteed,assuB_3,0.5,completed\n"
+        "-1.0,indeterminate,none,0.0,completed\n"
+        "-0.75,smooth_guaranteed,1d_assu2+1d_assu3,0.25,completed\n"
+        "0.0,smooth_guaranteed,1d_assu2+1d_assu3,0.25,completed\n"
+    )
+    cfg = preset_config("subcritical-2d-constant")
+    text = sweep_csv(*sweep(cfg, [("initial.amplitude", [0.05, 0.1, 0.4]), ("kernel.k", [2.0, 4.0])]))
+    assert text == (
+        "# columns: initial.amplitude,kernel.k,verdict,condition,margin\n"
+        "0.05,2.0,not_subcritical,c1;c1_cond1,-0.009943855389680234\n"
+        "0.05,4.0,subcritical_quadratic,c1;c1_cond1,4.0\n"
+        "0.1,2.0,not_subcritical,c1;c1_cond1,-0.039775421558720936\n"
+        "0.1,4.0,subcritical_quadratic,c1;c1_cond1,4.0\n"
+        "0.4,2.0,not_subcritical,c1;c1_cond1,-0.6364067449395332\n"
+        "0.4,4.0,subcritical_quadratic,c1;c1_cond1,4.0\n"
+    )
+    # below the budget the general classifier's last two margins are NaN
+    text = sweep_csv(*sweep(parse_config(GENERAL_2D.replace("n = 64", "n = 16")), [("kernel.k", [2.0, 4.0])]))
+    assert text == (
+        "# columns: kernel.k,verdict,condition,margin\n"
+        "2.0,not_subcritical,Cmi;etaS_cond2;c1_cond2,-4.0\n"
+        "4.0,subcritical_general,Cmi;etaS_cond2;c1_cond2,2.0\n"
+    )
 
 
 def test_sweep_parallel_preserves_order():
@@ -523,6 +556,18 @@ def test_cli_classify_and_constants(capsys):
     assert cli_main(["constants", "quadratic-flocking-1d"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["r0"]["value"] == runner.analyze(preset_config("quadratic-flocking-1d")).report.r0 > 0.0
+
+
+@pytest.mark.parametrize("preset,statement", [
+    ("smooth-1d-guaranteed", "threshold_1d"), ("subcritical-2d-constant", "threshold_2d_quadratic"),
+])
+def test_cli_classify_rejects_u_max_the_statement_does_not_read(preset, statement, capsys):
+    # only the general-potential 2D threshold reads u_max; elsewhere a supplied bound is an error, not dropped
+    assert cli_main(["classify", preset, "--u-max", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: u_max is read only by threshold_2d_general; this configuration is judged by {statement}\n"
+    assert cli_main(["classify", preset]) == 0
 
 
 def test_cli_sweep(tmp_path):
@@ -642,7 +687,7 @@ def test_analysis_carries_the_report_pair_rates():
         rep = an.report
         assert bool(an.pair_f) == (rep.mu1 is not None) == stable
         assert an.pair_f == ((cfg.m0 * cfg.kernel.value, rep.beta_cross) if stable else ())
-        assert an.v_rates == ((rep.lam, rep.lam1) if an.confined else ())
+        assert an.v_rates == ((rep.lam, rep.lam1) if an.theorems.applies("quadratic_flocking") else ())
 
 
 @pytest.mark.parametrize("name", preset_names())
