@@ -24,8 +24,6 @@ __all__ = [
     "decay_rate",
     "decay_rate_f1",
     "linf_constant",
-    "linf_constant_via_f1",
-    "linf_constant_conservative",
     "pair_stable",
     "pair_rates",
     "pair_beta",
@@ -67,31 +65,19 @@ def decay_rate_f1(a: float, m0: float, phi_minus: float, phi_plus: float) -> flo
 
 
 def linf_constant(a: float, m0: float, phi_minus: float, phi_plus: float) -> float:
-    """Prefactor of the worst-pair fluctuation bound (statement form).
+    """Prefactor C_inf of the worst-pair fluctuation bound, the larger of its two assemblies.
 
-    C_inf = 4 (1 + phi_plus^2 m0^2 (2/(m0 phi_minus lambda) + 4/a)).
-    """
-    lam = decay_rate(a, m0, phi_minus, phi_plus)
-    return 4.0 * (1.0 + phi_plus**2 * m0**2 * (2.0 / (m0 * phi_minus * lam) + 4.0 / a))
-
-
-def linf_constant_via_f1(a: float, m0: float, phi_minus: float, phi_plus: float) -> float:
-    """Prefactor of the worst-pair bound assembled through the perturbed energy.
-
-    Uses the source constant C0 = (1/(2 m0 phi_minus) + 2 lambda_1 / a) phi_plus^2
-    and reads C_inf = 4 (1 + 4 C0 m0^2 / lambda).
+    The statement form reads C_inf = 4 (1 + phi_plus^2 m0^2 (2/(m0 phi_minus lambda) + 4/a)); the
+    assembly through the perturbed energy, with the source constant
+    C0 = (1/(2 m0 phi_minus) + 2 lambda_1 / a) phi_plus^2, reads C_inf = 4 (1 + 4 C0 m0^2 / lambda).
+    Neither dominates the other for all inputs, so the bound takes the larger.
     """
     lam = decay_rate(a, m0, phi_minus, phi_plus)
     lam1 = decay_rate_f1(a, m0, phi_minus, phi_plus)
     c0 = (1.0 / (2.0 * m0 * phi_minus) + 2.0 * lam1 / a) * phi_plus**2
-    return 4.0 * (1.0 + 4.0 * c0 * m0 * m0 / lam)
-
-
-def linf_constant_conservative(a: float, m0: float, phi_minus: float, phi_plus: float) -> float:
-    """The larger of the two C_inf evaluations; used by the acceptance checks."""
     return max(
-        linf_constant(a, m0, phi_minus, phi_plus),
-        linf_constant_via_f1(a, m0, phi_minus, phi_plus),
+        4.0 * (1.0 + phi_plus**2 * m0**2 * (2.0 / (m0 * phi_minus * lam) + 4.0 / a)),
+        4.0 * (1.0 + 4.0 * c0 * m0 * m0 / lam),
     )
 
 
@@ -265,9 +251,8 @@ class ConstantsReport:
 
     lam: Optional[float] = _formula("0.5*min(m0*phi_minus/(m0^2*phi_plus^2/a + 3/2), sqrt(a)/2)")
     lam1: Optional[float] = _formula("0.25*min(m0*phi_minus/(1 + (m0^2*phi_plus^2+1)/a + 1/4), sqrt(a)/2)")
-    c_inf: Optional[float] = _formula("4*(1 + phi_plus^2*m0^2*(2/(m0*phi_minus*lam) + 4/a))")
-    c_inf_via_f1: Optional[float] = _formula("4*(1 + 4*m0^2*(1/(2*m0*phi_minus) + 2*lam1/a)*phi_plus^2/lam)")
-    c_inf_conservative: Optional[float] = _formula("max(c_inf, c_inf_via_f1)")
+    c_inf: Optional[float] = _formula("max(4*(1 + phi_plus^2*m0^2*(2/(m0*phi_minus*lam) + 4/a)),"
+                                      " 4*(1 + 4*m0^2*(1/(2*m0*phi_minus) + 2*lam1/a)*phi_plus^2/lam))")
     mu1: Optional[float] = _formula("y - sqrt(y^2 - y + 1), y = a*K^2/A^2")
     mu2: Optional[float] = _formula("(p + sqrt(p^2 - 4*a*q))/(2a),"
                                     " p = a^2*K/A^2 + K/2, q = a*K^2/(2A^2) - 1/4")
@@ -307,26 +292,28 @@ def constants_report(
     phi_minus: Optional[float],
     phi_plus: float,
     dphi_inf: float,
+    *,
+    energy0: float,
+    kernel: Kernel,
+    max0: float,
     K: Optional[float] = None,
-    energy0: Optional[float] = None,
     r0: Optional[float] = None,
-    kernel: Optional[Kernel] = None,
-    max0: Optional[float] = None,
 ) -> ConstantsReport:
     """Assemble every constant the inputs support; inapplicable ones become notes.
 
     ``phi_minus`` may be None when no a-priori kernel floor is known, in
-    which case the floor-dependent constants are skipped.  ``K`` is the
+    which case the floor-dependent constants are skipped.  ``energy0`` is
+    the initial energy E0 and ``max0`` the initial max(|u| + |x|); with
+    C_F and C_plus it gives the a-priori velocity bound u_max, and u_max
+    the general-potential budget C_max, C_A, c2.  ``K`` is the
     constant-kernel coupling m0*phi (for the pair-functional rates).
     ``r0`` is the support bound R0, which the paper gives only for a
     quadratic potential with centered data (``runner.analyze`` decides
-    that); with it and ``kernel`` the report fills R0 and
-    phi(sqrt(8 R0/a)), else both stay None.  ``max0`` is the initial
-    max(|u| + |x|); with C_F and C_plus it gives the a-priori velocity
-    bound u_max, and u_max the general-potential budget C_max, C_A, c2.
+    that); with it the report fills R0 and phi(sqrt(8 R0/a)) of
+    ``kernel``, else both stay None.
     """
     rep = ConstantsReport()
-    if r0 is not None and kernel is not None:
+    if r0 is not None:
         rep.r0 = r0
         rep.phi_minus_from_r0 = phi_min_from_support(kernel, a, r0)
     if phi_minus is None:
@@ -335,8 +322,6 @@ def constants_report(
         rep.lam = decay_rate(a, m0, phi_minus, phi_plus)
         rep.lam1 = decay_rate_f1(a, m0, phi_minus, phi_plus)
         rep.c_inf = linf_constant(a, m0, phi_minus, phi_plus)
-        rep.c_inf_via_f1 = linf_constant_via_f1(a, m0, phi_minus, phi_plus)
-        rep.c_inf_conservative = max(rep.c_inf, rep.c_inf_via_f1)
         rep.c_star = gap_forcing_constant(rep.lam, m0, dphi_inf, rep.c_inf)
     elif a <= 0.0:
         rep.notes.append("a <= 0: decay-rate constants not applicable")
@@ -350,14 +335,9 @@ def constants_report(
                 " pair-functional rates not applicable"
             )
     if a > 0.0 and A >= a and phi_minus is not None:
-        rep.c, rep.c_0, rep.c_f, rep.c_plus = reduction_constants(
-            a, A, m0, phi_minus, phi_plus, energy0 if energy0 is not None else 0.0
-        )
-        if energy0 is None:
-            rep.notes.append("E0 missing: C0 and C_F evaluated with E0 = 0")
-        if max0 is not None:
-            rep.u_max = max(rep.c_plus * max0, 2.0 * (1.0 + 1.0 / math.sqrt(a)) * math.sqrt(rep.c_f))
-            rep.c_max, rep.c_a, rep.c2, _ = general_gap_budget(A, m0, phi_minus, dphi_inf, rep.u_max)
-            if rep.c2 is None:
-                rep.notes.append("C_max >= C_A: general-potential gap budget not applicable")
+        rep.c, rep.c_0, rep.c_f, rep.c_plus = reduction_constants(a, A, m0, phi_minus, phi_plus, energy0)
+        rep.u_max = max(rep.c_plus * max0, 2.0 * (1.0 + 1.0 / math.sqrt(a)) * math.sqrt(rep.c_f))
+        rep.c_max, rep.c_a, rep.c2, _ = general_gap_budget(A, m0, phi_minus, dphi_inf, rep.u_max)
+        if rep.c2 is None:
+            rep.notes.append("C_max >= C_A: general-potential gap budget not applicable")
     return rep

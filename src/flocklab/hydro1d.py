@@ -187,9 +187,12 @@ class ThresholdReport:
     ``indeterminate`` (condition ``none``) it is the largest of the
     candidate slacks, all nonpositive, and the strict thresholds make a zero
     margin indeterminate.  The 2D classifiers fill ``margins`` with the
-    slack of every inequality and ``constants`` with their budget; there
-    ``condition`` joins the margin names with ";" and ``margin`` is the
-    smallest margin that is not NaN (NaN if none is).  In 1D both are empty.
+    slack of every inequality; there ``condition`` joins the margin names
+    with ";" and ``margin`` is the smallest margin that is not NaN (NaN if
+    none is).  In 1D ``margins`` is empty.  ``constants`` holds every bound
+    that the verdict's check rows read, under the key each row names: in 1D
+    the e bounds of ``smooth_guaranteed`` (empty for the other verdicts), in
+    2D the budget with its gap and vorticity bounds.
     """
 
     verdict: str
@@ -213,20 +216,23 @@ def e_upper_bound(e0_max: float, m0: float, phi_plus: float, a: float) -> float:
 
 
 def classify_1d(
-    a: float, A: float, m0: float, phi_minus: Optional[float], phi_plus: float, e0_min: float
+    a: float, A: float, m0: float, phi_minus: Optional[float], phi_plus: float, e0_min: float, e0_max: float
 ) -> ThresholdReport:
     """Classify 1D initial data as smooth_guaranteed, blowup_guaranteed or indeterminate.
 
     ``a`` and ``A`` are the lower/upper bounds on U'' and phi_minus/phi_plus
-    the kernel bounds; ``e0_min`` is the minimum of du0/dx + phi*rho0 over
-    the support, the only value of e0 the thresholds read.  Smoothness is
-    guaranteed when
+    the kernel bounds; ``e0_min`` and ``e0_max`` are the extremes of
+    du0/dx + phi*rho0 over the support.  The thresholds read only
+    ``e0_min``.  Smoothness is guaranteed when
 
         A < (m0 phi_minus)^2 / 4   and   e0_min > lower root of e(e - m0 phi_minus) + A,
 
     blow-up when a alone is supercritical (a > (m0 phi_plus)^2/4, tag
     assuB_1), or a > 0 with e0_min below the phi_plus lower root (assuB_2),
-    or a <= 0 with e0_min below the phi_minus lower root (assuB_3).
+    or a <= 0 with e0_min below the phi_minus lower root (assuB_3).  A
+    smooth_guaranteed report's ``constants`` carry the bounds e then keeps
+    for all time: that lower root (``e_lower_root``) and the a-priori upper
+    bound ``e_upper_bound`` gives from ``e0_max`` (``e_upper``).
 
     ``phi_minus=None`` means no kernel floor is known (a zero floor):
     smoothness can then never be certified, and only assuB_1 and assuB_2,
@@ -240,12 +246,13 @@ def classify_1d(
             raise ValueError("need phi_plus >= phi_minus > 0")
         # smoothness side
         gap_smooth = (m0 * phi_minus) ** 2 / 4.0 - A
+        margin_smooth = gap_smooth
         if gap_smooth > 0.0:
-            margin_smooth = min(gap_smooth, e0_min - smooth_lower_root(m0, phi_minus, A))
-        else:
-            margin_smooth = gap_smooth
+            root = smooth_lower_root(m0, phi_minus, A)
+            margin_smooth = min(gap_smooth, e0_min - root)
         if margin_smooth > 0.0:
-            return ThresholdReport("smooth_guaranteed", "1d_assu2+1d_assu3", margin_smooth)
+            bounds = {"e_lower_root": root, "e_upper": e_upper_bound(e0_max, m0, phi_plus, a)}
+            return ThresholdReport("smooth_guaranteed", "1d_assu2+1d_assu3", margin_smooth, constants=bounds)
         candidates.append(margin_smooth)
 
     # blow-up side

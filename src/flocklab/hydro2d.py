@@ -152,6 +152,7 @@ def classify_2d_quadratic(
     c_inf: float,
     c_star: float,
     etaS0_max: float,
+    omega0_max: float,
     deltaEinf0: float,
     e0_min: float,
 ) -> ThresholdReport:
@@ -166,10 +167,13 @@ def classify_2d_quadratic(
         e0_min >= 0.
 
     ``deltaEinf0`` is the initial worst-pair fluctuation max(|du|^2 + a|dx|^2).
+    The gap stays within ``etaS_budget`` = etaS0_max + C_star sqrt(deltaEinf0)
+    and the vorticity within ``omega_budget`` = omega0_max + (C_star/2) sqrt(deltaEinf0).
     """
     if not a > 0.0:
         raise ValueError(f"quadratic classifier needs a > 0, got {a}")
-    budget = etaS0_max + c_star * float(np.sqrt(deltaEinf0))
+    forcing = c_star * float(np.sqrt(deltaEinf0))
+    budget = etaS0_max + forcing
     c1_sq = (m0 * phi_minus) ** 2 - budget * budget - 4.0 * a
     subcritical = c1_sq > 0.0 and e0_min >= 0.0
     consts = {
@@ -177,6 +181,7 @@ def classify_2d_quadratic(
         "C_inf": c_inf,
         "C_star": c_star,
         "etaS_budget": budget,
+        "omega_budget": omega0_max + 0.5 * forcing,
         "c1_sq": c1_sq,
         "c1": float(np.sqrt(c1_sq)) if c1_sq > 0.0 else float("nan"),
     }
@@ -192,6 +197,7 @@ def classify_2d_general(
     dphi_inf: float,
     u_max: float,
     etaS0_max: float,
+    omega0_max: float,
     e0_min: float,
 ) -> ThresholdReport:
     """Subcriticality test for a general uniformly convex potential.
@@ -199,7 +205,11 @@ def classify_2d_general(
     Uses a uniform velocity bound u_max instead of a decay estimate: the
     gap forcing is bounded by C_max = 8 dphi_inf m0 u_max + 2A, which must
     stay below C_A = (m0 phi_minus)^2/2 - 2A; the initial gap and e are
-    then compared against sqrt(C_A +- sqrt(C_A^2 - C_max^2)).
+    then compared against sqrt(C_A +- sqrt(C_A^2 - C_max^2)).  The gap
+    stays within ``etaS_budget`` = max(etaS0_max, C_max/c2), and the
+    vorticity within ``omega_budget`` = max(omega0_max, (C_max - 2A)/(2 c2)):
+    the transport forcing is half the kernel part of C_max, over the
+    persistent floor c2 of e.  Without a budget (C_max >= C_A), c2 and both budgets are NaN.
     """
     if not a > 0.0 or A < a:
         raise ValueError(f"need A >= a > 0, got a={a}, A={A}")
@@ -207,11 +217,15 @@ def classify_2d_general(
     consts = {"C_max": c_max, "C_A": c_a}
     margins = {"Cmi": c_a - c_max}
     if c2 is None:
-        consts.update({"c2": float("nan"), "etaS_max": float("nan")})
+        consts.update({"c2": float("nan"), "etaS_budget": float("nan"), "omega_budget": float("nan")})
         margins.update({"etaS_cond2": float("nan"), "c1_cond2": float("nan")})
         return _threshold_report("not_subcritical", consts, margins)
-    eta_s_max = max(etaS0_max, c_max / c2)
-    consts.update({"c2": c2, "etaS_upper": upper, "etaS_max": eta_s_max})
+    consts.update({
+        "c2": c2,
+        "etaS_upper": upper,
+        "etaS_budget": max(etaS0_max, c_max / c2),
+        "omega_budget": max(omega0_max, 0.5 * (c_max - 2.0 * A) / c2),
+    })
     margins.update({"etaS_cond2": upper - etaS0_max, "c1_cond2": e0_min - c2})
     subcritical = margins["etaS_cond2"] >= 0.0 and margins["c1_cond2"] > 0.0
     return _threshold_report("subcritical_general" if subcritical else "not_subcritical", consts, margins)

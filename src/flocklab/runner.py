@@ -26,7 +26,8 @@ rows).  The rows, in order, by statement:
   ``convex_flocking_decaying``: the no-growth trend of sqrt(1+t)-weighted
   fluctuations;
 * the threshold statement that classified the run: threshold persistence
-  (e-bounds, gap and vorticity budgets) or blow-up bracket detection;
+  (the e-bounds, gap and vorticity budgets that its threshold report
+  carries in ``constants``) or blow-up bracket detection;
 * ``no_blowup`` for every run not predicted to blow up.
 
 A blow-up in a run whose classifier predicts blow-up is data, not
@@ -61,8 +62,8 @@ from .diagnostics import (  # noqa: F401 (the benchmark binds the three pair_sca
     perturbed_particle_energy_max,
 )
 from .dynamics import BlowupSignal, Ensemble, conv_phi, means, step_rk4
-from .hydro1d import classify_1d, e_upper_bound, smooth_lower_root, step_1d
-from .hydro1d import detect_blowup  # noqa: F401 (bound by the benchmark)
+from .hydro1d import classify_1d, step_1d
+from .hydro1d import detect_blowup, e_upper_bound, smooth_lower_root  # noqa: F401 (bound by the benchmark)
 from .hydro2d import classify_2d_general, classify_2d_quadratic, spectral_arrays, step_2d
 from .initial import build_state, ensemble_view  # noqa: F401 (bound by the benchmark)
 from .kernels import (
@@ -337,9 +338,9 @@ def _classify(cfg: ExperimentConfig, an: Analysis, u_max: Optional[float] = None
             # conservative zero-floor fallback: only the floor-free blow-up
             # branches can fire, smoothness can never be certified
             details["phi_minus_source"] = "zero-fallback"
-        return classify_1d(an.a_lo, an.a_hi, cfg.m0, an.phi_minus, an.phi_plus, f0.min_e), details
+        return classify_1d(an.a_lo, an.a_hi, cfg.m0, an.phi_minus, an.phi_plus, f0.min_e, f0.max_e), details
     if statement == "threshold_2d_quadratic":  # lam, C_inf and C_star from the constants report
-        rep, data = an.report, (f0.max_abs_eta_s, f0.delta_e_linf, f0.min_e)
+        rep, data = an.report, (f0.max_abs_eta_s, f0.max_abs_omega, f0.delta_e_linf, f0.min_e)
         report = classify_2d_quadratic(an.a_lo, cfg.m0, an.phi_minus, rep.lam, rep.c_inf, rep.c_star, *data)
         return report, details
     if u_max is None:
@@ -347,9 +348,8 @@ def _classify(cfg: ExperimentConfig, an: Analysis, u_max: Optional[float] = None
     else:
         details["u_max_source"] = "supplied"
     details["u_max"] = u_max
-    report = classify_2d_general(
-        an.a_lo, an.a_hi, cfg.m0, an.phi_minus, an.dphi_inf, u_max, f0.max_abs_eta_s, f0.min_e
-    )
+    data = (f0.max_abs_eta_s, f0.max_abs_omega, f0.min_e)
+    report = classify_2d_general(an.a_lo, an.a_hi, cfg.m0, an.phi_minus, an.dphi_inf, u_max, *data)
     return report, details
 
 
@@ -463,7 +463,7 @@ def _check_rows(summary, cfg, an: Analysis, cols: dict):
             f" phi floor {phi_floor:.6g} at measured diameter {d_max:.6g}",
             1e-9, delta_l2 - 2.0 * delta_l2[0] * np.exp(-lam * times),
         )
-        c_inf = consts.linf_constant_conservative(a, m0, phi_floor, phi_plus)
+        c_inf = consts.linf_constant(a, m0, phi_floor, phi_plus)
         yield (
             "deltaEinf_exp_bound",
             f"deltaE_Linf(t) <= C_inf deltaE_Linf(0) exp(-lam t / 2), C_inf = {c_inf:.6g} (conservative)",
@@ -517,16 +517,14 @@ def _check_rows(summary, cfg, an: Analysis, cols: dict):
                 1e-3, slope,
             )
 
-    threshold = summary.threshold
-    verdict = getattr(threshold, "verdict", None)
+    verdict = getattr(summary.threshold, "verdict", None)
+    bounds = getattr(summary.threshold, "constants", {})
     if verdict == "smooth_guaranteed":
-        # the 1D classifier only certifies smoothness with a known floor
-        root = smooth_lower_root(m0, an.phi_minus, an.a_hi)
+        root, upper = bounds["e_lower_root"], bounds["e_upper"]
         yield (
             "min_e_persistence", f"min e over the run stays above the lower fixed point {root:.6g}",
             1e-6, root - summary.extrema["run_min_e"],
         )
-        upper = e_upper_bound(an.frame0.max_e, m0, phi_plus, a)
         yield (
             "max_e_bound", f"max e over the run stays below {upper:.6g}",
             1e-6, summary.extrema["run_max_e"] - upper,
@@ -538,26 +536,15 @@ def _check_rows(summary, cfg, an: Analysis, cols: dict):
             0.0, 0.0 if ok else 1.0,
         )
     if verdict in ("subcritical_quadratic", "subcritical_general"):
-        budgets, f0 = threshold.constants, an.frame0
         yield (
             "min_e_nonneg", "e stays nonnegative on all characteristics and frames",
             1e-6, -cols["min_e"],
         )
-        gap_budget = budgets.get("etaS_budget")
-        if gap_budget is None:
-            gap_budget = budgets.get("etaS_max", math.inf)
+        gap_budget, omega_budget = bounds["etaS_budget"], bounds["omega_budget"]
         yield (
             "eta_s_bound", f"spectral gap stays within its budget {gap_budget:.6g}",
             1e-6, cols["max_abs_eta_s"] - gap_budget,
         )
-        if verdict == "subcritical_quadratic":
-            omega_budget = f0.max_abs_omega + 32.0 / budgets["lambda"] * m0 * an.dphi_inf * math.sqrt(
-                budgets["C_inf"] * f0.delta_e_linf
-            )
-        else:
-            # general potential: the transport forcing is bounded by half the
-            # kernel part of C_max, divided by the persistent floor c2 of e
-            omega_budget = max(f0.max_abs_omega, 0.5 * (budgets["C_max"] - 2.0 * an.a_hi) / budgets["c2"])
         yield (
             "omega_bound", f"vorticity stays within its budget {omega_budget:.6g}",
             1e-6, cols["max_abs_omega"] - omega_budget,
@@ -588,6 +575,8 @@ def sweep(cfg: ExperimentConfig, axes, simulate: bool = False, max_workers: Opti
     """
     if not 1 <= len(axes) <= 2:
         raise ConfigError("sweep supports one or two axes")
+    if len(axes) == 2 and axes[0][0] == axes[1][0]:
+        raise ConfigError(f"sweep axes must name two different keys, got {axes[0][0]!r} twice")
     axes = [(key, [override_value(key, v) for v in values]) for key, values in axes]
     points = [[(axes[0][0], v)] for v in axes[0][1]]
     if len(axes) == 2:

@@ -274,7 +274,7 @@ def _evaluate_checks(summary, cfg, an: Analysis, frames, threshold):
             tol=1e-9,
             max_violation=float((delta_l2 - bound).max()),
         ))
-        c_inf = consts.linf_constant_conservative(a, m0, phi_floor, phi_plus)
+        c_inf = consts.linf_constant(a, m0, phi_floor, phi_plus)
         bound = c_inf * delta_inf[0] * np.exp(-0.5 * lam * times)
         checks.append(BoundCheck(
             name="deltaEinf_exp_bound",

@@ -14,7 +14,7 @@ import pytest
 from flocklab.config import preset_config
 from flocklab.constants import (
     decay_rate,
-    linf_constant_conservative,
+    linf_constant,
     pair_rates,
     support_scale,
 )
@@ -84,7 +84,7 @@ def test_criterion_02_uniform_linf_flocking(flocking_1d):
     kernel = PowerLawKernel(1.0, 1.0)
     phi_floor = float(kernel_eval(kernel, float(data["D"].max())))
     lam = decay_rate(1.0, 1.0, phi_floor, 1.0)
-    c_inf = linf_constant_conservative(1.0, 1.0, phi_floor, 1.0)
+    c_inf = linf_constant(1.0, 1.0, phi_floor, 1.0)
     bound = c_inf * data["deltaE_Linf"][0] * np.exp(-0.5 * lam * data["t"])
     _report(2, "uniform worst-pair flocking bound",
             float((data["deltaE_Linf"] - bound).max()), 1e-9)

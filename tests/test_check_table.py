@@ -3,12 +3,13 @@
 ``runner._check_rows`` yields one row per check and ``runner._integrate``
 reduces each row to its ``max_violation``; ``oracles.reference_check_summary``
 builds the same checks, notes and rate fit with the code that wrote each
-check by hand.  Every preset at 20 output strides and seven configs that
+check by hand.  Every preset at 20 output strides and eight configs that
 reach the remaining branches must give the same checks field for field,
 ``max_violation`` compared bit for bit, and the same notes and rate fit.
 On the same configs, every check belongs to a statement that applies in
 the run's ``theorems`` record, and every skip note quotes the record's
-reason for the statement it skips.
+reason for the statement it skips, and every threshold row's bound is the
+value under its key in the threshold report's ``constants``.
 """
 
 import functools
@@ -64,6 +65,30 @@ def _general_2d():
     return parse_config(text.replace("amplitude = 0.2", "amplitude = 0.1\nrotation = 0.25\nlength = 1.2"))
 
 
+# a 2D quadratic run certified subcritical with a decaying kernel, so the gap forcing constant C_star > 0;
+# the initial cloud must be nearly a point (half-width 1e-4) for the budget to certify
+CERTIFIED_DECAYING_2D = """
+[run]
+mode = hydro2d
+dim = 2
+n = 16
+t = 2.0
+[kernel]
+family = floor_clipped
+alpha = 2.99
+inner_family = power_law
+inner_c0 = 3.0
+inner_beta = 0.05
+[potential]
+family = quadratic
+a = 0.5
+[initial]
+positions = bump
+velocities = sinusoidal
+amplitude = 0.5
+length = 1e-4
+"""
+
 CONFIGS = {
     **{name: (lambda name=name: _at_strides(name, 20)) for name in PRESET_CHECKS},
     # confined, but a power law with beta = 1.5 has no closed-form R0
@@ -80,6 +105,7 @@ CONFIGS = {
     "blowup-reaches-t": lambda: with_override(preset_config("blowup-1d-unconditional"), "run.t", 0.5),
     # no uniformly convex potential: classification skipped, with a note
     "zero-potential-2d": lambda: parse_config(ZERO_POTENTIAL_2D),
+    "certified-decaying-2d": lambda: parse_config(CERTIFIED_DECAYING_2D),
 }
 
 # the statement each check belongs to; "threshold" is the one the record selects, no_blowup belongs to every run
@@ -99,6 +125,14 @@ CHECK_STATEMENTS = {
     "omega_bound": "threshold",
     "no_blowup": None,
 }
+# a threshold row -> the key of its bound in the threshold report's constants, and the sign of its excess:
+# +1 for an upper bound (quantity - bound), -1 for a lower bound (bound - quantity)
+THRESHOLD_BOUNDS = {
+    "min_e_persistence": ("e_lower_root", -1.0),
+    "max_e_bound": ("e_upper", 1.0),
+    "eta_s_bound": ("etaS_budget", 1.0),
+    "omega_bound": ("omega_budget", 1.0),
+}
 # a skip note's prefix -> the statement whose reason it quotes
 SKIP_NOTES = {"particle energy bound skipped: ": "support_bound", "classification skipped: ": "threshold"}
 # the one note that is about the run's data, not a hypothesis: the statement applies, the frames are too few
@@ -106,10 +140,15 @@ TREND_SKIPPED = "sqrt-weighted trend skipped: fewer than 5 frames in the trailin
 
 
 @functools.cache
-def _table_and_oracle(name):
+def _run(name):
     cfg = CONFIGS[name]()
     an = runner.analyze(cfg)
-    result = runner._integrate(cfg, an)
+    return cfg, an, runner._integrate(cfg, an)
+
+
+@functools.cache
+def _table_and_oracle(name):
+    cfg, an, result = _run(name)
     return result.summary, reference_check_summary(result.summary, cfg, an, result.frames)
 
 
@@ -132,8 +171,8 @@ def test_every_preset_has_pinned_checks():
 
 
 def test_configs_reach_every_branch():
-    # the extra configs add the three skip notes, the collapsed trend, the failing
-    # one-sample rows and a general-potential omega budget to what the presets reach
+    # the extra configs add the three skip notes, the collapsed trend, the failing one-sample
+    # rows, a general-potential omega budget and 2D budgets with C_star > 0 to what the presets reach
     summaries = {name: _table_and_oracle(name)[0] for name in CONFIGS if name not in PRESET_CHECKS}
     skipped_r0 = "particle energy bound skipped: no closed-form R0 for this kernel"
     assert skipped_r0 in summaries["confined-no-r0"].notes
@@ -143,9 +182,37 @@ def test_configs_reach_every_branch():
     assert summaries["general-2d"].threshold.verdict == "subcritical_general"
     skipped_2d = "classification skipped: 2D classification needs a uniformly convex potential"
     assert summaries["zero-potential-2d"].notes == [skipped_2d]
+    certified = summaries["certified-decaying-2d"]
+    assert certified.threshold.verdict == "subcritical_quadratic"
+    assert certified.threshold.constants["C_star"] > 0.0
+    assert {"eta_s_bound", "omega_bound"} <= {c.name for c in certified.bound_checks}
+    assert certified.notes == [skipped_r0]
     failed = {name: [c.name for c in s.bound_checks if not c.passed] for name, s in summaries.items()}
     assert "no_blowup" in failed["diverging"]
     assert failed["blowup-reaches-t"] == ["blowup_detected"]
+    assert failed["certified-decaying-2d"] == []
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_threshold_rows_read_the_report(name):
+    result = _run(name)[2]
+    summary, cols = result.summary, result.columns
+    if summary.threshold is None:
+        return
+    bounds = summary.threshold.constants
+    # the run's e extremes for the 1D rows, the frames' column maxima for the 2D budgets
+    quantity = {
+        "min_e_persistence": summary.extrema.get("run_min_e"),
+        "max_e_bound": summary.extrema.get("run_max_e"),
+        "eta_s_bound": float(cols["max_abs_eta_s"].max()),
+        "omega_bound": float(cols["max_abs_omega"].max()),
+    }
+    for check in summary.bound_checks:
+        if check.name in THRESHOLD_BOUNDS:
+            key, sign = THRESHOLD_BOUNDS[check.name]
+            assert f"{bounds[key]:.6g}" in check.description, check.name
+            # rounding is monotone, so the largest excess is the extreme quantity against the bound
+            assert check.max_violation == sign * (quantity[check.name] - bounds[key]), check.name
 
 
 @pytest.mark.parametrize("name", CONFIGS)

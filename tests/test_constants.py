@@ -11,8 +11,6 @@ from flocklab.constants import (
     decay_rate_f1,
     gap_forcing_constant,
     linf_constant,
-    linf_constant_conservative,
-    linf_constant_via_f1,
     pair_beta,
     pair_rates,
     pair_stable,
@@ -31,10 +29,21 @@ def test_linf_constant_reference_value():
     assert linf_constant(1.0, 1.0, 1.0, 1.0) == pytest.approx(60.0, abs=1e-12)
 
 
-def test_linf_conservative_takes_the_larger():
-    args = (1.0, 1.0, 1.0, 1.0)
-    c = linf_constant_conservative(*args)
-    assert c == max(linf_constant(*args), linf_constant_via_f1(*args))
+def test_linf_constant_is_the_larger_assembly():
+    # the statement form and the assembly through the perturbed energy, each written out
+    rng = np.random.default_rng(5)
+    larger = set()
+    for _ in range(400):
+        a, m0 = float(rng.uniform(0.05, 5.0)), float(rng.uniform(0.2, 3.0))
+        lo = float(rng.uniform(0.05, 2.0))
+        hi = lo * float(rng.uniform(1.0, 4.0))
+        lam, lam1 = decay_rate(a, m0, lo, hi), decay_rate_f1(a, m0, lo, hi)
+        statement = 4.0 * (1.0 + hi**2 * m0**2 * (2.0 / (m0 * lo * lam) + 4.0 / a))
+        c0 = (1.0 / (2.0 * m0 * lo) + 2.0 * lam1 / a) * hi**2
+        via_f1 = 4.0 * (1.0 + 4.0 * c0 * m0 * m0 / lam)
+        assert linf_constant(a, m0, lo, hi) == max(statement, via_f1)
+        larger.add(statement > via_f1)
+    assert larger == {True, False}  # neither assembly dominates
 
 
 def test_f1_rate_formula_and_ordering_for_strong_potentials():
@@ -85,7 +94,10 @@ def test_pair_rates_require_stability():
 
 def _pair_functional(a, A, K):
     """(beta, (mu1, mu2, mu3)) of the constants report for coupling K, the rates () where it has none."""
-    rep = constants_report(a=a, A=A, m0=1.0, phi_minus=None, phi_plus=1.0, dphi_inf=0.0, K=K)
+    rep = constants_report(
+        a=a, A=A, m0=1.0, phi_minus=None, phi_plus=1.0, dphi_inf=0.0, energy0=1.0,
+        kernel=ConstantKernel(K), max0=1.0, K=K,
+    )
     return rep.beta_cross, () if rep.mu1 is None else (rep.mu1, rep.mu2, rep.mu3)
 
 
@@ -212,15 +224,14 @@ def test_velocity_bound_uses_the_larger_branch():
     a, big_a, m0, lo, hi, e0 = 1.0, 1.5, 1.0, 0.5, 1.0, 2.0
     _, _, c_f, c_plus = reduction_constants(a, big_a, m0, lo, hi, e0)
 
-    def u_max(max0):
-        return constants_report(a, big_a, m0, lo, hi, 0.1, energy0=e0, max0=max0).u_max
+    def report(max0):
+        return constants_report(a, big_a, m0, lo, hi, 0.1, energy0=e0, kernel=ConstantKernel(1.0), max0=max0)
 
-    assert u_max(1e-6) == pytest.approx(2.0 * (1.0 + 1.0) * math.sqrt(c_f))
-    assert u_max(1e6) == pytest.approx(c_plus * 1e6)
+    assert report(1e-6).u_max == pytest.approx(2.0 * (1.0 + 1.0) * math.sqrt(c_f))
+    assert report(1e6).u_max == pytest.approx(c_plus * 1e6)
     # u_max feeds the budget: C_max = 8 dphi_inf m0 u_max + 2A
-    rep = constants_report(a, big_a, m0, lo, hi, 0.1, energy0=e0, max0=1e6)
+    rep = report(1e6)
     assert rep.c_max == 8.0 * 0.1 * m0 * rep.u_max + 2.0 * big_a
-    assert constants_report(a, big_a, m0, lo, hi, 0.1, energy0=e0).u_max is None  # no max0, no bound
 
 
 def test_gap_forcing_constant():
@@ -256,7 +267,8 @@ def test_constants_report_full_inputs():
 
 def test_constants_report_marks_inapplicable():
     rep = constants_report(
-        a=1.0, A=2.0, m0=1.0, phi_minus=0.5, phi_plus=1.0, dphi_inf=0.1,
+        a=1.0, A=2.0, m0=1.0, phi_minus=0.5, phi_plus=1.0, dphi_inf=0.1, energy0=1.0,
+        kernel=ConstantKernel(1.0), max0=1.0,
         K=1.0,  # below the stability threshold A/sqrt(a) = 2
     )
     assert rep.mu1 is None
@@ -265,7 +277,8 @@ def test_constants_report_marks_inapplicable():
 
 def test_constants_report_without_floor():
     rep = constants_report(
-        a=0.0, A=0.0, m0=1.0, phi_minus=None, phi_plus=1.0, dphi_inf=0.5
+        a=0.0, A=0.0, m0=1.0, phi_minus=None, phi_plus=1.0, dphi_inf=0.5, energy0=1.0,
+        kernel=PowerLawKernel(1.0, 1.0), max0=1.0,
     )
     assert rep.lam is None
     assert rep.notes
@@ -273,7 +286,7 @@ def test_constants_report_without_floor():
     # floors the kernel is the caller's decision, so without a floor from
     # the caller the floor-dependent constants stay empty
     kwargs = dict(a=1.0, A=1.0, m0=1.0, phi_minus=None, phi_plus=1.0, dphi_inf=0.5,
-                  energy0=1.0, kernel=PowerLawKernel(1.0, 1.0))
+                  energy0=1.0, kernel=PowerLawKernel(1.0, 1.0), max0=1.0)
     bare = constants_report(**kwargs)
     assert bare.r0 is None and bare.phi_minus_from_r0 is None
     rep = constants_report(**kwargs, r0=2.5)
@@ -284,7 +297,8 @@ def test_constants_report_without_floor():
 
 
 def test_constants_pure_function_bitwise():
-    kwargs = dict(a=0.7, A=0.9, m0=1.2, phi_minus=0.3, phi_plus=0.8, dphi_inf=0.2, K=3.0)
+    kwargs = dict(a=0.7, A=0.9, m0=1.2, phi_minus=0.3, phi_plus=0.8, dphi_inf=0.2, K=3.0,
+                  energy0=0.5, kernel=ConstantKernel(2.5), max0=2.0)
     a = constants_report(**kwargs)
     b = constants_report(**kwargs)
     assert a.as_dict() == b.as_dict()

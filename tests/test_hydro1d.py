@@ -201,70 +201,74 @@ def test_e_consistency_with_neighbor_reconstruction():
 
 
 def test_classify_potential_free_sharp_threshold():
-    report = classify_1d(0.0, 0.0, 1.0, 1.0, 1.0, 0.01)
+    report = classify_1d(0.0, 0.0, 1.0, 1.0, 1.0, 0.01, 0.01)
     assert report.verdict == "smooth_guaranteed"
 
 
 def test_classify_unconditional_blowup():
-    report = classify_1d(5.0, 5.0, 1.0, 2.0, 2.0, 10.0)
+    report = classify_1d(5.0, 5.0, 1.0, 2.0, 2.0, 10.0, 10.0)
     assert report.verdict == "blowup_guaranteed"
     assert report.condition == "assuB_1"
     assert report.margin == pytest.approx(4.0)
+    assert report.constants == {}
 
 
 def test_classify_smooth_example():
-    report = classify_1d(0.2, 0.2, 1.0, 1.0, 1.0, 0.3)
+    report = classify_1d(0.2, 0.2, 1.0, 1.0, 1.0, 0.3, 3.0)
     assert report.verdict == "smooth_guaranteed"
     assert report.margin == pytest.approx(0.3 - (0.5 - math.sqrt(0.05)))
+    # the bounds its check rows read: the lower fixed point, and max(e0_max, 2 m0 phi_plus)
+    assert report.constants == {"e_lower_root": 0.5 - math.sqrt(0.05), "e_upper": 3.0}
+    assert classify_1d(0.2, 0.2, 1.0, 1.0, 1.0, 0.3, 0.3).constants["e_upper"] == 2.0
 
 
 def test_classify_supercritical_data_blowup():
-    report = classify_1d(0.5, 0.5, 1.0, 2.0, 2.0, 0.1)
+    report = classify_1d(0.5, 0.5, 1.0, 2.0, 2.0, 0.1, 0.1)
     assert report.verdict == "blowup_guaranteed"
     assert report.condition == "assuB_2"
 
 
 def test_classify_concave_branch():
-    report = classify_1d(-1.0, 0.0, 1.0, 1.0, 1.0, -1.0)
+    report = classify_1d(-1.0, 0.0, 1.0, 1.0, 1.0, -1.0, -1.0)
     assert report.verdict == "blowup_guaranteed"
     assert report.condition == "assuB_3"
 
 
 def test_classify_indeterminate_between_thresholds():
-    report = classify_1d(0.2, 0.3, 1.0, 1.0, 1.0, 0.5)
+    report = classify_1d(0.2, 0.3, 1.0, 1.0, 1.0, 0.5, 0.5)
     assert report.verdict == "indeterminate"
     assert report.margin <= 0.0
 
 
 def test_classify_equality_is_indeterminate():
     # thresholds are strict: zero margin must not certify either verdict
-    report = classify_1d(0.25, 0.25, 1.0, 1.0, 1.0, 1.0)
+    report = classify_1d(0.25, 0.25, 1.0, 1.0, 1.0, 1.0, 1.0)
     assert report.verdict == "indeterminate"
 
 
 def test_classify_without_kernel_floor():
     # phi_minus=None: only the floor-free blow-up branches can fire
-    report = classify_1d(5.0, 5.0, 1.0, None, 2.0, 10.0)
+    report = classify_1d(5.0, 5.0, 1.0, None, 2.0, 10.0, 10.0)
     assert (report.verdict, report.condition) == ("blowup_guaranteed", "assuB_1")
     assert report.margin == pytest.approx(4.0)
-    report = classify_1d(0.2, 0.2, 1.0, None, 1.0, 0.0)
+    report = classify_1d(0.2, 0.2, 1.0, None, 1.0, 0.0, 0.0)
     assert (report.verdict, report.condition) == ("blowup_guaranteed", "assuB_2")
     assert report.margin == pytest.approx(0.5 - math.sqrt(0.05))
     # data the floor phi_minus = 1 certifies smooth stay indeterminate without it
-    assert classify_1d(0.2, 0.2, 1.0, 1.0, 1.0, 0.3).verdict == "smooth_guaranteed"
-    report = classify_1d(0.2, 0.2, 1.0, None, 1.0, 0.3)
+    assert classify_1d(0.2, 0.2, 1.0, 1.0, 1.0, 0.3, 0.3).verdict == "smooth_guaranteed"
+    report = classify_1d(0.2, 0.2, 1.0, None, 1.0, 0.3, 0.3)
     assert (report.verdict, report.condition) == ("indeterminate", "none")
     assert report.margin == pytest.approx(0.5 - math.sqrt(0.05) - 0.3)
     # a <= 0 without a floor: assuB_3 needs phi_minus, so nothing fires
-    report = classify_1d(-1.0, 0.0, 1.0, None, 1.0, -5.0)
+    report = classify_1d(-1.0, 0.0, 1.0, None, 1.0, -5.0, -5.0)
     assert (report.verdict, report.margin) == ("indeterminate", -1.25)
 
 
 def test_classify_rejects_bad_bounds():
     with pytest.raises(ValueError):
-        classify_1d(1.0, 0.5, 1.0, 1.0, 1.0, 0.0)
+        classify_1d(1.0, 0.5, 1.0, 1.0, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        classify_1d(0.0, 0.0, 1.0, 2.0, 1.0, 0.0)
+        classify_1d(0.0, 0.0, 1.0, 2.0, 1.0, 0.0, 0.0)
 
 
 # --- blow-up detection on synthetic series ---

@@ -294,14 +294,16 @@ def _jacobian_mismatch(state):
 
 def _classify_quadratic(a, m0, phi_minus, phi_plus, dphi_inf, **data):
     """classify_2d_quadratic fed the constants report's lam, C_inf and C_star, as the runner feeds it."""
-    rep = constants_report(a, a, m0, phi_minus, phi_plus, dphi_inf)
+    rep = constants_report(
+        a, a, m0, phi_minus, phi_plus, dphi_inf, energy0=1.0, kernel=ConstantKernel(phi_plus), max0=1.0
+    )
     return classify_2d_quadratic(a, m0, phi_minus, rep.lam, rep.c_inf, rep.c_star, **data)
 
 
 def test_classify_quadratic_constant_kernel_collapses():
     report = _classify_quadratic(
         a=0.2, m0=1.0, phi_minus=1.0, phi_plus=1.0, dphi_inf=0.0,
-        etaS0_max=0.0, deltaEinf0=123.0, e0_min=0.0,
+        etaS0_max=0.0, omega0_max=0.0, deltaEinf0=123.0, e0_min=0.0,
     )
     assert report.verdict == "subcritical_quadratic"
     assert report.constants["C_star"] == 0.0
@@ -311,17 +313,21 @@ def test_classify_quadratic_constant_kernel_collapses():
 def test_classify_quadratic_reference_constants():
     report = _classify_quadratic(
         a=1.0, m0=1.0, phi_minus=1.0, phi_plus=1.0, dphi_inf=0.5,
-        etaS0_max=0.1, deltaEinf0=0.01, e0_min=0.2,
+        etaS0_max=0.1, omega0_max=0.3, deltaEinf0=0.01, e0_min=0.2,
     )
     assert report.constants["lambda"] == pytest.approx(0.2)
     assert report.constants["C_inf"] == pytest.approx(60.0)
-    assert report.constants["C_star"] == pytest.approx(64.0 / 0.2 * 0.5 * math.sqrt(60.0))
+    c_star = report.constants["C_star"]
+    assert c_star == pytest.approx(64.0 / 0.2 * 0.5 * math.sqrt(60.0))
+    # the gap takes the whole forcing C_star sqrt(deltaEinf0), the vorticity half of it
+    assert report.constants["etaS_budget"] == pytest.approx(0.1 + 0.1 * c_star)
+    assert report.constants["omega_budget"] == pytest.approx(0.3 + 0.05 * c_star)
 
 
 def test_classify_quadratic_negative_e_rejects():
     report = _classify_quadratic(
         a=0.1, m0=2.0, phi_minus=1.0, phi_plus=1.0, dphi_inf=0.0,
-        etaS0_max=0.0, deltaEinf0=0.0, e0_min=-0.1,
+        etaS0_max=0.0, omega0_max=0.0, deltaEinf0=0.0, e0_min=-0.1,
     )
     assert report.verdict == "not_subcritical"
     assert report.margins["c1"] > 0.0
@@ -330,26 +336,30 @@ def test_classify_quadratic_negative_e_rejects():
 def test_classify_general_reference_case():
     report = classify_2d_general(
         A=1.0, a=1.0, m0=1.0, phi_minus=3.0, dphi_inf=0.0, u_max=5.0,
-        etaS0_max=1.5, e0_min=1.2,
+        etaS0_max=1.5, omega0_max=0.25, e0_min=1.2,
     )
     assert report.constants["C_max"] == pytest.approx(2.0)
     assert report.constants["C_A"] == pytest.approx(2.5)
     assert report.constants["etaS_upper"] == pytest.approx(2.0)
     assert report.constants["c2"] == pytest.approx(1.0)
+    # gap budget max(etaS0, C_max/c2); no kernel forcing (C_max = 2A), so the vorticity keeps omega0
+    assert report.constants["etaS_budget"] == pytest.approx(2.0)
+    assert report.constants["omega_budget"] == 0.25
     assert report.verdict == "subcritical_general"
 
 
 def test_classify_general_budget_violation():
     report = classify_2d_general(
         A=2.0, a=1.0, m0=1.0, phi_minus=2.0, dphi_inf=0.1, u_max=10.0,
-        etaS0_max=0.0, e0_min=5.0,
+        etaS0_max=0.0, omega0_max=0.0, e0_min=5.0,
     )
     assert report.verdict == "not_subcritical"
     assert report.margins["Cmi"] < 0.0
+    assert all(math.isnan(report.constants[k]) for k in ("c2", "etaS_budget", "omega_budget"))
 
 
 def test_classify_general_strict_e_threshold():
-    kwargs = dict(A=1.0, a=1.0, m0=1.0, phi_minus=3.0, dphi_inf=0.0, u_max=5.0, etaS0_max=2.0)
+    kwargs = dict(A=1.0, a=1.0, m0=1.0, phi_minus=3.0, dphi_inf=0.0, u_max=5.0, etaS0_max=2.0, omega0_max=0.0)
     at_bound = classify_2d_general(u_max=5.0, e0_min=1.0, **{k: v for k, v in kwargs.items() if k != "u_max"})
     assert at_bound.verdict == "not_subcritical"
     above = classify_2d_general(u_max=5.0, e0_min=1.0 + 1e-9, **{k: v for k, v in kwargs.items() if k != "u_max"})

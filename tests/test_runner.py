@@ -366,19 +366,20 @@ def test_classify_general_potential_records_umax_source():
 
 
 def test_general_potential_hydro2d_run_checks():
-    # the general-potential branch of the 2D checks: the gap budget falls back
-    # to etaS_max and the vorticity budget is the C_max / c2 forcing bound
+    # the general-potential branch of the 2D checks: the gap budget is max(etaS0, C_max / c2)
+    # and the vorticity budget the C_max / c2 forcing bound, both from the threshold report
     text = GENERAL_2D.replace("n = 64\nt = 1.0", "n = 16\nt = 0.5").replace("k = 4.0", "k = 5.0")
     text = text.replace("a = 1.25\neps = 0.25", "a = 1.0\neps = 0.1")
     text = text.replace("amplitude = 0.2", "amplitude = 0.1\nrotation = 0.25\nlength = 1.2")
     result = run(parse_config(text))
     threshold = result.summary.threshold
     assert threshold.verdict == "subcritical_general"
-    assert "etaS_budget" not in threshold.constants and "etaS_max" in threshold.constants
+    assert {"etaS_budget", "omega_budget"} <= set(threshold.constants)
     checks = {c.name: c for c in result.summary.bound_checks}
     for name in ("min_e_nonneg", "eta_s_bound", "omega_bound"):
         assert checks[name].passed, name
-    assert f"{threshold.constants['etaS_max']:.6g}" in checks["eta_s_bound"].description
+    assert f"{threshold.constants['etaS_budget']:.6g}" in checks["eta_s_bound"].description
+    assert f"{threshold.constants['omega_budget']:.6g}" in checks["omega_bound"].description
     assert result.summary.all_checks_pass
 
 
@@ -393,6 +394,16 @@ def test_sweep_cardinality_and_order():
     assert [r[1] for r in rows] == [9, 16, 25, 9, 16, 25]
     text = sweep_csv(columns, rows)
     assert text.startswith("# columns: initial.amplitude,run.n,verdict")
+
+
+def test_sweep_rejects_two_axes_on_one_key(capsys):
+    # the second axis would override the first while each row printed the first's value
+    cfg = parse_config(SHARP_SWEEP)
+    with pytest.raises(ConfigError, match="'initial.amplitude' twice"):
+        sweep(cfg, [("initial.amplitude", [-1.5, -0.5]), ("initial.amplitude", [0.0])])
+    axes = ["--axis", "potential.a=0.1:3:2", "--axis", "potential.a=0.1:0.1:1"]
+    assert cli_main(["sweep", "smooth-1d-guaranteed", *axes]) == 2
+    assert "'potential.a' twice" in capsys.readouterr().err
 
 
 def test_sweep_reproduces_sharp_threshold_boundary():
