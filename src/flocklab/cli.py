@@ -1,9 +1,7 @@
 """Command-line interface.
 
 Subcommands: simulate, classify, constants, sweep, check.  A config
-argument is a file path or a preset name.  The FLOCKLAB_THREADS variable,
-a positive integer, caps sweep parallelism; single runs are sequential and
-bitwise reproducible regardless of its value.
+argument is a file path or a preset name.
 """
 
 from __future__ import annotations
@@ -15,14 +13,7 @@ import sys
 from dataclasses import asdict
 
 from .config import ConfigError, preset_names, resolve_config
-from .runner import analyze, classify, run, sweep, sweep_csv
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("FLOCKLAB_THREADS", "1")
-    if not (raw.strip().isdecimal() and int(raw) > 0):
-        raise ConfigError(f"FLOCKLAB_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
+from .runner import MAX_GRID_POINTS, analyze, classify, run, sweep, sweep_csv
 
 
 def _parse_axis(spec: str):
@@ -33,8 +24,8 @@ def _parse_axis(spec: str):
         lo, hi, count = float(lo_s), float(hi_s), int(n_s)
     except ValueError:
         raise ConfigError(f"axis must look like key=lo:hi:n, got {spec!r}") from None
-    if count < 1:
-        raise ConfigError(f"axis point count must be >= 1, got {count}")
+    if not 1 <= count <= MAX_GRID_POINTS:
+        raise ConfigError(f"axis point count must be in [1, {MAX_GRID_POINTS}], got {count}")
     step = (hi - lo) / max(count - 1, 1)
     return key, [lo + i * step for i in range(count)]
 
@@ -72,8 +63,7 @@ def constants_json(cfg) -> str:
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args.config)
     axes = [_parse_axis(spec) for spec in args.axis]
-    workers = _thread_cap() if args.parallel else 1
-    columns, rows = sweep(cfg, axes, simulate=args.simulate, max_workers=workers)
+    columns, rows = sweep(cfg, axes, simulate=args.simulate)
     text = sweep_csv(columns, rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -130,8 +120,6 @@ def main(argv=None) -> int:
     p.add_argument("--axis", action="append", required=True, metavar="key=lo:hi:n",
                    help="sweep axis, may be given twice")
     p.add_argument("--simulate", action="store_true", help="also simulate each grid point")
-    p.add_argument("--parallel", action="store_true",
-                   help="run grid points in parallel (capped by FLOCKLAB_THREADS)")
     p.add_argument("--out", help="write the sweep CSV here instead of stdout")
     p.set_defaults(fn=cmd_sweep)
 

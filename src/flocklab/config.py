@@ -81,7 +81,7 @@ class ExperimentConfig:
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(self.t_final / self.dt)))
+        return round(self.t_final / self.dt)  # whole and >= 1: the parser checks it
 
 
 @dataclass(frozen=True)
@@ -180,6 +180,9 @@ def _build(sections: dict) -> ExperimentConfig:
             raise ConfigError(f"unknown key {name}.{next(iter(left))}{family}")
 
     cfg = ExperimentConfig(**fields)
+    steps = cfg.t_final / cfg.dt
+    if not (0.5 <= steps < math.inf and abs(steps - round(steps)) <= 1e-9 * steps):
+        raise ConfigError(f"run.t: must be a whole number (>= 1) of steps of run.dt, got t/dt = {steps!r}")
     _validate_mode(cfg)
     return cfg
 

@@ -89,6 +89,7 @@ __all__ = [
 ]
 
 _CENTERED_TOL = 1e-9
+MAX_GRID_POINTS = 65536  # a sweep's points, all axes together: about a minute of classify-only points
 
 
 @dataclass
@@ -566,39 +567,32 @@ def frames_csv(cols: dict) -> str:
     return "\n".join(["# columns: " + ",".join(names), *(",".join(map(repr, row)) for row in table)]) + "\n"
 
 
-def sweep(cfg: ExperimentConfig, axes, simulate: bool = False, max_workers: Optional[int] = None):
+def sweep(cfg: ExperimentConfig, axes, simulate: bool = False):
     """Classify (and optionally simulate) over a grid of one or two config axes.
 
-    ``axes`` is a list of (key_path, values); the grid is traversed in
-    row-major order and the output rows preserve it even in parallel mode,
-    which runs at most min(``max_workers``, grid points) processes.
+    ``axes`` is a list of (key_path, values); the grid points run in this
+    process, one after another, in row-major order.
     """
     if not 1 <= len(axes) <= 2:
         raise ConfigError("sweep supports one or two axes")
     if len(axes) == 2 and axes[0][0] == axes[1][0]:
         raise ConfigError(f"sweep axes must name two different keys, got {axes[0][0]!r} twice")
+    size = math.prod(len(values) for _, values in axes)
+    if size > MAX_GRID_POINTS:
+        raise ConfigError(f"sweep grid has {size} points, more than the cap of {MAX_GRID_POINTS}")
     axes = [(key, [override_value(key, v) for v in values]) for key, values in axes]
     points = [[(axes[0][0], v)] for v in axes[0][1]]
     if len(axes) == 2:
         points = [p + [(axes[1][0], w)] for p in points for w in axes[1][1]]
 
-    tasks = [(cfg, overrides, simulate) for overrides in points]
-    workers = min(max_workers or 1, len(tasks))
-    if workers > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, tasks))
-    else:
-        rows = [_sweep_point(t) for t in tasks]
+    rows = [_sweep_point(cfg, overrides, simulate) for overrides in points]
     columns = [key for key, _ in axes] + ["verdict", "condition", "margin"]
     if simulate:
         columns.append("outcome")
     return columns, rows
 
 
-def _sweep_point(task):
-    cfg, overrides, simulate = task
+def _sweep_point(cfg: ExperimentConfig, overrides, simulate: bool):
     for key, value in overrides:
         cfg = with_override(cfg, key, value)
     an = analyze(cfg)

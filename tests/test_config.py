@@ -204,6 +204,16 @@ def test_with_override():
             with_override(cfg, key, value)
 
 
+def test_run_t_is_a_whole_number_of_steps():
+    # a horizon that is not a whole number of steps would stop short of T or run past it
+    cfg = with_override(preset_config("quadratic-flocking-1d"), "run.n", 16)
+    for t, dt in [(0.25, 0.1), (4e-4, 1e-3)]:
+        with pytest.raises(ConfigError, match="run.t: must be a whole number"):
+            with_override(with_override(cfg, "run.dt", dt), "run.t", t)
+    # round-off in t/dt is not a broken rule
+    assert with_override(with_override(cfg, "run.dt", 0.1), "run.t", 0.3).n_steps == 3
+
+
 def test_run_n_is_bounded_before_any_state(monkeypatch):
     # the bytes are checked thread-independent up to N = 2048, so config text
     # must not ask for more; the bound fails before a state exists

@@ -102,8 +102,8 @@ length = 1.2
 
 
 def test_run_is_deterministic_bytewise(tmp_path):
-    # separate processes with different thread settings write the same bytes;
-    # the power-law configs run their pair sums as BLAS products
+    # separate processes with different BLAS thread counts write the same
+    # bytes; the power-law configs run their pair sums as BLAS products
     src = str(Path(flocklab.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     configs = {
@@ -118,9 +118,9 @@ def test_run_is_deterministic_bytewise(tmp_path):
         cfg_path = tmp_path / f"{name}.cfg"
         cfg_path.write_text(text)
         outputs = []
-        for threads, blas in (("1", "1"), ("4", "2")):
-            out = tmp_path / f"{name}-threads{threads}"
-            env = {**os.environ, "PYTHONPATH": pythonpath, "FLOCKLAB_THREADS": threads, "OPENBLAS_NUM_THREADS": blas}
+        for blas in ("1", "2"):
+            out = tmp_path / f"{name}-blas{blas}"
+            env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": blas}
             subprocess.run(
                 [sys.executable, "-m", "flocklab.cli", "simulate", str(cfg_path), "--out", str(out)],
                 env=env, check=True, capture_output=True,
@@ -460,48 +460,6 @@ def test_sweep_csv_keeps_its_bytes():
     )
 
 
-def test_sweep_parallel_preserves_order():
-    cfg = parse_config(SHARP_SWEEP)
-    axes = [("initial.amplitude", [-1.5, -0.5, 0.5])]
-    _, sequential = sweep(cfg, axes)
-    _, parallel = sweep(cfg, axes, max_workers=2)
-    assert parallel == sequential
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """The max_workers of every process pool a sweep opens; the pools map in this process."""
-    import concurrent.futures
-
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return sizes
-
-
-def test_sweep_caps_workers_at_the_grid_points(pool_sizes):
-    cfg = parse_config(SHARP_SWEEP)
-    axes = [("initial.amplitude", [-1.5, -0.5])]
-    _, sequential = sweep(cfg, axes)
-    _, rows = sweep(cfg, axes, max_workers=5000)
-    assert pool_sizes == [2] and rows == sequential
-    sweep(cfg, [("initial.amplitude", [0.5])], max_workers=5000)  # one point opens no pool
-    assert pool_sizes == [2]
-
-
 def test_sweep_simulate_outcome_column(monkeypatch):
     cfg = parse_config(SHARP_SWEEP.replace("t = 1.0", "t = 2.0"))
     columns, rows = sweep(cfg, [("initial.amplitude", [-1.5, 0.0])], simulate=True)
@@ -527,10 +485,11 @@ def test_sweep_simulate_outcome_column(monkeypatch):
 def test_runner_blowup_in_smooth_run_fails_check():
     # force a blow-up in a configuration the classifier certifies smooth by
     # integrating with an absurdly large step: the no_blowup check must fail
-    cfg = parse_config(SMOOTH_SHORT.replace("dt = 1e-3", "dt = 4.9"))
+    cfg = parse_config(SMOOTH_SHORT.replace("t = 5.0\ndt = 1e-3", "t = 50\ndt = 5"))
     result = run(cfg)
     failed = {c.name for c in result.summary.bound_checks if not c.passed}
-    assert result.summary.blowup is None or "no_blowup" in failed
+    assert result.summary.threshold.verdict == "smooth_guaranteed"
+    assert result.summary.blowup is not None and "no_blowup" in failed
 
 
 # --- command-line interface ---
@@ -602,30 +561,31 @@ def test_cli_sweep(tmp_path):
     assert [line.split(",")[0] for line in out.read_text().strip().split("\n")[1:]] == ["-0.5", "0.0", "0.5"]
 
 
-def test_cli_sweep_parallel_matches_sequential(tmp_path, monkeypatch):
-    cfg_path = tmp_path / "sweep.cfg"
-    cfg_path.write_text(SHARP_SWEEP)
-    seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
-    axis = ["--axis", "initial.amplitude=-1.5:-0.5:3"]
-    assert cli_main(["sweep", str(cfg_path), *axis, "--out", str(seq)]) == 0
-    monkeypatch.setenv("FLOCKLAB_THREADS", "2")
-    assert cli_main(["sweep", str(cfg_path), *axis, "--parallel", "--out", str(par)]) == 0
-    assert seq.read_text() == par.read_text()
+def test_cli_sweep_has_no_parallel_flag(capsys):
+    # grid points run in this process, one after another; there is no pool to ask for
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["sweep", "smooth-1d-guaranteed", "--axis", "potential.a=0.1:3:4", "--parallel"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --parallel" in capsys.readouterr().err
 
 
-def test_cli_sweep_thread_cap(tmp_path, monkeypatch, capsys, pool_sizes):
-    cfg_path = tmp_path / "sweep.cfg"
-    cfg_path.write_text(SHARP_SWEEP)
-    args = ["sweep", str(cfg_path), "--axis", "initial.amplitude=-1.5:-0.5:2", "--parallel",
-            "--out", str(tmp_path / "grid.csv")]
-    monkeypatch.setenv("FLOCKLAB_THREADS", "5000")
-    assert cli_main(args) == 0
-    assert pool_sizes == [2]
-    for bad in ("abc", "0", "-3", "2.5", ""):
-        monkeypatch.setenv("FLOCKLAB_THREADS", bad)
-        assert cli_main(args) == 2
-        assert "FLOCKLAB_THREADS must be a positive integer" in capsys.readouterr().err
-    assert pool_sizes == [2]
+def test_cli_sweep_grid_is_capped_before_it_is_built(monkeypatch, capsys):
+    def no_point(*args):
+        raise AssertionError("ran a point of a grid over the cap")
+
+    monkeypatch.setattr(runner, "_sweep_point", no_point)
+    # one axis of 10^9 points would be a list of about 32 GB
+    assert cli_main(["sweep", "smooth-1d-guaranteed", "--axis", "potential.a=0:1:1000000000"]) == 2
+    assert "axis point count must be in [1, 65536], got 1000000000" in capsys.readouterr().err
+    # two axes under the cap whose product is over it
+    axes = ["--axis", "potential.a=0.1:3:300", "--axis", "initial.amplitude=-1:0:300"]
+    assert cli_main(["sweep", "smooth-1d-guaranteed", *axes]) == 2
+    assert "sweep grid has 90000 points, more than the cap of 65536" in capsys.readouterr().err
+    # a grid of exactly the cap runs
+    monkeypatch.setattr(runner, "_sweep_point", lambda cfg, overrides, simulate: [])
+    axes = [("potential.a", range(1, 257)), ("initial.amplitude", range(256))]
+    _, rows = sweep(preset_config("smooth-1d-guaranteed"), axes)
+    assert len(rows) == runner.MAX_GRID_POINTS == 65536
 
 
 def test_cli_check_blowup_preset(capsys):

@@ -1,9 +1,12 @@
-"""Source style rules checked with ``ast``: line length and imports that nothing uses.
+"""Source style rules checked with ``ast``: line length, imports that nothing uses, environment reads.
 
 An import that a module never reads is allowed only where the benchmark's
 tracer (``bench/spans.py``, ``BINDINGS``) rebinds that name in that module,
 so such an import goes stale, and fails here, once the tracer stops
 binding it.  ``__init__.py`` only re-exports and is not checked for imports.
+
+No module reads or sets an environment variable: a run is what its
+configuration says, so no setting hides outside it.
 """
 
 import ast
@@ -14,6 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "flocklab").glob("*.py"))
 MAX_LINE = 110
+ENVIRONMENT = {"environ", "getenv", "putenv"}
 
 
 def _bindings() -> dict:
@@ -23,6 +27,21 @@ def _bindings() -> dict:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "BINDINGS" for t in node.targets):
             return ast.literal_eval(node.value)
     raise AssertionError("bench/spans.py defines no BINDINGS")
+
+
+def _environment_uses(tree: ast.Module) -> set:
+    """Line numbers that name ``os.environ``, ``os.getenv`` or ``os.putenv``, as an attribute or an import."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "os":
+            names = {node.attr}
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            names = {alias.name for alias in node.names}
+        else:
+            continue
+        if names & ENVIRONMENT:
+            lines.add(node.lineno)
+    return lines
 
 
 def _unused_imports(tree: ast.Module) -> set:
@@ -59,3 +78,15 @@ def test_unused_import_detection():
     assert _unused_imports(tree) == {"os", "d"}
     tree = ast.parse("from a import b\n__all__ = ['b']\n")
     assert _unused_imports(tree) == set()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_environment_variable_is_read(path):
+    uses = _environment_uses(ast.parse(path.read_text()))
+    assert not uses, f"{path.name}: reads the environment on lines {sorted(uses)}"
+
+
+def test_environment_use_detection():
+    tree = ast.parse("import os\nos.environ.get('A')\nx = os.getenv('B')\nos.putenv('C', '1')\nos.sep\n")
+    assert _environment_uses(tree) == {2, 3, 4}
+    assert _environment_uses(ast.parse("from os import environ, path\n")) == {1}
