@@ -35,6 +35,7 @@ __all__ = [
     "parse_config",
     "serialize_config",
     "with_override",
+    "with_overrides",
     "override_value",
     "preset_names",
     "preset_text",
@@ -379,9 +380,15 @@ def with_override(cfg: ExperimentConfig, key_path: str, value) -> ExperimentConf
     potential family is rejected, and an integer key needs an integral
     value (16.0 is read as 16, 2.5 is an error).
     """
-    section, _, key = key_path.partition(".")
+    return with_overrides(cfg, [(key_path, value)])
+
+
+def with_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
+    """``with_override`` for several (key_path, value) pairs, all set before the one validation."""
     sections = _sections(cfg)
-    sections[section][key] = repr(override_value(key_path, value))
+    for key_path, value in overrides:
+        section, _, key = key_path.partition(".")
+        sections[section][key] = repr(override_value(key_path, value))
     return _build(sections)
 
 

@@ -31,9 +31,15 @@ view of a segment of one flat float64 vector, in that order.
 ``advance_rk4`` is the one time stepper: classical fixed-step RK4 on the
 flat vector.  The mode's right-hand side writes each derivative into views
 of a stage buffer, and each stage is two in-place operations on flat
-vectors.  The buffers (``_Scratch``) are made with an Ensemble and passed
-on to the states stepped from it, so a step allocates only the new
-state's vector.  The new vector
+vectors.  Each mode builds its right-hand side for a step from the masses,
+kernel and potential (``_step_rhs_u`` here, ``_step_rhs_1d``,
+``_step_rhs_2d``): the kernel's and potential's branches and the
+constants (total mass, phi*rho of a constant kernel, a constant Hessian)
+are decided there, so the four stages of a constant-kernel step run only
+arithmetic.  The buffers (``_Scratch``) are made with an Ensemble and
+passed on to the states stepped from it, with the last right-hand side
+built, which a step reuses while it gets the same masses, kernel and
+potential objects; a step allocates only the new state's vector.  The new vector
 is screened in one pass against bound vectors: a value that turns
 non-finite or leaves its cap (STATE_CAP, E_BLOWUP_CAP for e, none for the
 density), or a negative density, raises BlowupSignal with the bracketing
@@ -49,7 +55,8 @@ from typing import Optional
 import numpy as np
 
 from .kernels import ConstantKernel, Kernel, kernel_eval_sq
-from .potentials import Potential, grad_at
+# grad_at is unused here but stays imported: the benchmark's tracer rebinds it.
+from .potentials import Potential, grad_at, gradient  # noqa: F401
 
 __all__ = [
     "STATE_CAP",
@@ -255,24 +262,48 @@ def conv_phi(x: np.ndarray, m: np.ndarray, kernel: Kernel):
     return kernel_sums(x, m, kernel)
 
 
-def alignment_force(x: np.ndarray, u: np.ndarray, m: np.ndarray, kernel: Kernel):
+def alignment_force(x: np.ndarray, u: np.ndarray, m: np.ndarray, kernel: Kernel, m0=None):
     """Velocity alignment term sum_j m_j phi(|x_i - x_j|)(u_j - u_i).
 
     Returns ``(force, phi_conv)`` so callers that also need the convolution
     sum_j m_j phi_ij do not pay for the pairwise pass twice.  A constant
     kernel collapses to the O(N) form value * (sum_j m_j u_j - m0 u_i), and
-    its phi_conv is the scalar value * m0, as in ``conv_phi``.
+    its phi_conv is the scalar value * m0, as in ``conv_phi``; ``m0`` is
+    sum(m), which a caller that evaluates many stages passes once.
     """
     if isinstance(kernel, ConstantKernel):
-        m0 = m.sum()
-        mu = m @ u
-        return kernel.value * (mu[None, :] - m0 * u), kernel.value * m0
+        return _constant_alignment(m, kernel.value, m.sum() if m0 is None else m0)(x, u)
     return alignment_sums(kernel_sums(x, np.column_stack((m, m[:, None] * u)), kernel), u)
 
 
-def _rhs_u(x, u, m, kernel, potential, out):
-    """du/dt of the particle system, alignment minus grad U, written into out."""
-    return np.subtract(alignment_force(x, u, m, kernel)[0], grad_at(potential, x), out=out)
+def _constant_alignment(m, value, m0):
+    """A constant kernel's ``alignment_force`` as a function of (x, u), for the masses m of total m0."""
+    # 0-d arrays: numpy's cheapest scalar operand, with the bits of the floats
+    k, m0, phi_conv = np.array(value), np.array(m0), np.array(value * m0)
+    return lambda x, u: (np.multiply(k, m @ u - m0 * u), phi_conv)
+
+
+def _step_rhs_u(m, kernel, potential):
+    """The particle right-hand side f(x, u, dx, du) -> phi*rho of a step.
+
+    The kernel, the potential and the constants are decided once, so each
+    stage of a constant kernel runs arithmetic only; a decaying kernel's
+    pair pass goes through this module's ``alignment_force``, where the
+    benchmark's tracer times it.  1D characteristics add their (e, rho) part.
+    """
+    if isinstance(kernel, ConstantKernel):
+        align = _constant_alignment(m, kernel.value, m.sum())
+    else:
+        align = lambda x, u: alignment_force(x, u, m, kernel)  # noqa: E731
+    grad = gradient(potential)
+
+    def f(x, u, dx, du):
+        np.copyto(dx, u)
+        force, phi_conv = align(x, u)
+        np.subtract(force, grad(x), out=du)
+        return phi_conv
+
+    return f
 
 
 def _views(flat: np.ndarray, layout) -> dict:
@@ -287,8 +318,10 @@ class _Scratch:
     vector of P values.  ``rows`` holds k1, k2, k3, k4 and the stage
     argument as one (5, P) array, ``views`` each row's views shaped like
     the arrays, and ``lo`` and ``hi`` the bounds of the one-pass screen:
-    |value| within the array's cap, and 0 <= rho.  A state and the states
-    stepped from it share one, so a thread steps one such chain at a time.
+    |value| within the array's cap, and 0 <= rho.  ``coefficients`` holds
+    the step's dt/2, dt and dt/6 and ``rhs`` the right-hand side last built
+    for it.  A state and the states stepped from it share one, so a thread
+    steps one such chain at a time.
     """
 
     def __init__(self, arrays: dict):
@@ -302,6 +335,21 @@ class _Scratch:
         for name, lo, hi, _ in self.layout:
             cap = _CAPS.get(name, STATE_CAP)
             self.lo[lo:hi], self.hi[lo:hi] = 0.0 if name == "rho" else -cap, cap
+        self.dt, self.rhs_ids = None, None
+
+    def coefficients(self, dt: float):
+        """(dt/2, dt, dt/6) as 0-d arrays, numpy's cheapest scalar operand; made again when dt changes."""
+        if dt != self.dt:
+            self.dt, self.coefs = dt, tuple(np.array(c) for c in (0.5 * dt, dt, dt / 6.0))
+        return self.coefs
+
+    def rhs(self, build, m, kernel, potential):
+        """``build(m, kernel, potential)``, built again when one of the four is not last time's object."""
+        args = (build, m, kernel, potential)  # held with the result, so no new object can take their ids
+        ids = tuple(map(id, args))
+        if ids != self.rhs_ids:
+            self.rhs_ids, self.rhs_args, self.rhs_f = ids, args, build(m, kernel, potential)
+        return self.rhs_f
 
 
 def _blowup_reason(arrays: dict) -> str:
@@ -333,23 +381,23 @@ def advance_rk4(state: Ensemble, f, dt: float) -> Ensemble:
     k1, k2, k3, k4, stage = scratch.rows
     v1, v2, v3, v4, args = scratch.views
     y = state.flat
-    h = 0.5 * dt
+    half, full, sixth = scratch.coefficients(dt)
     with np.errstate(over="ignore", invalid="ignore"):
         f(*[state.__dict__[name] for name in scratch.names], *v1)
-        np.multiply(k1, h, out=stage)
+        np.multiply(k1, half, out=stage)
         stage += y
         f(*args, *v2)
-        np.multiply(k2, h, out=stage)
+        np.multiply(k2, half, out=stage)
         stage += y
         f(*args, *v3)
-        np.multiply(k3, dt, out=stage)
+        np.multiply(k3, full, out=stage)
         stage += y
         f(*args, *v4)
         k2 += k3
-        k2 *= 2.0
+        k2 += k2  # 2 (k2 + k3), exactly
         k2 += k1
         k2 += k4
-        k2 *= dt / 6.0
+        k2 *= sixth
         y1 = y + k2
         # a NaN fails both comparisons; count_nonzero is the cheapest reduction
         inside = np.count_nonzero(scratch.lo <= y1) + np.count_nonzero(y1 <= scratch.hi)
@@ -364,12 +412,7 @@ def advance_rk4(state: Ensemble, f, dt: float) -> Ensemble:
 
 def step_rk4(ens: Ensemble, kernel: Kernel, potential: Potential, dt: float) -> Ensemble:
     """Advance the particle ensemble by one RK4 step of size dt > 0."""
-
-    def f(x, u, dx, du):
-        dx[...] = u
-        _rhs_u(x, u, ens.m, kernel, potential, du)
-
-    return advance_rk4(ens, f, dt)
+    return advance_rk4(ens, ens._scratch.rhs(_step_rhs_u, ens.m, kernel, potential), dt)
 
 
 def means(ens: Ensemble) -> Means:

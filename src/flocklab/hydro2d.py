@@ -34,7 +34,7 @@ from . import constants as _constants
 from .dynamics import Ensemble, add_block, advance_rk4, alignment_force, alignment_sums, pair_blocks
 from .hydro1d import BumpDensity, ThresholdReport, VelocityProfile, midpoint_quadrature
 from .kernels import ConstantKernel, Kernel, kernel_eval_sq, kernel_slope_over_r_sq
-from .potentials import Potential, grad_at, hess_diag_at
+from .potentials import Potential, convexity_bounds, grad_at, hess_diag_at
 
 __all__ = [
     "BumpDensity2D",
@@ -90,28 +90,45 @@ def _pair_terms_2d(x, u, m, kernel):
     return force, phi_conv, np.stack([alignment_sums(s, u)[0] for s in sums[1:]], axis=-1)
 
 
+def _step_rhs_2d(m, kernel, potential):
+    """The right-hand side f(x, u, grad_u, dx, du, dgrad_u) of one step along the characteristics.
+
+    The kernel's branch, the total mass and a constant Hessian are decided
+    once per step.  The stages call ``alignment_force`` and ``grad_at``
+    through this module's globals, which the benchmark's tracer rebinds;
+    beside the 2x2 products, what they dispatch costs little.
+    """
+    constant = isinstance(kernel, ConstantKernel)
+    m0 = m.sum() if constant else None
+    a_lo, a_hi = convexity_bounds(potential)
+    hess = np.array(a_lo) if a_lo == a_hi else None
+
+    def f(x, u, grad_u, dx, du, d_grad):
+        if constant:
+            force, phi_conv = alignment_force(x, u, m, kernel, m0)
+        else:
+            force, phi_conv, forcing = _pair_terms_2d(x, u, m, kernel)
+            phi_conv = phi_conv[:, None, None]
+        np.copyto(dx, u)
+        np.subtract(force, grad_at(potential, x), out=du)
+        # [G^2]_ij = G_i0 G_0j + G_i1 G_1j on (2, 2, N) views, in C order: each inner loop runs over the N
+        # characteristics (numpy's own order would run it over j, two entries long)
+        g, square = grad_u.transpose(1, 2, 0), d_grad.transpose(1, 2, 0)
+        np.multiply(g[:, :1], g[:1], out=square, order="C")
+        np.add(square, np.multiply(g[:, 1:], g[1:], order="C"), out=square, order="C")
+        np.negative(d_grad, out=d_grad)
+        d_grad -= phi_conv * grad_u
+        if not constant:
+            d_grad += forcing
+        # the diagonal entries (0, 0) and (1, 1) as one (N, 2) view
+        d_grad.reshape(-1, 4)[:, ::3] -= hess_diag_at(potential, x) if hess is None else hess
+
+    return f
+
+
 def _rhs_arrays_2d(x, u, grad_u, m, kernel, potential, out):
     """Time derivative (dx, du, dgrad_u) along the characteristics, written into the three arrays of out."""
-    dx, du, d_grad = out
-    if isinstance(kernel, ConstantKernel):
-        force, phi_conv = alignment_force(x, u, m, kernel)
-    else:
-        force, phi_conv, forcing = _pair_terms_2d(x, u, m, kernel)
-    dx[...] = u
-    np.subtract(force, grad_at(potential, x), out=du)
-    for i in range(2):
-        for j in range(2):  # [G^2]_ij = G_i0 G_0j + G_i1 G_1j
-            entry = d_grad[:, i, j]
-            np.multiply(grad_u[:, i, 0], grad_u[:, 0, j], out=entry)
-            entry += grad_u[:, i, 1] * grad_u[:, 1, j]
-    np.negative(d_grad, out=d_grad)
-    # phi_conv is a scalar for a constant kernel
-    d_grad -= (phi_conv[:, None, None] if isinstance(phi_conv, np.ndarray) else phi_conv) * grad_u
-    if not isinstance(kernel, ConstantKernel):
-        d_grad += forcing
-    hess = hess_diag_at(potential, x)  # a scalar when the Hessian is constant
-    for k in range(2):
-        d_grad[:, k, k] -= hess[:, k] if isinstance(hess, np.ndarray) else hess
+    _step_rhs_2d(m, kernel, potential)(x, u, grad_u, *out)
     return out
 
 
@@ -123,9 +140,7 @@ def rhs_2d(state: Ensemble, kernel: Kernel, potential: Potential):
 
 def step_2d(state: Ensemble, kernel: Kernel, potential: Potential, dt: float) -> Ensemble:
     """One RK4 step; raises BlowupSignal when the new state leaves the trusted range."""
-    return advance_rk4(
-        state, lambda x, u, g, *out: _rhs_arrays_2d(x, u, g, state.m, kernel, potential, out), dt
-    )
+    return advance_rk4(state, state._scratch.rhs(_step_rhs_2d, state.m, kernel, potential), dt)
 
 
 def spectral_arrays(grad_u: np.ndarray, phi_conv: np.ndarray):

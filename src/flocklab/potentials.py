@@ -24,6 +24,7 @@ __all__ = [
     "ZeroPotential",
     "Potential",
     "value_at",
+    "gradient",
     "grad_at",
     "hess_diag_at",
     "convexity_bounds",
@@ -77,17 +78,26 @@ def value_at(potential: Potential, x: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown potential {potential!r}")
 
 
+def gradient(potential: Potential):
+    """grad U as a function of x, shape (N, d) -> (N, d), with the family and its constants decided once.
+
+    The constants are 0-d arrays, numpy's cheapest scalar operand, with the
+    bits of the floats.
+    """
+    if isinstance(potential, ZeroPotential):
+        return np.zeros_like
+    if isinstance(potential, QuadraticPotential):
+        a = np.array(potential.a)
+        return lambda x: a * x
+    if isinstance(potential, PerturbedQuadraticPotential):
+        a, k, c = (np.array(v) for v in (potential.a, potential.kappa, potential.eps / potential.kappa))
+        return lambda x: a * x + c * np.sin(k * x)
+    raise TypeError(f"unknown potential {potential!r}")
+
+
 def grad_at(potential: Potential, x: np.ndarray) -> np.ndarray:
     """grad U at each row of x, shape (N, d) -> (N, d)."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(potential, ZeroPotential):
-        return np.zeros_like(x)
-    if isinstance(potential, QuadraticPotential):
-        return potential.a * x
-    if isinstance(potential, PerturbedQuadraticPotential):
-        k = potential.kappa
-        return potential.a * x + (potential.eps / k) * np.sin(k * x)
-    raise TypeError(f"unknown potential {potential!r}")
+    return gradient(potential)(np.asarray(x, dtype=float))
 
 
 def hess_diag_at(potential: Potential, x: np.ndarray) -> Union[np.ndarray, float]:

@@ -47,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from . import constants as consts
-from .config import ConfigError, ExperimentConfig, override_value, serialize_config, with_override
+from .config import ConfigError, ExperimentConfig, override_value, serialize_config, with_overrides
 from .diagnostics import (  # noqa: F401 (the benchmark binds the three pair_scan wrappers here)
     DiagnosticsFrame,
     energy,
@@ -374,18 +374,21 @@ def _integrate(cfg: ExperimentConfig, an: Analysis) -> RunResult:
     step = {"particles": step_rk4, "hydro1d": step_1d, "hydro2d": step_2d}[cfg.mode]
     state = an.state
     frames = [an.frame0]
-    # the 1D run's e range is taken every step; the persistence checks need more than the frames
+    # the 1D run's e range is taken every step, as each characteristic's extremes over time, since
+    # the persistence checks need more than the frames
     track_e = state.e is not None
-    min_e, max_e = an.frame0.min_e, an.frame0.max_e
+    if track_e:
+        e_lo, e_hi = state.e.copy(), state.e.copy()
     blowup = None
-    n_steps = cfg.n_steps
+    kernel, potential, dt, stride, n_steps = cfg.kernel, cfg.potential, cfg.dt, cfg.output_stride, cfg.n_steps
     try:
         for i in range(1, n_steps + 1):
-            state = step(state, cfg.kernel, cfg.potential, cfg.dt)
-            state.t = i * cfg.dt
+            state = step(state, kernel, potential, dt)
+            state.t = i * dt
             if track_e:
-                min_e, max_e = min(min_e, float(state.e.min())), max(max_e, float(state.e.max()))
-            if i % cfg.output_stride == 0 or i == n_steps:
+                np.minimum(e_lo, state.e, out=e_lo)
+                np.maximum(e_hi, state.e, out=e_hi)
+            if i % stride == 0 or i == n_steps:
                 frames.append(_state_frame(cfg, state, an.a_lo, an.pair_f, an.v_rates))
     except BlowupSignal as sig:
         blowup = (sig.t_lo, sig.t_hi)
@@ -404,7 +407,7 @@ def _integrate(cfg: ExperimentConfig, an: Analysis) -> RunResult:
         notes=notes,
     )
     if track_e:
-        summary.extrema = {"run_min_e": min_e, "run_max_e": max_e}
+        summary.extrema = {"run_min_e": float(e_lo.min()), "run_max_e": float(e_hi.max())}
     cols = frame_columns(frames)
     for name, description, tol, excess in _check_rows(summary, cfg, an, cols):
         summary.bound_checks.append(BoundCheck(name, description, tol, float(np.max(excess))))
@@ -585,7 +588,9 @@ def sweep(cfg: ExperimentConfig, axes, simulate: bool = False):
     if len(axes) == 2:
         points = [p + [(axes[1][0], w)] for p in points for w in axes[1][1]]
 
-    rows = [_sweep_point(cfg, overrides, simulate) for overrides in points]
+    # every point's config is built, and so checked, before the first point is analyzed
+    configs = [with_overrides(cfg, overrides) for overrides in points]
+    rows = [_sweep_point(point, overrides, simulate) for point, overrides in zip(configs, points)]
     columns = [key for key, _ in axes] + ["verdict", "condition", "margin"]
     if simulate:
         columns.append("outcome")
@@ -593,8 +598,6 @@ def sweep(cfg: ExperimentConfig, axes, simulate: bool = False):
 
 
 def _sweep_point(cfg: ExperimentConfig, overrides, simulate: bool):
-    for key, value in overrides:
-        cfg = with_override(cfg, key, value)
     an = analyze(cfg)
     report, _ = _classify(cfg, an)  # before stepping, so an unclassifiable point fails at once
     row = [value for _, value in overrides] + [report.verdict, report.condition, report.margin]

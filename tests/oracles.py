@@ -9,6 +9,9 @@ dense pair sums the N x N kernel and gradient-weight matrices, that
 visit one upper-triangle row block at a time.  ``reference_rk4`` is the
 list-comprehension RK4 driver that the packed in-place driver replaced, and
 the ``reference_rhs_*`` functions the allocating right-hand sides it called.
+The ``stage_*`` functions are the in-place right-hand sides as they were
+before each step decided its kernel, potential and constants once, and
+``stage_step`` steps them with the package's driver.
 ``_evaluate_checks``, its four helpers and ``_fit_rates`` are the runner's
 bound checks and rate fit as they were written before the one table of
 ``runner._check_rows``: each check built by hand with its own reduction.
@@ -26,11 +29,28 @@ import numpy as np
 
 from flocklab import constants as consts
 from flocklab.diagnostics import fit_rate
-from flocklab.dynamics import E_BLOWUP_CAP, STATE_CAP, BlowupSignal, Ensemble, alignment_force, conv_phi
+from flocklab.dynamics import (
+    E_BLOWUP_CAP,
+    STATE_CAP,
+    BlowupSignal,
+    Ensemble,
+    advance_rk4,
+    alignment_force,
+    alignment_sums,
+    conv_phi,
+    kernel_sums,
+)
 from flocklab.hydro1d import e_upper_bound, smooth_lower_root
 from flocklab.hydro2d import _pair_terms_2d
 from flocklab.kernels import ConstantKernel, FloorClippedKernel, PowerLawKernel, kernel_eval, kernel_eval_sq
-from flocklab.potentials import QuadraticPotential, grad_at, hess_diag_at, value_at
+from flocklab.potentials import (
+    PerturbedQuadraticPotential,
+    QuadraticPotential,
+    ZeroPotential,
+    grad_at,
+    hess_diag_at,
+    value_at,
+)
 from flocklab.runner import Analysis, BoundCheck
 
 
@@ -233,6 +253,95 @@ def reference_rhs_2d(m, kernel, potential):
         return u, force - grad_at(potential, x), d_grad
 
     return f
+
+
+# The per-stage right-hand sides of each mode as they were before a step decided its kernel, potential
+# and constants once.  The bodies are verbatim; the ``alignment_force`` and ``grad_at`` they call are the
+# pre-change forms, as ``stage_alignment_force`` and ``stage_grad_at``, so this route shares only the
+# pair pass (``kernel_sums``, ``_pair_terms_2d``), ``hess_diag_at`` and the RK4 driver with the package.
+
+
+def stage_alignment_force(x, u, m, kernel):
+    """``dynamics.alignment_force`` before the step decided its kernel: it sums m on every call."""
+    if isinstance(kernel, ConstantKernel):
+        m0 = m.sum()
+        mu = m @ u
+        return kernel.value * (mu[None, :] - m0 * u), kernel.value * m0
+    return alignment_sums(kernel_sums(x, np.column_stack((m, m[:, None] * u)), kernel), u)
+
+
+def stage_grad_at(potential, x):
+    """``potentials.grad_at`` before ``potentials.gradient`` decided the family."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(potential, ZeroPotential):
+        return np.zeros_like(x)
+    if isinstance(potential, QuadraticPotential):
+        return potential.a * x
+    if isinstance(potential, PerturbedQuadraticPotential):
+        k = potential.kappa
+        return potential.a * x + (potential.eps / k) * np.sin(k * x)
+    raise TypeError(f"unknown potential {potential!r}")
+
+
+def stage_rhs_u(x, u, m, kernel, potential, out):
+    """du/dt of the particle system, alignment minus grad U, written into out."""
+    return np.subtract(stage_alignment_force(x, u, m, kernel)[0], stage_grad_at(potential, x), out=out)
+
+
+def stage_rhs_arrays_1d(x, u, e, rho, m, kernel, potential, out):
+    """Time derivative (dx, du, de, drho) along the characteristics, written into the four arrays of out."""
+    dx, du, de, drho = out
+    force, phi_conv = stage_alignment_force(x, u, m, kernel)
+    dx[...] = u
+    np.subtract(force, stage_grad_at(potential, x), out=du)
+    # with -shear = phi*rho - e: de = -e shear - U''(x) and drho = -rho shear, bit for bit
+    np.subtract(phi_conv, e, out=de)
+    np.multiply(rho, de, out=drho)
+    de *= e
+    hess = hess_diag_at(potential, x)  # a scalar when U'' is constant
+    de -= hess[:, 0] if isinstance(hess, np.ndarray) else hess
+    return out
+
+
+def stage_rhs_arrays_2d(x, u, grad_u, m, kernel, potential, out):
+    """Time derivative (dx, du, dgrad_u) along the characteristics, written into the three arrays of out."""
+    dx, du, d_grad = out
+    if isinstance(kernel, ConstantKernel):
+        force, phi_conv = stage_alignment_force(x, u, m, kernel)
+    else:
+        force, phi_conv, forcing = _pair_terms_2d(x, u, m, kernel)
+    dx[...] = u
+    np.subtract(force, stage_grad_at(potential, x), out=du)
+    for i in range(2):
+        for j in range(2):  # [G^2]_ij = G_i0 G_0j + G_i1 G_1j
+            entry = d_grad[:, i, j]
+            np.multiply(grad_u[:, i, 0], grad_u[:, 0, j], out=entry)
+            entry += grad_u[:, i, 1] * grad_u[:, 1, j]
+    np.negative(d_grad, out=d_grad)
+    # phi_conv is a scalar for a constant kernel
+    d_grad -= (phi_conv[:, None, None] if isinstance(phi_conv, np.ndarray) else phi_conv) * grad_u
+    if not isinstance(kernel, ConstantKernel):
+        d_grad += forcing
+    hess = hess_diag_at(potential, x)  # a scalar when the Hessian is constant
+    for k in range(2):
+        d_grad[:, k, k] -= hess[:, k] if isinstance(hess, np.ndarray) else hess
+    return out
+
+
+def stage_step(state, kernel, potential, dt):
+    """One ``advance_rk4`` step of the state's mode on the per-stage right-hand side above."""
+    m = state.m
+    if state.e is not None:
+        def f(x, u, e, rho, *out):
+            stage_rhs_arrays_1d(x, u, e, rho, m, kernel, potential, out)
+    elif state.grad_u is not None:
+        def f(x, u, g, *out):
+            stage_rhs_arrays_2d(x, u, g, m, kernel, potential, out)
+    else:
+        def f(x, u, dx, du):
+            dx[...] = u
+            stage_rhs_u(x, u, m, kernel, potential, du)
+    return advance_rk4(state, f, dt)
 
 
 def reference_check_summary(summary, cfg, an: Analysis, frames):

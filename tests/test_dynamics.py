@@ -20,7 +20,7 @@ from flocklab.dynamics import (
     recenter,
     step_rk4,
 )
-from flocklab.dynamics import _rhs_u
+from flocklab.dynamics import _step_rhs_u
 from flocklab.hydro2d import _pair_terms_2d, _rhs_arrays_2d
 from flocklab.kernels import ConstantKernel, FloorClippedKernel, PowerLawKernel, kernel_bounds, kernel_eval
 from flocklab.potentials import QuadraticPotential, ZeroPotential
@@ -31,6 +31,13 @@ from oracles import (
     dense_gradient_forcing,
     pairwise_attraction_du,
 )
+
+
+def _du(x, u, m, kernel, potential):
+    """du/dt of the particle system: one stage of the step's right-hand side."""
+    du = np.empty_like(u)
+    _step_rhs_u(m, kernel, potential)(x, u, np.empty_like(u), du)
+    return du
 
 
 def _random_ensemble(rng, n, d, equal_mass=False):
@@ -44,13 +51,13 @@ def _random_ensemble(rng, n, d, equal_mass=False):
 
 def test_single_agent_feels_only_potential():
     ens = Ensemble(x=[[0.7]], u=[[0.3]], m=[1.0])
-    du = _rhs_u(ens.x, ens.u, ens.m, PowerLawKernel(1.0, 1.0), QuadraticPotential(2.0), np.empty_like(ens.u))
+    du = _du(ens.x, ens.u, ens.m, PowerLawKernel(1.0, 1.0), QuadraticPotential(2.0))
     assert du[0, 0] == pytest.approx(-2.0 * 0.7, abs=0)
 
 
 def test_two_agent_hand_evaluation():
     ens = Ensemble(x=[[0.0], [0.0]], u=[[1.0], [-1.0]], m=[0.5, 0.5])
-    du = _rhs_u(ens.x, ens.u, ens.m, ConstantKernel(2.0), ZeroPotential(), np.empty_like(ens.u))
+    du = _du(ens.x, ens.u, ens.m, ConstantKernel(2.0), ZeroPotential())
     assert du[0, 0] == pytest.approx(-2.0, abs=1e-15)
     assert du[1, 0] == pytest.approx(2.0, abs=1e-15)
 
@@ -60,7 +67,7 @@ def test_aligned_velocities_feel_no_alignment():
     x = rng.uniform(-1, 1, (8, 2))
     u = np.tile([0.4, -0.2], (8, 1))
     ens = Ensemble(x=x, u=u, m=np.full(8, 0.125))
-    du = _rhs_u(ens.x, ens.u, ens.m, PowerLawKernel(1.0, 0.5), ZeroPotential(), np.empty_like(ens.u))
+    du = _du(ens.x, ens.u, ens.m, PowerLawKernel(1.0, 0.5), ZeroPotential())
     assert np.allclose(du, 0.0, atol=1e-15)
 
 
@@ -84,7 +91,7 @@ def test_rhs_mass_weighted_quadrature():
         for d in (1, 2, 3):
             for n in (12, 70):
                 ens = _random_ensemble(rng, n, d)
-                du = _rhs_u(ens.x, ens.u, ens.m, kernel, QuadraticPotential(a), np.empty_like(ens.u))
+                du = _du(ens.x, ens.u, ens.m, kernel, QuadraticPotential(a))
                 conv = conv_phi(ens.x, ens.m, kernel)
                 for i in range(ens.n):
                     acc = np.zeros(d)
@@ -99,7 +106,7 @@ def test_rhs_mass_weighted_quadrature():
     # at N = 600 the products are taken in several row blocks
     kernel = kernels[-1]
     ens = _random_ensemble(rng, 600, 2)
-    du = _rhs_u(ens.x, ens.u, ens.m, kernel, QuadraticPotential(a), np.empty_like(ens.u))
+    du = _du(ens.x, ens.u, ens.m, kernel, QuadraticPotential(a))
     r = np.linalg.norm(ens.x[:, None, :] - ens.x[None, :, :], axis=-1)
     w = np.maximum(1.3 * (1.0 + r * r) ** -0.8, 0.4) * ens.m[None, :]
     expected = np.einsum("ij,ijd->id", w, ens.u[None, :, :] - ens.u[:, None, :]) - a * ens.x
@@ -123,7 +130,7 @@ def test_energy_dissipation_identity_random_states():
                     if count >= 100:
                         break
                     ens = _random_ensemble(rng, 10, d)
-                    du = _rhs_u(ens.x, ens.u, ens.m, kernel, potential, np.empty_like(ens.u))
+                    du = _du(ens.x, ens.u, ens.m, kernel, potential)
                     lhs = float(
                         ens.m @ np.einsum("nd,nd->n", ens.u, du)
                         + ens.m @ np.einsum("nd,nd->n", grad_at(potential, ens.x), ens.u)
@@ -146,7 +153,7 @@ def test_means_dynamics_is_exact_oscillator():
     rng = np.random.default_rng(8)
     ens = _random_ensemble(rng, 20, 2)
     a = 1.7
-    du = _rhs_u(ens.x, ens.u, ens.m, PowerLawKernel(1.0, 1.0), QuadraticPotential(a), np.empty_like(ens.u))
+    du = _du(ens.x, ens.u, ens.m, PowerLawKernel(1.0, 1.0), QuadraticPotential(a))
     c = means(ens)
     mean_du = (ens.m @ du) / ens.total_mass
     assert np.allclose(mean_du, -a * c.x_c, rtol=1e-12, atol=1e-14)
@@ -242,7 +249,7 @@ def test_pairwise_variant_equals_quadratic_on_centered_data():
     ens = recenter(_random_ensemble(rng, 14, 2))
     a = 1.3
     kernel = PowerLawKernel(1.0, 1.0)
-    du_potential = _rhs_u(ens.x, ens.u, ens.m, kernel, QuadraticPotential(a), np.empty_like(ens.u))
+    du_potential = _du(ens.x, ens.u, ens.m, kernel, QuadraticPotential(a))
     du_pairwise = pairwise_attraction_du(ens.x, ens.u, ens.m, partial(kernel_eval, kernel), a)
     assert np.allclose(du_potential, du_pairwise, atol=1e-12)
 

@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from flocklab.dynamics import _rhs_u
-from flocklab.hydro1d import _rhs_arrays_1d
+from flocklab.dynamics import _step_rhs_u
+from flocklab.hydro1d import _step_rhs_1d
 from flocklab.kernels import ConstantKernel, FloorClippedKernel, PowerLawKernel, kernel_eval
 from flocklab.potentials import PerturbedQuadraticPotential, QuadraticPotential, ZeroPotential, grad_at
 from oracles import dense_dissipation
@@ -64,8 +64,18 @@ def _shifts(data, d):
     return data.draw(_vectors(1, d, -2.0, 2.0))
 
 
-def _outs(*arrays):
-    return tuple(map(np.empty_like, arrays))
+def _du(x, u, m, kernel, potential):
+    """du/dt of the particle system: one stage of the step's right-hand side."""
+    du = np.empty_like(u)
+    _step_rhs_u(m, kernel, potential)(x, u, np.empty_like(u), du)
+    return du
+
+
+def _rhs_1d(x, u, e, rho, m, kernel, potential):
+    """(dx, du, de, drho) along 1D characteristics: one stage of the step's right-hand side."""
+    out = tuple(map(np.empty_like, (x, u, e, rho)))
+    _step_rhs_1d(m, kernel, potential)(x, u, e, rho, *out)
+    return out
 
 
 def _assert_permuted(got, want, perm):
@@ -77,8 +87,8 @@ def _assert_permuted(got, want, perm):
 @given(ensembles(), KERNELS, POTENTIALS)
 def test_particle_rhs_is_permutation_equivariant(ens, kernel, potential):
     x, u, m, perm = ens
-    want = _rhs_u(x, u, m, kernel, potential, np.empty_like(u))
-    _assert_permuted(_rhs_u(x[perm], u[perm], m[perm], kernel, potential, np.empty_like(u)), want, perm)
+    want = _du(x, u, m, kernel, potential)
+    _assert_permuted(_du(x[perm], u[perm], m[perm], kernel, potential), want, perm)
 
 
 @settings(max_examples=60, deadline=None)
@@ -86,8 +96,8 @@ def test_particle_rhs_is_permutation_equivariant(ens, kernel, potential):
 def test_1d_characteristic_rhs_is_permutation_equivariant(ens, data, kernel, potential):
     x, u, m, perm = ens
     e, rho = _characteristics(data, x.shape[0])
-    want = _rhs_arrays_1d(x, u, e, rho, m, kernel, potential, _outs(x, u, e, rho))
-    got = _rhs_arrays_1d(x[perm], u[perm], e[perm], rho[perm], m[perm], kernel, potential, _outs(x, u, e, rho))
+    want = _rhs_1d(x, u, e, rho, m, kernel, potential)
+    got = _rhs_1d(x[perm], u[perm], e[perm], rho[perm], m[perm], kernel, potential)
     for g, w in zip(got, want):
         _assert_permuted(g, w, perm)
 
@@ -192,7 +202,7 @@ def _dissipation_error(x, u, m, kernel, potential):
 @given(ensembles(), KERNELS, POTENTIALS)
 def test_particle_rhs_dissipates_energy_at_the_pair_rate(ens, kernel, potential):
     x, u, m, _ = ens
-    du = _rhs_u(x, u, m, kernel, potential, np.empty_like(u))
+    du = _du(x, u, m, kernel, potential)
     grad = grad_at(potential, x)
     rate = float(np.einsum("i,ik,ik->", m, u, du)) + float(np.einsum("i,ik,ik->", m, grad, u))
     assert abs(rate - dense_dissipation(x, u, m, kernel)) <= _dissipation_error(x, u, m, kernel, potential)
@@ -204,8 +214,8 @@ def test_particle_alignment_force_is_translation_invariant(ens, data, kernel):
     x, u, m, _ = ens
     shift = _shifts(data, x.shape[1])
     zero = ZeroPotential()
-    got = _rhs_u(x + shift, u, m, kernel, zero, np.empty_like(u))
-    want = _rhs_u(x, u, m, kernel, zero, np.empty_like(u))
+    got = _du(x + shift, u, m, kernel, zero)
+    want = _du(x, u, m, kernel, zero)
     assert np.abs(got - want).max() <= _translation_error(x, shift, u, m, kernel)
 
 
@@ -214,8 +224,8 @@ def test_particle_alignment_force_is_translation_invariant(ens, data, kernel):
 def test_particle_rhs_is_galilean_invariant(ens, data, kernel, potential):
     x, u, m, _ = ens
     v = _shifts(data, x.shape[1])
-    got = _rhs_u(x, u + v, m, kernel, potential, np.empty_like(u))
-    want = _rhs_u(x, u, m, kernel, potential, np.empty_like(u))
+    got = _du(x, u + v, m, kernel, potential)
+    want = _du(x, u, m, kernel, potential)
     assert np.abs(got - want).max() <= _galilean_error(x, u, v, m, kernel, potential)
 
 
@@ -223,7 +233,7 @@ def test_particle_rhs_is_galilean_invariant(ens, data, kernel, potential):
 @given(ensembles(), KERNELS)
 def test_particle_alignment_force_conserves_momentum(ens, kernel):
     x, u, m, _ = ens
-    force = _rhs_u(x, u, m, kernel, ZeroPotential(), np.empty_like(u))
+    force = _du(x, u, m, kernel, ZeroPotential())
     assert np.abs(m @ force).max() <= _momentum_error(u, m, kernel)
 
 
@@ -234,8 +244,8 @@ def test_1d_characteristic_alignment_force_is_translation_invariant(ens, data, k
     e, rho = _characteristics(data, x.shape[0])
     shift = _shifts(data, 1)
     zero = ZeroPotential()
-    got = _rhs_arrays_1d(x + shift, u, e, rho, m, kernel, zero, _outs(x, u, e, rho))
-    want = _rhs_arrays_1d(x, u, e, rho, m, kernel, zero, _outs(x, u, e, rho))
+    got = _rhs_1d(x + shift, u, e, rho, m, kernel, zero)
+    want = _rhs_1d(x, u, e, rho, m, kernel, zero)
     assert np.array_equal(got[0], want[0])  # dx = u
     assert np.abs(got[1] - want[1]).max() <= _translation_error(x, shift, u, m, kernel)
 
@@ -246,8 +256,8 @@ def test_1d_characteristic_rhs_is_galilean_invariant(ens, data, kernel, potentia
     x, u, m, _ = ens
     e, rho = _characteristics(data, x.shape[0])
     v = _shifts(data, 1)
-    got = _rhs_arrays_1d(x, u + v, e, rho, m, kernel, potential, _outs(x, u, e, rho))
-    want = _rhs_arrays_1d(x, u, e, rho, m, kernel, potential, _outs(x, u, e, rho))
+    got = _rhs_1d(x, u + v, e, rho, m, kernel, potential)
+    want = _rhs_1d(x, u, e, rho, m, kernel, potential)
     assert np.array_equal(got[0], u + v)
     assert np.abs(got[1] - want[1]).max() <= _galilean_error(x, u, v, m, kernel, potential)
     # de and drho read the positions and the kernel convolution, not u
@@ -259,5 +269,5 @@ def test_1d_characteristic_rhs_is_galilean_invariant(ens, data, kernel, potentia
 def test_1d_characteristic_alignment_force_conserves_momentum(ens, data, kernel):
     x, u, m, _ = ens
     e, rho = _characteristics(data, x.shape[0])
-    du = _rhs_arrays_1d(x, u, e, rho, m, kernel, ZeroPotential(), _outs(x, u, e, rho))[1]
+    du = _rhs_1d(x, u, e, rho, m, kernel, ZeroPotential())[1]
     assert np.abs(m @ du).max() <= _momentum_error(u, m, kernel)

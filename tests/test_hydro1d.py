@@ -16,7 +16,7 @@ from flocklab.hydro1d import (
     smooth_lower_root,
     step_1d,
 )
-from flocklab.hydro1d import _rhs_arrays_1d
+from flocklab.hydro1d import _step_rhs_1d
 from flocklab.kernels import ConstantKernel, PowerLawKernel, kernel_eval
 from flocklab.potentials import QuadraticPotential, ZeroPotential
 
@@ -76,7 +76,9 @@ def test_init_density_values_match_mass_per_cell():
 
 def _rhs_1d(state, kernel, potential):
     arrays = state.evolved().values()
-    return _rhs_arrays_1d(*arrays, state.m, kernel, potential, tuple(map(np.empty_like, arrays)))
+    out = tuple(map(np.empty_like, arrays))
+    _step_rhs_1d(state.m, kernel, potential)(*arrays, *out)
+    return out
 
 
 def test_rhs_zero_e_feels_only_hessian():

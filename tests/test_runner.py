@@ -588,6 +588,16 @@ def test_cli_sweep_grid_is_capped_before_it_is_built(monkeypatch, capsys):
     assert len(rows) == runner.MAX_GRID_POINTS == 65536
 
 
+def test_cli_sweep_checks_every_point_before_it_analyzes_one(monkeypatch, capsys):
+    calls = []
+    analyze = runner.analyze
+    monkeypatch.setattr(runner, "analyze", lambda cfg: calls.append(cfg) or analyze(cfg))
+    # dt = 0.001 is a valid point; dt = 0.3 is not a whole number of steps of t = 100
+    assert cli_main(["sweep", "smooth-1d-guaranteed", "--axis", "run.dt=0.001:0.3:2"]) == 2
+    assert "run.t: must be a whole number (>= 1) of steps of run.dt" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_cli_check_blowup_preset(capsys):
     code = cli_main(["check", "blowup-1d-unconditional"])
     out = capsys.readouterr().out
