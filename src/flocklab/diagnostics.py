@@ -17,9 +17,11 @@ The functionals monitored per output frame:
   term, whose decay gives the L2 and worst-pair bounds (quadratic case).
 
 A frame's deltaE_L2, deltaE_Linf, D and F_const_max come from one
-``pair_scan`` over the upper-triangle row blocks of ``dynamics.pair_blocks``,
-the pass that serves the right-hand sides; ``fluctuations``,
-``particle_energy_support`` and ``pair_functional_f`` wrap it.
+``pair_scan`` over the upper-triangle row blocks of ``dynamics.block_views``,
+in the pool of buffers that the right-hand sides' pair passes use.  Each
+block takes every x and u difference once, as a GEMM of
+``dynamics.differences``; ``fluctuations``, ``particle_energy_support`` and
+``pair_functional_f`` wrap the scan.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import Ensemble, add_block, means, pair_blocks
+from .dynamics import Ensemble, add_block, block_views, differences, even_first, means
 from .potentials import Potential, value_at
 
 __all__ = [
@@ -63,34 +65,38 @@ def pair_scan(ens: Ensemble, a: float, coupling: Optional[float] = None, beta: O
     With dx = x_i - x_j, du = u_i - u_j and pair = |du|^2 + a |dx|^2:
     deltaE_L2 = sum_ij m_i m_j pair, deltaE_Linf = max pair, D = max |dx| and,
     given K = ``coupling``, F_const_max = max K/2 |dx|^2 + dx.du + beta/2 |du|^2
-    (else NaN).  The pairs come in ``pair_blocks``' upper-triangle row blocks,
-    with coordinates summed even ones first, so the maxima are bitwise those
-    of the dense N x N x d forms; deltaE_L2 is m @ (pair @ m) from ``add_block``.
+    (else NaN).  In each of ``block_views``' row blocks, every coordinate's dx
+    and du is one GEMM of ``differences``, summed as squares into sx and su
+    (and as products into xu) in ``even_first`` order, so the maxima are bitwise
+    those of the dense N x N x d forms; deltaE_L2 is m @ (pair @ m) from ``add_block``.
     """
     if a < 0.0:
         raise ValueError(f"fluctuation weight a must be nonnegative, got {a}")
     cross = coupling is not None
     x, u, m = ens.x, ens.u, ens.m
-    d = x.shape[1]
+    diff_x, diff_u = differences(x), differences(u)
     sums = np.zeros(len(m))
     linf = d_sq = f_max = -np.inf
-    for lo, hi, sx, (su, du, tx, xu), diffs in pair_blocks(x, m, spares=4):
-        for k in (*range(0, d, 2), *range(1, d, 2)):
-            uk = np.subtract(u[lo:hi, k, None], u[None, lo:, k], out=du if k else su)
+    for lo, hi, (sx, su, xu, dx, du) in block_views(len(m), m, 5):
+        for k in even_first(x.shape[1]):
+            xk, uk = diff_x(k, lo, hi, dx if k else sx), diff_u(k, lo, hi, du if k else su)
             if cross:
-                xk = np.multiply(np.matmul(*diffs[k], out=tx), uk, out=tx if k else xu)
                 if k:
-                    xu += xk
+                    xu += xk * uk  # all five views are live here, so the product takes a temporary
+                else:
+                    np.multiply(xk, uk, out=xu)
+            np.multiply(xk, xk, out=xk)
             np.multiply(uk, uk, out=uk)
             if k:
+                sx += xk
                 su += uk
         d_sq = max(d_sq, sx.max())
         pair = np.add(np.multiply(sx, a, out=du), su, out=du) if a != 0.0 else su
         linf = max(linf, pair.max())
         add_block(sums, pair, m, lo, hi)
         if cross:
-            np.add(np.multiply(sx, 0.5 * coupling, out=tx), xu, out=tx)
-            f_max = max(f_max, np.add(tx, np.multiply(su, 0.5 * beta, out=su), out=tx).max())
+            np.add(np.multiply(sx, 0.5 * coupling, out=dx), xu, out=dx)
+            f_max = max(f_max, np.add(dx, np.multiply(su, 0.5 * beta, out=su), out=dx).max())
     return float(m @ sums), float(linf), float(math.sqrt(d_sq)), float(f_max) if cross else math.nan
 
 

@@ -13,14 +13,15 @@ average.  The vanishing i = j term is kept in the sums (it contributes
 exactly zero).
 
 The pairwise sums, and the frame functionals of ``diagnostics.pair_scan``,
-visit each pair i <= j once: ``pair_blocks`` builds the squared distances of
-a row block against the columns from its first row on, in one pool of flat
-buffers per process, the kernel (or the frame's pair value) is evaluated
-there once, and ``add_block`` adds the block's BLAS product with [m, m*u]
-(or m) to its rows and its transpose's to the rows below.  No N x N array
-is built, and every product stays on one OpenBLAS thread, so runs give the
-same bytes whatever OPENBLAS_NUM_THREADS is (a test compares 1 and 2
-threads at the config cap N = 2048).
+visit each pair i <= j once, in row blocks against the columns from their
+first row on: ``block_views`` lends every pass its views of one buffer pool
+per process, ``differences`` writes a block's coordinate differences as
+rank-2 GEMMs, ``pair_blocks`` sums their squares, where the kernel is
+evaluated once, and ``add_block`` adds the block's BLAS product with
+[m, m*u] (or m) to its rows and its transpose's to the rows below.  No
+N x N array is built, and every product stays on one OpenBLAS thread, so
+runs give the same bytes whatever OPENBLAS_NUM_THREADS is (a test compares
+1 and 2 threads at the config cap N = 2048).
 
 ``Ensemble`` is the one state record of every solver mode: particles
 carry (x, u), 1D characteristics add the threshold variable e and the
@@ -186,7 +187,7 @@ class Means:
     u_c: np.ndarray
 
 
-# pair_blocks' flat (rows, N) buffers, grown to the largest count and N seen (runs are
+# block_views' pool of flat (rows, N) buffers, grown to the largest count and N seen (runs are
 # sequential and sweeps use processes); flat, so a block's layout depends on N alone
 _block_buffers = (np.empty(0), np.empty(0))
 
@@ -200,34 +201,52 @@ def product_rows(b: np.ndarray) -> int:
     return max(1, (2**19 if b.ndim > 1 else 2**18) // b.size)
 
 
-def pair_blocks(x: np.ndarray, b: np.ndarray, spares: int = 1):
-    """Upper-triangle row blocks (lo, hi, r_sq, spare, diffs) of the pair matrices, for sums against b.
+def block_views(n: int, b: np.ndarray, count: int):
+    """Upper-triangle row blocks (lo, hi, views) of N x N pair matrices, for sums against b.
 
-    r_sq[i - lo, j - lo] = |x_i - x_j|^2 for i in [lo, hi), j in [lo, N), its coordinates summed even
-    ones first (numpy einsum's order up to d = 3), and spare is a list of ``spares`` >= 1 free arrays
-    of its shape, all overwritten by the next block; ``np.matmul(*diffs[k], out=...)`` gives
-    (x_i - x_j)_k as the GEMM x_i * 1 + (-1) * x_j, the subtraction bit for bit.  Blocks of
-    min(128, product_rows(b)) rows keep each product of ``add_block`` on one BLAS thread.
+    Blocks of min(128, product_rows(b)) rows keep each product of ``add_block`` on one BLAS thread; views
+    are ``count`` (hi - lo, N - lo) arrays of the shared pool, which the next block overwrites.
     """
     global _block_buffers
-    n, d = x.shape
     rows = min(128, product_rows(b))
-    if len(_block_buffers) <= spares or _block_buffers[0].size < rows * n:
+    if len(_block_buffers) < count or _block_buffers[0].size < rows * n:
         size = max(rows * n, _block_buffers[0].size)
-        _block_buffers = tuple(np.empty(size) for _ in range(max(1 + spares, len(_block_buffers))))
-    left, right = np.empty((d, n, 2)), np.ones((d, 2, n))  # left[k] = [x_k, -1], right[k] = [1; x_k^T]
-    left[:, :, 0], left[:, :, 1], right[:, 1] = x.T, -1.0, x.T
+        _block_buffers = tuple(np.empty(size) for _ in range(max(count, len(_block_buffers))))
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         size = (hi - lo) * (n - lo)
-        r_sq, *spare = (buf[:size].reshape(hi - lo, n - lo) for buf in _block_buffers[: 1 + spares])
-        diffs = [(left[k, lo:hi], right[k, :, lo:]) for k in range(d)]
-        for k in (*range(0, d, 2), *range(1, d, 2)):
-            dk = np.matmul(*diffs[k], out=spare[0] if k else r_sq)
+        yield lo, hi, [buf[:size].reshape(hi - lo, n - lo) for buf in _block_buffers[:count]]
+
+
+def differences(v: np.ndarray):
+    """diff(k, lo, hi, out) writes (v_i - v_j)_k for i in [lo, hi), j in [lo, N) into out.
+
+    Each is the rank-2 GEMM [v_k, -1] @ [1; v_k^T]: a subtraction's bits at a quarter of a broadcast's cost.
+    """
+    left, right = np.empty((v.shape[1], len(v), 2)), np.ones((v.shape[1], 2, len(v)))
+    left[:, :, 0], left[:, :, 1], right[:, 1] = v.T, -1.0, v.T
+    return lambda k, lo, hi, out: np.matmul(left[k, lo:hi], right[k, :, lo:], out=out)
+
+
+def even_first(d: int) -> tuple:
+    """Coordinates 0..d-1, even ones first: numpy einsum's summation order up to d = 3."""
+    return (*range(0, d, 2), *range(1, d, 2))
+
+
+def pair_blocks(x: np.ndarray, b: np.ndarray):
+    """``block_views``' blocks as (lo, hi, r_sq, spare, diff), for sums against b.
+
+    r_sq[i - lo, j - lo] = |x_i - x_j|^2, its coordinates summed in ``even_first`` order, spare is
+    the pool's second view, and diff is ``differences(x)``.
+    """
+    diff = differences(x)
+    for lo, hi, (r_sq, spare) in block_views(len(x), b, 2):
+        for k in even_first(x.shape[1]):
+            dk = diff(k, lo, hi, spare if k else r_sq)
             np.multiply(dk, dk, out=dk)
             if k:
                 r_sq += dk
-        yield lo, hi, r_sq, spare, diffs
+        yield lo, hi, r_sq, spare, diff
 
 
 def add_block(out: np.ndarray, w: np.ndarray, b: np.ndarray, lo: int, hi: int, sign: float = 1.0):

@@ -79,12 +79,13 @@ def _pair_terms_2d(x, u, m, kernel):
     """
     b = np.column_stack((m, m[:, None] * u))
     sums = np.zeros((3, *b.shape))
-    for lo, hi, r_sq, (spare,), diffs in pair_blocks(x, b):
-        phi = kernel_eval_sq(kernel, r_sq, out=spare)
-        slope = kernel_slope_over_r_sq(kernel, r_sq, phi, out=r_sq)
+    for lo, hi, r_sq, spare, diff in pair_blocks(x, b):
+        q = np.add(r_sq, 1.0, out=r_sq)  # 1 + r^2, which the power law reads twice
+        phi = kernel_eval_sq(kernel, q, out=spare, shifted=True)
+        slope = kernel_slope_over_r_sq(kernel, q, phi, out=q, shifted=True)
         add_block(sums[0], phi, b, lo, hi)
         for l in range(2):
-            weights = np.multiply(np.matmul(*diffs[l], out=spare), slope, out=spare)
+            weights = np.multiply(diff(l, lo, hi, spare), slope, out=spare)
             add_block(sums[1 + l], weights, b, lo, hi, sign=-1.0)
     force, phi_conv = alignment_sums(sums[0], u)
     return force, phi_conv, np.stack([alignment_sums(s, u)[0] for s in sums[1:]], axis=-1)

@@ -42,10 +42,10 @@ class PowerLawKernel:
     beta: float
 
     def __post_init__(self):
-        if not self.c0 > 0.0:
-            raise ValueError(f"power-law kernel needs c0 > 0, got {self.c0}")
-        if self.beta < 0.0:
-            raise ValueError(f"power-law kernel needs beta >= 0, got {self.beta}")
+        if not 0.0 < self.c0 < np.inf:
+            raise ValueError(f"power-law kernel needs a finite c0 > 0, got {self.c0}")
+        if not 0.0 <= self.beta < np.inf:
+            raise ValueError(f"power-law kernel needs a finite beta >= 0, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,8 @@ class ConstantKernel:
     value: float
 
     def __post_init__(self):
-        if not self.value > 0.0:
-            raise ValueError(f"constant kernel needs a positive value, got {self.value}")
+        if not 0.0 < self.value < np.inf:
+            raise ValueError(f"constant kernel needs a finite positive value, got {self.value}")
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,8 @@ class FloorClippedKernel:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError(f"floor-clipped kernel needs alpha > 0, got {self.alpha}")
+        if not 0.0 < self.alpha < np.inf:
+            raise ValueError(f"floor-clipped kernel needs a finite alpha > 0, got {self.alpha}")
         if isinstance(self.inner, FloorClippedKernel):
             merged = max(self.alpha, self.inner.alpha)
             object.__setattr__(self, "alpha", merged)
@@ -88,11 +88,12 @@ def kernel_eval(kernel: Kernel, r):
     return kernel_eval_sq(kernel, r * r)
 
 
-def kernel_eval_sq(kernel: Kernel, r_sq, out=None):
+def kernel_eval_sq(kernel: Kernel, r_sq, out=None, shifted=False):
     """Evaluate phi from the squared radius.
 
     All families depend on r only through r^2, so the pairwise force loops
-    never need a square root.  ``out`` may alias ``r_sq``.
+    never need a square root.  ``out`` may alias ``r_sq``.  With ``shifted``,
+    r_sq holds 1 + r^2 already, the power law's argument.
     """
     r_sq = np.asarray(r_sq, dtype=float)
     if out is None:
@@ -101,42 +102,43 @@ def kernel_eval_sq(kernel: Kernel, r_sq, out=None):
         out[...] = kernel.value
         return out
     if isinstance(kernel, PowerLawKernel):
-        np.add(r_sq, 1.0, out=out)
+        q = r_sq if shifted else np.add(r_sq, 1.0, out=out)
         # scalar/array ufunc forms with explicit out avoid a slow numpy
         # dispatch path for the expression c0 / (1 + r^2)
         if kernel.beta == 1.0:
-            np.divide(kernel.c0, out, out=out)
+            np.divide(kernel.c0, q, out=out)
         elif kernel.beta == 0.5:
-            np.sqrt(out, out=out)
+            np.sqrt(q, out=out)
             np.divide(kernel.c0, out, out=out)
         else:
-            np.power(out, -kernel.beta, out=out)
+            np.power(q, -kernel.beta, out=out)
             np.multiply(out, kernel.c0, out=out)
         return out
     if isinstance(kernel, FloorClippedKernel):
-        return np.maximum(kernel_eval_sq(kernel.inner, r_sq, out=out), kernel.alpha, out=out)
+        return np.maximum(kernel_eval_sq(kernel.inner, r_sq, out, shifted), kernel.alpha, out=out)
     raise TypeError(f"unknown kernel {kernel!r}")
 
 
-def kernel_slope_over_r_sq(kernel: Kernel, r_sq, phi=None, out=None):
+def kernel_slope_over_r_sq(kernel: Kernel, r_sq, phi=None, out=None, shifted=False):
     """Return phi'(r) / r as a function of the squared radius.
 
     This is the radial factor of the kernel gradient,
     grad phi(z) = (phi'(|z|) / |z|) * z, which is smooth through z = 0
     for every supported family (phi'(0) = 0).  Used by the 2D velocity
     gradient forcing.  ``phi`` may give phi(r), and ``out`` may alias ``r_sq`` (not ``phi``).
+    ``shifted`` is ``kernel_eval_sq``'s.
     """
     r_sq = np.asarray(r_sq, dtype=float)
     if isinstance(kernel, ConstantKernel):
         return np.multiply(r_sq, 0.0, out=out)  # r^2 >= 0, so +0.0
     if phi is None:
-        phi = kernel_eval_sq(kernel, r_sq)
+        phi = kernel_eval_sq(kernel, r_sq, shifted=shifted)
     if isinstance(kernel, PowerLawKernel):
         # phi'(r)/r = -2 c0 beta (1 + r^2)^(-beta - 1) = -2 beta phi / (1 + r^2)
-        slope = np.divide(phi, np.add(r_sq, 1.0, out=out), out=out)
+        slope = np.divide(phi, r_sq if shifted else np.add(r_sq, 1.0, out=out), out=out)
         return np.multiply(slope, -2.0 * kernel.beta, out=out)
     if isinstance(kernel, FloorClippedKernel):  # flat where phi = alpha, the inner slope where phi > alpha
-        out = np.asarray(kernel_slope_over_r_sq(kernel.inner, r_sq, phi, out=out))
+        out = np.asarray(kernel_slope_over_r_sq(kernel.inner, r_sq, phi, out, shifted))
         np.copyto(out, 0.0, where=phi <= kernel.alpha)
         return out
     raise TypeError(f"unknown kernel {kernel!r}")

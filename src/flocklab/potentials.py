@@ -36,8 +36,8 @@ class QuadraticPotential:
     a: float
 
     def __post_init__(self):
-        if not self.a > 0.0:
-            raise ValueError(f"quadratic potential needs a > 0, got {self.a}")
+        if not 0.0 < self.a < np.inf:
+            raise ValueError(f"quadratic potential needs a finite a > 0, got {self.a}")
 
 
 @dataclass(frozen=True)
@@ -47,12 +47,12 @@ class PerturbedQuadraticPotential:
     kappa: float
 
     def __post_init__(self):
-        if not self.a > 0.0:
-            raise ValueError(f"perturbed quadratic needs a > 0, got {self.a}")
+        if not 0.0 < self.a < np.inf:
+            raise ValueError(f"perturbed quadratic needs a finite a > 0, got {self.a}")
         if not 0.0 <= self.eps < self.a:
             raise ValueError(f"perturbed quadratic needs 0 <= eps < a, got eps={self.eps}")
-        if not self.kappa > 0.0:
-            raise ValueError(f"perturbed quadratic needs kappa > 0, got {self.kappa}")
+        if not 0.0 < self.kappa < np.inf:
+            raise ValueError(f"perturbed quadratic needs a finite kappa > 0, got {self.kappa}")
 
 
 @dataclass(frozen=True)

@@ -36,13 +36,21 @@ from flocklab.dynamics import (
     Ensemble,
     advance_rk4,
     alignment_force,
+    add_block,
     alignment_sums,
     conv_phi,
     kernel_sums,
+    product_rows,
 )
 from flocklab.hydro1d import e_upper_bound, smooth_lower_root
-from flocklab.hydro2d import _pair_terms_2d
-from flocklab.kernels import ConstantKernel, FloorClippedKernel, PowerLawKernel, kernel_eval, kernel_eval_sq
+from flocklab.kernels import (
+    ConstantKernel,
+    FloorClippedKernel,
+    PowerLawKernel,
+    kernel_eval,
+    kernel_eval_sq,
+    kernel_slope_over_r_sq,
+)
 from flocklab.potentials import (
     PerturbedQuadraticPotential,
     QuadraticPotential,
@@ -183,6 +191,100 @@ def dense_gradient_forcing(x, u, m, kernel):
     return np.stack([_dense_alignment(slope * dx[:, :, l], u, m)[0] for l in range(x.shape[1])], axis=-1)
 
 
+# The blocked pair passes as they were before ``dynamics.differences`` gave each block its x and u
+# differences, each from one rank-2 GEMM computed once.  The bodies are verbatim and keep their own
+# block pool; ``pair_scan`` and ``_pair_terms_2d`` are held to them bit for bit.
+
+_block_buffers = (np.empty(0), np.empty(0))
+
+
+def reference_pair_blocks(x: np.ndarray, b: np.ndarray, spares: int = 1):
+    """Upper-triangle row blocks (lo, hi, r_sq, spare, diffs) of the pair matrices, for sums against b.
+
+    r_sq[i - lo, j - lo] = |x_i - x_j|^2 for i in [lo, hi), j in [lo, N), its coordinates summed even
+    ones first (numpy einsum's order up to d = 3), and spare is a list of ``spares`` >= 1 free arrays
+    of its shape, all overwritten by the next block; ``np.matmul(*diffs[k], out=...)`` gives
+    (x_i - x_j)_k as the GEMM x_i * 1 + (-1) * x_j, the subtraction bit for bit.  Blocks of
+    min(128, product_rows(b)) rows keep each product of ``add_block`` on one BLAS thread.
+    """
+    global _block_buffers
+    n, d = x.shape
+    rows = min(128, product_rows(b))
+    if len(_block_buffers) <= spares or _block_buffers[0].size < rows * n:
+        size = max(rows * n, _block_buffers[0].size)
+        _block_buffers = tuple(np.empty(size) for _ in range(max(1 + spares, len(_block_buffers))))
+    left, right = np.empty((d, n, 2)), np.ones((d, 2, n))  # left[k] = [x_k, -1], right[k] = [1; x_k^T]
+    left[:, :, 0], left[:, :, 1], right[:, 1] = x.T, -1.0, x.T
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        size = (hi - lo) * (n - lo)
+        r_sq, *spare = (buf[:size].reshape(hi - lo, n - lo) for buf in _block_buffers[: 1 + spares])
+        diffs = [(left[k, lo:hi], right[k, :, lo:]) for k in range(d)]
+        for k in (*range(0, d, 2), *range(1, d, 2)):
+            dk = np.matmul(*diffs[k], out=spare[0] if k else r_sq)
+            np.multiply(dk, dk, out=dk)
+            if k:
+                r_sq += dk
+        yield lo, hi, r_sq, spare, diffs
+
+
+def reference_pair_scan(
+    ens: Ensemble, a: float, coupling: Optional[float] = None, beta: Optional[float] = None
+):
+    """(deltaE_L2, deltaE_Linf, D, F_const_max) of a state from one pass over its pairs i <= j.
+
+    With dx = x_i - x_j, du = u_i - u_j and pair = |du|^2 + a |dx|^2:
+    deltaE_L2 = sum_ij m_i m_j pair, deltaE_Linf = max pair, D = max |dx| and,
+    given K = ``coupling``, F_const_max = max K/2 |dx|^2 + dx.du + beta/2 |du|^2
+    (else NaN).  The pairs come in ``pair_blocks``' upper-triangle row blocks,
+    with coordinates summed even ones first, so the maxima are bitwise those
+    of the dense N x N x d forms; deltaE_L2 is m @ (pair @ m) from ``add_block``.
+    """
+    if a < 0.0:
+        raise ValueError(f"fluctuation weight a must be nonnegative, got {a}")
+    cross = coupling is not None
+    x, u, m = ens.x, ens.u, ens.m
+    d = x.shape[1]
+    sums = np.zeros(len(m))
+    linf = d_sq = f_max = -np.inf
+    for lo, hi, sx, (su, du, tx, xu), diffs in reference_pair_blocks(x, m, spares=4):
+        for k in (*range(0, d, 2), *range(1, d, 2)):
+            uk = np.subtract(u[lo:hi, k, None], u[None, lo:, k], out=du if k else su)
+            if cross:
+                xk = np.multiply(np.matmul(*diffs[k], out=tx), uk, out=tx if k else xu)
+                if k:
+                    xu += xk
+            np.multiply(uk, uk, out=uk)
+            if k:
+                su += uk
+        d_sq = max(d_sq, sx.max())
+        pair = np.add(np.multiply(sx, a, out=du), su, out=du) if a != 0.0 else su
+        linf = max(linf, pair.max())
+        add_block(sums, pair, m, lo, hi)
+        if cross:
+            np.add(np.multiply(sx, 0.5 * coupling, out=tx), xu, out=tx)
+            f_max = max(f_max, np.add(tx, np.multiply(su, 0.5 * beta, out=su), out=tx).max())
+    return float(m @ sums), float(linf), float(math.sqrt(d_sq)), float(f_max) if cross else math.nan
+
+
+def reference_pair_terms_2d(x, u, m, kernel):
+    """Alignment force, phi*rho and gradient forcing R from one pass over the pairs i <= j.
+
+    R[:, :, l] is the alignment form with the antisymmetric weights (phi'(r)/r) (x_i - x_j)_l.
+    """
+    b = np.column_stack((m, m[:, None] * u))
+    sums = np.zeros((3, *b.shape))
+    for lo, hi, r_sq, (spare,), diffs in reference_pair_blocks(x, b):
+        phi = kernel_eval_sq(kernel, r_sq, out=spare)
+        slope = kernel_slope_over_r_sq(kernel, r_sq, phi, out=r_sq)
+        add_block(sums[0], phi, b, lo, hi)
+        for l in range(2):
+            weights = np.multiply(np.matmul(*diffs[l], out=spare), slope, out=spare)
+            add_block(sums[1 + l], weights, b, lo, hi, sign=-1.0)
+    force, phi_conv = alignment_sums(sums[0], u)
+    return force, phi_conv, np.stack([alignment_sums(s, u)[0] for s in sums[1:]], axis=-1)
+
+
 def reference_rk4(state, f, dt):
     """One classical RK4 step of the arrays in ``state.evolved()``, ``f(*arrays)`` returning their derivatives.
 
@@ -240,7 +342,7 @@ def reference_rhs_2d(m, kernel, potential):
         if isinstance(kernel, ConstantKernel):
             force, phi_conv = alignment_force(x, u, m, kernel)
         else:
-            force, phi_conv, forcing = _pair_terms_2d(x, u, m, kernel)
+            force, phi_conv, forcing = reference_pair_terms_2d(x, u, m, kernel)
         g00, g01, g10, g11 = grad_u[:, 0, 0], grad_u[:, 0, 1], grad_u[:, 1, 0], grad_u[:, 1, 1]
         square = [g00 * g00 + g01 * g10, g00 * g01 + g01 * g11, g10 * g00 + g11 * g10, g10 * g01 + g11 * g11]
         d_grad = -np.stack(square, axis=-1).reshape(grad_u.shape)
@@ -309,7 +411,7 @@ def stage_rhs_arrays_2d(x, u, grad_u, m, kernel, potential, out):
     if isinstance(kernel, ConstantKernel):
         force, phi_conv = stage_alignment_force(x, u, m, kernel)
     else:
-        force, phi_conv, forcing = _pair_terms_2d(x, u, m, kernel)
+        force, phi_conv, forcing = reference_pair_terms_2d(x, u, m, kernel)
     dx[...] = u
     np.subtract(force, stage_grad_at(potential, x), out=du)
     for i in range(2):

@@ -19,7 +19,12 @@ from flocklab.diagnostics import (
 )
 from flocklab.dynamics import Ensemble, recenter
 from flocklab.potentials import QuadraticPotential, ZeroPotential
-from oracles import dense_fluctuations, dense_pair_functional_f, dense_particle_energy_support
+from oracles import (
+    dense_fluctuations,
+    dense_pair_functional_f,
+    dense_particle_energy_support,
+    reference_pair_scan,
+)
 
 
 def _pair():
@@ -213,6 +218,42 @@ def test_pair_scan_at_the_consensus_floor():
     _assert_mass_sum(scan[0], l2, n)
     assert _bits(scan[3]) == _bits(dense_pair_functional_f(ens, 2.0, 1.0))
 
+
+
+def _consensus_floor_states():
+    # the data of test_pair_scan_at_the_consensus_floor: identical agents, then velocities one ulp apart
+    rng = np.random.default_rng(3)
+    n = 130
+    m = rng.uniform(0.1, 1.0, n)
+    x = np.tile([0.25, -1.5], (n, 1))
+    u = np.tile([1.7, -0.3], (n, 1))
+    yield Ensemble(x=x, u=u, m=m)
+    u = u.copy()
+    u[rng.permutation(n)[: n // 3], 0] = np.nextafter(1.7, 2.0)
+    yield Ensemble(x=x, u=u, m=m)
+
+
+def _scan_states():
+    for n in (1, 2, 63, 64, 65, 129, 130, 700):
+        rng = np.random.default_rng(n)
+        for d in (1, 2, 3):
+            yield Ensemble(
+                x=rng.normal(0.0, 2.0, (n, d)),
+                u=rng.normal(0.3, 10.0 ** rng.uniform(-6, 1), (n, d)),
+                m=rng.uniform(0.1, 1.0, n),
+            )
+    yield from _consensus_floor_states()
+
+
+def test_pair_scan_keeps_the_bits_of_the_subtraction_scan():
+    # every difference from one GEMM against the scan that subtracted the velocities and took each
+    # position difference twice: all four outputs bit for bit, deltaE_L2 and the sign of zero included,
+    # since a reordered sum would pass the dense-form test's summation bound yet move the preset bytes
+    for ens in _scan_states():
+        for a in (0.0, 0.8):
+            for cross in ((), (1.7, 0.9), (2.0, 1.0)):
+                want = reference_pair_scan(ens, a, *cross)
+                assert _bits(*pair_scan(ens, a, *cross)) == _bits(*want), (ens.n, ens.x.shape[1], a, cross)
 
 def test_pair_scan_builds_no_pair_matrix(monkeypatch):
     n = 700

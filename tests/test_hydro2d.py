@@ -17,8 +17,15 @@ from flocklab.hydro2d import (
     step_2d,
 )
 from flocklab.hydro2d import _pair_terms_2d
-from flocklab.kernels import ConstantKernel, PowerLawKernel, kernel_eval, kernel_slope_over_r_sq
+from flocklab.kernels import (
+    ConstantKernel,
+    FloorClippedKernel,
+    PowerLawKernel,
+    kernel_eval,
+    kernel_slope_over_r_sq,
+)
 from flocklab.potentials import QuadraticPotential
+from oracles import reference_pair_terms_2d
 
 
 # --- spectral scalars ---
@@ -129,6 +136,19 @@ def test_gradient_forcing_matches_brute_force():
     _, _, d_grad = rhs_2d(state, kernel, QuadraticPotential(a))
     assert np.allclose(d_grad, expect, rtol=1e-12, atol=1e-14)
 
+
+
+@pytest.mark.parametrize("n", [1, 2, 129, 256])
+def test_pair_terms_keep_the_bits_of_the_two_pass_form(n):
+    # 1 + r^2 formed once per block against the pass that formed it in kernel_eval_sq and again in
+    # kernel_slope_over_r_sq: force, phi*rho and R bit for bit
+    rng = np.random.default_rng(n)
+    x, u, m = rng.normal(0.0, 2.0, (n, 2)), rng.normal(size=(n, 2)), rng.uniform(0.1, 1.0, n)
+    kernels = [PowerLawKernel(1.3, beta) for beta in (0.5, 1.0, 0.7)]
+    kernels += [FloorClippedKernel(k, 0.2) for k in kernels] + [FloorClippedKernel(ConstantKernel(0.4), 0.2)]
+    for kernel in kernels:
+        got, want = _pair_terms_2d(x, u, m, kernel), reference_pair_terms_2d(x, u, m, kernel)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], kernel
 
 def test_gradient_forcing_zero_for_aligned_velocities():
     rng = np.random.default_rng(10)

@@ -47,6 +47,26 @@ def test_constructor_validation():
         FloorClippedKernel(ConstantKernel(1.0), alpha=0.0)
 
 
+
+_NON_FINITE = (float("nan"), float("inf"), -float("inf"))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: PowerLawKernel(v, 1.0),
+        lambda v: PowerLawKernel(1.0, v),
+        ConstantKernel,
+        lambda v: FloorClippedKernel(PowerLawKernel(1.0, 1.0), v),
+    ],
+    ids=["power_law.c0", "power_law.beta", "constant.value", "floor_clipped.alpha"],
+)
+@pytest.mark.parametrize("value", _NON_FINITE, ids=repr)
+def test_constructors_reject_non_finite_parameters(build, value):
+    # a NaN beta once built a kernel whose bounds were (1.0, nan) and whose first step read as a blow-up
+    with pytest.raises(ValueError, match="finite"):
+        build(value)
+
 def test_nested_floor_flattens():
     inner = PowerLawKernel(1.0, 1.0)
     nested = FloorClippedKernel(FloorClippedKernel(inner, 0.2), 0.1)

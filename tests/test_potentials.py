@@ -53,6 +53,22 @@ def test_perturbed_validation():
         PerturbedQuadraticPotential(1.0, 0.5, 0.0)
 
 
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        QuadraticPotential,
+        lambda v: PerturbedQuadraticPotential(v, 0.1, 1.0),
+        lambda v: PerturbedQuadraticPotential(1.0, v, 1.0),
+        lambda v: PerturbedQuadraticPotential(1.0, 0.1, v),
+    ],
+    ids=["quadratic.a", "perturbed.a", "perturbed.eps", "perturbed.kappa"],
+)
+@pytest.mark.parametrize("value", (float("nan"), float("inf"), -float("inf")), ids=repr)
+def test_constructors_reject_non_finite_parameters(build, value):
+    with pytest.raises(ValueError):
+        build(value)
+
 def test_convexity_bounds():
     assert convexity_bounds(QuadraticPotential(2.0)) == (2.0, 2.0)
     assert convexity_bounds(PerturbedQuadraticPotential(1.25, 0.25, 1.0)) == (1.0, 1.5)
