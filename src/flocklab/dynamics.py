@@ -16,9 +16,11 @@ The pairwise sums, and the frame functionals of ``diagnostics.pair_scan``,
 visit each pair i <= j once, in row blocks against the columns from their
 first row on: ``block_views`` lends every pass its views of one buffer pool
 per process, ``differences`` writes a block's coordinate differences as
-rank-2 GEMMs, ``pair_blocks`` sums their squares, where the kernel is
+rank-2 GEMMs, a ``PairPlan`` sums their squares, where the kernel is
 evaluated once, and ``add_block`` adds the block's BLAS product with
-[m, m*u] (or m) to its rows and its transpose's to the rows below.  No
+[m, m*u] (or m) to its rows and its transpose's to the rows below.  The
+plan holds a pass's buffers (the stacked [m, m*u], the GEMM factors, the
+outputs and the pool's views), so a right-hand side lays them out once.  No
 N x N array is built, and every product stays on one OpenBLAS thread, so
 runs give the same bytes whatever OPENBLAS_NUM_THREADS is (a test compares
 1 and 2 threads at the config cap N = 2048).
@@ -34,13 +36,14 @@ flat vector.  The mode's right-hand side writes each derivative into views
 of a stage buffer, and each stage is two in-place operations on flat
 vectors.  Each mode builds its right-hand side for a step from the masses,
 kernel and potential (``_step_rhs_u`` here, ``_step_rhs_1d``,
-``_step_rhs_2d``): the kernel's and potential's branches and the
-constants (total mass, phi*rho of a constant kernel, a constant Hessian)
-are decided there, so the four stages of a constant-kernel step run only
-arithmetic.  The buffers (``_Scratch``) are made with an Ensemble and
-passed on to the states stepped from it, with the last right-hand side
-built, which a step reuses while it gets the same masses, kernel and
-potential objects; a step allocates only the new state's vector.  The new vector
+``_step_rhs_2d``): the kernel's and potential's branches, the constants
+(total mass, phi*rho of a constant kernel, a constant Hessian) and a
+decaying kernel's ``PairPlan`` are decided there, so the four stages of a
+constant-kernel step run only arithmetic.  The buffers (``_Scratch``) are
+made with an Ensemble and passed on to the states stepped from it, with the
+last right-hand side built and its plan, which a step reuses while it gets
+the same masses, kernel and potential objects; a step allocates only the
+new state's vector and the pass's small temporaries.  The new vector
 is screened in one pass against bound vectors: a value that turns
 non-finite or leaves its cap (STATE_CAP, E_BLOWUP_CAP for e, none for the
 density), or a negative density, raises BlowupSignal with the bracketing
@@ -72,7 +75,7 @@ __all__ = [
     "pairwise_phi_weights",
     "conv_phi",
     "alignment_force",
-    "product_rows", "pair_blocks", "add_block", "kernel_sums", "alignment_sums",
+    "product_rows", "PairPlan", "add_block", "kernel_sums", "alignment_sums",
 ]
 
 # any |x|, |u| or |grad_u| beyond this (or a non-finite value) is treated as blow-up
@@ -107,6 +110,7 @@ class Ensemble:
 
     x and u are (N, d) and m is (N,).  1D characteristics also carry e and
     rho, each (N,), with d = 1; 2D characteristics carry grad_u, (N, 2, 2).
+    m is a read-only copy of the masses, each positive and finite.
     The evolved arrays are C-contiguous views of consecutive segments of
     one float64 vector ``flat``, in the order x, u, e, rho, grad_u.  Write
     into them or build a new Ensemble: assigning another array to one
@@ -127,7 +131,8 @@ class Ensemble:
     def __post_init__(self):
         self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
         self.u = np.atleast_2d(np.asarray(self.u, dtype=float))
-        self.m = np.asarray(self.m, dtype=float)
+        self.m = np.array(self.m, dtype=float)  # a copy: plans and kept right-hand sides read the masses once
+        self.m.flags.writeable = False
         if self.x.shape != self.u.shape or self.x.ndim != 2:
             raise ValueError(f"x and u must both be (N, d), got {self.x.shape} and {self.u.shape}")
         n, d = self.x.shape
@@ -135,8 +140,8 @@ class Ensemble:
             raise ValueError(f"m must be (N,), got {self.m.shape}")
         if n < 1:
             raise ValueError("need at least one agent")
-        if not np.all(self.m > 0.0):
-            raise ValueError("all masses must be positive")
+        if not np.all((self.m > 0.0) & (self.m < np.inf)):
+            raise ValueError("all masses must be positive and finite")
         if (self.e is None) != (self.rho is None):
             raise ValueError("e and rho come together")
         if self.e is not None:
@@ -218,14 +223,22 @@ def block_views(n: int, b: np.ndarray, count: int):
         yield lo, hi, [buf[:size].reshape(hi - lo, n - lo) for buf in _block_buffers[:count]]
 
 
-def differences(v: np.ndarray):
+def differences(v: np.ndarray, factors=None):
     """diff(k, lo, hi, out) writes (v_i - v_j)_k for i in [lo, hi), j in [lo, N) into out.
 
     Each is the rank-2 GEMM [v_k, -1] @ [1; v_k^T]: a subtraction's bits at a quarter of a broadcast's cost.
+    ``factors`` from ``difference_factors`` are written again instead of made anew.
     """
-    left, right = np.empty((v.shape[1], len(v), 2)), np.ones((v.shape[1], 2, len(v)))
-    left[:, :, 0], left[:, :, 1], right[:, 1] = v.T, -1.0, v.T
+    left, right = factors or difference_factors(*v.shape)
+    left[:, :, 0], right[:, 1] = v.T, v.T
     return lambda k, lo, hi, out: np.matmul(left[k, lo:hi], right[k, :, lo:], out=out)
+
+
+def difference_factors(n: int, d: int):
+    """``differences``' factors [v_k, -1] and [1; v_k^T] of N points in dimension d, constants written."""
+    left, right = np.empty((d, n, 2)), np.ones((d, 2, n))
+    left[:, :, 1] = -1.0
+    return left, right
 
 
 def even_first(d: int) -> tuple:
@@ -233,35 +246,62 @@ def even_first(d: int) -> tuple:
     return (*range(0, d, 2), *range(1, d, 2))
 
 
-def pair_blocks(x: np.ndarray, b: np.ndarray):
-    """``block_views``' blocks as (lo, hi, r_sq, spare, diff), for sums against b.
-
-    r_sq[i - lo, j - lo] = |x_i - x_j|^2, its coordinates summed in ``even_first`` order, spare is
-    the pool's second view, and diff is ``differences(x)``.
-    """
-    diff = differences(x)
-    for lo, hi, (r_sq, spare) in block_views(len(x), b, 2):
-        for k in even_first(x.shape[1]):
-            dk = diff(k, lo, hi, spare if k else r_sq)
-            np.multiply(dk, dk, out=dk)
-            if k:
-                r_sq += dk
-        yield lo, hi, r_sq, spare, diff
-
-
 def add_block(out: np.ndarray, w: np.ndarray, b: np.ndarray, lo: int, hi: int, sign: float = 1.0):
-    """Add a ``pair_blocks`` block w = W[lo:hi, lo:] to out = W @ b, for W = sign * W^T (sign 1 or -1)."""
+    """Add a ``PairPlan`` block w = W[lo:hi, lo:] to out = W @ b, for W = sign * W^T (sign 1 or -1)."""
     out[lo:hi] += w @ b[lo:]
     if hi < len(out):
         out[hi:] += sign * (w[:, hi - lo:].T @ b[lo:hi])
 
 
+class PairPlan:
+    """A pass over the pairs i <= j, laid out once and run on every stage of a right-hand side.
+
+    Its ``sums`` outputs sum against b = m (any (N,) or (N, c) array), or [m, m*u] when a stage gives
+    u.  The layout (b with its m column, ``difference_factors``, the outputs, ``block_views``' views)
+    is made again when x's shape changes or another pass regrew the pool.  Each stage zeroes the
+    outputs as a one-shot pass does: a first block written straight in would turn 0.0 + (-0.0) into -0.0.
+    """
+
+    def __init__(self, m: np.ndarray, kernel: Kernel, sums: int = 1):
+        self.m, self.kernel, self.sums, self.pool, self.shape = m, kernel, sums, None, None
+
+    def run(self, x: np.ndarray, u: Optional[np.ndarray] = None):
+        """(b, outputs, blocks) of a stage; blocks yields each row block's (lo, hi, r_sq, spare, diff).
+
+        r_sq = |x_i - x_j|^2 in ``even_first`` order, spare the pool's second view, diff ``differences(x)``.
+        """
+        if self.pool is not _block_buffers or self.shape != x.shape:
+            n, d = self.shape = x.shape
+            self.b = self.m if u is None else np.repeat(self.m[:, None], 1 + d, axis=1)
+            self.factors, self.order = difference_factors(n, d), even_first(d)
+            self.out = np.empty((self.sums, *self.b.shape))
+            self.views = list(block_views(n, self.b, 2))
+            self.pool = _block_buffers
+        if u is not None:
+            np.multiply(self.b[:, :1], u, out=self.b[:, 1:])
+        self.out.fill(0.0)
+        return self.b, self.out, self._blocks(differences(x, self.factors))
+
+    def _blocks(self, diff):
+        for lo, hi, (r_sq, spare) in self.views:
+            for k in self.order:
+                dk = diff(k, lo, hi, spare if k else r_sq)
+                np.multiply(dk, dk, out=dk)
+                if k:
+                    r_sq += dk
+            yield lo, hi, r_sq, spare, diff
+
+    def kernel_sums(self, x: np.ndarray, u: Optional[np.ndarray] = None) -> np.ndarray:
+        """sum_j phi(|x_i - x_j|) b_j, with phi evaluated once per pair i <= j."""
+        b, (out,), blocks = self.run(x, u)
+        for lo, hi, r_sq, _, _ in blocks:
+            add_block(out, kernel_eval_sq(self.kernel, r_sq, out=r_sq), b, lo, hi)
+        return out
+
+
 def kernel_sums(x: np.ndarray, b: np.ndarray, kernel: Kernel) -> np.ndarray:
-    """sum_j phi(|x_i - x_j|) b_j, with phi evaluated once per pair i <= j."""
-    out = np.zeros(b.shape)
-    for lo, hi, r_sq, _, _ in pair_blocks(x, b):
-        add_block(out, kernel_eval_sq(kernel, r_sq, out=r_sq), b, lo, hi)
-    return out
+    """sum_j phi(|x_i - x_j|) b_j, from a one-shot ``PairPlan``."""
+    return PairPlan(b, kernel).kernel_sums(x)
 
 
 def alignment_sums(r: np.ndarray, u: np.ndarray):
@@ -281,18 +321,20 @@ def conv_phi(x: np.ndarray, m: np.ndarray, kernel: Kernel):
     return kernel_sums(x, m, kernel)
 
 
-def alignment_force(x: np.ndarray, u: np.ndarray, m: np.ndarray, kernel: Kernel, m0=None):
+def alignment_force(x: np.ndarray, u: np.ndarray, m: np.ndarray, kernel: Kernel, m0=None, plan=None):
     """Velocity alignment term sum_j m_j phi(|x_i - x_j|)(u_j - u_i).
 
     Returns ``(force, phi_conv)`` so callers that also need the convolution
     sum_j m_j phi_ij do not pay for the pairwise pass twice.  A constant
     kernel collapses to the O(N) form value * (sum_j m_j u_j - m0 u_i), and
     its phi_conv is the scalar value * m0, as in ``conv_phi``; ``m0`` is
-    sum(m), which a caller that evaluates many stages passes once.
+    sum(m), which a caller that evaluates many stages passes once, as it
+    keeps ``plan``, the ``PairPlan(m, kernel)`` a decaying kernel runs (its
+    phi_conv is then a view that the plan's next stage overwrites).
     """
     if isinstance(kernel, ConstantKernel):
         return _constant_alignment(m, kernel.value, m.sum() if m0 is None else m0)(x, u)
-    return alignment_sums(kernel_sums(x, np.column_stack((m, m[:, None] * u)), kernel), u)
+    return alignment_sums((plan or PairPlan(m, kernel)).kernel_sums(x, u), u)
 
 
 def _constant_alignment(m, value, m0):
@@ -307,13 +349,15 @@ def _step_rhs_u(m, kernel, potential):
 
     The kernel, the potential and the constants are decided once, so each
     stage of a constant kernel runs arithmetic only; a decaying kernel's
-    pair pass goes through this module's ``alignment_force``, where the
-    benchmark's tracer times it.  1D characteristics add their (e, rho) part.
+    pair pass is a ``PairPlan`` laid out once, which each stage runs through
+    this module's ``alignment_force``, where the benchmark's tracer times it.
+    1D characteristics add their (e, rho) part.
     """
     if isinstance(kernel, ConstantKernel):
         align = _constant_alignment(m, kernel.value, m.sum())
     else:
-        align = lambda x, u: alignment_force(x, u, m, kernel)  # noqa: E731
+        plan = PairPlan(m, kernel)
+        align = lambda x, u: alignment_force(x, u, m, kernel, plan=plan)  # noqa: E731
     grad = gradient(potential)
 
     def f(x, u, dx, du):

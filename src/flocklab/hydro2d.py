@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from . import constants as _constants
-from .dynamics import Ensemble, add_block, advance_rk4, alignment_force, alignment_sums, pair_blocks
+from .dynamics import Ensemble, PairPlan, add_block, advance_rk4, alignment_force, alignment_sums
 from .hydro1d import BumpDensity, ThresholdReport, VelocityProfile, midpoint_quadrature
 from .kernels import ConstantKernel, Kernel, kernel_eval_sq, kernel_slope_over_r_sq
 from .potentials import Potential, convexity_bounds, grad_at, hess_diag_at
@@ -72,14 +72,14 @@ def init_characteristics_2d(
     return Ensemble(x=x, u=velocity.value(x), m=m, grad_u=velocity.jacobian(x))
 
 
-def _pair_terms_2d(x, u, m, kernel):
+def _pair_terms_2d(x, u, m, kernel, plan=None):
     """Alignment force, phi*rho and gradient forcing R from one pass over the pairs i <= j.
 
     R[:, :, l] is the alignment form with the antisymmetric weights (phi'(r)/r) (x_i - x_j)_l.
+    The pass runs ``plan``, a kept ``PairPlan(m, kernel, 3)``, or a one-shot plan.
     """
-    b = np.column_stack((m, m[:, None] * u))
-    sums = np.zeros((3, *b.shape))
-    for lo, hi, r_sq, spare, diff in pair_blocks(x, b):
+    b, sums, blocks = (plan or PairPlan(m, kernel, 3)).run(x, u)
+    for lo, hi, r_sq, spare, diff in blocks:
         q = np.add(r_sq, 1.0, out=r_sq)  # 1 + r^2, which the power law reads twice
         phi = kernel_eval_sq(kernel, q, out=spare, shifted=True)
         slope = kernel_slope_over_r_sq(kernel, q, phi, out=q, shifted=True)
@@ -94,13 +94,15 @@ def _pair_terms_2d(x, u, m, kernel):
 def _step_rhs_2d(m, kernel, potential):
     """The right-hand side f(x, u, grad_u, dx, du, dgrad_u) of one step along the characteristics.
 
-    The kernel's branch, the total mass and a constant Hessian are decided
-    once per step.  The stages call ``alignment_force`` and ``grad_at``
-    through this module's globals, which the benchmark's tracer rebinds;
-    beside the 2x2 products, what they dispatch costs little.
+    The kernel's branch, the total mass, a decaying kernel's ``PairPlan`` and
+    a constant Hessian are decided once per step.  The stages call
+    ``alignment_force`` and ``grad_at`` through this module's globals, which
+    the benchmark's tracer rebinds; beside the 2x2 products, what they
+    dispatch costs little.
     """
     constant = isinstance(kernel, ConstantKernel)
     m0 = m.sum() if constant else None
+    plan = None if constant else PairPlan(m, kernel, 3)
     a_lo, a_hi = convexity_bounds(potential)
     hess = np.array(a_lo) if a_lo == a_hi else None
 
@@ -108,7 +110,7 @@ def _step_rhs_2d(m, kernel, potential):
         if constant:
             force, phi_conv = alignment_force(x, u, m, kernel, m0)
         else:
-            force, phi_conv, forcing = _pair_terms_2d(x, u, m, kernel)
+            force, phi_conv, forcing = _pair_terms_2d(x, u, m, kernel, plan)
             phi_conv = phi_conv[:, None, None]
         np.copyto(dx, u)
         np.subtract(force, grad_at(potential, x), out=du)

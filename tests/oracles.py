@@ -5,8 +5,9 @@ derived by hand from e' = -e(e - K) - A, the oscillator from x'' = -a x,
 and the pairwise-attraction variant is summed over explicit pair arrays.
 The dense frame functionals build the full N x N x d pair arrays, and the
 dense pair sums the N x N kernel and gradient-weight matrices, that
-``diagnostics.pair_scan`` and the blocked pass of ``dynamics.pair_blocks``
-visit one upper-triangle row block at a time.  ``reference_rk4`` is the
+``diagnostics.pair_scan`` and the blocked pass of ``dynamics.PairPlan``
+visit one upper-triangle row block at a time; the ``unplanned_*`` passes
+are the blocked ones as they were before the plan.  ``reference_rk4`` is the
 list-comprehension RK4 driver that the packed in-place driver replaced, and
 the ``reference_rhs_*`` functions the allocating right-hand sides it called.
 The ``stage_*`` functions are the in-place right-hand sides as they were
@@ -280,6 +281,92 @@ def reference_pair_terms_2d(x, u, m, kernel):
         add_block(sums[0], phi, b, lo, hi)
         for l in range(2):
             weights = np.multiply(np.matmul(*diffs[l], out=spare), slope, out=spare)
+            add_block(sums[1 + l], weights, b, lo, hi, sign=-1.0)
+    force, phi_conv = alignment_sums(sums[0], u)
+    return force, phi_conv, np.stack([alignment_sums(s, u)[0] for s in sums[1:]], axis=-1)
+
+
+# The one-shot pair passes as they were before ``dynamics.PairPlan`` laid out each right-hand side's pass
+# once: every call stacks [m, m*u], makes the GEMM factors and the zeroed outputs, and takes its block
+# views again.  The bodies are verbatim, with their helpers; ``block_views`` lends the pool above, not
+# the package's.  The plan, kept across stages or one-shot, is held to them bit for bit.
+
+
+def block_views(n: int, b: np.ndarray, count: int):
+    """Upper-triangle row blocks (lo, hi, views) of N x N pair matrices, for sums against b.
+
+    Blocks of min(128, product_rows(b)) rows keep each product of ``add_block`` on one BLAS thread; views
+    are ``count`` (hi - lo, N - lo) arrays of the shared pool, which the next block overwrites.
+    """
+    global _block_buffers
+    rows = min(128, product_rows(b))
+    if len(_block_buffers) < count or _block_buffers[0].size < rows * n:
+        size = max(rows * n, _block_buffers[0].size)
+        _block_buffers = tuple(np.empty(size) for _ in range(max(count, len(_block_buffers))))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        size = (hi - lo) * (n - lo)
+        yield lo, hi, [buf[:size].reshape(hi - lo, n - lo) for buf in _block_buffers[:count]]
+
+
+def differences(v: np.ndarray):
+    """diff(k, lo, hi, out) writes (v_i - v_j)_k for i in [lo, hi), j in [lo, N) into out.
+
+    Each is the rank-2 GEMM [v_k, -1] @ [1; v_k^T]: a subtraction's bits at a quarter of a broadcast's cost.
+    """
+    left, right = np.empty((v.shape[1], len(v), 2)), np.ones((v.shape[1], 2, len(v)))
+    left[:, :, 0], left[:, :, 1], right[:, 1] = v.T, -1.0, v.T
+    return lambda k, lo, hi, out: np.matmul(left[k, lo:hi], right[k, :, lo:], out=out)
+
+
+def even_first(d: int) -> tuple:
+    """Coordinates 0..d-1, even ones first: numpy einsum's summation order up to d = 3."""
+    return (*range(0, d, 2), *range(1, d, 2))
+
+
+def pair_blocks(x: np.ndarray, b: np.ndarray):
+    """``block_views``' blocks as (lo, hi, r_sq, spare, diff), for sums against b.
+
+    r_sq[i - lo, j - lo] = |x_i - x_j|^2, its coordinates summed in ``even_first`` order, spare is
+    the pool's second view, and diff is ``differences(x)``.
+    """
+    diff = differences(x)
+    for lo, hi, (r_sq, spare) in block_views(len(x), b, 2):
+        for k in even_first(x.shape[1]):
+            dk = diff(k, lo, hi, spare if k else r_sq)
+            np.multiply(dk, dk, out=dk)
+            if k:
+                r_sq += dk
+        yield lo, hi, r_sq, spare, diff
+
+
+def unplanned_kernel_sums(x: np.ndarray, b: np.ndarray, kernel) -> np.ndarray:
+    """sum_j phi(|x_i - x_j|) b_j, with phi evaluated once per pair i <= j."""
+    out = np.zeros(b.shape)
+    for lo, hi, r_sq, _, _ in pair_blocks(x, b):
+        add_block(out, kernel_eval_sq(kernel, r_sq, out=r_sq), b, lo, hi)
+    return out
+
+
+def unplanned_alignment_force(x: np.ndarray, u: np.ndarray, m: np.ndarray, kernel):
+    """Velocity alignment term sum_j m_j phi(|x_i - x_j|)(u_j - u_i) and phi_conv, for a decaying kernel."""
+    return alignment_sums(unplanned_kernel_sums(x, np.column_stack((m, m[:, None] * u)), kernel), u)
+
+
+def unplanned_pair_terms_2d(x, u, m, kernel):
+    """Alignment force, phi*rho and gradient forcing R from one pass over the pairs i <= j.
+
+    R[:, :, l] is the alignment form with the antisymmetric weights (phi'(r)/r) (x_i - x_j)_l.
+    """
+    b = np.column_stack((m, m[:, None] * u))
+    sums = np.zeros((3, *b.shape))
+    for lo, hi, r_sq, spare, diff in pair_blocks(x, b):
+        q = np.add(r_sq, 1.0, out=r_sq)  # 1 + r^2, which the power law reads twice
+        phi = kernel_eval_sq(kernel, q, out=spare, shifted=True)
+        slope = kernel_slope_over_r_sq(kernel, q, phi, out=q, shifted=True)
+        add_block(sums[0], phi, b, lo, hi)
+        for l in range(2):
+            weights = np.multiply(diff(l, lo, hi, spare), slope, out=spare)
             add_block(sums[1 + l], weights, b, lo, hi, sign=-1.0)
     force, phi_conv = alignment_sums(sums[0], u)
     return force, phi_conv, np.stack([alignment_sums(s, u)[0] for s in sums[1:]], axis=-1)

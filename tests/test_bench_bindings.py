@@ -55,3 +55,22 @@ def test_layer_timings_call_the_diagnostics_and_the_pair_pass(bench_modules):
         out = timings(rng)
         assert set(out) == set(names)
         assert all(v > 0.0 for v in out.values())
+
+
+def test_a_planned_step_keeps_the_pair_layer_traced(bench_modules):
+    # each stage runs its kept pair-pass plan through dynamics.alignment_force, the name the tracer
+    # rebinds, so the pair layer keeps its spans and its N^2 pair entries per stage
+    import numpy as np
+
+    from flocklab.dynamics import Ensemble, step_rk4
+    from flocklab.kernels import PowerLawKernel
+    from flocklab.potentials import QuadraticPotential
+
+    spans, _ = bench_modules
+    n = 40
+    rng = np.random.default_rng(3)
+    ens = Ensemble(x=rng.normal(size=(n, 2)), u=rng.normal(size=(n, 2)), m=np.full(n, 1.0 / n))
+    with spans.Tracer() as tracer:
+        step_rk4(ens, PowerLawKernel(1.0, 1.0), QuadraticPotential(1.0), 0.01)
+    assert "dynamics.alignment_force" in tracer.names
+    assert tracer.counts["dynamics.alignment_force"] == 4 * n * n

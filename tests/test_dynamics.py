@@ -21,7 +21,7 @@ from flocklab.dynamics import (
     step_rk4,
 )
 from flocklab.dynamics import _step_rhs_u
-from flocklab.hydro2d import _pair_terms_2d, _rhs_arrays_2d
+from flocklab.hydro2d import _pair_terms_2d, _rhs_arrays_2d, step_2d
 from flocklab.kernels import ConstantKernel, FloorClippedKernel, PowerLawKernel, kernel_bounds, kernel_eval
 from flocklab.potentials import QuadraticPotential, ZeroPotential
 
@@ -286,6 +286,25 @@ def test_masses_are_static_across_steps():
     assert stepped.total_mass == total
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_masses_are_rejected_as_input(bad):
+    # not accepted and then reported as a blow-up by the first step
+    with pytest.raises(ValueError, match="positive and finite"):
+        Ensemble(x=[[0.0], [1.0]], u=[[0.0], [1.0]], m=[bad, 1.0])
+
+
+def test_masses_are_a_read_only_copy():
+    # kept right-hand sides and pair-pass plans read the masses once, so they must not change in place
+    source = np.array([0.5, 0.25])
+    ens = Ensemble(x=[[0.0], [1.0]], u=[[0.0], [1.0]], m=source)
+    source[0] = 2.0
+    assert ens.m.tolist() == [0.5, 0.25]
+    with pytest.raises(ValueError, match="read-only"):
+        ens.m[0] = 2.0
+    stepped = step_rk4(ens, PowerLawKernel(1.0, 1.0), QuadraticPotential(1.0), 0.01)
+    assert not stepped.m.flags.writeable
+
+
 def test_blowup_signal_on_overflow():
     ens = Ensemble(x=[[1.0e8]], u=[[0.0]], m=[1.0])
     with pytest.raises(BlowupSignal) as info:
@@ -356,11 +375,15 @@ def test_pair_pass_builds_no_pair_matrix(monkeypatch):
     kernel, potential = PowerLawKernel(1.0, 0.5), QuadraticPotential(1.0)
     monkeypatch.setattr(dynamics, "_block_buffers", (np.empty(0), np.empty(0)))
     outs = (np.empty_like(ens.x), np.empty_like(ens.u), np.empty_like(grad_u))
+    state_2d = Ensemble(x=ens.x, u=ens.u, m=ens.m, grad_u=grad_u)
 
     def passes():
         dynamics.alignment_force(ens.x, ens.u, ens.m, kernel)
         conv_phi(ens.x, ens.m, kernel)
         _rhs_arrays_2d(ens.x, ens.u, grad_u, ens.m, kernel, potential, outs)
+        # planned steps: each keeps its right-hand side's plan, laid out in the same pool
+        step_rk4(ens, kernel, potential, 0.01)
+        step_2d(state_2d, kernel, potential, 0.01)
 
     passes()  # grows the block buffers, once per process
     assert sum(buf.nbytes for buf in dynamics._block_buffers) == 2 * 128 * n * 8
@@ -380,7 +403,9 @@ from flocklab import diagnostics
 from flocklab.diagnostics import pair_scan
 from flocklab.dynamics import Ensemble, alignment_force, conv_phi
 from flocklab.hydro2d import _pair_terms_2d
+from flocklab.dynamics import step_rk4
 from flocklab.kernels import PowerLawKernel
+from flocklab.potentials import QuadraticPotential
 kernel = PowerLawKernel(1.0, 0.5)
 digest = hashlib.sha256()
 add_block = diagnostics.add_block
@@ -394,6 +419,7 @@ for n in (700, 2048):
     for arr in (*alignment_force(x, u, m, kernel), conv_phi(x, m, kernel), *_pair_terms_2d(x, u, m, kernel)):
         digest.update(np.ascontiguousarray(arr).tobytes())
     digest.update(np.array(pair_scan(Ensemble(x=x, u=u, m=m), 0.8, 1.7, 0.9)).tobytes())
+    digest.update(step_rk4(Ensemble(x=x, u=u, m=m), kernel, QuadraticPotential(1.0), 0.01).flat.tobytes())
 sys.stdout.write(digest.hexdigest())
 """
 
@@ -402,7 +428,7 @@ def test_pair_pass_bytes_do_not_depend_on_blas_threads():
     # up to the config cap N = 2048 every block product stays on one BLAS
     # thread; at N = 700 unblocked products of these shapes differ under 2
     # threads.  The frame scan's per-row mass sums run through the same
-    # blocks and are digested after each one
+    # blocks and are digested after each one, and a step runs its kept plan
     src = str(Path(dynamics.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     digests = [
