@@ -1,7 +1,7 @@
 """Experiment configuration: flat INI sections [run], [kernel], [potential], [initial].
 
 Each key is declared once, in a key table per section and per kernel or
-potential family; parsing, serialize_config and with_override all read
+potential family; parsing, serialize_config and with_overrides all read
 those tables.  Parsing is strict: unknown sections or keys, keys of
 another family (``kernel.k`` under ``family = power_law``), missing
 required keys, non-integral values of integer keys and invariant
@@ -34,7 +34,6 @@ __all__ = [
     "ExperimentConfig",
     "parse_config",
     "serialize_config",
-    "with_override",
     "with_overrides",
     "override_value",
     "preset_names",
@@ -97,7 +96,7 @@ _REQUIRED = object()
 _NUMBER_KINDS = ("pos", "nonneg", "real", "real?")
 
 # Every key is declared once, as a row (key, attribute, kind, default) of
-# the tables below; parsing, serialize_config and with_override all read
+# the tables below; parsing, serialize_config and with_overrides all read
 # them.  A family table maps each family name to (class, key table).  Kinds:
 #   "pos", "nonneg", "real"   a finite number: > 0, >= 0, any
 #   _Int(lo, hi)              an integer in [lo, hi]
@@ -370,21 +369,16 @@ def override_value(key_path: str, value):
     return value if isinstance(value, int) else int(number)
 
 
-def with_override(cfg: ExperimentConfig, key_path: str, value) -> ExperimentConfig:
-    """Return a copy of the configuration with one numeric key set to ``value``.
+def with_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
+    """Return a copy of the configuration with numeric keys set, from (key_path, value) pairs.
 
     Any numeric key of the configuration can be set (``run.dt``,
     ``kernel.c0``, ``initial.length``, ...).  The configuration is
-    serialized, the key set, and the result parsed again, so it is
+    serialized, every key set, and the result parsed again once, so it is
     validated exactly like config text: a key of another kernel or
     potential family is rejected, and an integer key needs an integral
     value (16.0 is read as 16, 2.5 is an error).
     """
-    return with_overrides(cfg, [(key_path, value)])
-
-
-def with_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
-    """``with_override`` for several (key_path, value) pairs, all set before the one validation."""
     sections = _sections(cfg)
     for key_path, value in overrides:
         section, _, key = key_path.partition(".")
@@ -641,8 +635,14 @@ def preset_config(name: str) -> ExperimentConfig:
 def resolve_config(spec: str) -> ExperimentConfig:
     """Interpret a CLI argument as a config file path or a preset name."""
     if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            return parse_config(fh.read())
+        try:
+            with open(spec, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {spec!r}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {spec!r} is not UTF-8: byte {exc.start} is invalid") from None
+        return parse_config(text)
     if spec in _PRESETS:
         return preset_config(spec)
     raise ConfigError(f"{spec!r} is neither a config file nor a preset; presets: {', '.join(preset_names())}")

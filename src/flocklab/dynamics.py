@@ -36,19 +36,19 @@ flat vector.  The mode's right-hand side writes each derivative into views
 of a stage buffer, and each stage is two in-place operations on flat
 vectors.  Each mode builds its right-hand side for a step from the masses,
 kernel and potential (``_step_rhs_u`` here, ``_step_rhs_1d``,
-``_step_rhs_2d``): the kernel's and potential's branches, the constants
-(total mass, phi*rho of a constant kernel, a constant Hessian) and a
-decaying kernel's ``PairPlan`` are decided there, so the four stages of a
-constant-kernel step run only arithmetic.  The buffers (``_Scratch``) are
-made with an Ensemble and passed on to the states stepped from it, with the
-last right-hand side built and its plan, which a step reuses while it gets
-the same masses, kernel and potential objects; a step allocates only the
-new state's vector and the pass's small temporaries.  The new vector
-is screened in one pass against bound vectors: a value that turns
-non-finite or leaves its cap (STATE_CAP, E_BLOWUP_CAP for e, none for the
-density), or a negative density, raises BlowupSignal with the bracketing
-time interval instead of propagating NaNs; only then are the arrays walked
-one by one to name the reason.
+``_step_rhs_2d``), each term from its one builder: ``alignment_plan``
+(a constant kernel's O(N) form or a decaying kernel's ``PairPlan``),
+``potentials.gradient`` and ``potentials.hessian_diag``.  So the four
+stages of a constant-kernel step run only arithmetic.  The buffers
+(``_Scratch``) are made with an Ensemble and passed on to the states
+stepped from it, with the last right-hand side built, which a step reuses
+while it gets the same masses, kernel and potential objects; a step
+allocates only the new state's vector and the pass's small temporaries.
+The new vector is screened in one pass against bound vectors: a value that
+turns non-finite or leaves its cap (STATE_CAP, E_BLOWUP_CAP for e, none for
+the density), or a negative density, raises BlowupSignal with the
+bracketing time interval instead of propagating NaNs; only then are the
+arrays walked one by one to name the reason.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ __all__ = [
     "recenter",
     "pairwise_phi_weights",
     "conv_phi",
+    "alignment_plan",
     "alignment_force",
     "product_rows", "PairPlan", "add_block", "kernel_sums", "alignment_sums",
 ]
@@ -298,6 +299,10 @@ class PairPlan:
             add_block(out, kernel_eval_sq(self.kernel, r_sq, out=r_sq), b, lo, hi)
         return out
 
+    def __call__(self, x: np.ndarray, u: np.ndarray):
+        """``alignment_force`` of a plan of the masses (``sums`` = 1)."""
+        return alignment_sums(self.kernel_sums(x, u), u)
+
 
 def kernel_sums(x: np.ndarray, b: np.ndarray, kernel: Kernel) -> np.ndarray:
     """sum_j phi(|x_i - x_j|) b_j, from a one-shot ``PairPlan``."""
@@ -321,48 +326,40 @@ def conv_phi(x: np.ndarray, m: np.ndarray, kernel: Kernel):
     return kernel_sums(x, m, kernel)
 
 
-def alignment_force(x: np.ndarray, u: np.ndarray, m: np.ndarray, kernel: Kernel, m0=None, plan=None):
-    """Velocity alignment term sum_j m_j phi(|x_i - x_j|)(u_j - u_i).
+def alignment_plan(m: np.ndarray, kernel: Kernel):
+    """The alignment (x, u) -> (force, phi_conv) of the masses m, with the kernel's branch decided once.
 
-    Returns ``(force, phi_conv)`` so callers that also need the convolution
-    sum_j m_j phi_ij do not pay for the pairwise pass twice.  A constant
-    kernel collapses to the O(N) form value * (sum_j m_j u_j - m0 u_i), and
-    its phi_conv is the scalar value * m0, as in ``conv_phi``; ``m0`` is
-    sum(m), which a caller that evaluates many stages passes once, as it
-    keeps ``plan``, the ``PairPlan(m, kernel)`` a decaying kernel runs (its
-    phi_conv is then a view that the plan's next stage overwrites).
+    A constant kernel gives its O(N) form value * (sum_j m_j u_j - m0 u_i) with the scalar
+    phi_conv = value * m0, as in ``conv_phi``; a decaying kernel gives its ``PairPlan``.
     """
     if isinstance(kernel, ConstantKernel):
-        return _constant_alignment(m, kernel.value, m.sum() if m0 is None else m0)(x, u)
-    return alignment_sums((plan or PairPlan(m, kernel)).kernel_sums(x, u), u)
+        # 0-d arrays: numpy's cheapest scalar operand, with the bits of the floats
+        k, m0 = np.array(kernel.value), np.array(m.sum())
+        phi_conv = np.array(k * m0)
+        return lambda x, u: (np.multiply(k, m @ u - m0 * u), phi_conv)
+    return PairPlan(m, kernel)
 
 
-def _constant_alignment(m, value, m0):
-    """A constant kernel's ``alignment_force`` as a function of (x, u), for the masses m of total m0."""
-    # 0-d arrays: numpy's cheapest scalar operand, with the bits of the floats
-    k, m0, phi_conv = np.array(value), np.array(m0), np.array(value * m0)
-    return lambda x, u: (np.multiply(k, m @ u - m0 * u), phi_conv)
+def alignment_force(x: np.ndarray, u: np.ndarray, m: np.ndarray, kernel: Kernel, plan=None):
+    """Velocity alignment term sum_j m_j phi(|x_i - x_j|)(u_j - u_i), with phi_conv = sum_j m_j phi_ij.
+
+    ``plan`` is the caller's kept ``alignment_plan(m, kernel)``; a decaying kernel's phi_conv is
+    then a view that the plan's next stage overwrites.
+    """
+    return (plan or alignment_plan(m, kernel))(x, u)
 
 
 def _step_rhs_u(m, kernel, potential):
-    """The particle right-hand side f(x, u, dx, du) -> phi*rho of a step.
+    """The particle right-hand side f(x, u, dx, du) -> phi*rho of a step; 1D characteristics add (e, rho).
 
-    The kernel, the potential and the constants are decided once, so each
-    stage of a constant kernel runs arithmetic only; a decaying kernel's
-    pair pass is a ``PairPlan`` laid out once, which each stage runs through
-    this module's ``alignment_force``, where the benchmark's tracer times it.
-    1D characteristics add their (e, rho) part.
+    Each stage runs the kept ``alignment_plan`` through this module's ``alignment_force``, where
+    the benchmark's tracer times it.
     """
-    if isinstance(kernel, ConstantKernel):
-        align = _constant_alignment(m, kernel.value, m.sum())
-    else:
-        plan = PairPlan(m, kernel)
-        align = lambda x, u: alignment_force(x, u, m, kernel, plan=plan)  # noqa: E731
-    grad = gradient(potential)
+    plan, grad = alignment_plan(m, kernel), gradient(potential)
 
     def f(x, u, dx, du):
         np.copyto(dx, u)
-        force, phi_conv = align(x, u)
+        force, phi_conv = alignment_force(x, u, m, kernel, plan)
         np.subtract(force, grad(x), out=du)
         return phi_conv
 

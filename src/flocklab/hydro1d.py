@@ -39,12 +39,12 @@ from typing import Optional
 
 import numpy as np
 
-# alignment_force and grad_at are unused here but stay imported: the benchmark's tracer rebinds them.
+# alignment_force, grad_at and hess_diag_at are unused here but stay: the benchmark's tracer rebinds them.
 from .dynamics import (  # noqa: F401
     E_BLOWUP_CAP, Ensemble, _step_rhs_u, advance_rk4, alignment_force, conv_phi,
 )
 from .kernels import Kernel
-from .potentials import Potential, convexity_bounds, grad_at, hess_diag_at  # noqa: F401
+from .potentials import Potential, grad_at, hess_diag_at, hessian_diag  # noqa: F401
 
 __all__ = [
     "E_BLOWUP_CAP",
@@ -160,20 +160,14 @@ def init_characteristics(
 
 
 def _step_rhs_1d(m, kernel, potential):
-    """The right-hand side f(x, u, e, rho, dx, du, de, drho) of one step along the characteristics.
-
-    It adds the (e, rho) part to the particle right-hand side; U'', when it
-    is constant, is decided once per step with the rest.
-    """
-    motion = _step_rhs_u(m, kernel, potential)
-    a_lo, a_hi = convexity_bounds(potential)
-    hess = np.array(a_lo) if a_lo == a_hi else None
+    """The right-hand side f(x, u, e, rho, dx, du, de, drho) of one step: the particle one, then (e, rho)."""
+    motion, hess = _step_rhs_u(m, kernel, potential), hessian_diag(potential)
 
     def f(x, u, e, rho, dx, du, de, drho):
         # with shear = e - phi*rho: de = -e shear - U''(x) and drho = -rho shear, bit for bit
         neg_shear = motion(x, u, dx, du) - e
         np.multiply(rho, neg_shear, out=drho)
-        np.subtract(neg_shear * e, hess_diag_at(potential, x)[:, 0] if hess is None else hess, out=de)
+        np.subtract(neg_shear * e, hess(x.ravel()), out=de)
 
     return f
 

@@ -21,7 +21,10 @@ The classifiers decide whether initial data are subcritical, i.e. whether
 e provably stays nonnegative (so eta_S and omega decay) for all time.
 
 The state is a ``dynamics.Ensemble`` that carries grad_u; ``step_2d``
-hands this module's right-hand side to the shared RK4 driver.
+hands this module's right-hand side to the shared RK4 driver.  Its terms
+come from the builders every mode uses: ``dynamics.alignment_plan`` for a
+constant kernel (a decaying kernel's ``PairPlan`` also sums R) and
+``potentials.hessian_diag``.
 """
 
 from __future__ import annotations
@@ -31,10 +34,13 @@ import math
 import numpy as np
 
 from . import constants as _constants
-from .dynamics import Ensemble, PairPlan, add_block, advance_rk4, alignment_force, alignment_sums
+from .dynamics import (
+    Ensemble, PairPlan, add_block, advance_rk4, alignment_force, alignment_plan, alignment_sums,
+)
 from .hydro1d import BumpDensity, ThresholdReport, VelocityProfile, midpoint_quadrature
 from .kernels import ConstantKernel, Kernel, kernel_eval_sq, kernel_slope_over_r_sq
-from .potentials import Potential, convexity_bounds, grad_at, hess_diag_at
+# hess_diag_at is unused here but stays imported: the benchmark's tracer rebinds it.
+from .potentials import Potential, grad_at, hess_diag_at, hessian_diag  # noqa: F401
 
 __all__ = [
     "BumpDensity2D",
@@ -94,21 +100,17 @@ def _pair_terms_2d(x, u, m, kernel, plan=None):
 def _step_rhs_2d(m, kernel, potential):
     """The right-hand side f(x, u, grad_u, dx, du, dgrad_u) of one step along the characteristics.
 
-    The kernel's branch, the total mass, a decaying kernel's ``PairPlan`` and
-    a constant Hessian are decided once per step.  The stages call
-    ``alignment_force`` and ``grad_at`` through this module's globals, which
-    the benchmark's tracer rebinds; beside the 2x2 products, what they
-    dispatch costs little.
+    Its alignment (``alignment_plan``, or a ``PairPlan(m, kernel, 3)`` that also sums R) and Hessian
+    are built once.  The stages call ``alignment_force`` and ``grad_at`` through this module's
+    globals, which the benchmark's tracer rebinds.
     """
     constant = isinstance(kernel, ConstantKernel)
-    m0 = m.sum() if constant else None
-    plan = None if constant else PairPlan(m, kernel, 3)
-    a_lo, a_hi = convexity_bounds(potential)
-    hess = np.array(a_lo) if a_lo == a_hi else None
+    plan = alignment_plan(m, kernel) if constant else PairPlan(m, kernel, 3)
+    hess = hessian_diag(potential)
 
     def f(x, u, grad_u, dx, du, d_grad):
         if constant:
-            force, phi_conv = alignment_force(x, u, m, kernel, m0)
+            force, phi_conv = alignment_force(x, u, m, kernel, plan)
         else:
             force, phi_conv, forcing = _pair_terms_2d(x, u, m, kernel, plan)
             phi_conv = phi_conv[:, None, None]
@@ -124,21 +126,17 @@ def _step_rhs_2d(m, kernel, potential):
         if not constant:
             d_grad += forcing
         # the diagonal entries (0, 0) and (1, 1) as one (N, 2) view
-        d_grad.reshape(-1, 4)[:, ::3] -= hess_diag_at(potential, x) if hess is None else hess
+        d_grad.reshape(-1, 4)[:, ::3] -= hess(x)
 
     return f
-
-
-def _rhs_arrays_2d(x, u, grad_u, m, kernel, potential, out):
-    """Time derivative (dx, du, dgrad_u) along the characteristics, written into the three arrays of out."""
-    _step_rhs_2d(m, kernel, potential)(x, u, grad_u, *out)
-    return out
 
 
 def rhs_2d(state: Ensemble, kernel: Kernel, potential: Potential):
     """Time derivative (dx, du, dgrad_u) along the characteristics."""
     arrays = (state.x, state.u, state.grad_u)
-    return _rhs_arrays_2d(*arrays, state.m, kernel, potential, tuple(map(np.empty_like, arrays)))
+    out = tuple(map(np.empty_like, arrays))
+    _step_rhs_2d(state.m, kernel, potential)(*arrays, *out)
+    return out
 
 
 def step_2d(state: Ensemble, kernel: Kernel, potential: Potential, dt: float) -> Ensemble:

@@ -26,6 +26,7 @@ __all__ = [
     "value_at",
     "gradient",
     "grad_at",
+    "hessian_diag",
     "hess_diag_at",
     "convexity_bounds",
 ]
@@ -100,20 +101,25 @@ def grad_at(potential: Potential, x: np.ndarray) -> np.ndarray:
     return gradient(potential)(np.asarray(x, dtype=float))
 
 
-def hess_diag_at(potential: Potential, x: np.ndarray) -> Union[np.ndarray, float]:
-    """Diagonal of the Hessian of U at each row of x, shape (N, d) -> (N, d).
+def hessian_diag(potential: Potential):
+    """The diagonal of Hess U as a function of x, shape (N, d) -> (N, d), with the family decided once.
 
-    Every supported family has a diagonal Hessian, so the diagonal is the
-    whole matrix.  Where it is constant (quadratic or zero potential) it is
-    returned as the float a or 0.0, which broadcasts to (N, d).
+    Every supported family has a diagonal Hessian, so the diagonal is the whole matrix.  Where it is
+    constant (quadratic or zero potential) the function returns a 0-d array, which broadcasts to (N, d).
     """
-    if isinstance(potential, ZeroPotential):
-        return 0.0
-    if isinstance(potential, QuadraticPotential):
-        return potential.a
     if isinstance(potential, PerturbedQuadraticPotential):
-        return potential.a + potential.eps * np.cos(potential.kappa * np.asarray(x, dtype=float))
+        a, k, eps = (np.array(v) for v in (potential.a, potential.kappa, potential.eps))
+        return lambda x: a + eps * np.cos(k * x)
+    if isinstance(potential, (QuadraticPotential, ZeroPotential)):
+        hess = np.array(getattr(potential, "a", 0.0))
+        return lambda x: hess
     raise TypeError(f"unknown potential {potential!r}")
+
+
+def hess_diag_at(potential: Potential, x: np.ndarray) -> Union[np.ndarray, float]:
+    """``hessian_diag`` at each row of x, with a constant diagonal as a float."""
+    hess = hessian_diag(potential)(np.asarray(x, dtype=float))
+    return float(hess) if hess.ndim == 0 else hess
 
 
 def convexity_bounds(potential: Potential) -> tuple[float, float]:

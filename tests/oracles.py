@@ -445,9 +445,10 @@ def reference_rhs_2d(m, kernel, potential):
 
 
 # The per-stage right-hand sides of each mode as they were before a step decided its kernel, potential
-# and constants once.  The bodies are verbatim; the ``alignment_force`` and ``grad_at`` they call are the
-# pre-change forms, as ``stage_alignment_force`` and ``stage_grad_at``, so this route shares only the
-# pair pass (``kernel_sums``, ``_pair_terms_2d``), ``hess_diag_at`` and the RK4 driver with the package.
+# and constants once.  The bodies are verbatim; the ``alignment_force``, ``grad_at`` and ``hess_diag_at``
+# they call are the pre-change forms, as ``stage_alignment_force``, ``stage_grad_at`` and
+# ``stage_hess_diag_at``, so this route shares only the pair pass (``kernel_sums``, ``_pair_terms_2d``)
+# and the RK4 driver with the package.
 
 
 def stage_alignment_force(x, u, m, kernel):
@@ -472,6 +473,17 @@ def stage_grad_at(potential, x):
     raise TypeError(f"unknown potential {potential!r}")
 
 
+def stage_hess_diag_at(potential, x):
+    """``potentials.hess_diag_at`` before ``potentials.hessian_diag`` decided the family."""
+    if isinstance(potential, ZeroPotential):
+        return 0.0
+    if isinstance(potential, QuadraticPotential):
+        return potential.a
+    if isinstance(potential, PerturbedQuadraticPotential):
+        return potential.a + potential.eps * np.cos(potential.kappa * np.asarray(x, dtype=float))
+    raise TypeError(f"unknown potential {potential!r}")
+
+
 def stage_rhs_u(x, u, m, kernel, potential, out):
     """du/dt of the particle system, alignment minus grad U, written into out."""
     return np.subtract(stage_alignment_force(x, u, m, kernel)[0], stage_grad_at(potential, x), out=out)
@@ -487,7 +499,7 @@ def stage_rhs_arrays_1d(x, u, e, rho, m, kernel, potential, out):
     np.subtract(phi_conv, e, out=de)
     np.multiply(rho, de, out=drho)
     de *= e
-    hess = hess_diag_at(potential, x)  # a scalar when U'' is constant
+    hess = stage_hess_diag_at(potential, x)  # a scalar when U'' is constant
     de -= hess[:, 0] if isinstance(hess, np.ndarray) else hess
     return out
 
@@ -511,7 +523,7 @@ def stage_rhs_arrays_2d(x, u, grad_u, m, kernel, potential, out):
     d_grad -= (phi_conv[:, None, None] if isinstance(phi_conv, np.ndarray) else phi_conv) * grad_u
     if not isinstance(kernel, ConstantKernel):
         d_grad += forcing
-    hess = hess_diag_at(potential, x)  # a scalar when the Hessian is constant
+    hess = stage_hess_diag_at(potential, x)  # a scalar when the Hessian is constant
     for k in range(2):
         d_grad[:, k, k] -= hess[:, k] if isinstance(hess, np.ndarray) else hess
     return out

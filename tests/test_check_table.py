@@ -17,7 +17,7 @@ import functools
 import pytest
 
 from flocklab import runner
-from flocklab.config import parse_config, preset_config, preset_names, with_override
+from flocklab.config import parse_config, preset_config, preset_names, with_overrides
 from oracles import reference_check_summary
 from test_runner import DIVERGING, GENERAL_2D, SMALL, ZERO_POTENTIAL_2D
 
@@ -55,7 +55,7 @@ PRESET_CHECKS = {
 
 def _at_strides(name, strides):
     cfg = preset_config(name)
-    return with_override(cfg, "run.t", strides * cfg.output_stride * cfg.dt)
+    return with_overrides(cfg, [("run.t", strides * cfg.output_stride * cfg.dt)])
 
 
 def _general_2d():
@@ -100,9 +100,9 @@ CONFIGS = {
     # a stable power law with fewer than 5 frames in the trailing half skips the sqrt trend
     "sqrt-trend-skipped": lambda: _at_strides("convex-flocking-powerlaw", 4),
     # one agent: deltaE_L2 is 0 throughout, so the trend has no positive samples to fit
-    "sqrt-trend-collapsed": lambda: with_override(_at_strides("convex-flocking-powerlaw", 20), "run.n", 1),
+    "sqrt-trend-collapsed": lambda: with_overrides(_at_strides("convex-flocking-powerlaw", 20), [("run.n", 1)]),
     # predicted to blow up, but stopped long before it does
-    "blowup-reaches-t": lambda: with_override(preset_config("blowup-1d-unconditional"), "run.t", 0.5),
+    "blowup-reaches-t": lambda: with_overrides(preset_config("blowup-1d-unconditional"), [("run.t", 0.5)]),
     # no uniformly convex potential: classification skipped, with a note
     "zero-potential-2d": lambda: parse_config(ZERO_POTENTIAL_2D),
     "certified-decaying-2d": lambda: parse_config(CERTIFIED_DECAYING_2D),

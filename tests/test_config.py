@@ -9,7 +9,7 @@ from flocklab.config import (
     preset_names,
     preset_text,
     serialize_config,
-    with_override,
+    with_overrides,
 )
 from flocklab.kernels import ConstantKernel, FloorClippedKernel, PowerLawKernel
 from flocklab.potentials import PerturbedQuadraticPotential, QuadraticPotential, ZeroPotential
@@ -180,18 +180,18 @@ def test_preset_text_unknown_name():
         preset_text("does-not-exist")
 
 
-def test_with_override():
+def test_overrides_are_validated_like_config_text():
     cfg = parse_config(MINIMAL)
-    assert with_override(cfg, "potential.a", 2.5).potential == QuadraticPotential(2.5)
-    assert with_override(cfg, "kernel.beta", 0.5).kernel == PowerLawKernel(1.0, 0.5)
-    assert with_override(cfg, "run.n", 16).n == 16
-    assert with_override(cfg, "initial.amplitude", 0.25).initial.amplitude == 0.25
+    assert with_overrides(cfg, [("potential.a", 2.5)]).potential == QuadraticPotential(2.5)
+    assert with_overrides(cfg, [("kernel.beta", 0.5)]).kernel == PowerLawKernel(1.0, 0.5)
+    assert with_overrides(cfg, [("run.n", 16)]).n == 16
+    assert with_overrides(cfg, [("initial.amplitude", 0.25)]).initial.amplitude == 0.25
     with pytest.raises(ConfigError):
-        with_override(cfg, "kernel.k", 1.0)  # not a constant kernel
+        with_overrides(cfg, [("kernel.k", 1.0)])  # not a constant kernel
     with pytest.raises(ConfigError):
-        with_override(cfg, "run.scenario", "x")
+        with_overrides(cfg, [("run.scenario", "x")])
     # sweep axes give floats: integral ones are fine for integer keys
-    assert with_override(cfg, "run.n", 16.0).n == 16
+    assert with_overrides(cfg, [("run.n", 16.0)]).n == 16
     # overrides are validated like config text
     for key, value in [
         ("run.dt", -1.0),
@@ -201,17 +201,17 @@ def test_with_override():
         ("run.n", 2.5),
     ]:
         with pytest.raises(ConfigError, match=key):
-            with_override(cfg, key, value)
+            with_overrides(cfg, [(key, value)])
 
 
 def test_run_t_is_a_whole_number_of_steps():
     # a horizon that is not a whole number of steps would stop short of T or run past it
-    cfg = with_override(preset_config("quadratic-flocking-1d"), "run.n", 16)
+    cfg = with_overrides(preset_config("quadratic-flocking-1d"), [("run.n", 16)])
     for t, dt in [(0.25, 0.1), (4e-4, 1e-3)]:
         with pytest.raises(ConfigError, match="run.t: must be a whole number"):
-            with_override(with_override(cfg, "run.dt", dt), "run.t", t)
+            with_overrides(cfg, [("run.dt", dt), ("run.t", t)])
     # round-off in t/dt is not a broken rule
-    assert with_override(with_override(cfg, "run.dt", 0.1), "run.t", 0.3).n_steps == 3
+    assert with_overrides(cfg, [("run.dt", 0.1), ("run.t", 0.3)]).n_steps == 3
 
 
 def test_run_n_is_bounded_before_any_state(monkeypatch):
@@ -225,11 +225,11 @@ def test_run_n_is_bounded_before_any_state(monkeypatch):
     monkeypatch.setattr(initial, "build_state", no_state)
     monkeypatch.setattr(runner, "build_state", no_state)
     cfg = parse_config(MINIMAL)
-    assert with_override(cfg, "run.n", 2048).n == 2048
+    assert with_overrides(cfg, [("run.n", 2048)]).n == 2048
     with pytest.raises(ConfigError, match="run.n"):
         parse_config(MINIMAL.replace("n = 8", "n = 4096"))
     with pytest.raises(ConfigError, match="run.n"):
-        with_override(cfg, "run.n", 4096)
+        with_overrides(cfg, [("run.n", 4096)])
 
 
 def test_perturbed_round_trip():

@@ -21,7 +21,7 @@ from flocklab.dynamics import (
     step_rk4,
 )
 from flocklab.dynamics import _step_rhs_u
-from flocklab.hydro2d import _pair_terms_2d, _rhs_arrays_2d, step_2d
+from flocklab.hydro2d import _pair_terms_2d, _step_rhs_2d, step_2d
 from flocklab.kernels import ConstantKernel, FloorClippedKernel, PowerLawKernel, kernel_bounds, kernel_eval
 from flocklab.potentials import QuadraticPotential, ZeroPotential
 
@@ -380,7 +380,7 @@ def test_pair_pass_builds_no_pair_matrix(monkeypatch):
     def passes():
         dynamics.alignment_force(ens.x, ens.u, ens.m, kernel)
         conv_phi(ens.x, ens.m, kernel)
-        _rhs_arrays_2d(ens.x, ens.u, grad_u, ens.m, kernel, potential, outs)
+        _step_rhs_2d(ens.m, kernel, potential)(ens.x, ens.u, grad_u, *outs)
         # planned steps: each keeps its right-hand side's plan, laid out in the same pool
         step_rk4(ens, kernel, potential, 0.01)
         step_2d(state_2d, kernel, potential, 0.01)

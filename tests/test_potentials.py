@@ -10,6 +10,7 @@ from flocklab.potentials import (
     convexity_bounds,
     grad_at,
     hess_diag_at,
+    hessian_diag,
     value_at,
 )
 
@@ -109,6 +110,13 @@ def test_hessian_eigenvalues_within_bounds(potential, dim):
     # the eigenvalues
     assert np.all(diag >= a_lo - 1e-12)
     assert np.all(diag <= a_hi + 1e-12)
+    # the builder the steps keep gives the same bits; a constant diagonal is a 0-d array there, a float here
+    decided = hessian_diag(potential)(x)
+    assert decided.tobytes() == np.asarray(diag).tobytes()
+    assert (decided.ndim == 0) == isinstance(diag, float)
+    if isinstance(potential, PerturbedQuadraticPotential):  # the formula with Python floats
+        expected = potential.a + potential.eps * np.cos(potential.kappa * x)
+        assert decided.tobytes() == expected.tobytes()
 
 
 def test_quadratic_hessian_exact():

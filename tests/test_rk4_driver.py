@@ -14,10 +14,10 @@ import pickle
 import numpy as np
 import pytest
 
-from flocklab.config import preset_config, with_override
+from flocklab.config import preset_config, with_overrides
 from flocklab.dynamics import BlowupSignal, Ensemble, advance_rk4, step_rk4
 from flocklab.hydro1d import BumpDensity, VelocityProfile, init_characteristics, step_1d
-from flocklab.hydro2d import _rhs_arrays_2d, init_characteristics_2d, step_2d
+from flocklab.hydro2d import _step_rhs_2d, init_characteristics_2d, step_2d
 from flocklab.kernels import ConstantKernel, PowerLawKernel
 from flocklab.potentials import PerturbedQuadraticPotential, QuadraticPotential, ZeroPotential
 from flocklab.runner import _integrate, analyze
@@ -98,8 +98,10 @@ def test_packed_driver_matches_the_reference_bit_for_bit(case):
 def _nan_in_grad_u(state, kernel, potential, dt):
     """Both drivers on a 2D right-hand side whose grad_u derivative carries a NaN."""
 
+    rhs = _step_rhs_2d(state.m, kernel, potential)
+
     def packed_f(x, u, g, *out):
-        _rhs_arrays_2d(x, u, g, state.m, kernel, potential, out)
+        rhs(x, u, g, *out)
         out[2][0, 1, 0] = math.nan
 
     reference_f = reference_rhs_2d(state.m, kernel, potential)
@@ -163,7 +165,7 @@ def _unchanged(state, copies):
 @pytest.mark.parametrize("preset", ["riccati-oracle", "subcritical-2d-constant", "convex-flocking-constant"])
 def test_run_never_writes_the_analyzed_state(preset):
     cfg = preset_config(preset)
-    cfg = with_override(cfg, "run.t", 20 * cfg.dt)
+    cfg = with_overrides(cfg, [("run.t", 20 * cfg.dt)])
     an = analyze(cfg)
     before = _copies(an.state)
     _integrate(cfg, an)

@@ -14,7 +14,7 @@ import pytest
 import flocklab
 from flocklab import cli, runner
 from flocklab.cli import main as cli_main
-from flocklab.config import ConfigError, parse_config, preset_config, preset_names, preset_text, with_override
+from flocklab.config import ConfigError, parse_config, preset_config, preset_names, preset_text, with_overrides
 from flocklab.diagnostics import frame_columns
 from flocklab.runner import classify, run, sweep, sweep_csv
 
@@ -653,6 +653,22 @@ def test_cli_unknown_preset_is_config_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_config_path_that_is_a_directory_is_config_error(tmp_path, capsys):
+    assert cli_main(["constants", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config file") and str(tmp_path) in err
+    assert "Traceback" not in err
+
+
+def test_cli_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "latin1.cfg"
+    cfg_path.write_bytes("[run]\nscenario = caf\u00e9\n".encode("latin-1"))
+    assert cli_main(["constants", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file") and str(cfg_path) in err and "not UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_cli_bad_axis_spec(tmp_path, capsys):
     cfg_path = tmp_path / "sweep.cfg"
     cfg_path.write_text(SHARP_SWEEP)
@@ -675,7 +691,7 @@ def test_analysis_carries_the_report_pair_rates():
 def test_summary_constants_are_the_constants_command(name):
     # one report per configuration: the run summary carries what `flocklab constants` prints
     cfg = preset_config(name)
-    cfg = with_override(cfg, "run.t", cfg.output_stride * cfg.dt)
+    cfg = with_overrides(cfg, [("run.t", cfg.output_stride * cfg.dt)])
     constants = run(cfg).summary.as_dict()["constants"]
     assert constants == json.loads(cli.constants_json(cfg))
     assert constants["notes"][-1].startswith("kernel floor source: ")

@@ -8,9 +8,12 @@ of that on every stage, through the same RK4 driver: both routes must give
 the same bytes, the same blow-up bracket and the same reason.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from flocklab import dynamics, hydro2d
 from flocklab.dynamics import BlowupSignal, Ensemble, step_rk4
 from flocklab.hydro1d import BumpDensity, VelocityProfile, init_characteristics, step_1d
 from flocklab.hydro2d import init_characteristics_2d, step_2d
@@ -18,6 +21,8 @@ from flocklab.kernels import ConstantKernel, FloorClippedKernel, PowerLawKernel
 from flocklab.potentials import PerturbedQuadraticPotential, QuadraticPotential, ZeroPotential
 
 from oracles import stage_step
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 KERNELS = {
     "constant": ConstantKernel(1.5),
@@ -131,3 +136,33 @@ def test_a_constant_kernel_step_sums_the_masses_at_most_once(mode):
     for _ in range(steps):
         state = step(state, kernel, potential, 0.02)
     assert 1 <= _CountedMasses.sums <= steps
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_constant_kernel_chain_builds_its_alignment_once(mode, monkeypatch):
+    # one alignment per right-hand side, passed to every stage: a stage that builds its own counts here too
+    build, step = MODES[mode]
+    kernel, potential = KERNELS["constant"], POTENTIALS["quadratic"]
+    built, alignment_plan = [], dynamics.alignment_plan
+
+    def counted(m, kernel):
+        built.append(kernel)
+        return alignment_plan(m, kernel)
+
+    monkeypatch.setattr(dynamics, "alignment_plan", counted)
+    monkeypatch.setattr(hydro2d, "alignment_plan", counted)
+    state = build(kernel)
+    for _ in range(3):
+        state = step(state, kernel, potential, 0.02)
+    assert built == [kernel]
+
+
+def test_a_traced_constant_kernel_step_records_its_alignment_stages(monkeypatch):
+    # each stage runs the kept O(N) alignment through dynamics.alignment_force: 4 spans, no pair entries
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+
+    with spans.Tracer() as tracer:
+        step_rk4(_particles(2), KERNELS["constant"], POTENTIALS["quadratic"], 0.02)
+    assert tracer.names.count("dynamics.alignment_force") == 4
+    assert tracer.counts["dynamics.alignment_force"] == 0

@@ -115,8 +115,12 @@ def test_preset_hashes_lines(monkeypatch, capsys):
     monkeypatch.setattr(hashes, "run", fake_run)
     monkeypatch.setattr(hashes, "cli_main", fake_cli)
     hashes.main()
-    lines = capsys.readouterr().out.splitlines()
+    *lines, src_line = capsys.readouterr().out.splitlines()
     assert len(lines) == len(scenarios) == len(preset_names())
+    # the last line counts the package's source lines, as wc -l does
+    sources = sorted((TOOLS.parent / "src").rglob("*.py"))
+    assert any(path.name == "dynamics.py" for path in sources)
+    assert src_line == f"src lines {sum(len(path.read_text().splitlines()) for path in sources)}"
     for i, (name, line) in enumerate(zip(preset_names(), lines), start=1):
         match = re.fullmatch(
             r"(\S+) frames ([0-9a-f]{64}) summary ([0-9a-f]{64})"

@@ -7,7 +7,9 @@ preset: its name, the hash of the frames CSV, the hash of the summary JSON
 with ``wall_time`` set to 0, the only field that varies between runs, and
 the hashes of what ``flocklab constants`` and ``flocklab classify`` print
 for it (``-`` for a particle preset, which has no classification).  Two
-checkouts that print the same lines wrote the same bytes.
+checkouts that print the same preset lines wrote the same bytes.  The last
+line, ``src lines <N>``, counts the lines of the package's source files, as
+``wc -l`` does.
 """
 
 import contextlib
@@ -17,8 +19,9 @@ import os
 import sys
 from pathlib import Path
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads OpenBLAS
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(SRC))
 
 from flocklab.cli import main as cli_main  # noqa: E402
 from flocklab.config import preset_config, preset_names  # noqa: E402
@@ -48,6 +51,8 @@ def main() -> None:
             f" constants {_sha256(_cli_output('constants', name))} classify {classify}",
             flush=True,
         )
+    lines = sum(path.read_bytes().count(b"\n") for path in SRC.rglob("*.py"))
+    print(f"src lines {lines}")
 
 
 if __name__ == "__main__":
