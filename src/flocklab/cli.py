@@ -6,7 +6,6 @@ argument is a file path or a preset name.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -93,6 +92,8 @@ def cmd_check(args) -> int:
 
 
 def main(argv=None) -> int:
+    import argparse  # here, not at the top: importing the module for constants_json needs no parser
+
     parser = argparse.ArgumentParser(
         prog="flocklab",
         description="Alignment dynamics laboratory: simulate, classify thresholds,"

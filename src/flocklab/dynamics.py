@@ -31,11 +31,14 @@ density value rho (x and u are then (N, 1)), and 2D characteristics add
 the velocity gradient grad_u.  The evolved arrays are packed: each is a
 view of a segment of one flat float64 vector, in that order.
 
-``advance_rk4`` is the one time stepper: classical fixed-step RK4 on the
+``_rk4_core`` is the one time stepper: classical fixed-step RK4 on the
 flat vector.  The mode's right-hand side writes each derivative into views
 of a stage buffer, and each stage is two in-place operations on flat
-vectors.  Each mode builds its right-hand side for a step from the masses,
-kernel and potential (``_step_rhs_u`` here, ``_step_rhs_1d``,
+vectors.  ``advance_rk4`` (under every ``step_*``) is the core under its
+own np.errstate, plus the new Ensemble; ``runner.run``'s loop calls the
+core on the flat vector under one np.errstate per run, and builds an
+Ensemble only for a frame.  Each mode builds its right-hand side from the
+masses, kernel and potential (``_step_rhs_u`` here, ``_step_rhs_1d``,
 ``_step_rhs_2d``), each term from its one builder: ``alignment_plan``
 (a constant kernel's O(N) form or a decaying kernel's ``PairPlan``),
 ``potentials.gradient`` and ``potentials.hessian_diag``.  So the four
@@ -43,7 +46,7 @@ stages of a constant-kernel step run only arithmetic.  The buffers
 (``_Scratch``) are made with an Ensemble and passed on to the states
 stepped from it, with the last right-hand side built, which a step reuses
 while it gets the same masses, kernel and potential objects; a step
-allocates only the new state's vector and the pass's small temporaries.
+allocates only the new vector and the pass's small temporaries.
 The new vector is screened in one pass against bound vectors: a value that
 turns non-finite or leaves its cap (STATE_CAP, E_BLOWUP_CAP for e, none for
 the density), or a negative density, raises BlowupSignal with the
@@ -385,7 +388,7 @@ class _Scratch:
     """
 
     def __init__(self, arrays: dict):
-        self.names, self.layout, size = tuple(arrays), [], 0
+        self.layout, size = [], 0
         for name, arr in arrays.items():
             self.layout.append((name, size, size + arr.size, arr.shape))
             size += arr.size
@@ -423,51 +426,62 @@ def _blowup_reason(arrays: dict) -> str:
     return "density left the nonnegative range"
 
 
-def advance_rk4(state: Ensemble, f, dt: float) -> Ensemble:
-    """One classical RK4 step of size dt > 0 of the arrays in ``state.evolved()``.
+def _rk4_core(scratch: _Scratch, f, y: np.ndarray, t: float, dt: float) -> np.ndarray:
+    """One classical RK4 step of size dt of the flat vector y at time t: the new vector y1.
 
-    ``f(*arrays, *outs)`` writes their time derivatives into outs, arrays
-    of the same shapes in the same order.  Each stage is two in-place
-    operations on flat vectors, and the update keeps the bits of
-    a + (dt/6)(k1 + 2(k2 + k3) + k4).  The new flat vector is screened in
-    one pass: each value must be finite, x, u and grad_u within STATE_CAP,
-    e within E_BLOWUP_CAP and rho nonnegative, else BlowupSignal brackets
-    the step.  The new state is assembled without validating it again; it
-    owns its flat vector, and the input state is never written.
+    ``f(*arrays, *outs)`` writes the time derivatives of the evolved arrays
+    into outs, arrays of the same shapes in the same order.  y is copied into
+    the stage row, so the first stage reads its views too and y is never
+    written.  Each stage is two in-place operations on flat vectors, and the
+    update keeps the bits of y + (dt/6)(k1 + 2(k2 + k3) + k4).  y1 is
+    screened in one pass: each value must be finite, x, u and grad_u within
+    STATE_CAP, e within E_BLOWUP_CAP and rho nonnegative, else BlowupSignal
+    brackets the step [t, t + dt].  The caller holds the np.errstate that
+    lets a blowing-up step overflow quietly.
+    """
+    k1, k2, k3, k4, stage = scratch.rows
+    v1, v2, v3, v4, args = scratch.views
+    half, full, sixth = scratch.coefficients(dt)
+    np.copyto(stage, y)
+    f(*args, *v1)
+    np.multiply(k1, half, out=stage)
+    stage += y
+    f(*args, *v2)
+    np.multiply(k2, half, out=stage)
+    stage += y
+    f(*args, *v3)
+    np.multiply(k3, full, out=stage)
+    stage += y
+    f(*args, *v4)
+    k2 += k3
+    k2 += k2  # 2 (k2 + k3), exactly
+    k2 += k1
+    k2 += k4
+    k2 *= sixth
+    y1 = y + k2
+    # a NaN fails both comparisons; count_nonzero is the cheapest reduction
+    if np.count_nonzero(scratch.lo <= y1) + np.count_nonzero(y1 <= scratch.hi) < 2 * y1.size:
+        raise BlowupSignal(t, t + dt, _blowup_reason(_views(y1, scratch.layout)))
+    return y1
+
+
+def _packed(state: Ensemble, flat: np.ndarray, t: float) -> Ensemble:
+    """The state at time t whose evolved arrays are views of flat, assembled without validating it again."""
+    out = object.__new__(Ensemble)
+    out.__dict__.update(state.__dict__, t=t, flat=flat, **_views(flat, state._scratch.layout))
+    return out
+
+
+def advance_rk4(state: Ensemble, f, dt: float) -> Ensemble:
+    """One ``_rk4_core`` step of size dt > 0 of the arrays in ``state.evolved()``, under its own np.errstate.
+
+    The new state owns its flat vector, and the input state is never written.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    scratch = state._scratch
-    k1, k2, k3, k4, stage = scratch.rows
-    v1, v2, v3, v4, args = scratch.views
-    y = state.flat
-    half, full, sixth = scratch.coefficients(dt)
     with np.errstate(over="ignore", invalid="ignore"):
-        f(*[state.__dict__[name] for name in scratch.names], *v1)
-        np.multiply(k1, half, out=stage)
-        stage += y
-        f(*args, *v2)
-        np.multiply(k2, half, out=stage)
-        stage += y
-        f(*args, *v3)
-        np.multiply(k3, full, out=stage)
-        stage += y
-        f(*args, *v4)
-        k2 += k3
-        k2 += k2  # 2 (k2 + k3), exactly
-        k2 += k1
-        k2 += k4
-        k2 *= sixth
-        y1 = y + k2
-        # a NaN fails both comparisons; count_nonzero is the cheapest reduction
-        inside = np.count_nonzero(scratch.lo <= y1) + np.count_nonzero(y1 <= scratch.hi)
-    new = _views(y1, scratch.layout)
-    t_hi = state.t + dt
-    if inside < 2 * y1.size:
-        raise BlowupSignal(state.t, t_hi, _blowup_reason(new))
-    out = object.__new__(Ensemble)
-    out.__dict__.update(state.__dict__, t=t_hi, flat=y1, **new)
-    return out
+        y1 = _rk4_core(state._scratch, f, state.flat, state.t, dt)
+    return _packed(state, y1, state.t + dt)
 
 
 def step_rk4(ens: Ensemble, kernel: Kernel, potential: Potential, dt: float) -> Ensemble:

@@ -22,7 +22,8 @@ helper that finds the first threshold crossing in a recorded min-e series.
 
 The state is a ``dynamics.Ensemble`` whose x and u are (N, 1) and which
 carries e and rho; ``step_1d`` hands this module's in-place right-hand
-side to the shared RK4 driver, which also caps |e| at E_BLOWUP_CAP.  The evolved rho
+side to ``dynamics.advance_rk4``, and ``runner.run`` to the RK4 core that
+it wraps, which also caps |e| at E_BLOWUP_CAP.  The evolved rho
 is carried for output only: the (x, u, e) dynamics always reads the
 quadrature sums, never the evolved density, so quadrature error cannot
 feed back.

@@ -21,7 +21,8 @@ The classifiers decide whether initial data are subcritical, i.e. whether
 e provably stays nonnegative (so eta_S and omega decay) for all time.
 
 The state is a ``dynamics.Ensemble`` that carries grad_u; ``step_2d``
-hands this module's right-hand side to the shared RK4 driver.  Its terms
+hands this module's right-hand side to ``dynamics.advance_rk4``, and
+``runner.run`` to the RK4 core that it wraps.  Its terms
 come from the builders every mode uses: ``dynamics.alignment_plan`` for a
 constant kernel (a decaying kernel's ``PairPlan`` also sums R) and
 ``potentials.hessian_diag``.

@@ -61,10 +61,12 @@ from .diagnostics import (  # noqa: F401 (the benchmark binds the three pair_sca
     particle_energy_support,
     perturbed_particle_energy_max,
 )
-from .dynamics import BlowupSignal, Ensemble, conv_phi, means, step_rk4
-from .hydro1d import classify_1d, step_1d
-from .hydro1d import detect_blowup, e_upper_bound, smooth_lower_root  # noqa: F401 (bound by the benchmark)
-from .hydro2d import classify_2d_general, classify_2d_quadratic, spectral_arrays, step_2d
+from .dynamics import BlowupSignal, Ensemble, _packed, _rk4_core, _step_rhs_u, conv_phi, means
+from .dynamics import step_rk4  # noqa: F401 (bound by the benchmark; the run loop calls no step_*)
+from .hydro1d import _step_rhs_1d, classify_1d
+from .hydro1d import detect_blowup, e_upper_bound, smooth_lower_root, step_1d  # noqa: F401 (benchmark)
+from .hydro2d import _step_rhs_2d, classify_2d_general, classify_2d_quadratic, spectral_arrays
+from .hydro2d import step_2d  # noqa: F401 (bound by the benchmark)
 from .initial import build_state, ensemble_view  # noqa: F401 (bound by the benchmark)
 from .kernels import (
     ConstantKernel,
@@ -370,30 +372,35 @@ def _integrate(cfg: ExperimentConfig, an: Analysis) -> RunResult:
         except ConfigError as exc:
             notes.append(f"classification skipped: {exc}")
 
-    # read at call time, so a rebound stepper applies
-    step = {"particles": step_rk4, "hydro1d": step_1d, "hydro2d": step_2d}[cfg.mode]
-    state = an.state
-    frames = [an.frame0]
+    # the loop marches the flat vector with the RK4 core: an Ensemble is built only for a frame
+    state, frames, blowup = an.state, [an.frame0], None
+    scratch, y = state._scratch, state.flat
+    build = {"particles": _step_rhs_u, "hydro1d": _step_rhs_1d, "hydro2d": _step_rhs_2d}[cfg.mode]
+    f = scratch.rhs(build, state.m, cfg.kernel, cfg.potential)
     # the 1D run's e range is taken every step, as each characteristic's extremes over time, since
     # the persistence checks need more than the frames
     track_e = state.e is not None
     if track_e:
+        e = next(slice(lo, hi) for name, lo, hi, _ in scratch.layout if name == "e")
         e_lo, e_hi = state.e.copy(), state.e.copy()
-    blowup = None
-    kernel, potential, dt, stride, n_steps = cfg.kernel, cfg.potential, cfg.dt, cfg.output_stride, cfg.n_steps
-    try:
-        for i in range(1, n_steps + 1):
-            state = step(state, kernel, potential, dt)
-            state.t = i * dt
-            if track_e:
-                np.minimum(e_lo, state.e, out=e_lo)
-                np.maximum(e_hi, state.e, out=e_hi)
-            if i % stride == 0 or i == n_steps:
-                frames.append(_state_frame(cfg, state, an.a_lo, an.pair_f, an.v_rates))
-    except BlowupSignal as sig:
-        blowup = (sig.t_lo, sig.t_hi)
-        if state.t > frames[-1].t:  # the last finite state is a frame too
-            frames.append(_state_frame(cfg, state, an.a_lo, an.pair_f, an.v_rates))
+    dt, stride, n_steps = cfg.dt, cfg.output_stride, cfg.n_steps
+
+    def frame(y, t):
+        return _state_frame(cfg, _packed(state, y, t), an.a_lo, an.pair_f, an.v_rates)
+
+    with np.errstate(over="ignore", invalid="ignore"):  # once per run: a blowing-up step overflows quietly
+        try:
+            for i in range(1, n_steps + 1):
+                y = _rk4_core(scratch, f, y, (i - 1) * dt, dt)
+                if track_e:
+                    np.minimum(e_lo, y[e], out=e_lo)
+                    np.maximum(e_hi, y[e], out=e_hi)
+                if i % stride == 0 or i == n_steps:
+                    frames.append(frame(y, i * dt))
+        except BlowupSignal as sig:
+            blowup = (sig.t_lo, sig.t_hi)
+            if sig.t_lo > frames[-1].t:  # the last finite state is a frame too
+                frames.append(frame(y, sig.t_lo))
 
     summary = RunSummary(
         scenario=cfg.scenario,

@@ -13,6 +13,9 @@ the ``reference_rhs_*`` functions the allocating right-hand sides it called.
 The ``stage_*`` functions are the in-place right-hand sides as they were
 before each step decided its kernel, potential and constants once, and
 ``stage_step`` steps them with the package's driver.
+``reference_integrate`` is the runner's step loop as it was before it
+marched the flat vector: one public ``step_*`` call and one Ensemble per
+step, its t set to i * dt, and each frame built by ``runner._state_frame``.
 ``_evaluate_checks``, its four helpers and ``_fit_rates`` are the runner's
 bound checks and rate fit as they were written before the one table of
 ``runner._check_rows``: each check built by hand with its own reduction.
@@ -37,13 +40,15 @@ from flocklab.dynamics import (
     Ensemble,
     advance_rk4,
     alignment_force,
+    step_rk4,
     add_block,
     alignment_sums,
     conv_phi,
     kernel_sums,
     product_rows,
 )
-from flocklab.hydro1d import e_upper_bound, smooth_lower_root
+from flocklab.hydro1d import e_upper_bound, smooth_lower_root, step_1d
+from flocklab.hydro2d import step_2d
 from flocklab.kernels import (
     ConstantKernel,
     FloorClippedKernel,
@@ -60,7 +65,7 @@ from flocklab.potentials import (
     hess_diag_at,
     value_at,
 )
-from flocklab.runner import Analysis, BoundCheck
+from flocklab.runner import Analysis, BoundCheck, _state_frame
 
 
 def riccati_exact(t, e0, K, A):
@@ -543,6 +548,30 @@ def stage_step(state, kernel, potential, dt):
             dx[...] = u
             stage_rhs_u(x, u, m, kernel, potential, du)
     return advance_rk4(state, f, dt)
+
+
+def reference_integrate(cfg, an: Analysis):
+    """(frames, blowup, extrema) of the run of cfg from ``an``, stepped one ``step_*`` call at a time."""
+    step = {"particles": step_rk4, "hydro1d": step_1d, "hydro2d": step_2d}[cfg.mode]
+    state, frames, blowup = an.state, [an.frame0], None
+    track_e = state.e is not None
+    if track_e:
+        e_lo, e_hi = state.e.copy(), state.e.copy()
+    try:
+        for i in range(1, cfg.n_steps + 1):
+            state = step(state, cfg.kernel, cfg.potential, cfg.dt)
+            state.t = i * cfg.dt
+            if track_e:
+                np.minimum(e_lo, state.e, out=e_lo)
+                np.maximum(e_hi, state.e, out=e_hi)
+            if i % cfg.output_stride == 0 or i == cfg.n_steps:
+                frames.append(_state_frame(cfg, state, an.a_lo, an.pair_f, an.v_rates))
+    except BlowupSignal as sig:
+        blowup = (sig.t_lo, sig.t_hi)
+        if state.t > frames[-1].t:
+            frames.append(_state_frame(cfg, state, an.a_lo, an.pair_f, an.v_rates))
+    extrema = {"run_min_e": float(e_lo.min()), "run_max_e": float(e_hi.max())} if track_e else {}
+    return frames, blowup, extrema
 
 
 def reference_check_summary(summary, cfg, an: Analysis, frames):

@@ -6,13 +6,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import flocklab
-from flocklab import cli, runner
+from flocklab import cli, dynamics, runner
 from flocklab.cli import main as cli_main
 from flocklab.config import ConfigError, parse_config, preset_config, preset_names, preset_text, with_overrides
 from flocklab.diagnostics import frame_columns
@@ -472,8 +473,9 @@ def test_sweep_simulate_outcome_column(monkeypatch):
     def no_step(*args):
         raise AssertionError("stepped a point that cannot be classified")
 
-    for name in ("step_rk4", "step_2d"):
-        monkeypatch.setattr(runner, name, no_step)
+    # the run loop calls the RK4 core, and the public steps reach it through dynamics
+    for module in (runner, dynamics):
+        monkeypatch.setattr(module, "_rk4_core", no_step)
     zero_potential = POWER_LAW_2D.replace("n = 256", "n = 16").replace("t = 0.2", "t = 0.01")
     zero_potential = zero_potential.replace("family = quadratic\na = 1.0", "family = zero")
     for text in (zero_potential, SMALL):
@@ -490,6 +492,20 @@ def test_runner_blowup_in_smooth_run_fails_check():
     failed = {c.name for c in result.summary.bound_checks if not c.passed}
     assert result.summary.threshold.verdict == "smooth_guaranteed"
     assert result.summary.blowup is not None and "no_blowup" in failed
+
+
+@pytest.mark.parametrize(
+    "horizon, bracket", [("t = 50\ndt = 5", (10.0, 15.0)), ("t = 1e101\ndt = 1e100", (0.0, 1e100))],
+    ids=["dt-5", "dt-1e100"],
+)
+def test_a_blowing_up_run_warns_nothing(horizon, bracket):
+    # the runner holds one np.errstate for its loop, so float64 overflows inside the stages stay quiet;
+    # dt = 5 leaves the caps before any value overflows, dt = 1e100 overflows in the first step
+    cfg = parse_config(SMOOTH_SHORT.replace("t = 5.0\ndt = 1e-3", horizon))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run(cfg)
+    assert result.summary.blowup == bracket
 
 
 # --- command-line interface ---

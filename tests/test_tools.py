@@ -1,7 +1,7 @@
-"""The preset tools, with their preset runs stubbed.
+"""The tools, with their preset and benchmark runs stubbed.
 
-``tools/preset_roundoff.py``'s exit status and summary changes, and ``tools/preset_hashes.py``'s lines,
-with its CLI calls stubbed too.
+``tools/preset_roundoff.py``'s exit status and summary changes, ``tools/preset_hashes.py``'s lines,
+with its CLI calls stubbed too, and ``tools/bench_pairs.py``'s report and exit status.
 """
 
 import hashlib
@@ -134,3 +134,60 @@ def test_preset_hashes_lines(monkeypatch, capsys):
         particles = preset_config(name).mode == "particles"
         assert match[5] == ("-" if particles else sha(f"classify {name}\n"))
     assert {line.endswith(" classify -") for line in lines} == {True, False}  # both kinds of preset
+
+
+def _bench_result(steps_per_s, failed=0):
+    """A ``bench/run.py`` result line's object whose end-to-end metrics all follow steps_per_s."""
+    values = {
+        "run_ms_p50": 1e3 / steps_per_s, "run_ms_p90": 2e3 / steps_per_s, "steps_per_s": steps_per_s,
+        "setup_s": 0.1, "peak_rss_mb": 40.0,
+    }
+    metrics = {name: {"value": value, "unit": "?"} for name, value in values.items()}
+    return {"correct": failed == 0, "attempted": 10, "failed": failed, "metrics": metrics}
+
+
+def _bench_lines(out):
+    return {line.split()[0]: line for line in out.splitlines() if line.startswith("  ")}
+
+
+def test_bench_pairs_alternates_and_reports_each_metric(monkeypatch, tmp_path, capsys):
+    pairs = _load("bench_pairs")
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):  # the change runs 10 steps/s faster on every seed
+        calls.append((checkout, workload, seed, seconds))
+        return 0, _bench_result(100.0 + seed + (10.0 if checkout == pairs.HERE else 0.0))
+
+    monkeypatch.setattr(pairs, "_run", fake_run)
+    argv = [str(tmp_path), "--workload", "chars-stepping", "--pairs", "3", "--seconds", "2", "--seed", "5"]
+    assert pairs.main(argv) == 0
+    sides = [tmp_path.resolve(), pairs.HERE, pairs.HERE, tmp_path.resolve(), tmp_path.resolve(), pairs.HERE]
+    assert calls == [(side, "chars-stepping", 5 + k // 2, 2.0) for k, side in enumerate(sides)]
+    lines = _bench_lines(capsys.readouterr().out)
+    assert list(lines) == ["run_ms_p50", "run_ms_p90", "steps_per_s", "setup_s", "peak_rss_mb"]
+    # parent 105, 106, 107 and change 115, 116, 117 steps/s; quartiles are inclusive of the extremes
+    assert lines["steps_per_s"].endswith(
+        "parent 106 [IQR 105.5-106.5], change 116 [IQR 115.5-116.5], ratio 1.0943, change ahead in 3 of 3"
+    )
+    assert lines["run_ms_p50"].endswith("change ahead in 3 of 3")  # lower is better there
+    assert lines["setup_s"].endswith("ratio 1.0000, change ahead in 0 of 3")  # a tie is not ahead
+
+
+@pytest.mark.parametrize(
+    "outcome",
+    [(1, _bench_result(100.0)), (0, _bench_result(100.0, failed=1)), (1, None)],
+    ids=["exit-status", "failed-ops", "no-result"],
+)
+def test_bench_pairs_exits_1_when_a_run_fails(monkeypatch, tmp_path, capsys, outcome):
+    pairs = _load("bench_pairs")
+
+    def fake_run(checkout, workload, seed, seconds):  # the change's second run fails
+        return outcome if checkout == pairs.HERE and seed == 2 else (0, _bench_result(100.0))
+
+    monkeypatch.setattr(pairs, "_run", fake_run)
+    assert pairs.main([str(tmp_path), "--workload", "dense-frames", "--pairs", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "pair 2, seed 2, change: exit" in out
+    # a run with no result leaves its pair out of every metric
+    expected = 1 if outcome[1] is None else 2
+    assert _bench_lines(out)["steps_per_s"].endswith(f"change ahead in 0 of {expected}")
