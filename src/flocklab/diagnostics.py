@@ -18,10 +18,10 @@ The functionals monitored per output frame:
 
 A frame's deltaE_L2, deltaE_Linf, D and F_const_max come from one
 ``pair_scan`` over the upper-triangle row blocks of ``dynamics.block_views``,
-in the pool of buffers that the right-hand sides' pair passes use.  Each
-block takes every x and u difference once, as a GEMM of
-``dynamics.differences``; ``fluctuations``, ``particle_energy_support`` and
-``pair_functional_f`` wrap the scan.
+in the pool of buffers that the right-hand sides' pair passes use.  Each is
+a quadratic form of p_i - p_j, p = (x, u), expanded about one agent, so each
+of its blocks is one GEMM, within the round-off budget ``pair_scan`` states;
+``fluctuations``, ``particle_energy_support`` and ``pair_functional_f`` wrap the scan.
 """
 
 from __future__ import annotations
@@ -29,11 +29,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .dynamics import Ensemble, add_block, block_views, differences, even_first, means
+from .dynamics import Ensemble, add_block, block_views, means
 from .potentials import Potential, value_at
 
 __all__ = [
@@ -59,45 +60,69 @@ def energy(ens: Ensemble, potential: Potential) -> tuple[float, float]:
     return total, kinetic
 
 
+# pair_scan's factors: one flat buffer per process, grown to the largest size seen
+_scan_factors = np.empty(0)
+_SCAN_TAIL = -0.5 * np.eye(3)[:, :, None]  # the right factors' last rows, form by form
+
+
+@lru_cache(maxsize=16)
+def _scan_forms(d: int, a: float, coupling: Optional[float], beta: Optional[float]) -> np.ndarray:
+    """-2 M for the matrices M on p = (x, u) of |du|^2 + a |dx|^2, |dx|^2 and F (zero without a coupling)."""
+    f = [[0.0, 0.0], [0.0, 0.0]] if coupling is None else [[-coupling, -1.0], [-1.0, -beta]]
+    forms = np.kron([[[-2.0 * a, 0.0], [0.0, -2.0]], [[-2.0, 0.0], [0.0, 0.0]], f], np.eye(d))
+    forms.flags.writeable = False  # the cache hands this one array to every call
+    return forms
+
+
 def pair_scan(ens: Ensemble, a: float, coupling: Optional[float] = None, beta: Optional[float] = None):
     """(deltaE_L2, deltaE_Linf, D, F_const_max) of a state from one pass over its pairs i <= j.
 
     With dx = x_i - x_j, du = u_i - u_j and pair = |du|^2 + a |dx|^2:
     deltaE_L2 = sum_ij m_i m_j pair, deltaE_Linf = max pair, D = max |dx| and,
     given K = ``coupling``, F_const_max = max K/2 |dx|^2 + dx.du + beta/2 |du|^2
-    (else NaN).  In each of ``block_views``' row blocks, every coordinate's dx
-    and du is one GEMM of ``differences``, summed as squares into sx and su
-    (and as products into xu) in ``even_first`` order, so the maxima are bitwise
-    those of the dense N x N x d forms; deltaE_L2 is m @ (pair @ m) from ``add_block``.
+    (else NaN).  Each form q, of matrix M on p = (x, u), is expanded about the heaviest agent k:
+    with p~ = p - p_k and s = -2 q(p~), q(p_i - p_j) = q(p~_i) + q(p~_j) - 2 p~_i.M p~_j, so a
+    block is the GEMM [1, p~_i, s_i] @ [-s_j/2; -2 M p~_j; -1/2] of rank <= 2d + 4 (in 1D, D is
+    max x - min x).  p~ is exact where p_i is within a factor of two of p_k, so coincident agents
+    give exact zeros; row k is q(p~_j) itself, so each maximum is at least max_j q(p~_j) >= 0.
+    An entry's terms add up to at most 2 (q(p~_i) + q(p~_j)) in size, kappa times that for F
+    (kappa the condition number of its M, K beta > 1), so each maximum is within about
+    4 (2d + 4) kappa eps, relative (an indefinite F: absolute, times max_j (K + 1)|x~_j|^2 +
+    (1 + beta)|u~_j|^2), and deltaE_L2 within O((2d + 4) m0 / m_k + N) eps, relative, as its
+    row and column k add to 2 m_k sum_j m_j q(p~_j).
     """
     if a < 0.0:
         raise ValueError(f"fluctuation weight a must be nonnegative, got {a}")
-    cross = coupling is not None
-    x, u, m = ens.x, ens.u, ens.m
-    diff_x, diff_u = differences(x), differences(u)
-    sums = np.zeros(len(m))
-    linf = d_sq = f_max = -np.inf
-    for lo, hi, (sx, su, xu, dx, du) in block_views(len(m), m, 5):
-        for k in even_first(x.shape[1]):
-            xk, uk = diff_x(k, lo, hi, dx if k else sx), diff_u(k, lo, hi, du if k else su)
-            if cross:
-                if k:
-                    xu += xk * uk  # all five views are live here, so the product takes a temporary
-                else:
-                    np.multiply(xk, uk, out=xu)
-            np.multiply(xk, xk, out=xk)
-            np.multiply(uk, uk, out=uk)
-            if k:
-                sx += xk
-                su += uk
-        d_sq = max(d_sq, sx.max())
-        pair = np.add(np.multiply(sx, a, out=du), su, out=du) if a != 0.0 else su
+    global _scan_factors
+    (n, d), m = ens.x.shape, ens.m
+    size = (2 * d + 4) * n  # left: [1, x~, u~, s of each form]
+    if _scan_factors.size < 4 * size:
+        _scan_factors = np.empty(4 * size)
+    left, right = _scan_factors[:size].reshape(n, -1), _scan_factors[size : 4 * size].reshape(3, -1, n)
+    k = int(m.argmax())  # the heaviest agent: the mass sum's budget grows with m0 / m_k
+    p, xu = left[:, 1 : 2 * d + 1], ens.flat[: 2 * n * d].reshape(2, n, d)
+    np.subtract(xu, xu[:, k : k + 1], out=p.reshape(n, 2, d).transpose(1, 0, 2))
+    left[:, 0] = 1.0
+    right[:, 2 * d + 1 :] = _SCAN_TAIL
+    r = np.matmul(_scan_forms(d, a, coupling, beta), p.T, out=right[:, 1 : 2 * d + 1])  # -2 M p~_j
+    s = np.vecdot(p, r.transpose(0, 2, 1), out=left[:, 2 * d + 1 :].T)  # -2 q(p~_i)
+    np.multiply(s, -0.5, out=right[:, 0])
+    sums = np.zeros(n)
+    linf = f_max = -np.inf
+    d_sq = float(np.ptp(ens.x)) ** 2 if d == 1 else -np.inf  # the extremes are the widest pair, exactly
+
+    def block_of(f):  # form f's block: the left factor's columns up to its s
+        return np.matmul(left[lo:hi, : 2 * d + 2 + f], right[f, : 2 * d + 2 + f, lo:], out=block)
+
+    for lo, hi, (block,) in block_views(n, right[0], 1):
+        pair = block_of(0)
         linf = max(linf, pair.max())
         add_block(sums, pair, m, lo, hi)
-        if cross:
-            np.add(np.multiply(sx, 0.5 * coupling, out=dx), xu, out=dx)
-            f_max = max(f_max, np.add(dx, np.multiply(su, 0.5 * beta, out=su), out=dx).max())
-    return float(m @ sums), float(linf), float(math.sqrt(d_sq)), float(f_max) if cross else math.nan
+        if d > 1:
+            d_sq = max(d_sq, block_of(1).max())
+        if coupling is not None:
+            f_max = max(f_max, block_of(2).max())
+    return float(m @ sums), float(linf), math.sqrt(d_sq), math.nan if coupling is None else float(f_max)
 
 
 def fluctuations(ens: Ensemble, a: float) -> tuple[float, float]:

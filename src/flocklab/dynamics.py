@@ -12,15 +12,15 @@ total mass sum(m).  Equal weights m_j = m0/N recover the plain arithmetic
 average.  The vanishing i = j term is kept in the sums (it contributes
 exactly zero).
 
-The pairwise sums, and the frame functionals of ``diagnostics.pair_scan``,
-visit each pair i <= j once, in row blocks against the columns from their
-first row on: ``block_views`` lends every pass its views of one buffer pool
-per process, ``differences`` writes a block's coordinate differences as
-rank-2 GEMMs, a ``PairPlan`` sums their squares, where the kernel is
-evaluated once, and ``add_block`` adds the block's BLAS product with
-[m, m*u] (or m) to its rows and its transpose's to the rows below.  The
+The pairwise sums visit each pair i <= j once, in row blocks against the
+columns from their first row on: ``block_views`` lends every pass its views
+of one buffer pool per process, ``differences`` writes a block's coordinate
+differences as rank-2 GEMMs, a ``PairPlan`` sums their squares, where the
+kernel is evaluated once, and ``add_block`` adds the block's BLAS product
+with [m, m*u] (or m) to its rows and its transpose's to the rows below.  The
 plan holds a pass's buffers (the stacked [m, m*u], the GEMM factors, the
-outputs and the pool's views), so a right-hand side lays them out once.  No
+outputs and the pool's views), so a right-hand side lays them out once.
+``diagnostics.pair_scan`` takes the same blocks, one GEMM per functional.  No
 N x N array is built, and every product stays on one OpenBLAS thread, so
 runs give the same bytes whatever OPENBLAS_NUM_THREADS is (a test compares
 1 and 2 threads at the config cap N = 2048).

@@ -199,7 +199,7 @@ def dense_gradient_forcing(x, u, m, kernel):
 
 # The blocked pair passes as they were before ``dynamics.differences`` gave each block its x and u
 # differences, each from one rank-2 GEMM computed once.  The bodies are verbatim and keep their own
-# block pool; ``pair_scan`` and ``_pair_terms_2d`` are held to them bit for bit.
+# block pool; ``_pair_terms_2d`` is held to them bit for bit.
 
 _block_buffers = (np.empty(0), np.empty(0))
 
@@ -232,45 +232,6 @@ def reference_pair_blocks(x: np.ndarray, b: np.ndarray, spares: int = 1):
             if k:
                 r_sq += dk
         yield lo, hi, r_sq, spare, diffs
-
-
-def reference_pair_scan(
-    ens: Ensemble, a: float, coupling: Optional[float] = None, beta: Optional[float] = None
-):
-    """(deltaE_L2, deltaE_Linf, D, F_const_max) of a state from one pass over its pairs i <= j.
-
-    With dx = x_i - x_j, du = u_i - u_j and pair = |du|^2 + a |dx|^2:
-    deltaE_L2 = sum_ij m_i m_j pair, deltaE_Linf = max pair, D = max |dx| and,
-    given K = ``coupling``, F_const_max = max K/2 |dx|^2 + dx.du + beta/2 |du|^2
-    (else NaN).  The pairs come in ``pair_blocks``' upper-triangle row blocks,
-    with coordinates summed even ones first, so the maxima are bitwise those
-    of the dense N x N x d forms; deltaE_L2 is m @ (pair @ m) from ``add_block``.
-    """
-    if a < 0.0:
-        raise ValueError(f"fluctuation weight a must be nonnegative, got {a}")
-    cross = coupling is not None
-    x, u, m = ens.x, ens.u, ens.m
-    d = x.shape[1]
-    sums = np.zeros(len(m))
-    linf = d_sq = f_max = -np.inf
-    for lo, hi, sx, (su, du, tx, xu), diffs in reference_pair_blocks(x, m, spares=4):
-        for k in (*range(0, d, 2), *range(1, d, 2)):
-            uk = np.subtract(u[lo:hi, k, None], u[None, lo:, k], out=du if k else su)
-            if cross:
-                xk = np.multiply(np.matmul(*diffs[k], out=tx), uk, out=tx if k else xu)
-                if k:
-                    xu += xk
-            np.multiply(uk, uk, out=uk)
-            if k:
-                su += uk
-        d_sq = max(d_sq, sx.max())
-        pair = np.add(np.multiply(sx, a, out=du), su, out=du) if a != 0.0 else su
-        linf = max(linf, pair.max())
-        add_block(sums, pair, m, lo, hi)
-        if cross:
-            np.add(np.multiply(sx, 0.5 * coupling, out=tx), xu, out=tx)
-            f_max = max(f_max, np.add(tx, np.multiply(su, 0.5 * beta, out=su), out=tx).max())
-    return float(m @ sums), float(linf), float(math.sqrt(d_sq)), float(f_max) if cross else math.nan
 
 
 def reference_pair_terms_2d(x, u, m, kernel):

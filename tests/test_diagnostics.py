@@ -5,8 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flocklab import dynamics
+from flocklab import diagnostics, dynamics
 from flocklab.diagnostics import (
     energy,
     fit_rate,
@@ -23,7 +25,6 @@ from oracles import (
     dense_fluctuations,
     dense_pair_functional_f,
     dense_particle_energy_support,
-    reference_pair_scan,
 )
 
 
@@ -172,30 +173,32 @@ def _assert_mass_sum(got, want, n):
     assert abs(got - want) <= 4 * n * np.finfo(float).eps * want
 
 
+def _exact_states(n):
+    # small-integer coordinates and dyadic masses: every pair value and every partial sum of the
+    # mass sum is a dyadic rational of a few dozen bits, exact in any order and any expansion
+    rng = np.random.default_rng(n)
+    for d in (1, 2, 3):
+        x, u = rng.integers(-8, 9, (2, n, d))
+        yield Ensemble(x=x, u=u, m=rng.integers(1, 9, n) / 8)
+
+
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 700])
 def test_pair_scan_is_bitwise_the_dense_forms(n):
-    # the row-blocked scan against the N x N x d arrays it replaces: the maxima
-    # bit for bit, the mass sum within its summation bound
-    rng = np.random.default_rng(n)
-    potential = QuadraticPotential(0.8)
-    for d in (1, 2, 3):
-        ens = Ensemble(
-            x=rng.normal(0.0, 2.0, (n, d)),
-            u=rng.normal(0.3, 10.0 ** rng.uniform(-6, 1), (n, d)),
-            m=rng.uniform(0.1, 1.0, n),
-        )
+    # where the expansion about one agent is exact, all four outputs are the dense N x N x d forms'
+    # bits, with and without the cross form, and the wrappers are the scan's
+    potential = QuadraticPotential(0.75)
+    for ens in _exact_states(n):
         p, diameter = dense_particle_energy_support(ens, potential)
-        for a in (0.0, 0.8):
-            l2, linf = dense_fluctuations(ens, a)
-            f = dense_pair_functional_f(ens, 1.7, 0.9)
-            scan = pair_scan(ens, a, 1.7, 0.9)
-            assert _bits(*scan[1:]) == _bits(linf, diameter, f), (d, a)
-            _assert_mass_sum(scan[0], l2, n)
+        for a in (0.0, 0.75):
+            want = (*dense_fluctuations(ens, a), diameter)
+            for cross in ((2.0, 1.0), (1.5, 1.25)):
+                f = dense_pair_functional_f(ens, *cross)
+                assert _bits(*pair_scan(ens, a, *cross)) == _bits(*want, f), (ens.x.shape, a, cross)
             plain = pair_scan(ens, a)
-            assert _bits(*plain[:3]) == _bits(*scan[:3]) and math.isnan(plain[3])
-            assert _bits(*fluctuations(ens, a)) == _bits(*scan[:2])
+            assert _bits(*plain[:3]) == _bits(*want) and math.isnan(plain[3])
+            assert _bits(*fluctuations(ens, a)) == _bits(*want[:2])
         assert _bits(*particle_energy_support(ens, potential)) == _bits(p, diameter)
-        assert _bits(pair_functional_f(ens, 1.7, 0.9)) == _bits(dense_pair_functional_f(ens, 1.7, 0.9))
+        assert _bits(pair_functional_f(ens, 1.5, 1.25)) == _bits(dense_pair_functional_f(ens, 1.5, 1.25))
 
 
 def test_pair_scan_at_the_consensus_floor():
@@ -245,23 +248,76 @@ def _scan_states():
     yield from _consensus_floor_states()
 
 
-def test_pair_scan_keeps_the_bits_of_the_subtraction_scan():
-    # every difference from one GEMM against the scan that subtracted the velocities and took each
-    # position difference twice: all four outputs bit for bit, deltaE_L2 and the sign of zero included,
-    # since a reordered sum would pass the dense-form test's summation bound yet move the preset bytes
-    for ens in _scan_states():
+def _far_states():
+    # clouds far from the origin against their spread: only an expansion about an agent, not about
+    # the origin, keeps their pair values to a few eps
+    for n in (2, 65, 130):
+        rng = np.random.default_rng(1000 + n)
+        for d in (1, 2, 3):
+            yield Ensemble(
+                x=rng.normal(1e3, 2.0, (n, d)), u=rng.normal(-1e3, 0.5, (n, d)), m=rng.uniform(0.1, 1.0, n)
+            )
+
+
+def test_pair_scan_is_within_its_budget_of_the_dense_forms():
+    # the maxima within 16 eps, relative, and the mass sum within its summation bound, of the dense
+    # N x N x d forms, on states that need every part of the scan: several row blocks, d up to 3,
+    # velocity spreads from 1e-6 to 10, the consensus floor and far-off clouds
+    eps = np.finfo(float).eps
+    for ens in (*_scan_states(), *_far_states()):
+        diameter = dense_particle_energy_support(ens, ZeroPotential())[1]
         for a in (0.0, 0.8):
+            l2, linf = dense_fluctuations(ens, a)
             for cross in ((), (1.7, 0.9), (2.0, 1.0)):
-                want = reference_pair_scan(ens, a, *cross)
-                assert _bits(*pair_scan(ens, a, *cross)) == _bits(*want), (ens.n, ens.x.shape[1], a, cross)
+                got = pair_scan(ens, a, *cross)
+                want = (linf, diameter, dense_pair_functional_f(ens, *cross) if cross else math.nan)
+                case = (ens.n, ens.x.shape[1], a, cross)
+                _assert_mass_sum(got[0], l2, ens.n)
+                assert all(abs(g - w) <= 16 * eps * w for g, w in zip(got[1:], want[: 2 + bool(cross)])), case
+                assert math.isnan(got[3]) == (not cross), case
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    d=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    a=st.sampled_from([0.0, 0.8]) | st.floats(0.0, 4.0),
+    spreads=st.tuples(st.floats(-6.0, 3.0), st.floats(-6.0, 3.0)),
+)
+def test_pair_scan_mass_sum_is_the_one_agent_identity(n, d, seed, a, spreads):
+    # a second, O(N) route: sum_ij m_i m_j q(p_i - p_j) = 2 m0 sum_i m_i q(p_i) - 2 q(sum_i m_i p_i)
+    # for q = a |x|^2 + |u|^2.  On a centered state the second term is round-off, and the scan is
+    # within a few N eps of S = 2 m0 sum_i m_i q(p_i): its entries carry a few eps times
+    # q(p~_i) + q(p~_j), whose mass sum is S + 2 m0^2 q(p_k) <= (1 + m0 / m_k) S <= (1 + N) S, as k
+    # is the heaviest agent, and its summation adds about N eps S; the budget, fixed before
+    # measuring, is _assert_mass_sum's 4 N eps S
+    rng = np.random.default_rng(seed)
+    ens = recenter(Ensemble(
+        x=rng.normal(0.0, 10.0 ** spreads[0], (n, d)),
+        u=rng.normal(0.0, 10.0 ** spreads[1], (n, d)),
+        m=rng.uniform(0.1, 1.0, n),
+    ))
+    m, m0 = ens.m, ens.total_mass
+    q = a * np.einsum("nd,nd->n", ens.x, ens.x) + np.einsum("nd,nd->n", ens.u, ens.u)
+    scale = 2.0 * m0 * float(m @ q)
+    mx, mu = m @ ens.x, m @ ens.u
+    identity = scale - 2.0 * (a * float(mx @ mx) + float(mu @ mu))
+    assert abs(pair_scan(ens, a)[0] - identity) <= 4 * n * np.finfo(float).eps * scale
+
 
 def test_pair_scan_builds_no_pair_matrix(monkeypatch):
+    # the pool lends one view, of the rows that keep a rank-8 product (d = 2, with the cross form) on
+    # one BLAS thread; the factors are 4 (2d + 4) N floats
     n = 700
     rng = np.random.default_rng(2)
     ens = Ensemble(x=rng.normal(size=(n, 2)), u=rng.normal(size=(n, 2)), m=rng.uniform(0.1, 1.0, n))
     monkeypatch.setattr(dynamics, "_block_buffers", (np.empty(0), np.empty(0)))
-    pair_scan(ens, 1.0, 2.0, 1.0)  # grows the shared block buffers to five
-    assert [buf.nbytes for buf in dynamics._block_buffers] == [128 * n * 8] * 5
+    monkeypatch.setattr(diagnostics, "_scan_factors", np.empty(0))
+    pair_scan(ens, 1.0, 2.0, 1.0)  # grows the shared block buffers, whose pool starts with two
+    rows = 2**19 // (8 * n)
+    assert [buf.nbytes for buf in dynamics._block_buffers] == [rows * n * 8] * 2
+    assert diagnostics._scan_factors.size == 4 * 8 * n
     tracemalloc.start()
     try:
         pair_scan(ens, 1.0, 2.0, 1.0)

@@ -418,8 +418,10 @@ for n in (700, 2048):
     x, u, m = rng.normal(size=(n, 2)), rng.normal(size=(n, 2)), rng.uniform(0.1, 1.0, n)
     for arr in (*alignment_force(x, u, m, kernel), conv_phi(x, m, kernel), *_pair_terms_2d(x, u, m, kernel)):
         digest.update(np.ascontiguousarray(arr).tobytes())
-    digest.update(np.array(pair_scan(Ensemble(x=x, u=u, m=m), 0.8, 1.7, 0.9)).tobytes())
     digest.update(step_rk4(Ensemble(x=x, u=u, m=m), kernel, QuadraticPotential(1.0), 0.01).flat.tobytes())
+    for d in (1, 2, 3):  # the frame scan's products have rank up to 2d + 4
+        xd, ud = (x, u) if d == 2 else rng.normal(size=(2, n, d))
+        digest.update(np.array(pair_scan(Ensemble(x=xd, u=ud, m=m), 0.8, 1.7, 0.9)).tobytes())
 sys.stdout.write(digest.hexdigest())
 """
 
@@ -428,7 +430,8 @@ def test_pair_pass_bytes_do_not_depend_on_blas_threads():
     # up to the config cap N = 2048 every block product stays on one BLAS
     # thread; at N = 700 unblocked products of these shapes differ under 2
     # threads.  The frame scan's per-row mass sums run through the same
-    # blocks and are digested after each one, and a step runs its kept plan
+    # blocks and are digested after each one, in d = 1, 2 and 3, and a step
+    # runs its kept plan
     src = str(Path(dynamics.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     digests = [

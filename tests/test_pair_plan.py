@@ -86,7 +86,9 @@ def test_plan_keeps_its_bits_after_the_pool_is_regrown(monkeypatch, n):
             if d == 2:
                 got = _pair_terms_2d(x, u, m, kernel, plan_2d)
                 assert _bytes(*got) == _bytes(*unplanned_pair_terms_2d(x, u, m, kernel))
-        ens = Ensemble(x=rng.normal(size=(big + round_, 2)), u=rng.normal(size=(big + round_, 2)),
+        # a 1D scan: its blocks, about 2**19 / 6 floats, outgrow the plans' 128 rows of N = 512
+        ens = Ensemble(x=rng.normal(size=(big + round_, 1)), u=rng.normal(size=(big + round_, 1)),
                        m=np.ones(big + round_))
+        pool = dynamics._block_buffers
         pair_scan(ens, 0.8, 1.7, 0.9)
-    assert len(dynamics._block_buffers) == 5
+        assert dynamics._block_buffers is not pool

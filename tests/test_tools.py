@@ -1,7 +1,8 @@
 """The tools, with their preset and benchmark runs stubbed.
 
-``tools/preset_roundoff.py``'s exit status and summary changes, ``tools/preset_hashes.py``'s lines,
-with its CLI calls stubbed too, and ``tools/bench_pairs.py``'s report and exit status.
+``tools/preset_roundoff.py``'s exit status, summary changes and ``--only``,
+``tools/preset_hashes.py``'s lines, with its CLI calls stubbed too, and
+``tools/bench_pairs.py``'s report and exit status.
 """
 
 import hashlib
@@ -61,6 +62,34 @@ def test_preset_roundoff_exit_status(monkeypatch, tmp_path, capsys, other_csv, o
     lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith(" ")]
     assert [line.split(":")[0] for line in lines] == list(preset_names())
     assert all(line.endswith("; summary changed: none") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "other_csv, only, moved, status",
+    [
+        (FRAMES, "E", "none", 0),
+        (FRAMES.replace("0.5\n", "0.5000000000000001\n"), "E", "none", 0),  # the listed column moved
+        (FRAMES.replace("0.5\n", "0.5000000000000001\n"), "t,E", "none", 0),
+        (FRAMES.replace("0.5\n", "0.5000000000000001\n"), "t", "E", 1),  # another column moved
+        (FRAMES.replace("1.0,0.5", "1.5,0.5"), "E", "t", 1),
+        (FRAMES.replace("0.5\n", "nan\n"), "t", "E", 1),  # NaN met a number
+    ],
+    ids=["same", "listed", "both-listed", "unlisted", "t-moved", "nan"],
+)
+def test_preset_roundoff_only(monkeypatch, tmp_path, capsys, other_csv, only, moved, status):
+    roundoff = _load("preset_roundoff")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+
+    def fake_run(checkout, preset):  # equal verdicts and summaries: only the frames may differ
+        csv = other_csv if checkout == tmp_path else FRAMES
+        return {"csv": csv, "checks": {"bound": True}, "summary": SUMMARY}
+
+    monkeypatch.setattr(roundoff, "_run", fake_run)
+    assert roundoff.main([str(tmp_path), "--only", only]) == status
+    lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith(" ")]
+    assert len(lines) == len(preset_names())
+    tail = f"; summary changed: none; moved outside --only: {moved}"
+    assert all(line.endswith(tail) for line in lines), lines
 
 
 @pytest.mark.parametrize(

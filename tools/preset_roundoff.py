@@ -1,6 +1,6 @@
 """Report how far every preset's frames moved between two checkouts.
 
-Usage: python tools/preset_roundoff.py OTHER_CHECKOUT
+Usage: python tools/preset_roundoff.py OTHER_CHECKOUT [--only COL[,COL...]]
 
 Each preset runs at its full horizon in this checkout and in OTHER_CHECKOUT
 (a directory holding another version's ``src/``), each run in a subprocess
@@ -10,10 +10,13 @@ relative difference in every frame column, by bench/verify.py's rule:
 column in the other run.  NaN must meet NaN.  The preset's line also says
 whether any bound-check verdict changed, and names the summary JSON keys
 (dotted paths into nested objects) whose values differ, ``wall_time``
-left out.  The exit status is 1 when any verdict changed or any preset's
-frame tables differ in shape, else 0.
+left out.  With ``--only``, the line also names the columns outside the
+list that moved, or says none did.  The exit status is 1 when any verdict
+changed, any preset's frame tables differ in shape, or a column outside
+``--only`` moved, else 0.
 """
 
+import argparse
 import json
 import math
 import os
@@ -88,10 +91,12 @@ def summary_changes(this: dict, other: dict, prefix: str = "") -> list:
 
 
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
-        sys.exit(__doc__)
-    other = Path(args[0]).resolve()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("other", type=Path, help="the other checkout")
+    parser.add_argument("--only", type=lambda text: set(text.split(",")), metavar="COL[,COL...]",
+                        help="the frame columns that may move; exit 1 when another one moved")
+    args = parser.parse_args(argv)
+    other = args.other.resolve()
     sys.path.insert(0, str(HERE / "src"))
     from flocklab.config import preset_names
 
@@ -115,6 +120,10 @@ def main(argv=None) -> int:
             print(f"{preset}: {exc}; {changes}", flush=True)
             continue
         largest = max(worst.values(), key=lambda v: math.inf if math.isnan(v) else v, default=0.0)
+        if args.only is not None:
+            moved = [name for name, value in worst.items() if value != 0.0 and name not in args.only]
+            status = 1 if moved else status
+            changes += f"; moved outside --only: {', '.join(moved) or 'none'}"
         print(
             f"{preset}: largest {largest:.3g}; {changes}\n  "
             + " ".join(f"{name}={value:.2g}" for name, value in worst.items()),
