@@ -17,11 +17,14 @@ The functionals monitored per output frame:
   term, whose decay gives the L2 and worst-pair bounds (quadratic case).
 
 A frame's deltaE_L2, deltaE_Linf, D and F_const_max come from one
-``pair_scan`` over the upper-triangle row blocks of ``dynamics.block_views``,
-in the pool of buffers that the right-hand sides' pair passes use.  Each is
-a quadratic form of p_i - p_j, p = (x, u), expanded about one agent, so each
-of its blocks is one GEMM, within the round-off budget ``pair_scan`` states;
-``fluctuations``, ``particle_energy_support`` and ``pair_functional_f`` wrap the scan.
+``pair_scan``.  Each is a quadratic form of p_i - p_j, p = (x, u), expanded
+about one agent: deltaE_L2 is the expansion's mass sums, in O(N), and each
+worst-pair maximum comes from the pairs of candidate agents only, which the
+triangle inequality of sqrt q (every scanned form is positive semidefinite)
+leaves after a cut with the margin delta, one stacked GEMM per row block of
+``dynamics.block_rows`` rows, with the bits of a blocked scan of every pair;
+``pair_scan`` states the round-off budget and delta.  ``fluctuations``,
+``particle_energy_support`` and ``pair_functional_f`` wrap the scan.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import Ensemble, add_block, block_views, means
+from .dynamics import Ensemble, block_rows, means
 from .potentials import Potential, value_at
 
 __all__ = [
@@ -60,69 +63,137 @@ def energy(ens: Ensemble, potential: Potential) -> tuple[float, float]:
     return total, kinetic
 
 
-# pair_scan's factors: one flat buffer per process, grown to the largest size seen
-_scan_factors = np.empty(0)
-_SCAN_TAIL = -0.5 * np.eye(3)[:, :, None]  # the right factors' last rows, form by form
+_DELTA = 64 * np.finfo(float).eps  # pair_scan's cut margin, per unit of (2d + 4) kappa
 
 
 @lru_cache(maxsize=16)
-def _scan_forms(d: int, a: float, coupling: Optional[float], beta: Optional[float]) -> np.ndarray:
-    """-2 M for the matrices M on p = (x, u) of |du|^2 + a |dx|^2, |dx|^2 and F (zero without a coupling)."""
-    f = [[0.0, 0.0], [0.0, 0.0]] if coupling is None else [[-coupling, -1.0], [-1.0, -beta]]
+def _scan_forms(d: int, a: float, coupling: Optional[float], beta: Optional[float]):
+    """(-2 M, its rows flat, 1 - delta, scanned) of |du|^2 + a |dx|^2, |dx|^2 and F on p = (x, u).
+
+    F's M is zero without a coupling.  ``scanned`` lists the forms whose maxima come from the
+    candidate pass: not D in 1D, nor F without a coupling.  Checks ``pair_scan``'s arguments.
+    """
+    if not 0.0 <= a < math.inf:
+        raise ValueError(f"fluctuation weight a must be finite and nonnegative, got {a}")
+    if (coupling is None) != (beta is None):
+        missing = "beta" if beta is None else "coupling"
+        raise ValueError(f"coupling and beta are given both or neither; {missing} is missing")
+    kappa, f = 1.0, [[0.0, 0.0], [0.0, 0.0]]
+    if coupling is not None:
+        for name, value in (("coupling", coupling), ("beta", beta)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        f = [[-coupling, -1.0], [-1.0, -beta]]
+        top = (coupling + beta + math.hypot(coupling - beta, 2.0)) / 2.0  # F's eigenvalues: top, det / top
+        det = coupling * beta - 1.0
+        kappa = top * top / det if det > 0.0 else math.inf
     forms = np.kron([[[-2.0 * a, 0.0], [0.0, -2.0]], [[-2.0, 0.0], [0.0, 0.0]], f], np.eye(d))
     forms.flags.writeable = False  # the cache hands this one array to every call
-    return forms
+    shrink = tuple(1.0 - min(1.0, _DELTA * (2 * d + 4) * c) for c in (1.0, 1.0, kappa))
+    return forms, forms.reshape(3, -1), shrink, (0, *(1,) * (d > 1), *(2,) * (coupling is not None))
+
+
+class _ScanLayout:
+    """``pair_scan``'s O(N) buffers for N agents in dimension d, their constant parts written once.
+
+    left = [1, p~_i, s_i of each form] (N, 2d + 4) and right = [-s_j / 2; -2 M p~_j; -1/2 e_f]
+    (3, 2d + 4, N); v, vv and g hold p~ - c, its outer products and -2 q(p~ - c) for the radii,
+    and kept each form's cut test.
+    """
+
+    def __init__(self, n: int, d: int):
+        size = (2 * d + 4) * n
+        self.flat = np.empty(4 * size + 2 * d * (2 * d + 1) * n + 3 * n)
+        self.left, self.right = self.flat[:size].reshape(n, -1), self.flat[size : 4 * size].reshape(3, -1, n)
+        self.left[:, 0] = 1.0
+        self.right[:, 2 * d + 1 :] = -0.5 * np.eye(3)[:, :, None]
+        self.p = self.left[:, 1 : 2 * d + 1]
+        self.p3 = self.p.reshape(n, 2, d).transpose(1, 0, 2)  # [x~, u~], as the state's (2, N, d)
+        self.r, self.s = self.right[:, 1 : 2 * d + 1], self.left[:, 2 * d + 1 :].T
+        rest = self.flat[4 * size :]
+        self.v = rest[: 2 * d * n].reshape(2 * d, n)
+        self.vv = rest[2 * d * n : 2 * d * n * (2 * d + 1)].reshape(2 * d, 2 * d, n)
+        self.g = rest[2 * d * n * (2 * d + 1) :].reshape(3, n)
+        self.kept = np.empty((3, n), dtype=bool)
+        self.rows = block_rows(self.right[0])  # the rows of the full scan's blocks
+
+
+_scan_layout = lru_cache(maxsize=4)(_ScanLayout)  # runs are sequential: a few layouts suffice
 
 
 def pair_scan(ens: Ensemble, a: float, coupling: Optional[float] = None, beta: Optional[float] = None):
-    """(deltaE_L2, deltaE_Linf, D, F_const_max) of a state from one pass over its pairs i <= j.
+    """(deltaE_L2, deltaE_Linf, D, F_const_max) of a state, in O(N) plus a pass over candidate pairs.
 
     With dx = x_i - x_j, du = u_i - u_j and pair = |du|^2 + a |dx|^2:
-    deltaE_L2 = sum_ij m_i m_j pair, deltaE_Linf = max pair, D = max |dx| and,
-    given K = ``coupling``, F_const_max = max K/2 |dx|^2 + dx.du + beta/2 |du|^2
-    (else NaN).  Each form q, of matrix M on p = (x, u), is expanded about the heaviest agent k:
-    with p~ = p - p_k and s = -2 q(p~), q(p_i - p_j) = q(p~_i) + q(p~_j) - 2 p~_i.M p~_j, so a
-    block is the GEMM [1, p~_i, s_i] @ [-s_j/2; -2 M p~_j; -1/2] of rank <= 2d + 4 (in 1D, D is
-    max x - min x).  p~ is exact where p_i is within a factor of two of p_k, so coincident agents
-    give exact zeros; row k is q(p~_j) itself, so each maximum is at least max_j q(p~_j) >= 0.
-    An entry's terms add up to at most 2 (q(p~_i) + q(p~_j)) in size, kappa times that for F
-    (kappa the condition number of its M, K beta > 1), so each maximum is within about
-    4 (2d + 4) kappa eps, relative (an indefinite F: absolute, times max_j (K + 1)|x~_j|^2 +
-    (1 + beta)|u~_j|^2), and deltaE_L2 within O((2d + 4) m0 / m_k + N) eps, relative, as its
-    row and column k add to 2 m_k sum_j m_j q(p~_j).
+    deltaE_L2 = sum_ij m_i m_j pair, deltaE_Linf = max pair, D = max |dx| and, given K = ``coupling``,
+    F_const_max = max K/2 |dx|^2 + dx.du + beta/2 |du|^2 (else NaN).  ``a`` is finite and >= 0;
+    ``coupling`` and ``beta`` come both or neither, and finite (else ValueError).
+
+    Each form q, of matrix M on p = (x, u), is expanded about the heaviest agent k: with
+    p~ = p - p_k and s = -2 q(p~), q(p_i - p_j) = q(p~_i) + q(p~_j) - 2 p~_i.M p~_j, the entry (i, j)
+    of the GEMM [1, p~_i, s_i] @ [-s_j/2; -2 M p~_j; -1/2] of rank 2d + 4.  p~ is exact where p_i is
+    within a factor of two of p_k, so coincident agents give exact zeros; row k is q(p~_j) itself,
+    so each maximum is at least max_j q(p~_j) >= 0.  An entry's terms add up
+    to at most 2 (q(p~_i) + q(p~_j)) in size, kappa times that for F (kappa the condition number of
+    its M, K beta > 1), and q(p~_i) is a pair value, so each maximum is within about
+    4 (2d + 4) kappa eps of the exact one, relative (an indefinite F: absolute, times
+    max_j (K + 1)|x~_j|^2 + (1 + beta)|u~_j|^2).
+
+    deltaE_L2 = 2 m0 sum_i m_i q(p~_i) - 2 q(sum_i m_i p~_i), from the s column and the mass sums of
+    p~ in O(N), with no division, so it is exact where its terms are (dyadic states).  Both terms are
+    at most (1 + m0 / m_k) deltaE_L2, so it is within about (N + 2d + 4)(1 + m0 / m_k) eps, relative.
+
+    The maxima come from the pairs of candidate agents.  Every scanned form is positive
+    semidefinite (F when K beta > 1), so sqrt q obeys the triangle inequality: with radii
+    rho_i = sqrt q(p~_i - c) about the mass-weighted mean c (from the differences, not the
+    expansion) and L the largest entry of the outermost agent's row, no pair of an agent with
+    rho_i + rho_max < (1 - delta) sqrt L reaches L.  delta = 64 (2d + 4) kappa eps covers the
+    round-off of L, of the radii and of every entry, with the maximum at most 4 rho_max^2 and at
+    least rho_max^2; where delta would reach 1 (F indefinite, or kappa past 1 / (64 (2d + 4) eps)),
+    every agent is kept.  The kept agents' pairs are scanned in row blocks of ``block_rows`` of the
+    stacked factor, all forms in one product of two rows or more, written in turn to one
+    (3, rows, cols) buffer per call, none N x N.  A mask keeps the entries that a scan of all
+    N x N entries in blocks of ``block_rows(right[0])`` rows computes, in the same orientation,
+    and GEMM entries do not depend on the product's shape (C-ordered factors, two rows or more),
+    so each maximum has that scan's bits.
     """
-    if a < 0.0:
-        raise ValueError(f"fluctuation weight a must be nonnegative, got {a}")
-    global _scan_factors
     (n, d), m = ens.x.shape, ens.m
-    size = (2 * d + 4) * n  # left: [1, x~, u~, s of each form]
-    if _scan_factors.size < 4 * size:
-        _scan_factors = np.empty(4 * size)
-    left, right = _scan_factors[:size].reshape(n, -1), _scan_factors[size : 4 * size].reshape(3, -1, n)
+    forms, flat_forms, shrink, scanned = _scan_forms(d, a, coupling, beta)
+    lay = _scan_layout(n, d)
+    left, right, p = lay.left, lay.right, lay.p
     k = int(m.argmax())  # the heaviest agent: the mass sum's budget grows with m0 / m_k
-    p, xu = left[:, 1 : 2 * d + 1], ens.flat[: 2 * n * d].reshape(2, n, d)
-    np.subtract(xu, xu[:, k : k + 1], out=p.reshape(n, 2, d).transpose(1, 0, 2))
-    left[:, 0] = 1.0
-    right[:, 2 * d + 1 :] = _SCAN_TAIL
-    r = np.matmul(_scan_forms(d, a, coupling, beta), p.T, out=right[:, 1 : 2 * d + 1])  # -2 M p~_j
-    s = np.vecdot(p, r.transpose(0, 2, 1), out=left[:, 2 * d + 1 :].T)  # -2 q(p~_i)
-    np.multiply(s, -0.5, out=right[:, 0])
-    sums = np.zeros(n)
-    linf = f_max = -np.inf
-    d_sq = float(np.ptp(ens.x)) ** 2 if d == 1 else -np.inf  # the extremes are the widest pair, exactly
+    xu = ens.flat[: 2 * n * d].reshape(2, n, d)
+    np.subtract(xu, xu[:, k : k + 1], out=lay.p3)
+    r = np.matmul(forms, p.T, out=lay.r)  # -2 M p~_j
+    np.multiply(np.vecdot(p, r.transpose(0, 2, 1), out=lay.s), -0.5, out=right[:, 0])  # s = -2 q(p~_i)
+    sums = np.matmul(m, left)  # [m0, P = sum_i m_i p~_i, sum_i m_i s_i]
+    m0, *mp, s0 = sums[: 2 * d + 2].tolist()
+    l2 = -m0 * s0 - 2.0 * (a * sum(v * v for v in mp[:d]) + sum(v * v for v in mp[d:])) + 0.0  # no -0.0
 
-    def block_of(f):  # form f's block: the left factor's columns up to its s
-        return np.matmul(left[lo:hi, : 2 * d + 2 + f], right[f, : 2 * d + 2 + f, lo:], out=block)
-
-    for lo, hi, (block,) in block_views(n, right[0], 1):
-        pair = block_of(0)
-        linf = max(linf, pair.max())
-        add_block(sums, pair, m, lo, hi)
-        if d > 1:
-            d_sq = max(d_sq, block_of(1).max())
-        if coupling is not None:
-            f_max = max(f_max, block_of(2).max())
-    return float(m @ sums), float(linf), math.sqrt(d_sq), math.nan if coupling is None else float(f_max)
+    v = np.subtract(p.T, sums[1 : 2 * d + 1, None] / m0, out=lay.v)  # p~ - c
+    g = np.matmul(flat_forms, np.multiply(v[:, None], v[None], out=lay.vv).reshape(-1, n), out=lay.g)
+    outer = g.argmin(axis=1)  # g = -2 rho_i^2, form by form: the outermost agents
+    bound = np.matmul(left.take(outer, 0)[:, None], right).max(-1).ravel().tolist()  # L: o's row
+    cut, outer = [-math.inf] * 3, outer.tolist()  # an unscanned form keeps no agent
+    for f in scanned:
+        t = math.sqrt(max(bound[f], 0.0)) * shrink[f] - math.sqrt(max(-0.5 * g.item(f, outer[f]), 0.0))
+        cut[f] = -2.0 * t * t if t > 0.0 else math.inf  # keep rho_i >= t: all agents where t <= 0
+    keep = np.less_equal(g, np.array(cut)[:, None], out=lay.kept).any(axis=0).nonzero()[0]
+    lk, rk = left.take(keep, 0), right.take(keep, 2)  # C order: a transposed factor takes other bits
+    block, nk, maxima = keep // lay.rows, len(keep), []  # each kept agent's block in the full scan
+    rows, one_block = block_rows(rk), block[0] == block[-1]
+    pairs = np.empty(3 * min(rows, nk) * nk)  # each block's (3, rows, cols) products, in turn
+    for lo in range(0, nk, rows):
+        lo = max(0, min(lo, nk - 2))  # no one-row block: numpy would send it to GEMV, with other bits
+        hi, c0 = min(lo + rows, nk), lo and int(block.searchsorted(block[lo]))  # c0: first of lo's block
+        # the full scan's entries: each row's columns from its own block's first (all, in one block)
+        valid = True if one_block else block[c0:] >= block[lo:hi, None]
+        out = pairs[: 3 * (hi - lo) * (nk - c0)].reshape(3, hi - lo, -1)
+        pair = np.matmul(lk[lo:hi], rk[:, :, c0:], out=out)
+        maxima.append(pair.max(axis=(1, 2), where=valid, initial=-math.inf).tolist())
+    best, x = [max(form) for form in zip(*maxima)], ens.x
+    d_sq = float(x.max() - x.min()) ** 2 if d == 1 else best[1]  # the extremes are the widest pair, exactly
+    return l2, best[0], math.sqrt(d_sq), math.nan if coupling is None else best[2]
 
 
 def fluctuations(ens: Ensemble, a: float) -> tuple[float, float]:

@@ -20,7 +20,8 @@ kernel is evaluated once, and ``add_block`` adds the block's BLAS product
 with [m, m*u] (or m) to its rows and its transpose's to the rows below.  The
 plan holds a pass's buffers (the stacked [m, m*u], the GEMM factors, the
 outputs and the pool's views), so a right-hand side lays them out once.
-``diagnostics.pair_scan`` takes the same blocks, one GEMM per functional.  No
+``diagnostics.pair_scan`` sizes its candidate pairs' blocks by the same rule
+(``block_rows``), one stacked GEMM per block.  No
 N x N array is built, and every product stays on one OpenBLAS thread, so
 runs give the same bytes whatever OPENBLAS_NUM_THREADS is (a test compares
 1 and 2 threads at the config cap N = 2048).
@@ -79,7 +80,7 @@ __all__ = [
     "conv_phi",
     "alignment_plan",
     "alignment_force",
-    "product_rows", "PairPlan", "add_block", "kernel_sums", "alignment_sums",
+    "product_rows", "block_rows", "PairPlan", "add_block", "kernel_sums", "alignment_sums",
 ]
 
 # any |x|, |u| or |grad_u| beyond this (or a non-finite value) is treated as blow-up
@@ -210,14 +211,19 @@ def product_rows(b: np.ndarray) -> int:
     return max(1, (2**19 if b.ndim > 1 else 2**18) // b.size)
 
 
+def block_rows(b: np.ndarray) -> int:
+    """Rows of ``block_views``' blocks for sums against b: min(128, ``product_rows(b)``)."""
+    return min(128, product_rows(b))
+
+
 def block_views(n: int, b: np.ndarray, count: int):
     """Upper-triangle row blocks (lo, hi, views) of N x N pair matrices, for sums against b.
 
-    Blocks of min(128, product_rows(b)) rows keep each product of ``add_block`` on one BLAS thread; views
+    Blocks of ``block_rows(b)`` rows keep each product of ``add_block`` on one BLAS thread; views
     are ``count`` (hi - lo, N - lo) arrays of the shared pool, which the next block overwrites.
     """
     global _block_buffers
-    rows = min(128, product_rows(b))
+    rows = block_rows(b)
     if len(_block_buffers) < count or _block_buffers[0].size < rows * n:
         size = max(rows * n, _block_buffers[0].size)
         _block_buffers = tuple(np.empty(size) for _ in range(max(count, len(_block_buffers))))
@@ -252,9 +258,9 @@ def even_first(d: int) -> tuple:
 
 def add_block(out: np.ndarray, w: np.ndarray, b: np.ndarray, lo: int, hi: int, sign: float = 1.0):
     """Add a ``PairPlan`` block w = W[lo:hi, lo:] to out = W @ b, for W = sign * W^T (sign 1 or -1)."""
-    out[lo:hi] += w @ b[lo:]
+    out[lo:hi] += np.matmul(w, b[lo:])
     if hi < len(out):
-        out[hi:] += sign * (w[:, hi - lo:].T @ b[lo:hi])
+        out[hi:] += sign * np.matmul(w[:, hi - lo:].T, b[lo:hi])
 
 
 class PairPlan:

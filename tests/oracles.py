@@ -6,7 +6,9 @@ and the pairwise-attraction variant is summed over explicit pair arrays.
 The dense frame functionals build the full N x N x d pair arrays, and the
 dense pair sums the N x N kernel and gradient-weight matrices, that
 ``diagnostics.pair_scan`` and the blocked pass of ``dynamics.PairPlan``
-visit one upper-triangle row block at a time; the ``unplanned_*`` passes
+visit one upper-triangle row block at a time; ``full_pair_scan`` is the
+frame scan over every pair, before it kept only candidate agents, and the
+``unplanned_*`` passes
 are the blocked ones as they were before the plan.  ``reference_rk4`` is the
 list-comprehension RK4 driver that the packed in-place driver replaced, and
 the ``reference_rhs_*`` functions the allocating right-hand sides it called.
@@ -43,6 +45,7 @@ from flocklab.dynamics import (
     step_rk4,
     add_block,
     alignment_sums,
+    block_rows,
     conv_phi,
     kernel_sums,
     product_rows,
@@ -158,6 +161,42 @@ def dense_pair_functional_f(ens, coupling, beta):
     vals += np.einsum("ijd,ijd->ij", dx, du)
     vals += 0.5 * beta * np.einsum("ijd,ijd->ij", du, du)
     return float(vals.max())
+
+
+def full_pair_scan(ens, a, coupling=None, beta=None):
+    """``diagnostics.pair_scan`` as it was before its candidate pass: every pair i <= j, block by block.
+
+    Each form is expanded about the heaviest agent k as the scan still does, and each row block of
+    ``dynamics.block_rows`` rows (of the rank 2d + 4 factor) is one GEMM per form against the columns
+    from the block's first row; deltaE_L2 sums each block's products with the masses (``add_block``).
+    The scan's maxima must have these bits.
+    """
+    (n, d), m = ens.x.shape, ens.m
+    f = [[0.0, 0.0], [0.0, 0.0]] if coupling is None else [[-coupling, -1.0], [-1.0, -beta]]
+    forms = np.kron([[[-2.0 * a, 0.0], [0.0, -2.0]], [[-2.0, 0.0], [0.0, 0.0]], f], np.eye(d))
+    left, right = np.empty((n, 2 * d + 4)), np.empty((3, 2 * d + 4, n))
+    k = int(m.argmax())
+    p, xu = left[:, 1 : 2 * d + 1], ens.flat[: 2 * n * d].reshape(2, n, d)
+    np.subtract(xu, xu[:, k : k + 1], out=p.reshape(n, 2, d).transpose(1, 0, 2))
+    left[:, 0] = 1.0
+    right[:, 2 * d + 1 :] = -0.5 * np.eye(3)[:, :, None]
+    r = np.matmul(forms, p.T, out=right[:, 1 : 2 * d + 1])
+    s = np.vecdot(p, r.transpose(0, 2, 1), out=left[:, 2 * d + 1 :].T)
+    np.multiply(s, -0.5, out=right[:, 0])
+    sums = np.zeros(n)
+    linf = f_max = -np.inf
+    d_sq = float(np.ptp(ens.x)) ** 2 if d == 1 else -np.inf
+    rows = block_rows(right[0])
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        blocks = [np.matmul(left[lo:hi, : 2 * d + 2 + f], right[f, : 2 * d + 2 + f, lo:]) for f in range(3)]
+        linf = max(linf, blocks[0].max())
+        add_block(sums, blocks[0], m, lo, hi)
+        if d > 1:
+            d_sq = max(d_sq, blocks[1].max())
+        if coupling is not None:
+            f_max = max(f_max, blocks[2].max())
+    return float(m @ sums), float(linf), math.sqrt(d_sq), math.nan if coupling is None else float(f_max)
 
 
 def _dense_alignment(w, u, m):

@@ -20,11 +20,13 @@ from flocklab.diagnostics import (
     perturbed_particle_energy_max,
 )
 from flocklab.dynamics import Ensemble, recenter
+from flocklab.kernels import PowerLawKernel
 from flocklab.potentials import QuadraticPotential, ZeroPotential
 from oracles import (
     dense_fluctuations,
     dense_pair_functional_f,
     dense_particle_energy_support,
+    full_pair_scan,
 )
 
 
@@ -306,25 +308,166 @@ def test_pair_scan_mass_sum_is_the_one_agent_identity(n, d, seed, a, spreads):
     assert abs(pair_scan(ens, a)[0] - identity) <= 4 * n * np.finfo(float).eps * scale
 
 
+def _ellipse_state(n, d, a):
+    # antipodal agents of equal mass on one ellipse |u|^2 + a |dx|^2 = 1 of the pair form about
+    # x = 1.5, u = -0.5: every radius is the largest, so no agent can be pruned
+    rng = np.random.default_rng(10 * n + d)
+    z = rng.normal(size=(n // 2, 2 * d))
+    z /= np.sqrt(a * (z[:, :d] ** 2).sum(axis=1) + (z[:, d:] ** 2).sum(axis=1))[:, None]
+    z = np.vstack([z, -z])
+    return Ensemble(x=1.5 + z[:, :d], u=-0.5 + z[:, d:], m=np.ones(len(z)))
+
+
+def _pruning_states():
+    # the states the candidate pass must get right: far-off clouds, coincident agents, one far
+    # outlier, N = 1 and 2, agents on one ellipse (nothing pruned), a ring with an inner cloud
+    # (more candidates than one row block) and clouds whose candidates' row blocks are not the
+    # full scan's
+    yield from _far_states()
+    for n, d in ((1, 1), (1, 3), (2, 1), (2, 2), (130, 2)):
+        rng = np.random.default_rng(n + d)
+        yield Ensemble(x=rng.normal(size=(n, d)), u=rng.normal(size=(n, d)), m=rng.uniform(0.1, 1.0, n))
+        yield Ensemble(x=np.full((n, d), 0.3), u=np.full((n, d), -1.1), m=rng.uniform(0.1, 1.0, n))
+    for d in (1, 2, 3):
+        rng = np.random.default_rng(70 + d)
+        x, u = rng.normal(size=(2, 90, d))
+        x[rng.permutation(90)[:40]] = x[0]  # coincident agents
+        yield Ensemble(x=x, u=u, m=rng.uniform(0.1, 1.0, 90))
+        for far in (1e2, 1e6):
+            x, u = rng.normal(size=(2, 200, d))
+            x[17] += far  # one far outlier, once the heaviest agent
+            yield Ensemble(x=x, u=u, m=rng.uniform(0.1, 1.0, 200))
+            m = rng.uniform(0.1, 0.5, 200)
+            m[17] = 1.0
+            yield Ensemble(x=x, u=u, m=m)
+        yield _ellipse_state(300, d, 0.8)
+        ring = _ellipse_state(280, d, 0.8)
+        inner = 0.3 * rng.normal(size=(2, 150, d))
+        yield Ensemble(x=np.vstack([ring.x, 1.5 + inner[0]]), u=np.vstack([ring.u, inner[1] - 0.5]),
+                       m=np.ones(430))
+    for seed in range(12):  # 250 agents: kept whole (F indefinite), their blocks straddle the full scan's
+        rng = np.random.default_rng(seed)
+        for d in (1, 2, 3):
+            x, u = rng.normal(size=(2, 250, d))
+            yield Ensemble(x=x, u=u, m=rng.uniform(0.1, 1.0, 250))
+
+
+def _assert_scan_is_the_full_scan(ens, a, cross):
+    got, want = pair_scan(ens, a, *cross), full_pair_scan(ens, a, *cross)
+    case = (ens.n, ens.x.shape[1], a, cross)
+    assert _bits(*got[1:]) == _bits(*want[1:]), case
+    _assert_mass_sum(got[0], dense_fluctuations(ens, a)[0], ens.n)
+
+
+def test_pair_scan_maxima_are_the_full_scan_bits():
+    # the candidate pass keeps the agents of every pair that can reach a maximum: each maximum has the
+    # bits of the scan over all pairs, with a positive definite F (K beta = 1.53), an indefinite one
+    # (K beta = 0.81 and 1, where every agent is kept) and none; the O(N) mass sum is within its bound
+    for ens in _pruning_states():
+        for a in (0.0, 0.8):
+            for cross in ((), (1.7, 0.9), (0.9, 0.9), (2.0, 0.5)):
+                _assert_scan_is_the_full_scan(ens, a, cross)
+
+
+@st.composite
+def _scan_draws(draw):
+    # clouds shifted and scaled over many decades, with a far agent, coincident agents or a ring
+    n, d = draw(st.integers(1, 300)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shift, x_scale, u_scale = (10.0 ** draw(st.floats(-3.0, 3.0)) for _ in range(3))
+    x = rng.normal(shift, x_scale, (n, d))
+    u = rng.normal(-shift, u_scale, (n, d))
+    shape = draw(st.sampled_from(["cloud", "outlier", "coincident", "ring"]))
+    if shape == "outlier":
+        x[rng.integers(n)] += x_scale * 10.0 ** draw(st.floats(1.0, 8.0))
+    elif shape == "coincident":
+        same = rng.permutation(n)[: n // 2]
+        x[same], u[same] = x[0], u[0]
+    elif shape == "ring":
+        z = rng.normal(size=(n, 2 * d))
+        z /= np.linalg.norm(z, axis=1)[:, None]
+        x, u = shift + x_scale * z[:, :d], -shift + x_scale * z[:, d:]
+    a = draw(st.sampled_from([0.0, 0.8]) | st.floats(0.0, 4.0))
+    cross = draw(st.sampled_from([(), (2.0, 1.0)]) | st.tuples(st.floats(0.1, 4.0), st.floats(0.1, 4.0)))
+    return Ensemble(x=x, u=u, m=rng.uniform(0.1, 1.0, n)), a, cross
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scan_draws())
+def test_pair_scan_candidate_pass_is_exact(draw):
+    _assert_scan_is_the_full_scan(*draw)
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((0.8, 2.0), "beta"),
+        ((0.8, None, 1.0), "coupling"),
+        ((0.8, 2.0, math.nan), "beta"),
+        ((0.8, math.nan, 1.0), "coupling"),
+        ((0.8, math.inf, 1.0), "coupling"),
+        ((math.nan,), "weight a"),
+        ((math.inf, 2.0, 1.0), "weight a"),
+        ((-0.5,), "weight a"),
+    ],
+    ids=[
+        "no-beta", "no-coupling", "nan-beta", "nan-coupling", "inf-coupling", "nan-a", "inf-a", "negative-a",
+    ],
+)
+def test_pair_scan_rejects_bad_arguments(args, name):
+    with pytest.raises(ValueError, match=name):
+        pair_scan(_pair(), *args)
+
+
+def _recording_matmul(monkeypatch):
+    products, matmul = [], np.matmul
+
+    def record(a, b, *args, **kwargs):  # (rows, cols, rank, vector) of each product of the two
+        rows, cols = (a.shape[-2] if a.ndim > 1 else 1), (b.shape[-1] if b.ndim > 1 else 1)
+        products.append((rows, cols, a.shape[-1], min(rows, cols) == 1))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", record)
+    return products
+
+
+def test_products_stay_within_the_one_thread_budget(monkeypatch):
+    # OpenBLAS runs a product of 1e6 multiplies on two threads, which moves its last bits; every
+    # product of a plan's pass and of the frame scan at the config cap N = 2048, d = 3, keeps to
+    # 2**19 multiplies (2**18 for a vector product), with a pruned scan and one that keeps every agent
+    n, d = 2048, 3
+    rng = np.random.default_rng(11)
+    x, u, m = *rng.normal(size=(2, n, d)), rng.uniform(0.1, 1.0, n)
+    ens = Ensemble(x=x, u=u, m=m)
+    products = _recording_matmul(monkeypatch)
+    dynamics.alignment_force(x, u, m, PowerLawKernel(1.0, 0.5))
+    planned = len(products)
+    for cross in ((1.7, 0.9), (0.9, 0.9)):  # K beta = 0.81: F is indefinite and every agent is kept
+        pair_scan(ens, 0.8, *cross)
+    assert planned > 0 and len(products) > planned
+    assert max(rows for rows, *_ in products[planned:]) > 8  # the unpruned scan's blocks
+    for rows, cols, rank, vector in products:
+        assert rows * cols * rank <= (2**18 if vector else 2**19), (rows, cols, rank)
+
+
 def test_pair_scan_builds_no_pair_matrix(monkeypatch):
-    # the pool lends one view, of the rows that keep a rank-8 product (d = 2, with the cross form) on
-    # one BLAS thread; the factors are 4 (2d + 4) N floats
+    # the scan's buffers are O(N) and cached per (N, d), it takes nothing from the pair passes' pool,
+    # and a call allocates well under an N x N array: with candidates pruned and with every agent kept
     n = 700
     rng = np.random.default_rng(2)
     ens = Ensemble(x=rng.normal(size=(n, 2)), u=rng.normal(size=(n, 2)), m=rng.uniform(0.1, 1.0, n))
     monkeypatch.setattr(dynamics, "_block_buffers", (np.empty(0), np.empty(0)))
-    monkeypatch.setattr(diagnostics, "_scan_factors", np.empty(0))
-    pair_scan(ens, 1.0, 2.0, 1.0)  # grows the shared block buffers, whose pool starts with two
-    rows = 2**19 // (8 * n)
-    assert [buf.nbytes for buf in dynamics._block_buffers] == [rows * n * 8] * 2
-    assert diagnostics._scan_factors.size == 4 * 8 * n
-    tracemalloc.start()
-    try:
-        pair_scan(ens, 1.0, 2.0, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < n * n * 8 // 4
+    for cross in ((2.0, 1.0), (0.9, 0.9)):
+        pair_scan(ens, 1.0, *cross)  # lays out the buffers, once per (N, d)
+        assert [buf.size for buf in dynamics._block_buffers] == [0, 0]
+        assert diagnostics._scan_layout(n, 2).flat.size == (4 * 8 + 4 * 5 + 3) * n
+        tracemalloc.start()
+        try:
+            pair_scan(ens, 1.0, *cross)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 // 4
 
 
 def test_pair_functional_identical_pair():

@@ -399,7 +399,6 @@ def test_pair_pass_builds_no_pair_matrix(monkeypatch):
 _CAP_PASS = """
 import hashlib, sys
 import numpy as np
-from flocklab import diagnostics
 from flocklab.diagnostics import pair_scan
 from flocklab.dynamics import Ensemble, alignment_force, conv_phi
 from flocklab.hydro2d import _pair_terms_2d
@@ -408,20 +407,16 @@ from flocklab.kernels import PowerLawKernel
 from flocklab.potentials import QuadraticPotential
 kernel = PowerLawKernel(1.0, 0.5)
 digest = hashlib.sha256()
-add_block = diagnostics.add_block
-def digest_block(out, *args):  # the frame scan's per-row mass sums, after every block
-    add_block(out, *args)
-    digest.update(out.tobytes())
-diagnostics.add_block = digest_block
 for n in (700, 2048):
     rng = np.random.default_rng(n)
     x, u, m = rng.normal(size=(n, 2)), rng.normal(size=(n, 2)), rng.uniform(0.1, 1.0, n)
     for arr in (*alignment_force(x, u, m, kernel), conv_phi(x, m, kernel), *_pair_terms_2d(x, u, m, kernel)):
         digest.update(np.ascontiguousarray(arr).tobytes())
     digest.update(step_rk4(Ensemble(x=x, u=u, m=m), kernel, QuadraticPotential(1.0), 0.01).flat.tobytes())
-    for d in (1, 2, 3):  # the frame scan's products have rank up to 2d + 4
+    for d in (1, 2, 3):  # the frame scan's products have rank 2d + 4; K beta < 1 keeps every agent
         xd, ud = (x, u) if d == 2 else rng.normal(size=(2, n, d))
-        digest.update(np.array(pair_scan(Ensemble(x=xd, u=ud, m=m), 0.8, 1.7, 0.9)).tobytes())
+        for cross in ((1.7, 0.9), (0.9, 0.9)):
+            digest.update(np.array(pair_scan(Ensemble(x=xd, u=ud, m=m), 0.8, *cross)).tobytes())
 sys.stdout.write(digest.hexdigest())
 """
 
@@ -429,9 +424,8 @@ sys.stdout.write(digest.hexdigest())
 def test_pair_pass_bytes_do_not_depend_on_blas_threads():
     # up to the config cap N = 2048 every block product stays on one BLAS
     # thread; at N = 700 unblocked products of these shapes differ under 2
-    # threads.  The frame scan's per-row mass sums run through the same
-    # blocks and are digested after each one, in d = 1, 2 and 3, and a step
-    # runs its kept plan
+    # threads.  The frame scan runs in d = 1, 2 and 3, once with every agent
+    # kept, and a step runs its kept plan
     src = str(Path(dynamics.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     digests = [

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from flocklab import dynamics
-from flocklab.diagnostics import pair_scan
-from flocklab.dynamics import Ensemble, PairPlan, alignment_force, conv_phi, kernel_sums
+from flocklab.dynamics import PairPlan, alignment_force, conv_phi, kernel_sums
 from flocklab.hydro2d import _pair_terms_2d
 from flocklab.kernels import FloorClippedKernel, PowerLawKernel
 
@@ -67,7 +66,7 @@ def test_plan_keeps_the_bits_of_the_one_shot_passes(n):
 
 @pytest.mark.parametrize("n", [3, 129, 512])
 def test_plan_keeps_its_bits_after_the_pool_is_regrown(monkeypatch, n):
-    # a frame scan at a larger N regrows the pool the plan took its views from; the plan's next
+    # a one-shot pass at a larger N regrows the pool the plan took its views from; the plan's next
     # stage must work in the new pool, with the oracle's bits
     monkeypatch.setattr(dynamics, "_block_buffers", (np.empty(0), np.empty(0)))
     rng = np.random.default_rng(500 + n)
@@ -86,9 +85,7 @@ def test_plan_keeps_its_bits_after_the_pool_is_regrown(monkeypatch, n):
             if d == 2:
                 got = _pair_terms_2d(x, u, m, kernel, plan_2d)
                 assert _bytes(*got) == _bytes(*unplanned_pair_terms_2d(x, u, m, kernel))
-        # a 1D scan: its blocks, about 2**19 / 6 floats, outgrow the plans' 128 rows of N = 512
-        ens = Ensemble(x=rng.normal(size=(big + round_, 1)), u=rng.normal(size=(big + round_, 1)),
-                       m=np.ones(big + round_))
+        # a one-shot pass at a larger N: its 128-row blocks outgrow the plans' blocks
         pool = dynamics._block_buffers
-        pair_scan(ens, 0.8, 1.7, 0.9)
+        kernel_sums(rng.normal(size=(big + round_, 1)), np.ones(big + round_), kernel)
         assert dynamics._block_buffers is not pool
