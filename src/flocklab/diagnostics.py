@@ -127,7 +127,8 @@ def pair_scan(ens: Ensemble, a: float, coupling: Optional[float] = None, beta: O
     With dx = x_i - x_j, du = u_i - u_j and pair = |du|^2 + a |dx|^2:
     deltaE_L2 = sum_ij m_i m_j pair, deltaE_Linf = max pair, D = max |dx| and, given K = ``coupling``,
     F_const_max = max K/2 |dx|^2 + dx.du + beta/2 |du|^2 (else NaN).  ``a`` is finite and >= 0;
-    ``coupling`` and ``beta`` come both or neither, and finite (else ValueError).
+    ``coupling`` and ``beta`` come both or neither, and finite (else ValueError).  A state whose
+    deltaE_L2 or worst-pair bound L (below) overflows raises ValueError.
 
     Each form q, of matrix M on p = (x, u), is expanded about the heaviest agent k: with
     p~ = p - p_k and s = -2 q(p~), q(p_i - p_j) = q(p~_i) + q(p~_j) - 2 p~_i.M p~_j, the entry (i, j)
@@ -174,6 +175,8 @@ def pair_scan(ens: Ensemble, a: float, coupling: Optional[float] = None, beta: O
     g = np.matmul(flat_forms, np.multiply(v[:, None], v[None], out=lay.vv).reshape(-1, n), out=lay.g)
     outer = g.argmin(axis=1)  # g = -2 rho_i^2, form by form: the outermost agents
     bound = np.matmul(left.take(outer, 0)[:, None], right).max(-1).ravel().tolist()  # L: o's row
+    if not all(map(math.isfinite, (l2, *(bound[f] for f in scanned)))):
+        raise ValueError("the state's pair values overflow: deltaE_L2 or a worst-pair bound is not finite")
     cut, outer = [-math.inf] * 3, outer.tolist()  # an unscanned form keeps no agent
     for f in scanned:
         t = math.sqrt(max(bound[f], 0.0)) * shrink[f] - math.sqrt(max(-0.5 * g.item(f, outer[f]), 0.0))
@@ -192,8 +195,8 @@ def pair_scan(ens: Ensemble, a: float, coupling: Optional[float] = None, beta: O
         pair = np.matmul(lk[lo:hi], rk[:, :, c0:], out=out)
         maxima.append(pair.max(axis=(1, 2), where=valid, initial=-math.inf).tolist())
     best, x = [max(form) for form in zip(*maxima)], ens.x
-    d_sq = float(x.max() - x.min()) ** 2 if d == 1 else best[1]  # the extremes are the widest pair, exactly
-    return l2, best[0], math.sqrt(d_sq), math.nan if coupling is None else best[2]
+    span = float(x.max() - x.min()) if d == 1 else math.sqrt(best[1])  # 1D: the extremes, exactly
+    return l2, best[0], span, math.nan if coupling is None else best[2]
 
 
 def fluctuations(ens: Ensemble, a: float) -> tuple[float, float]:

@@ -13,13 +13,13 @@ average.  The vanishing i = j term is kept in the sums (it contributes
 exactly zero).
 
 The pairwise sums visit each pair i <= j once, in row blocks against the
-columns from their first row on: ``block_views`` lends every pass its views
-of one buffer pool per process, ``differences`` writes a block's coordinate
-differences as rank-2 GEMMs, a ``PairPlan`` sums their squares, where the
-kernel is evaluated once, and ``add_block`` adds the block's BLAS product
-with [m, m*u] (or m) to its rows and its transpose's to the rows below.  The
-plan holds a pass's buffers (the stacked [m, m*u], the GEMM factors, the
-outputs and the pool's views), so a right-hand side lays them out once.
+columns from their first row on.  A ``PairPlan`` lays out and runs the whole
+pass: each block's views of one two-buffer pool per process, the coordinate
+differences as rank-2 GEMMs, the sum of their squares, where the kernel is
+evaluated once, and ``add_block``, which adds the block's BLAS product with
+[m, m*u] (or m) to its rows and its transpose's to the rows below.  Each
+right-hand side keeps its plan, so the buffers (the stacked [m, m*u], the
+GEMM factors, the outputs and the pool's views) are laid out once.
 ``diagnostics.pair_scan`` sizes its candidate pairs' blocks by the same rule
 (``block_rows``), one stacked GEMM per block.  No
 N x N array is built, and every product stays on one OpenBLAS thread, so
@@ -197,8 +197,8 @@ class Means:
     u_c: np.ndarray
 
 
-# block_views' pool of flat (rows, N) buffers, grown to the largest count and N seen (runs are
-# sequential and sweeps use processes); flat, so a block's layout depends on N alone
+# the pair passes' pool of two flat (rows, N) buffers, grown to the largest block seen; a process runs
+# its passes one after another, sweep points too; flat, so a block's layout depends on N alone
 _block_buffers = (np.empty(0), np.empty(0))
 
 
@@ -212,48 +212,8 @@ def product_rows(b: np.ndarray) -> int:
 
 
 def block_rows(b: np.ndarray) -> int:
-    """Rows of ``block_views``' blocks for sums against b: min(128, ``product_rows(b)``)."""
+    """Rows of a ``PairPlan``'s blocks for sums against b: min(128, ``product_rows(b)``)."""
     return min(128, product_rows(b))
-
-
-def block_views(n: int, b: np.ndarray, count: int):
-    """Upper-triangle row blocks (lo, hi, views) of N x N pair matrices, for sums against b.
-
-    Blocks of ``block_rows(b)`` rows keep each product of ``add_block`` on one BLAS thread; views
-    are ``count`` (hi - lo, N - lo) arrays of the shared pool, which the next block overwrites.
-    """
-    global _block_buffers
-    rows = block_rows(b)
-    if len(_block_buffers) < count or _block_buffers[0].size < rows * n:
-        size = max(rows * n, _block_buffers[0].size)
-        _block_buffers = tuple(np.empty(size) for _ in range(max(count, len(_block_buffers))))
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        size = (hi - lo) * (n - lo)
-        yield lo, hi, [buf[:size].reshape(hi - lo, n - lo) for buf in _block_buffers[:count]]
-
-
-def differences(v: np.ndarray, factors=None):
-    """diff(k, lo, hi, out) writes (v_i - v_j)_k for i in [lo, hi), j in [lo, N) into out.
-
-    Each is the rank-2 GEMM [v_k, -1] @ [1; v_k^T]: a subtraction's bits at a quarter of a broadcast's cost.
-    ``factors`` from ``difference_factors`` are written again instead of made anew.
-    """
-    left, right = factors or difference_factors(*v.shape)
-    left[:, :, 0], right[:, 1] = v.T, v.T
-    return lambda k, lo, hi, out: np.matmul(left[k, lo:hi], right[k, :, lo:], out=out)
-
-
-def difference_factors(n: int, d: int):
-    """``differences``' factors [v_k, -1] and [1; v_k^T] of N points in dimension d, constants written."""
-    left, right = np.empty((d, n, 2)), np.ones((d, 2, n))
-    left[:, :, 1] = -1.0
-    return left, right
-
-
-def even_first(d: int) -> tuple:
-    """Coordinates 0..d-1, even ones first: numpy einsum's summation order up to d = 3."""
-    return (*range(0, d, 2), *range(1, d, 2))
 
 
 def add_block(out: np.ndarray, w: np.ndarray, b: np.ndarray, lo: int, hi: int, sign: float = 1.0):
@@ -267,44 +227,63 @@ class PairPlan:
     """A pass over the pairs i <= j, laid out once and run on every stage of a right-hand side.
 
     Its ``sums`` outputs sum against b = m (any (N,) or (N, c) array), or [m, m*u] when a stage gives
-    u.  The layout (b with its m column, ``difference_factors``, the outputs, ``block_views``' views)
-    is made again when x's shape changes or another pass regrew the pool.  Each stage zeroes the
-    outputs as a one-shot pass does: a first block written straight in would turn 0.0 + (-0.0) into -0.0.
+    u.  The layout is b with its m column, the GEMM factors [x_k, -1] and [1; x_k^T] with their
+    constants, the outputs and the upper-triangle row blocks of ``block_rows(b)`` rows, each two
+    (hi - lo, N - lo) views of the shared pool.  It is made again when x's shape changes or another
+    pass regrew the pool.  Each stage zeroes the outputs as a one-shot pass does: a first block
+    written straight in would turn 0.0 + (-0.0) into -0.0.
     """
 
     def __init__(self, m: np.ndarray, kernel: Kernel, sums: int = 1):
         self.m, self.kernel, self.sums, self.pool, self.shape = m, kernel, sums, None, None
 
     def run(self, x: np.ndarray, u: Optional[np.ndarray] = None):
-        """(b, outputs, blocks) of a stage; blocks yields each row block's (lo, hi, r_sq, spare, diff).
+        """(b, outputs, blocks) of a stage; blocks yields each row block's (lo, hi, r_sq, spare).
 
-        r_sq = |x_i - x_j|^2 in ``even_first`` order, spare the pool's second view, diff ``differences(x)``.
+        r_sq = |x_i - x_j|^2 with the coordinates summed in the plan's order, spare the pool's second view.
         """
+        global _block_buffers
         if self.pool is not _block_buffers or self.shape != x.shape:
             n, d = self.shape = x.shape
             self.b = self.m if u is None else np.repeat(self.m[:, None], 1 + d, axis=1)
-            self.factors, self.order = difference_factors(n, d), even_first(d)
+            self.left, self.right = np.empty((d, n, 2)), np.ones((d, 2, n))
+            self.left[:, :, 1] = -1.0
+            self.order = (*range(0, d, 2), *range(1, d, 2))  # even ones first, as numpy einsum up to d = 3
             self.out = np.empty((self.sums, *self.b.shape))
-            self.views = list(block_views(n, self.b, 2))
-            self.pool = _block_buffers
+            rows = block_rows(self.b)
+            if _block_buffers[0].size < rows * n:
+                _block_buffers = (np.empty(rows * n), np.empty(rows * n))
+            self.pool, self.blocks = _block_buffers, []
+            for lo in range(0, n, rows):
+                hi = min(lo + rows, n)
+                size = (hi - lo) * (n - lo)
+                self.blocks.append((lo, hi, *(buf[:size].reshape(hi - lo, n - lo) for buf in self.pool)))
         if u is not None:
             np.multiply(self.b[:, :1], u, out=self.b[:, 1:])
+        self.left[:, :, 0], self.right[:, 1] = x.T, x.T
         self.out.fill(0.0)
-        return self.b, self.out, self._blocks(differences(x, self.factors))
+        return self.b, self.out, self._blocks()
 
-    def _blocks(self, diff):
-        for lo, hi, (r_sq, spare) in self.views:
+    def difference(self, k: int, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """(x_i - x_j)_k for i in [lo, hi), j in [lo, N) of the stage's x, written into out.
+
+        The rank-2 GEMM [x_k, -1] @ [1; x_k^T]: a subtraction's bits at a quarter of a broadcast's cost.
+        """
+        return np.matmul(self.left[k, lo:hi], self.right[k, :, lo:], out=out)
+
+    def _blocks(self):
+        for lo, hi, r_sq, spare in self.blocks:
             for k in self.order:
-                dk = diff(k, lo, hi, spare if k else r_sq)
+                dk = self.difference(k, lo, hi, spare if k else r_sq)
                 np.multiply(dk, dk, out=dk)
                 if k:
                     r_sq += dk
-            yield lo, hi, r_sq, spare, diff
+            yield lo, hi, r_sq, spare
 
     def kernel_sums(self, x: np.ndarray, u: Optional[np.ndarray] = None) -> np.ndarray:
         """sum_j phi(|x_i - x_j|) b_j, with phi evaluated once per pair i <= j."""
         b, (out,), blocks = self.run(x, u)
-        for lo, hi, r_sq, _, _ in blocks:
+        for lo, hi, r_sq, _ in blocks:
             add_block(out, kernel_eval_sq(self.kernel, r_sq, out=r_sq), b, lo, hi)
         return out
 

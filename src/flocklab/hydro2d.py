@@ -85,14 +85,15 @@ def _pair_terms_2d(x, u, m, kernel, plan=None):
     R[:, :, l] is the alignment form with the antisymmetric weights (phi'(r)/r) (x_i - x_j)_l.
     The pass runs ``plan``, a kept ``PairPlan(m, kernel, 3)``, or a one-shot plan.
     """
-    b, sums, blocks = (plan or PairPlan(m, kernel, 3)).run(x, u)
-    for lo, hi, r_sq, spare, diff in blocks:
+    plan = plan or PairPlan(m, kernel, 3)
+    b, sums, blocks = plan.run(x, u)
+    for lo, hi, r_sq, spare in blocks:
         q = np.add(r_sq, 1.0, out=r_sq)  # 1 + r^2, which the power law reads twice
         phi = kernel_eval_sq(kernel, q, out=spare, shifted=True)
         slope = kernel_slope_over_r_sq(kernel, q, phi, out=q, shifted=True)
         add_block(sums[0], phi, b, lo, hi)
         for l in range(2):
-            weights = np.multiply(diff(l, lo, hi, spare), slope, out=spare)
+            weights = np.multiply(plan.difference(l, lo, hi, spare), slope, out=spare)
             add_block(sums[1 + l], weights, b, lo, hi, sign=-1.0)
     force, phi_conv = alignment_sums(sums[0], u)
     return force, phi_conv, np.stack([alignment_sums(s, u)[0] for s in sums[1:]], axis=-1)

@@ -236,7 +236,7 @@ def dense_gradient_forcing(x, u, m, kernel):
     return np.stack([_dense_alignment(slope * dx[:, :, l], u, m)[0] for l in range(x.shape[1])], axis=-1)
 
 
-# The blocked pair passes as they were before ``dynamics.differences`` gave each block its x and u
+# The blocked pair passes as they were before ``PairPlan.difference`` gave each block its x and u
 # differences, each from one rank-2 GEMM computed once.  The bodies are verbatim and keep their own
 # block pool; ``_pair_terms_2d`` is held to them bit for bit.
 

@@ -153,6 +153,40 @@ def test_rotation_needs_dim2():
         parse_config(text)
 
 
+_HYDRO1D = MINIMAL.replace("n = 8", "n = 8\nmode = hydro1d") + "[initial]\npositions = bump\nvelocities = linear\n"
+
+
+def _parse_edited(old, new, text=MINIMAL):
+    return lambda: parse_config(text.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: parse_config("n = 8\n" + MINIMAL), "malformed configuration"),
+        (_parse_edited("[kernel]\nfamily = power_law\nc0 = 1.0\nbeta = 1.0\n", ""), r"missing section \[kernel\]"),
+        (_parse_edited("n = 8", "n = 2.5"), "run.n: expected an integer"),
+        (lambda: parse_config(MINIMAL + "[initial]\nrecenter = maybe\n"), "initial.recenter: expected a boolean"),
+        (lambda: parse_config(MINIMAL + "[initial]\nx_shift = a, b\n"), "initial.x_shift: expected comma-separated"),
+        (_parse_edited("t = 1.0", "t = 1.0\ndt = fast"), "run.dt: expected a number"),
+        (_parse_edited("beta = 1.0", "beta = -1"), "kernel.beta: must be nonnegative"),
+        (_parse_edited("c0 = 1.0", "c0 = inf"), "kernel.c0: must be finite"),
+        (_parse_edited("mode = hydro1d", "mode = hydro1d\ndim = 2", _HYDRO1D), "run.dim: hydro1d"),
+        (_parse_edited("mode = hydro1d", "mode = hydro2d", _HYDRO1D), "run.dim: hydro2d"),
+        (lambda: parse_config(_HYDRO1D + "recenter = true\n"), "initial.recenter: not supported"),
+        (lambda: parse_config(_HYDRO1D + "x_shift = 0.5\n"), "initial.x_shift: shifts are not supported"),
+        (lambda: with_overrides(parse_config(MINIMAL), [("run.dt", "fast")]), "run.dt: expected a number"),
+    ],
+)
+def test_config_errors_name_their_key(build, match):
+    with pytest.raises(ConfigError, match=match):
+        build()
+
+
+def test_empty_shift_reads_as_no_shift():
+    assert parse_config(MINIMAL + "[initial]\nx_shift =\n").initial.x_shift == ()
+
+
 def test_round_trip_identity_custom():
     cfg = parse_config(MINIMAL + "\n[initial]\nx_shift = 0.5\nrecenter = true\n")
     again = parse_config(serialize_config(cfg))

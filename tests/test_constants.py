@@ -18,7 +18,7 @@ from flocklab.constants import (
     reduction_constants,
     support_scale,
 )
-from flocklab.kernels import ConstantKernel, PowerLawKernel, kernel_eval
+from flocklab.kernels import ConstantKernel, FloorClippedKernel, PowerLawKernel, kernel_eval
 
 
 def test_decay_rate_reference_value():
@@ -191,6 +191,8 @@ def test_support_scale_log_limit_continuous_at_one():
 def test_support_scale_rejects_fast_decay():
     with pytest.raises(ValueError):
         support_scale(1.0, 1.0, 1.0, 1.0, PowerLawKernel(1.0, 1.5))
+    with pytest.raises(ValueError, match="no closed-form support scale"):
+        support_scale(1.0, 1.0, 1.0, 1.0, FloorClippedKernel(PowerLawKernel(1.0, 0.5), 0.2))
 
 
 def test_phi_min_from_support():

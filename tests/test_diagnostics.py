@@ -470,6 +470,20 @@ def test_pair_scan_builds_no_pair_matrix(monkeypatch):
         assert peak < n * n * 8 // 4
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_pair_scan_rejects_an_overflowed_state(d):
+    # finite positions whose squared spread overflows float64 (at 1e150 it stays finite)
+    rng = np.random.default_rng(7)
+    x, u, m = rng.normal(size=(5, d)), rng.normal(size=(5, d)), np.full(5, 0.2)
+    assert all(map(math.isfinite, pair_scan(Ensemble(x=x * 1e150, u=u, m=m), 1.0, 2.0, 1.0)))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflow"):
+        pair_scan(Ensemble(x=x * 1e160, u=u, m=m), 1.0)
+    if d == 1:  # the 1D span is the extremes' difference, also where its square overflows
+        wide = Ensemble(x=[[-9e153], [0.0], [9e153]], u=[[0.1], [0.2], [0.3]], m=[0.25, 0.5, 0.25])
+        with np.errstate(over="ignore"):
+            assert pair_scan(wide, 0.0)[2] == 1.8e154
+
+
 def test_pair_functional_identical_pair():
     ens = Ensemble(x=[[0.3], [0.3]], u=[[0.1], [0.1]], m=[0.5, 0.5])
     assert pair_functional_f(ens, 2.0, 1.0) == 0.0
@@ -519,6 +533,11 @@ def test_fit_rate_constant_series():
     t = np.linspace(0.0, 5.0, 10)
     fit = fit_rate(t, np.full(10, 2.5))
     assert fit.rate == pytest.approx(0.0, abs=1e-12)
+
+
+def test_fit_rate_rejects_mismatched_series():
+    with pytest.raises(ValueError, match="equal-length"):
+        fit_rate(np.linspace(0.0, 5.0, 10), np.ones(9))
 
 
 def test_fit_rate_window_restriction():

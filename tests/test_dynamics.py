@@ -326,6 +326,12 @@ def test_ensemble_validation():
         Ensemble(x=[[0.0]], u=[[0.0]], m=[1.0], e=[0.5], rho=[-1.0])
     with pytest.raises(ValueError, match="grad_u"):
         Ensemble(x=[[0.0, 0.0]], u=[[0.0, 0.0]], m=[1.0], grad_u=np.zeros((1, 2)))
+    with pytest.raises(ValueError, match=r"m must be \(N,\)"):
+        Ensemble(x=[[0.0], [1.0]], u=[[0.0], [1.0]], m=[1.0])
+    with pytest.raises(ValueError, match="at least one agent"):
+        Ensemble(x=np.empty((0, 1)), u=np.empty((0, 1)), m=[])
+    with pytest.raises(ValueError, match="need a 1D state"):
+        Ensemble(x=[[0.0, 0.0]], u=[[0.0, 0.0]], m=[1.0], e=[0.5], rho=[1.0])
 
 
 _PAIR_KERNELS = (

@@ -300,6 +300,18 @@ def test_detect_blowup_nonfinite_counts_as_crossing():
     assert bracket == (1.0, 2.0)
 
 
+def test_detect_blowup_empty_and_mismatched_series():
+    assert detect_blowup([], []) is None
+    with pytest.raises(ValueError, match="equal-length"):
+        detect_blowup([0.0, 1.0], [-1.0])
+
+
+def test_smooth_lower_root_needs_a_real_root():
+    # (m0 phi)^2 / 4 = 0.25 < c = 1
+    with pytest.raises(ValueError, match="no real fixed point"):
+        smooth_lower_root(1.0, 1.0, 1.0)
+
+
 def test_detect_blowup_threshold_validation():
     with pytest.raises(ValueError):
         detect_blowup([0.0, 1.0], [0.0, -1.0], threshold=1.0)

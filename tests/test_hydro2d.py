@@ -378,6 +378,16 @@ def test_classify_general_budget_violation():
     assert all(math.isnan(report.constants[k]) for k in ("c2", "etaS_budget", "omega_budget"))
 
 
+def test_classifiers_check_their_arguments():
+    with pytest.raises(ValueError, match="needs a > 0"):
+        classify_2d_quadratic(0.0, 1.0, 1.0, 0.1, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+    general = dict(m0=1.0, phi_minus=3.0, dphi_inf=0.0, u_max=5.0, etaS0_max=0.0, omega0_max=0.0, e0_min=1.0)
+    with pytest.raises(ValueError, match="need A >= a > 0"):
+        classify_2d_general(a=0.0, A=1.0, **general)
+    with pytest.raises(ValueError, match="need A >= a > 0"):
+        classify_2d_general(a=2.0, A=1.0, **general)
+
+
 def test_classify_general_strict_e_threshold():
     kwargs = dict(A=1.0, a=1.0, m0=1.0, phi_minus=3.0, dphi_inf=0.0, u_max=5.0, etaS0_max=2.0, omega0_max=0.0)
     at_bound = classify_2d_general(u_max=5.0, e0_min=1.0, **{k: v for k, v in kwargs.items() if k != "u_max"})

@@ -101,6 +101,8 @@ def test_kernel_bounds_floor_clipped():
     assert kernel_eval(k, 5.0) == 0.3
     assert hi == 1.0
     assert slope == pytest.approx(9.0 / (8.0 * np.sqrt(3.0)), rel=1e-14)
+    # config text reaches a floor over a constant kernel through inner_family = constant
+    assert kernel_bounds(FloorClippedKernel(ConstantKernel(2.0), 0.5)) == (2.0, 0.0)
 
 
 def test_floor_clip_slope_when_peak_clipped():

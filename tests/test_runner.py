@@ -397,6 +397,13 @@ def test_sweep_cardinality_and_order():
     assert text.startswith("# columns: initial.amplitude,run.n,verdict")
 
 
+@pytest.mark.parametrize("count", [0, 3])
+def test_sweep_takes_one_or_two_axes(count):
+    axes = [("initial.amplitude", [0.0]), ("run.n", [9]), ("kernel.k", [1.0])][:count]
+    with pytest.raises(ConfigError, match="one or two axes"):
+        sweep(parse_config(SHARP_SWEEP), axes)
+
+
 def test_sweep_rejects_two_axes_on_one_key(capsys):
     # the second axis would override the first while each row printed the first's value
     cfg = parse_config(SHARP_SWEEP)

@@ -1,9 +1,8 @@
 """The tools, with their preset and benchmark runs stubbed.
 
 ``tools/preset_roundoff.py``'s exit status, summary changes and ``--only``,
-``tools/preset_hashes.py``'s lines, with its CLI calls stubbed too,
-``tools/bench_pairs.py``'s report and exit status, and
-``tools/scan_timings.py``'s order of rounds and table, with its timing workers stubbed.
+``tools/preset_hashes.py``'s lines, with its CLI calls stubbed too, and
+``tools/bench_pairs.py``'s report and exit status.
 """
 
 import hashlib
@@ -222,42 +221,3 @@ def test_bench_pairs_exits_1_when_a_run_fails(monkeypatch, tmp_path, capsys, out
     expected = 1 if outcome[1] is None else 2
     assert _bench_lines(out)["steps_per_s"].endswith(f"change ahead in 0 of {expected}")
 
-
-def test_scan_timings_interleaves_and_reports_best_of(monkeypatch, tmp_path, capsys):
-    timings = _load("scan_timings")
-    calls, closed = [], []
-
-    class FakeWorker:  # the change takes half the parent's time; each round is 1 us faster than the last
-        def __init__(self, checkout):
-            self.side, self.rounds = ("parent" if checkout == tmp_path.resolve() else "change"), 0
-
-        def round(self, number):
-            calls.append((self.side, number))
-            self.rounds += 1
-            scale = 1.0 if self.side == "parent" else 0.5
-            return [scale * (100.0 + n) + 10.0 - self.rounds for n, _, _ in timings.CASES]
-
-        def close(self):
-            closed.append(self.side)
-
-    monkeypatch.setattr(timings, "Worker", FakeWorker)
-    assert timings.main([str(tmp_path), "--rounds", "3", "--number", "7"]) == 0
-    order = ["parent", "change", "change", "parent", "parent", "change"]
-    assert calls == [(side, 7) for side in order] and sorted(closed) == ["change", "parent"]
-    out = capsys.readouterr().out.splitlines()
-    assert out[0] == "pair_scan, best of 3 rounds of 7 calls, us per call, one BLAS thread"
-    rows = [line.split() for line in out[2:]]
-    assert [(int(n), int(d), cross) for n, d, cross, *_ in rows] == [
-        (n, d, "yes" if cross else "no") for n, d, cross in timings.CASES
-    ]
-    # the best round is the third: parent 107 + N, change 57 + N / 2
-    for n, _, _, parent, change, ratio in rows:
-        n = int(n)
-        assert (parent, change) == (f"{107.0 + n:.1f}", f"{0.5 * (100.0 + n) + 7.0:.1f}")
-        assert ratio == f"{(0.5 * (100.0 + n) + 7.0) / (107.0 + n):.3f}"
-
-
-def test_scan_timings_rejects_empty_runs(tmp_path):
-    timings = _load("scan_timings")
-    with pytest.raises(SystemExit):
-        timings.main([str(tmp_path), "--rounds", "0"])
