@@ -26,7 +26,8 @@ def _parse_axis(spec: str):
     if not 1 <= count <= MAX_GRID_POINTS:
         raise ConfigError(f"axis point count must be in [1, {MAX_GRID_POINTS}], got {count}")
     step = (hi - lo) / max(count - 1, 1)
-    return key, [lo + i * step for i in range(count)]
+    # the last point is hi itself, which lo + (n - 1) step can miss by an ulp
+    return key, [lo + i * step for i in range(count - 1)] + [hi if count > 1 else lo]
 
 
 def cmd_simulate(args) -> int:

@@ -80,7 +80,7 @@ __all__ = [
     "conv_phi",
     "alignment_plan",
     "alignment_force",
-    "product_rows", "block_rows", "PairPlan", "add_block", "kernel_sums", "alignment_sums",
+    "product_rows", "block_rows", "PairPlan", "add_block", "alignment_sums",
 ]
 
 # any |x|, |u| or |grad_u| beyond this (or a non-finite value) is treated as blow-up
@@ -292,11 +292,6 @@ class PairPlan:
         return alignment_sums(self.kernel_sums(x, u), u)
 
 
-def kernel_sums(x: np.ndarray, b: np.ndarray, kernel: Kernel) -> np.ndarray:
-    """sum_j phi(|x_i - x_j|) b_j, from a one-shot ``PairPlan``."""
-    return PairPlan(b, kernel).kernel_sums(x)
-
-
 def alignment_sums(r: np.ndarray, u: np.ndarray):
     """(sum_j W_ij m_j (u_j - u_i), sum_j W_ij m_j) from r = W @ [m, m*u]."""
     return r[:, 1:] - u * r[:, :1], r[:, 0]
@@ -308,10 +303,10 @@ def pairwise_phi_weights(x: np.ndarray, m: np.ndarray, kernel: Kernel) -> np.nda
 
 
 def conv_phi(x: np.ndarray, m: np.ndarray, kernel: Kernel):
-    """sum_j m_j phi(|x_i - x_j|), the quadrature of phi * rho; the scalar phi * m0 for a constant kernel."""
+    """sum_j m_j phi(|x_i - x_j|), phi * rho's quadrature, by a one-shot ``PairPlan``; m0 phi if constant."""
     if isinstance(kernel, ConstantKernel):
         return kernel.value * m.sum()
-    return kernel_sums(x, m, kernel)
+    return PairPlan(m, kernel).kernel_sums(x)
 
 
 def alignment_plan(m: np.ndarray, kernel: Kernel):

@@ -79,18 +79,17 @@ def init_characteristics_2d(
     return Ensemble(x=x, u=velocity.value(x), m=m, grad_u=velocity.jacobian(x))
 
 
-def _pair_terms_2d(x, u, m, kernel, plan=None):
-    """Alignment force, phi*rho and gradient forcing R from one pass over the pairs i <= j.
+def _pair_terms_2d(plan: PairPlan, x, u):
+    """Alignment force, phi*rho and gradient forcing R from one pass of a ``PairPlan(m, kernel, 3)``.
 
+    The pass visits the pairs i <= j with the plan's masses and kernel.
     R[:, :, l] is the alignment form with the antisymmetric weights (phi'(r)/r) (x_i - x_j)_l.
-    The pass runs ``plan``, a kept ``PairPlan(m, kernel, 3)``, or a one-shot plan.
     """
-    plan = plan or PairPlan(m, kernel, 3)
     b, sums, blocks = plan.run(x, u)
     for lo, hi, r_sq, spare in blocks:
         q = np.add(r_sq, 1.0, out=r_sq)  # 1 + r^2, which the power law reads twice
-        phi = kernel_eval_sq(kernel, q, out=spare, shifted=True)
-        slope = kernel_slope_over_r_sq(kernel, q, phi, out=q, shifted=True)
+        phi = kernel_eval_sq(plan.kernel, q, out=spare, shifted=True)
+        slope = kernel_slope_over_r_sq(plan.kernel, q, phi, out=q, shifted=True)
         add_block(sums[0], phi, b, lo, hi)
         for l in range(2):
             weights = np.multiply(plan.difference(l, lo, hi, spare), slope, out=spare)
@@ -102,9 +101,9 @@ def _pair_terms_2d(x, u, m, kernel, plan=None):
 def _step_rhs_2d(m, kernel, potential):
     """The right-hand side f(x, u, grad_u, dx, du, dgrad_u) of one step along the characteristics.
 
-    Its alignment (``alignment_plan``, or a ``PairPlan(m, kernel, 3)`` that also sums R) and Hessian
-    are built once.  The stages call ``alignment_force`` and ``grad_at`` through this module's
-    globals, which the benchmark's tracer rebinds.
+    Its alignment (``alignment_plan``, or a ``PairPlan(m, kernel, 3)`` that ``_pair_terms_2d`` runs to
+    also sum R) and Hessian are built once.  The stages call ``alignment_force`` and ``grad_at``
+    through this module's globals, which the benchmark's tracer rebinds.
     """
     constant = isinstance(kernel, ConstantKernel)
     plan = alignment_plan(m, kernel) if constant else PairPlan(m, kernel, 3)
@@ -114,7 +113,7 @@ def _step_rhs_2d(m, kernel, potential):
         if constant:
             force, phi_conv = alignment_force(x, u, m, kernel, plan)
         else:
-            force, phi_conv, forcing = _pair_terms_2d(x, u, m, kernel, plan)
+            force, phi_conv, forcing = _pair_terms_2d(plan, x, u)
             phi_conv = phi_conv[:, None, None]
         np.copyto(dx, u)
         np.subtract(force, grad_at(potential, x), out=du)

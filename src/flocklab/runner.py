@@ -573,8 +573,7 @@ def frames_csv(cols: dict) -> str:
     for f in fields(DiagnosticsFrame):
         csv, values = f.metadata["csv"], cols[f.name]
         names += [f"{csv}_{k}" for k in range(values.shape[1])] if values.ndim == 2 else [csv]
-    table = np.column_stack(list(cols.values())).tolist()
-    return "\n".join(["# columns: " + ",".join(names), *(",".join(map(repr, row)) for row in table)]) + "\n"
+    return sweep_csv(names, np.column_stack(list(cols.values())).tolist())
 
 
 def sweep(cfg: ExperimentConfig, axes, simulate: bool = False):
@@ -615,13 +614,5 @@ def _sweep_point(cfg: ExperimentConfig, overrides, simulate: bool):
 
 
 def sweep_csv(columns, rows) -> str:
-    lines = ["# columns: " + ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    """A table's CSV, frames' too: a '# columns: ' line, then one row per line, str cells (a float's repr)."""
+    return "\n".join(["# columns: " + ",".join(columns), *(",".join(map(str, row)) for row in rows)]) + "\n"

@@ -46,8 +46,8 @@ from flocklab.dynamics import (
     add_block,
     alignment_sums,
     block_rows,
+    PairPlan,
     conv_phi,
-    kernel_sums,
     product_rows,
 )
 from flocklab.hydro1d import e_upper_bound, smooth_lower_root, step_1d
@@ -452,7 +452,7 @@ def reference_rhs_2d(m, kernel, potential):
 # The per-stage right-hand sides of each mode as they were before a step decided its kernel, potential
 # and constants once.  The bodies are verbatim; the ``alignment_force``, ``grad_at`` and ``hess_diag_at``
 # they call are the pre-change forms, as ``stage_alignment_force``, ``stage_grad_at`` and
-# ``stage_hess_diag_at``, so this route shares only the pair pass (``kernel_sums``, ``_pair_terms_2d``)
+# ``stage_hess_diag_at``, so this route shares only the pair pass (``PairPlan``, ``_pair_terms_2d``)
 # and the RK4 driver with the package.
 
 
@@ -462,7 +462,7 @@ def stage_alignment_force(x, u, m, kernel):
         m0 = m.sum()
         mu = m @ u
         return kernel.value * (mu[None, :] - m0 * u), kernel.value * m0
-    return alignment_sums(kernel_sums(x, np.column_stack((m, m[:, None] * u)), kernel), u)
+    return alignment_sums(PairPlan(np.column_stack((m, m[:, None] * u)), kernel).kernel_sums(x), u)
 
 
 def stage_grad_at(potential, x):

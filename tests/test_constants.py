@@ -1,6 +1,7 @@
 """Closed-form constants: reference values, scalings, the support-scale oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,33 @@ def test_pair_rates_reference_values():
 
 def test_pair_beta_reference():
     assert pair_beta(1.0, 1.5, 2.0) == pytest.approx(16.0 / 9.0, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda: decay_rate(0.0, 1.0, 0.5, 1.0), "a > 0"),
+        (lambda: decay_rate(1.0, 1.0, 1.0, 0.5), "phi_plus >= phi_minus > 0, m0 > 0"),
+        (lambda: decay_rate_f1(-1.0, 1.0, 0.5, 1.0), "a > 0"),
+        (lambda: decay_rate_f1(1.0, 0.0, 0.5, 1.0), "phi_plus >= phi_minus > 0, m0 > 0"),
+        (lambda: pair_beta(1.0, 1.5, 0.0), "a, A, K > 0"),
+        (lambda: pair_rates(1.0, 0.5, 3.0), "A >= a > 0"),
+        (lambda: support_scale(0.0, 1.0, 1.0, 1.0, ConstantKernel(1.0)), "a > 0, m0 > 0"),
+        (lambda: support_scale(1.0, 1.0, -1.0, 1.0, ConstantKernel(1.0)), "nonnegative initial energies"),
+        (lambda: phi_min_from_support(PowerLawKernel(1.0, 1.0), 1.0, -1.0), "a > 0, R0 >= 0"),
+        (lambda: reduction_constants(1.0, 0.5, 1.0, 0.5, 1.0, 1.0), "A >= a > 0"),
+        (lambda: reduction_constants(1.0, 1.0, 1.0, 0.0, 1.0, 1.0), "phi_plus >= phi_minus > 0, m0 > 0"),
+        (lambda: gap_forcing_constant(0.0, 1.0, 1.0, 1.0), "lambda > 0, C_inf >= 0"),
+    ],
+    ids=[
+        "decay_rate.a", "decay_rate.phi", "decay_rate_f1.a", "decay_rate_f1.m0", "pair_beta.K",
+        "pair_rates.A", "support_scale.a", "support_scale.energy", "phi_min_from_support.r0",
+        "reduction_constants.A", "reduction_constants.phi_minus", "gap_forcing_constant.lambda",
+    ],
+)
+def test_constants_reject_arguments_out_of_range(call, what):
+    with pytest.raises(ValueError, match=f"^constants require {re.escape(what)}$"):
+        call()
 
 
 def test_pair_rates_require_stability():

@@ -14,6 +14,7 @@ from flocklab import dynamics
 from flocklab.dynamics import (
     BlowupSignal,
     Ensemble,
+    PairPlan,
     conv_phi,
     means,
     pairwise_phi_weights,
@@ -366,7 +367,7 @@ def test_pair_pass_matches_the_dense_sums(n):
             _assert_close(phi_conv, dense_conv, conv_scale)
             _assert_close(conv_phi(ens.x, ens.m, kernel), dense_conv_phi(ens.x, ens.m, kernel), conv_scale)
             if d == 2:
-                force, phi_conv, forcing = _pair_terms_2d(ens.x, ens.u, ens.m, kernel)
+                force, phi_conv, forcing = _pair_terms_2d(PairPlan(ens.m, kernel, 3), ens.x, ens.u)
                 _assert_close(force, dense_force, force_scale)
                 _assert_close(phi_conv, dense_conv, conv_scale)
                 want = dense_gradient_forcing(ens.x, ens.u, ens.m, kernel)
@@ -406,7 +407,7 @@ _CAP_PASS = """
 import hashlib, sys
 import numpy as np
 from flocklab.diagnostics import pair_scan
-from flocklab.dynamics import Ensemble, alignment_force, conv_phi
+from flocklab.dynamics import Ensemble, PairPlan, alignment_force, conv_phi
 from flocklab.hydro2d import _pair_terms_2d
 from flocklab.dynamics import step_rk4
 from flocklab.kernels import PowerLawKernel
@@ -416,7 +417,8 @@ digest = hashlib.sha256()
 for n in (700, 2048):
     rng = np.random.default_rng(n)
     x, u, m = rng.normal(size=(n, 2)), rng.normal(size=(n, 2)), rng.uniform(0.1, 1.0, n)
-    for arr in (*alignment_force(x, u, m, kernel), conv_phi(x, m, kernel), *_pair_terms_2d(x, u, m, kernel)):
+    pair_terms = _pair_terms_2d(PairPlan(m, kernel, 3), x, u)
+    for arr in (*alignment_force(x, u, m, kernel), conv_phi(x, m, kernel), *pair_terms):
         digest.update(np.ascontiguousarray(arr).tobytes())
     digest.update(step_rk4(Ensemble(x=x, u=u, m=m), kernel, QuadraticPotential(1.0), 0.01).flat.tobytes())
     for d in (1, 2, 3):  # the frame scan's products have rank 2d + 4; K beta < 1 keeps every agent

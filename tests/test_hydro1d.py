@@ -13,6 +13,7 @@ from flocklab.hydro1d import (
     detect_blowup,
     e_upper_bound,
     init_characteristics,
+    midpoint_quadrature,
     smooth_lower_root,
     step_1d,
 )
@@ -62,6 +63,21 @@ def test_init_rejects_zero_mass_profile():
 
     with pytest.raises(ValueError):
         init_characteristics(Flat(), VelocityProfile("linear", 0.0), 8, ConstantKernel(1.0))
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: BumpDensity(0.0, 1.0), "positive height and half_width"),
+        (lambda: BumpDensity(1.0, -1.0), "positive height and half_width"),
+        (lambda: VelocityProfile("cubic", 1.0), "linear or sinusoidal, got 'cubic'"),
+        (lambda: midpoint_quadrature(BumpDensity(1.0, 1.0), 0, 1, 1.0), "at least one node per side"),
+    ],
+    ids=["height", "half_width", "profile_kind", "n_side"],
+)
+def test_initial_data_rejects_bad_arguments(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 def test_init_density_values_match_mass_per_cell():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from flocklab.constants import constants_report
-from flocklab.dynamics import Ensemble, conv_phi
+from flocklab.dynamics import Ensemble, PairPlan, conv_phi
 from flocklab.hydro1d import BumpDensity, VelocityProfile
 from flocklab.hydro2d import (
     classify_2d_general,
@@ -114,7 +114,7 @@ def test_gradient_forcing_matches_brute_force():
     m = rng.uniform(0.1, 0.5, n)
     grad_u = rng.uniform(-1.0, 1.0, (n, 2, 2))
     kernel = PowerLawKernel(1.3, 0.7)
-    _, _, got = _pair_terms_2d(x, u, m, kernel)
+    _, _, got = _pair_terms_2d(PairPlan(m, kernel, 3), x, u)
     expect = np.zeros((n, 2, 2))
     conv = np.zeros(n)
     for i in range(n):
@@ -147,14 +147,14 @@ def test_pair_terms_keep_the_bits_of_the_two_pass_form(n):
     kernels = [PowerLawKernel(1.3, beta) for beta in (0.5, 1.0, 0.7)]
     kernels += [FloorClippedKernel(k, 0.2) for k in kernels] + [FloorClippedKernel(ConstantKernel(0.4), 0.2)]
     for kernel in kernels:
-        got, want = _pair_terms_2d(x, u, m, kernel), reference_pair_terms_2d(x, u, m, kernel)
+        got, want = _pair_terms_2d(PairPlan(m, kernel, 3), x, u), reference_pair_terms_2d(x, u, m, kernel)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want], kernel
 
 def test_gradient_forcing_zero_for_aligned_velocities():
     rng = np.random.default_rng(10)
     x = rng.uniform(-1, 1, (9, 2))
     u = np.tile([0.7, -0.1], (9, 1))
-    _, _, r = _pair_terms_2d(x, u, np.full(9, 1.0 / 9), PowerLawKernel(1.0, 1.0))
+    _, _, r = _pair_terms_2d(PairPlan(np.full(9, 1.0 / 9), PowerLawKernel(1.0, 1.0), 3), x, u)
     assert np.allclose(r, 0.0, atol=1e-15)
 
 

@@ -67,6 +67,21 @@ def test_constructors_reject_non_finite_parameters(build, value):
     with pytest.raises(ValueError, match="finite"):
         build(value)
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: kernel_eval_sq(k, 1.0),
+        lambda k: kernel_slope_over_r_sq(k, 1.0, phi=0.5),  # with phi, past the evaluation
+        kernel_bounds,
+        kernel_inf,
+    ],
+    ids=["kernel_eval_sq", "kernel_slope_over_r_sq", "kernel_bounds", "kernel_inf"],
+)
+def test_unknown_kernel_family_raises(call):
+    with pytest.raises(TypeError, match="unknown kernel"):
+        call(object())
+
+
 def test_nested_floor_flattens():
     inner = PowerLawKernel(1.0, 1.0)
     nested = FloorClippedKernel(FloorClippedKernel(inner, 0.2), 0.1)

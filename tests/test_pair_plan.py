@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from flocklab import dynamics
-from flocklab.dynamics import PairPlan, alignment_force, conv_phi, kernel_sums
+from flocklab.dynamics import PairPlan, alignment_force, conv_phi
 from flocklab.hydro2d import _pair_terms_2d
 from flocklab.kernels import FloorClippedKernel, PowerLawKernel
 
@@ -46,11 +46,11 @@ def _assert_planned_pass_matches(states, m, kernel, d):
         assert _bytes(*got) == _bytes(*unplanned_alignment_force(x, u, m, kernel))
         assert _bytes(*alignment_force(x, u, m, kernel)) == _bytes(*got)
         want = unplanned_kernel_sums(x, m, kernel)
-        assert _bytes(conv_phi(x, m, kernel), kernel_sums(x, m, kernel)) == _bytes(want, want)
+        assert _bytes(conv_phi(x, m, kernel), PairPlan(m, kernel).kernel_sums(x)) == _bytes(want, want)
         if plan_2d is not None:
             want = _bytes(*unplanned_pair_terms_2d(x, u, m, kernel))
-            assert _bytes(*_pair_terms_2d(x, u, m, kernel, plan_2d)) == want
-            assert _bytes(*_pair_terms_2d(x, u, m, kernel)) == want
+            assert _bytes(*_pair_terms_2d(plan_2d, x, u)) == want
+            assert _bytes(*_pair_terms_2d(PairPlan(m, kernel, 3), x, u)) == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 130, 512, 700])
@@ -83,9 +83,9 @@ def test_plan_keeps_its_bits_after_the_pool_is_regrown(monkeypatch, n):
             # the stage ran in the shared pool, not in buffers of its own
             assert not np.isnan(dynamics._block_buffers[0]).all()
             if d == 2:
-                got = _pair_terms_2d(x, u, m, kernel, plan_2d)
+                got = _pair_terms_2d(plan_2d, x, u)
                 assert _bytes(*got) == _bytes(*unplanned_pair_terms_2d(x, u, m, kernel))
         # a one-shot pass at a larger N: its 128-row blocks outgrow the plans' blocks
         pool = dynamics._block_buffers
-        kernel_sums(rng.normal(size=(big + round_, 1)), np.ones(big + round_), kernel)
+        PairPlan(np.ones(big + round_), kernel).kernel_sums(rng.normal(size=(big + round_, 1)))
         assert dynamics._block_buffers is not pool

@@ -9,6 +9,7 @@ from flocklab.potentials import (
     ZeroPotential,
     convexity_bounds,
     grad_at,
+    gradient,
     hess_diag_at,
     hessian_diag,
     value_at,
@@ -69,6 +70,16 @@ def test_perturbed_validation():
 def test_constructors_reject_non_finite_parameters(build, value):
     with pytest.raises(ValueError):
         build(value)
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda p: value_at(p, np.zeros((2, 1))), gradient, hessian_diag, convexity_bounds],
+    ids=["value_at", "gradient", "hessian_diag", "convexity_bounds"],
+)
+def test_unknown_potential_family_raises(call):
+    with pytest.raises(TypeError, match="unknown potential"):
+        call(object())
+
 
 def test_convexity_bounds():
     assert convexity_bounds(QuadraticPotential(2.0)) == (2.0, 2.0)

@@ -584,6 +584,27 @@ def test_cli_sweep(tmp_path):
     assert [line.split(",")[0] for line in out.read_text().strip().split("\n")[1:]] == ["-0.5", "0.0", "0.5"]
 
 
+@pytest.mark.parametrize(
+    "spec, hi", [("1.3:0.3:11", 0.3), ("0.01:0.07:4", 0.07), ("0:1:11", 1.0), ("-1.5:-0.5:3", -0.5)]
+)
+def test_axis_ends_at_hi(spec, hi):
+    # lo + (n - 1) step misses hi by an ulp on the first two axes; the inner points stay lo + i step
+    key, values = cli._parse_axis(f"potential.a={spec}")
+    lo, count = values[0], len(values)
+    step = (hi - lo) / (count - 1)
+    assert (key, values[-1]) == ("potential.a", hi)
+    assert values[:-1] == [lo + i * step for i in range(count - 1)]
+    assert cli._parse_axis("potential.a=0.5:0.9:1")[1] == [0.5]
+
+
+def test_cli_sweep_writes_stdout_without_out(capsys):
+    spec = "potential.a=1.3:0.3:3"
+    assert cli_main(["sweep", "smooth-1d-guaranteed", "--axis", spec]) == 0
+    columns, rows = sweep(preset_config("smooth-1d-guaranteed"), [cli._parse_axis(spec)])
+    assert capsys.readouterr().out == sweep_csv(columns, rows)
+    assert [row[0] for row in rows] == [1.3, 0.8, 0.3]
+
+
 def test_cli_sweep_has_no_parallel_flag(capsys):
     # grid points run in this process, one after another; there is no pool to ask for
     with pytest.raises(SystemExit) as exc:

@@ -144,8 +144,11 @@ def test_preset_hashes_lines(monkeypatch, capsys):
     monkeypatch.setattr(hashes, "run", fake_run)
     monkeypatch.setattr(hashes, "cli_main", fake_cli)
     hashes.main()
-    *lines, src_line = capsys.readouterr().out.splitlines()
+    out = capsys.readouterr().out
+    *lines, digest_line, src_line = out.splitlines()
     assert len(lines) == len(scenarios) == len(preset_names())
+    # the digest line is the SHA-256 of the preset lines as printed, newlines included
+    assert digest_line == f"presets {sha(out[:out.index('presets ')])}"
     # the last line counts the package's source lines, as wc -l does
     sources = sorted((TOOLS.parent / "src").rglob("*.py"))
     assert any(path.name == "dynamics.py" for path in sources)
