@@ -102,7 +102,7 @@ _NUMBER_KINDS = ("pos", "nonneg", "real", "real?")
 #   _Int(lo, hi)              an integer in [lo, hi]
 #   a tuple of words          one of them
 #   "bool", "text"            a boolean, a string
-#   "vec"                     comma-separated numbers, one per dimension
+#   "vec"                     comma-separated finite numbers, one per dimension
 #   a family table            a nested kernel whose keys carry the prefix "<key>_"
 # A kind ending in "?" is written only when its value differs from its default.
 _RUN = (
@@ -248,6 +248,8 @@ def _parse_value(path: str, raw: str, kind, dim):
             raise ConfigError(f"{path}: expected comma-separated numbers") from None
         if len(parts) != dim:
             raise ConfigError(f"{path}: expected {dim} components, got {len(parts)}")
+        if not all(map(math.isfinite, parts)):
+            raise ConfigError(f"{path}: must be finite")
         return parts
     try:
         value = float(raw)

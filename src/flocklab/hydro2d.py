@@ -230,6 +230,8 @@ def classify_2d_general(
     """
     if not a > 0.0 or A < a:
         raise ValueError(f"need A >= a > 0, got a={a}, A={A}")
+    if not u_max >= 0.0:
+        raise ValueError(f"need a velocity bound u_max >= 0, got {u_max}")
     c_max, c_a, c2, upper = _constants.general_gap_budget(A, m0, phi_minus, dphi_inf, u_max)
     consts = {"C_max": c_max, "C_A": c_a}
     margins = {"Cmi": c_a - c_max}

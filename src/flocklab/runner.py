@@ -231,7 +231,10 @@ class Analysis:
 
 def analyze(cfg: ExperimentConfig) -> Analysis:
     """The initial state, its a-priori bounds, the statements that apply and the constants report."""
-    state = build_state(cfg)
+    try:
+        state = build_state(cfg)
+    except ValueError as exc:  # a configuration whose initial state is not a valid Ensemble
+        raise ConfigError(f"initial data: {exc}") from None
     a_lo, a_hi = convexity_bounds(cfg.potential)
     phi_plus, dphi_inf = kernel_bounds(cfg.kernel)
     phi_inf = kernel_inf(cfg.kernel)
@@ -349,6 +352,9 @@ def _classify(cfg: ExperimentConfig, an: Analysis, u_max: Optional[float] = None
     if u_max is None:
         u_max, details["u_max_source"] = an.report.u_max, "apriori-bound"
     else:
+        u0 = float(np.linalg.norm(an.state.u, axis=1).max())
+        if not u0 <= u_max < math.inf:  # a velocity bound holds at t = 0 already
+            raise ConfigError(f"u_max must be finite and >= the initial max |u_i| = {u0:.6g}, got {u_max}")
         details["u_max_source"] = "supplied"
     details["u_max"] = u_max
     data = (f0.max_abs_eta_s, f0.max_abs_omega, f0.min_e)

@@ -176,6 +176,8 @@ def _parse_edited(old, new, text=MINIMAL):
         (lambda: parse_config(_HYDRO1D + "recenter = true\n"), "initial.recenter: not supported"),
         (lambda: parse_config(_HYDRO1D + "x_shift = 0.5\n"), "initial.x_shift: shifts are not supported"),
         (lambda: with_overrides(parse_config(MINIMAL), [("run.dt", "fast")]), "run.dt: expected a number"),
+        (_parse_edited("x_shift = 1.0, -0.5", "x_shift = nan, 0.0", preset_text("oscillator-means")),
+         "initial.x_shift: must be finite"),
     ],
 )
 def test_config_errors_name_their_key(build, match):

@@ -78,8 +78,9 @@ def test_constructors_reject_non_finite_parameters(build, value):
     ids=["kernel_eval_sq", "kernel_slope_over_r_sq", "kernel_bounds", "kernel_inf"],
 )
 def test_unknown_kernel_family_raises(call):
-    with pytest.raises(TypeError, match="unknown kernel"):
-        call(object())
+    for kernel in (object(), FloorClippedKernel(object(), 0.5)):  # a clip over an unknown family is as unknown
+        with pytest.raises(TypeError, match="unknown kernel"):
+            call(kernel)
 
 
 def test_nested_floor_flattens():

@@ -17,6 +17,7 @@ from flocklab import cli, dynamics, runner
 from flocklab.cli import main as cli_main
 from flocklab.config import ConfigError, parse_config, preset_config, preset_names, preset_text, with_overrides
 from flocklab.diagnostics import frame_columns
+from flocklab.hydro2d import classify_2d_general
 from flocklab.runner import classify, run, sweep, sweep_csv
 
 SMALL = """
@@ -561,6 +562,44 @@ def test_cli_classify_rejects_u_max_the_statement_does_not_read(preset, statemen
     assert out == ""
     assert err == f"error: u_max is read only by threshold_2d_general; this configuration is judged by {statement}\n"
     assert cli_main(["classify", preset]) == 0
+
+
+FLOORED_GENERAL_2D = GENERAL_2D.replace(
+    "family = constant\nk = 4.0",
+    "family = floor_clipped\nalpha = 3.5\ninner_family = power_law\ninner_c0 = 4.0\ninner_beta = 0.5",
+)
+
+
+@pytest.mark.parametrize("u_max", ["-0.5", "0", "0.2", "nan", "inf", "-100"])
+def test_cli_classify_rejects_u_max_that_is_not_a_velocity_bound(tmp_path, capsys, u_max):
+    # the initial max |u_i| is 0.217: a smaller or non-finite bound once certified the run
+    # (C_max < 0 at -0.5), gave a NaN margin, or failed with a math domain error at -100
+    cfg_path = tmp_path / "floored.cfg"
+    cfg_path.write_text(FLOORED_GENERAL_2D)
+    assert cli_main(["classify", str(cfg_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["verdict"] == "not_subcritical"
+    assert cli_main(["classify", str(cfg_path), "--u-max", u_max]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: u_max must be finite and >= the initial max |u_i| = 0.217094, got {float(u_max)}\n"
+
+
+@pytest.mark.parametrize("u_max", [math.nan, -0.5])
+def test_classify_2d_general_rejects_u_max_that_is_nan_or_negative(u_max):
+    bounds = dict(a=1.0, A=1.0, m0=1.0, phi_minus=3.0, dphi_inf=0.0, etaS0_max=0.0, omega0_max=0.0, e0_min=1.0)
+    with pytest.raises(ValueError, match="u_max"):
+        classify_2d_general(u_max=u_max, **bounds)
+
+
+@pytest.mark.parametrize("old", ["m0 = 1.0", "length = 1.5"], ids=["run.m0", "initial.length"])
+def test_cli_initial_data_that_underflow_the_masses_are_config_errors(tmp_path, capsys, old):
+    # the parsed value is positive, but the masses of the initial state underflow to zero
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(preset_text("smooth-1d-guaranteed").replace(old, old.split("=")[0] + "= 1e-320"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert cli_main(["constants", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "error: initial data: all masses must be positive and finite\n"
 
 
 def test_cli_sweep(tmp_path):

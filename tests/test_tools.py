@@ -1,17 +1,20 @@
 """The tools, with their preset and benchmark runs stubbed.
 
 ``tools/preset_roundoff.py``'s exit status, summary changes and ``--only``,
-``tools/preset_hashes.py``'s lines, with its CLI calls stubbed too, and
-``tools/bench_pairs.py``'s report and exit status.
+``tools/preset_hashes.py``'s lines, with its CLI calls stubbed too,
+``tools/bench_pairs.py``'s report and exit status, and which statements
+``tools/line_trace.py`` reports as never run.
 """
 
 import hashlib
 import importlib.util
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
+from collections import defaultdict
 from types import SimpleNamespace
 
 import pytest
@@ -224,3 +227,69 @@ def test_bench_pairs_exits_1_when_a_run_fails(monkeypatch, tmp_path, capsys, out
     expected = 1 if outcome[1] is None else 2
     assert _bench_lines(out)["steps_per_s"].endswith(f"change ahead in 0 of {expected}")
 
+
+
+
+
+# a module for the tracer: the line numbers below are its own
+TRACED = """\
+import os
+
+
+def used(flag):
+    \"\"\"A docstring runs no line of its own.\"\"\"
+    global CACHE
+    if flag:
+        return 1
+    elif not os.sep:
+        raise TypeError("dead")
+    try:
+        x = 2
+    except ValueError:
+        x = 3
+    return x
+
+
+@staticmethod
+def never(a,
+          b):
+    y = a + b
+    for i in range(y):
+        y += i
+    return y
+
+
+def outer(flag):
+    @staticmethod
+    def helper():
+        return 1
+    if flag:
+        def inner():
+            return 0
+    return helper
+"""
+
+
+def test_line_trace_lists_the_outermost_statements_never_run(monkeypatch, tmp_path):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # the tool sets it on import; restored after
+    trace = _load("line_trace")
+    path = tmp_path / "pkg" / "mod.py"
+    traced, other = {}, {}
+    exec(compile(TRACED, str(path), "exec"), traced)
+    exec(compile(TRACED, str(tmp_path / "other.py"), "exec"), other)
+    executed = defaultdict(set)
+    previous = sys.gettrace()
+    sys.settrace(trace._tracer(f"{tmp_path / 'pkg'}{os.sep}", executed))
+    try:
+        assert traced["used"](False) == 2 and other["used"](True) == 1
+        traced["outer"](False)
+    finally:
+        sys.settrace(previous)
+    assert list(executed) == [str(path)]  # only files under the prefix
+    # the docstring and the global declaration run nothing; a try runs by its body and a
+    # decorated def by its decorator's line; an unrun if or loop is listed without its body
+    assert trace.unrun_statements(TRACED, executed[str(path)]) == [
+        (8, "return 1"), (10, 'raise TypeError("dead")'), (14, "x = 3"),
+        (21, "y = a + b"), (22, "for i in range(y):"), (24, "return y"),
+        (30, "return 1"), (32, "def inner():"), (33, "return 0"),
+    ]
