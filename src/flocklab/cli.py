@@ -32,9 +32,10 @@ def _parse_axis(spec: str):
 
 def cmd_simulate(args) -> int:
     cfg = resolve_config(args.config)
+    if args.out:  # before the run, so an unwritable --out costs no integration
+        os.makedirs(args.out, exist_ok=True)
     result = run(cfg)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "frames.csv"), "w", encoding="utf-8") as fh:
             fh.write(result.csv())
         with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
@@ -132,7 +133,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # an OSError comes from writing --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

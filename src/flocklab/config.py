@@ -264,19 +264,12 @@ def _parse_value(path: str, raw: str, kind, dim):
     return value
 
 
-def _format_value(value, kind) -> str:
-    if isinstance(kind, _Int):
-        return str(value)
-    if isinstance(kind, tuple):
-        return value
-    kind = kind.rstrip("?")
-    if kind == "text":
-        return value
-    if kind == "bool":
+def _format_value(value) -> str:
+    if isinstance(value, bool):  # before repr: a bool is an int, and repr(True) is "True"
         return "true" if value else "false"
-    if kind == "vec":
-        return ", ".join(repr(v) for v in value)
-    return repr(value)
+    if isinstance(value, tuple):
+        return ", ".join(map(repr, value))
+    return value if isinstance(value, str) else repr(value)
 
 
 def _validate_mode(cfg: ExperimentConfig):
@@ -332,7 +325,7 @@ def _entries(obj, table, prefix: str = "") -> dict:
         if isinstance(kind, dict):
             out.update(_component_entries(value, kind, f"{prefix}{key}_"))
         elif not (isinstance(kind, str) and kind.endswith("?") and value == default):
-            out[prefix + key] = _format_value(value, kind)
+            out[prefix + key] = _format_value(value)
     return out
 
 

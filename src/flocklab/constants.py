@@ -73,6 +73,8 @@ def linf_constant(a: float, m0: float, phi_minus: float, phi_plus: float) -> flo
     Neither dominates the other for all inputs, so the bound takes the larger.
     """
     lam = decay_rate(a, m0, phi_minus, phi_plus)
+    if not m0 * phi_minus * lam > 0.0:  # the product underflows: C_inf is past the float range
+        return math.inf
     lam1 = decay_rate_f1(a, m0, phi_minus, phi_plus)
     c0 = (1.0 / (2.0 * m0 * phi_minus) + 2.0 * lam1 / a) * phi_plus**2
     return max(
@@ -159,12 +161,15 @@ def support_scale(
         if beta > 1.0:
             raise ValueError(f"support scale needs beta <= 1, got beta = {beta}")
         base = 1.0 + 8.0 * particle_energy0 / a
-        if beta == 1.0:
-            grown = base * math.exp(2.0 * phi_plus * energy0 / (a * c0 * m0))
-        else:
-            grown = (
-                base ** (1.0 - beta) + 2.0 * (1.0 - beta) * phi_plus * energy0 / (a * c0 * m0)
-            ) ** (1.0 / (1.0 - beta))
+        try:
+            if beta == 1.0:
+                grown = base * math.exp(2.0 * phi_plus * energy0 / (a * c0 * m0))
+            else:
+                grown = (
+                    base ** (1.0 - beta) + 2.0 * (1.0 - beta) * phi_plus * energy0 / (a * c0 * m0)
+                ) ** (1.0 / (1.0 - beta))
+        except OverflowError:  # R0 is past the float range
+            return math.inf
         return a / 8.0 * (grown - 1.0)
     raise ValueError(f"no closed-form support scale for kernel {kernel!r}")
 

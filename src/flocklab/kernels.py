@@ -172,7 +172,10 @@ def kernel_bounds(kernel: Kernel):
     if alpha:
         # radius where the floor takes over: inner(r_c) = alpha; |phi'| increases
         # up to its peak, so a floor that takes over first puts the sup at r_c
-        r_c_sq = (c0 / alpha) ** (1.0 / beta) - 1.0
+        try:
+            r_c_sq = (c0 / alpha) ** (1.0 / beta) - 1.0
+        except OverflowError:  # r_c = inf: the floor takes over past the peak
+            r_c_sq = np.inf
         if r_c_sq < 1.0 / (2.0 * beta + 1.0):
             r = float(np.sqrt(r_c_sq))
     return phi_plus, float(2.0 * c0 * beta * r * (1.0 + r * r) ** (-beta - 1.0))

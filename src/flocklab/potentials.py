@@ -1,14 +1,9 @@
 """External confining potentials.
 
-The external force on an agent at x is -grad U(x).  Supported families:
-
-* quadratic            U(x) = a/2 |x|^2,  a > 0
-* perturbed quadratic  U(x) = a/2 |x|^2 + eps * sum_i (1 - cos(kappa x_i)) / kappa^2
-* zero                 U = 0
-
-The perturbed family is the canonical uniformly convex, non-quadratic test
-case: its Hessian is diagonal with entries a + eps*cos(kappa x_i), so the
-convexity bounds (a - eps, a + eps) are exact.  It requires 0 <= eps < a.
+The external force on an agent at x is -grad U(x).  Every supported family is U(x) = a/2 |x|^2
++ eps * sum_i (1 - cos(kappa x_i)) / kappa^2: zero (a = 0, no ripple), quadratic (a > 0, no ripple) and
+perturbed quadratic (0 <= eps < a), the canonical uniformly convex, non-quadratic test case.  Its Hessian
+is diagonal, a + eps*cos(kappa x_i), so the convexity bounds (a - eps, a + eps) are exact.
 """
 
 from __future__ import annotations
@@ -64,36 +59,41 @@ class ZeroPotential:
 Potential = Union[QuadraticPotential, PerturbedQuadraticPotential, ZeroPotential]
 
 
+def _family(potential: Potential):
+    """(a, ripple) of the potential's family, with ripple = (eps, kappa) or None."""
+    if isinstance(potential, (QuadraticPotential, ZeroPotential)):
+        return getattr(potential, "a", 0.0), None
+    if isinstance(potential, PerturbedQuadraticPotential):
+        return potential.a, (potential.eps, potential.kappa)
+    raise TypeError(f"unknown potential {potential!r}")
+
+
 def value_at(potential: Potential, x: np.ndarray) -> np.ndarray:
     """U at each row of x, shape (N, d) -> (N,)."""
     x = np.asarray(x, dtype=float)
-    if isinstance(potential, ZeroPotential):
+    a, ripple = _family(potential)
+    if a == 0:  # exact zeros: 0 * |x|^2 is NaN where |x|^2 overflows
         return np.zeros(x.shape[0])
     quad = 0.5 * np.einsum("nd,nd->n", x, x)
-    if isinstance(potential, QuadraticPotential):
-        return potential.a * quad
-    if isinstance(potential, PerturbedQuadraticPotential):
-        k = potential.kappa
-        ripple = (1.0 - np.cos(k * x)).sum(axis=1) / (k * k)
-        return potential.a * quad + potential.eps * ripple
-    raise TypeError(f"unknown potential {potential!r}")
+    if ripple is None:
+        return a * quad
+    eps, k = ripple
+    return a * quad + eps * ((1.0 - np.cos(k * x)).sum(axis=1) / (k * k))
 
 
 def gradient(potential: Potential):
     """grad U as a function of x, shape (N, d) -> (N, d), with the family and its constants decided once.
 
-    The constants are 0-d arrays, numpy's cheapest scalar operand, with the
-    bits of the floats.
+    The constants are 0-d arrays, numpy's cheapest scalar operand, with the bits of the floats.
     """
-    if isinstance(potential, ZeroPotential):
+    a, ripple = _family(potential)
+    if a == 0:  # exact zeros: 0 * x is -0.0 for negative x
         return np.zeros_like
-    if isinstance(potential, QuadraticPotential):
-        a = np.array(potential.a)
+    a = np.array(a)
+    if ripple is None:
         return lambda x: a * x
-    if isinstance(potential, PerturbedQuadraticPotential):
-        a, k, c = (np.array(v) for v in (potential.a, potential.kappa, potential.eps / potential.kappa))
-        return lambda x: a * x + c * np.sin(k * x)
-    raise TypeError(f"unknown potential {potential!r}")
+    k, c = np.array(ripple[1]), np.array(ripple[0] / ripple[1])
+    return lambda x: a * x + c * np.sin(k * x)
 
 
 def grad_at(potential: Potential, x: np.ndarray) -> np.ndarray:
@@ -107,13 +107,12 @@ def hessian_diag(potential: Potential):
     Every supported family has a diagonal Hessian, so the diagonal is the whole matrix.  Where it is
     constant (quadratic or zero potential) the function returns a 0-d array, which broadcasts to (N, d).
     """
-    if isinstance(potential, PerturbedQuadraticPotential):
-        a, k, eps = (np.array(v) for v in (potential.a, potential.kappa, potential.eps))
-        return lambda x: a + eps * np.cos(k * x)
-    if isinstance(potential, (QuadraticPotential, ZeroPotential)):
-        hess = np.array(getattr(potential, "a", 0.0))
-        return lambda x: hess
-    raise TypeError(f"unknown potential {potential!r}")
+    a, ripple = _family(potential)
+    a = np.array(a)
+    if ripple is None:
+        return lambda x: a
+    eps, k = (np.array(v) for v in ripple)
+    return lambda x: a + eps * np.cos(k * x)
 
 
 def hess_diag_at(potential: Potential, x: np.ndarray) -> Union[np.ndarray, float]:
@@ -124,10 +123,6 @@ def hess_diag_at(potential: Potential, x: np.ndarray) -> Union[np.ndarray, float
 
 def convexity_bounds(potential: Potential) -> tuple[float, float]:
     """Exact infimum and supremum of the Hessian eigenvalues, (a_lo, a_hi)."""
-    if isinstance(potential, ZeroPotential):
-        return 0.0, 0.0
-    if isinstance(potential, QuadraticPotential):
-        return potential.a, potential.a
-    if isinstance(potential, PerturbedQuadraticPotential):
-        return potential.a - potential.eps, potential.a + potential.eps
-    raise TypeError(f"unknown potential {potential!r}")
+    a, ripple = _family(potential)
+    eps = 0.0 if ripple is None else ripple[0]
+    return a - eps, a + eps

@@ -248,9 +248,9 @@ def analyze(cfg: ExperimentConfig) -> Analysis:
     phi_minus, phi_source = phi_inf, "kernel-infimum"
     if not phi_minus > 0.0:
         phi_minus, phi_source = None, "unavailable"
-        if r0 is not None:
-            phi_minus = consts.phi_min_from_support(cfg.kernel, cfg.potential.a, r0)
-            phi_source = "support-chain"
+        floor = 0.0 if r0 is None else consts.phi_min_from_support(cfg.kernel, cfg.potential.a, r0)
+        if floor > 0.0:  # phi(R0 = inf) = 0 is no floor
+            phi_minus, phi_source = floor, "support-chain"
     x, u = state.x, state.u
     max0 = float((np.sqrt(np.einsum("nd,nd->n", u, u)) + np.sqrt(np.einsum("nd,nd->n", x, x))).max())
     report = consts.constants_report(  # through the module, so a rebound report builder applies

@@ -119,6 +119,10 @@ def test_kernel_bounds_floor_clipped():
     assert slope == pytest.approx(9.0 / (8.0 * np.sqrt(3.0)), rel=1e-14)
     # config text reaches a floor over a constant kernel through inner_family = constant
     assert kernel_bounds(FloorClippedKernel(ConstantKernel(2.0), 0.5)) == (2.0, 0.0)
+    # a crossover (c0/alpha)^(1/beta) past the float range reads as r_c = inf: the unclipped bounds
+    for c0, beta, alpha, slope in ((4.0, 1e-3, 0.05, 0.00399723036858021), (1.0, 0.01, 1e-6, 0.009931416604520949)):
+        inner = PowerLawKernel(c0, beta)
+        assert kernel_bounds(FloorClippedKernel(inner, alpha)) == kernel_bounds(inner) == (c0, slope)
 
 
 def test_floor_clip_slope_when_peak_clipped():

@@ -35,6 +35,11 @@ def test_zero_eval():
     assert u == 0.0
     assert np.all(grad == 0.0)
     assert np.all(hess == 0.0)
+    # exact +0.0, not 0 * |x|^2 (NaN where |x|^2 overflows) nor 0 * x (-0.0 for negative x)
+    for point in ([1e300, -1e300], [-0.0, -0.0], [-1.0, 0.0]):
+        u, grad, _ = _eval(ZeroPotential(), point)
+        assert np.asarray(u).tobytes() == np.float64(0.0).tobytes()
+        assert grad.tobytes() == np.zeros(2).tobytes()
 
 
 def test_perturbed_eval_1d():
@@ -73,8 +78,11 @@ def test_constructors_reject_non_finite_parameters(build, value):
 
 @pytest.mark.parametrize(
     "call",
-    [lambda p: value_at(p, np.zeros((2, 1))), gradient, hessian_diag, convexity_bounds],
-    ids=["value_at", "gradient", "hessian_diag", "convexity_bounds"],
+    [
+        lambda p: value_at(p, np.zeros((2, 1))), gradient, lambda p: grad_at(p, np.zeros((2, 1))), hessian_diag,
+        lambda p: hess_diag_at(p, np.zeros((2, 1))), convexity_bounds,
+    ],
+    ids=["value_at", "gradient", "grad_at", "hessian_diag", "hess_diag_at", "convexity_bounds"],
 )
 def test_unknown_potential_family_raises(call):
     with pytest.raises(TypeError, match="unknown potential"):

@@ -532,6 +532,23 @@ def test_cli_simulate_writes_outputs(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["mode"] == "particles"
 
 
+def test_cli_simulate_to_an_existing_file_is_an_error_before_the_run(tmp_path, capsys, monkeypatch):
+    # --out names a directory: a file in its place once failed with FileExistsError after the whole run
+    out = tmp_path / "taken"
+    out.write_text("")
+    monkeypatch.setattr(cli, "run", lambda cfg: pytest.fail("simulate integrated before making --out"))
+    assert cli_main(["simulate", "riccati-oracle", "--out", str(out)]) == 2
+    out_text, err = capsys.readouterr()
+    assert out_text == "" and err.startswith("error: ") and str(out) in err
+
+
+def test_cli_sweep_to_a_missing_directory_is_an_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert cli_main(["sweep", "smooth-1d-guaranteed", "--axis", "potential.a=0.1:0.2:2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+
+
 def test_cli_classify_and_constants(capsys):
     assert cli_main(["classify", "blowup-1d-unconditional"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -550,6 +567,26 @@ def test_cli_classify_and_constants(capsys):
     assert cli_main(["constants", "quadratic-flocking-1d"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["r0"]["value"] == runner.analyze(preset_config("quadratic-flocking-1d")).report.r0 > 0.0
+
+
+@pytest.mark.parametrize("old,new,r0_finite,source", [
+    ("\na = 1.0", "\na = 1e-3", True, "support-chain"),
+    ("\na = 1.0", "\na = 4e-4", False, "unavailable"),
+    ("amplitude = 1.0", "amplitude = 50", False, "unavailable"),
+], ids=["a=1e-3", "a=4e-4", "amplitude=50"])
+def test_cli_weak_confinement_and_energetic_data_are_reported(tmp_path, capsys, old, new, r0_finite, source):
+    # R0 or C_inf past the float range reads as inf: at a = 1e-3 the support-chain floor is 6.8e-201 and
+    # m0 phi_minus lam underflows to 0; at a = 4e-4 or amplitude 50, R0's exp overflows and phi(R0) = 0 is no floor
+    text = preset_text("quadratic-flocking-1d").replace("n = 256", "n = 16").replace("\nt = 40", "\nt = 0.1")
+    cfg_path = tmp_path / "weak.cfg"
+    cfg_path.write_text(text.replace(old, new))
+    assert cli_main(["constants", str(cfg_path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert math.isfinite(doc["r0"]["value"]) == r0_finite and doc["r0"]["value"] > 1e196
+    assert doc["notes"][-1] == f"kernel floor source: {source}"
+    assert doc["c_inf"]["value"] == (math.inf if r0_finite else None)
+    assert cli_main(["simulate", str(cfg_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["mode"] == "particles"
 
 
 @pytest.mark.parametrize("preset,statement", [
