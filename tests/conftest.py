@@ -2,9 +2,28 @@
 
 import pytest
 
+from flocklab.config import preset_config
 from flocklab.hydro1d import BumpDensity, VelocityProfile, init_characteristics, step_1d
 from flocklab.kernels import ConstantKernel
 from flocklab.potentials import QuadraticPotential
+from flocklab.runner import run
+
+
+@pytest.fixture(scope="session")
+def preset_result():
+    """``preset_result(name)``: the preset's full-horizon RunResult, run once a session.
+
+    The acceptance criteria, the runner's tests and the golden bytes read the
+    same runs; no test writes to one.
+    """
+    results = {}
+
+    def result(name):
+        if name not in results:
+            results[name] = run(preset_config(name))
+        return results[name]
+
+    return result
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,9 @@
 """Acceptance suite: every quantitative claim checked at its stated tolerance.
 
 Each criterion prints one pass/fail line (visible with pytest -s; pytest
-prints captured output for failures).  The expensive runs are shared
-through module-scoped fixtures.  Desk scale throughout: N <= 512,
-T <= 100, every run under two minutes on one core.
+prints captured output for failures).  The preset runs are shared through
+the session's ``preset_result`` fixture, one run per preset.  Desk scale
+throughout: N <= 512, T <= 100, every run under two minutes on one core.
 """
 
 import math
@@ -11,7 +11,6 @@ import math
 import numpy as np
 import pytest
 
-from flocklab.config import preset_config
 from flocklab.constants import (
     decay_rate,
     linf_constant,
@@ -28,7 +27,6 @@ from flocklab.potentials import (
     ZeroPotential,
     grad_at,
 )
-from flocklab.runner import run
 
 from oracles import oscillator_exact, riccati_exact
 
@@ -54,13 +52,13 @@ def _within_budget(result):
 
 
 @pytest.fixture(scope="module")
-def flocking_1d():
-    return run(preset_config("quadratic-flocking-1d"))
+def flocking_1d(preset_result):
+    return preset_result("quadratic-flocking-1d")
 
 
 @pytest.fixture(scope="module")
-def flocking_2d():
-    return run(preset_config("quadratic-flocking-2d"))
+def flocking_2d(preset_result):
+    return preset_result("quadratic-flocking-2d")
 
 
 def _frame_arrays(result):
@@ -110,8 +108,8 @@ def test_criterion_03_uniform_support_bound(flocking_1d, flocking_2d):
     _report(3, "uniform particle-energy and support bounds (1D and 2D)", worst, 1e-9)
 
 
-def test_criterion_04_harmonic_oscillator_means():
-    result = run(preset_config("oscillator-means"))
+def test_criterion_04_harmonic_oscillator_means(preset_result):
+    result = preset_result("oscillator-means")
     frames = result.frames
     x0 = np.asarray(frames[0].x_c)
     u0 = np.asarray(frames[0].u_c)
@@ -155,8 +153,8 @@ def test_criterion_05_energy_dissipation_identity():
     _report(5, "energy-dissipation identity at 100 random states", worst, 1e-12)
 
 
-def test_criterion_06_unconditional_blowup_detection():
-    result = run(preset_config("blowup-1d-unconditional"))
+def test_criterion_06_unconditional_blowup_detection(preset_result):
+    result = preset_result("blowup-1d-unconditional")
     summary = result.summary
     ok = (
         summary.blowup is not None
@@ -168,8 +166,8 @@ def test_criterion_06_unconditional_blowup_detection():
     _report(6, "unconditional blow-up detected with the right tag", 0.0 if ok else 1.0, 0.0)
 
 
-def test_criterion_07_guaranteed_smoothness():
-    result = run(preset_config("smooth-1d-guaranteed"))
+def test_criterion_07_guaranteed_smoothness(preset_result):
+    result = preset_result("smooth-1d-guaranteed")
     _within_budget(result)
     summary = result.summary
     assert summary.threshold.verdict == "smooth_guaranteed"
@@ -190,8 +188,8 @@ def test_criterion_08_riccati_oracle(riccati_trajectory):
     _report(8, "single-characteristic e matches the closed-form solution", worst, 1e-8)
 
 
-def test_criterion_09_constant_kernel_convex_flocking():
-    result = run(preset_config("convex-flocking-constant"))
+def test_criterion_09_constant_kernel_convex_flocking(preset_result):
+    result = preset_result("convex-flocking-constant")
     _within_budget(result)
     data = _frame_arrays(result)
     mu1, mu2, mu3 = pair_rates(1.0, 1.5, 2.0)
@@ -200,8 +198,8 @@ def test_criterion_09_constant_kernel_convex_flocking():
             float((data["deltaE_L2"] - bound).max()), 1e-9)
 
 
-def test_criterion_10_algebraic_decay_trend():
-    result = run(preset_config("convex-flocking-powerlaw"))
+def test_criterion_10_algebraic_decay_trend(preset_result):
+    result = preset_result("convex-flocking-powerlaw")
     _within_budget(result)
     data = _frame_arrays(result)
     window = data["t"] >= 50.0
@@ -217,8 +215,8 @@ def test_criterion_10_algebraic_decay_trend():
     _report(10, "sqrt(1+t)-weighted fluctuations show no growth trend", slope, 1e-3)
 
 
-def test_criterion_11_subcritical_2d_persistence():
-    result = run(preset_config("subcritical-2d-constant"))
+def test_criterion_11_subcritical_2d_persistence(preset_result):
+    result = preset_result("subcritical-2d-constant")
     _within_budget(result)
     summary = result.summary
     assert summary.threshold.verdict == "subcritical_quadratic"

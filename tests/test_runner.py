@@ -256,8 +256,8 @@ def test_quadratic_run_has_decay_checks():
     assert result.summary.blowup is None
 
 
-def test_blowup_preset_is_success_semantics():
-    result = run(preset_config("blowup-1d-unconditional"))
+def test_blowup_preset_is_success_semantics(preset_result):
+    result = preset_result("blowup-1d-unconditional")
     assert result.summary.blowup is not None
     assert result.summary.threshold.verdict == "blowup_guaranteed"
     assert result.summary.threshold.condition == "assuB_1"

@@ -1,11 +1,12 @@
 """The tools, with their preset and benchmark runs stubbed.
 
 ``tools/preset_roundoff.py``'s exit status, summary changes and ``--only``,
-``tools/preset_hashes.py``'s lines, with its CLI calls stubbed too,
+``tools/preset_hashes.py``'s lines, with their CLI calls stubbed too,
 ``tools/bench_pairs.py``'s report and exit status, and which statements
 ``tools/line_trace.py`` reports as never run.
 """
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -19,6 +20,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from flocklab import cli
 from flocklab.config import preset_config, preset_names
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -125,6 +127,15 @@ def test_preset_roundoff_names_summary_changes(monkeypatch, tmp_path, capsys, ot
     assert all(line.endswith(f"; summary changed: {changed}") for line in lines), lines
 
 
+@dataclasses.dataclass
+class _FakeSummary:
+    scenario: str
+    wall_time: float
+
+    def to_json(self) -> str:
+        return json.dumps({"scenario": self.scenario, "wall_time": self.wall_time})
+
+
 def test_preset_hashes_lines(monkeypatch, capsys):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # the tool sets it on import; restored after
     monkeypatch.setattr(sys, "path", list(sys.path))  # and puts this checkout's src first
@@ -133,8 +144,7 @@ def test_preset_hashes_lines(monkeypatch, capsys):
 
     def fake_run(cfg):  # each preset's own frames, and a summary that records its wall time
         scenarios.append(cfg.scenario)
-        summary = SimpleNamespace(wall_time=12.5)
-        summary.to_json = lambda: json.dumps({"scenario": cfg.scenario, "wall_time": summary.wall_time})
+        summary = _FakeSummary(cfg.scenario, wall_time=12.5)
         return SimpleNamespace(summary=summary, csv=lambda: f"# columns: t\n{len(scenarios)}\n")
 
     def sha(text):
@@ -145,7 +155,7 @@ def test_preset_hashes_lines(monkeypatch, capsys):
         return 0
 
     monkeypatch.setattr(hashes, "run", fake_run)
-    monkeypatch.setattr(hashes, "cli_main", fake_cli)
+    monkeypatch.setattr(cli, "main", fake_cli)  # the preset lines call the CLI through its module
     hashes.main()
     out = capsys.readouterr().out
     *lines, digest_line, src_line = out.splitlines()
