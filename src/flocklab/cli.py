@@ -6,6 +6,7 @@ argument is a file path or a preset name.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -64,13 +65,9 @@ def constants_json(cfg) -> str:
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args.config)
     axes = [_parse_axis(spec) for spec in args.axis]
-    columns, rows = sweep(cfg, axes, simulate=args.simulate)
-    text = sweep_csv(columns, rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # --out is opened before the grid runs, so an unwritable path costs no point
+    with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(sweep_csv(*sweep(cfg, axes, simulate=args.simulate)))
     return 0
 
 

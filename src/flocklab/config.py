@@ -14,7 +14,6 @@ presets reproducible.
 from __future__ import annotations
 
 import configparser
-import io
 import math
 import os
 from dataclasses import dataclass
@@ -35,6 +34,7 @@ __all__ = [
     "parse_config",
     "serialize_config",
     "with_overrides",
+    "with_overrides_each",
     "override_value",
     "preset_names",
     "preset_text",
@@ -300,12 +300,17 @@ def _validate_mode(cfg: ExperimentConfig):
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Emit configuration text that parses back to an identical configuration."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.read_dict(_sections(cfg))
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
+    """Emit configuration text that parses back to an identical configuration.
+
+    The layout is configparser's: a ``[section]`` line, a ``key = value`` line per key, a newline in a
+    value continued on a tab-indented line, and a blank line after each section.
+    """
+    lines = []
+    for section, keys in _sections(cfg).items():
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {value}".replace("\n", "\n\t") for key, value in keys.items()]
+        lines.append("")
+    return "\n".join(lines) + "\n"
 
 
 def _sections(cfg: ExperimentConfig) -> dict:
@@ -374,11 +379,20 @@ def with_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
     potential family is rejected, and an integer key needs an integral
     value (16.0 is read as 16, 2.5 is an error).
     """
-    sections = _sections(cfg)
-    for key_path, value in overrides:
-        section, _, key = key_path.partition(".")
-        sections[section][key] = repr(override_value(key_path, value))
-    return _build(sections)
+    return with_overrides_each(cfg, [overrides])[0]
+
+
+def with_overrides_each(cfg: ExperimentConfig, points) -> list:
+    """``with_overrides(cfg, overrides)`` for each point's overrides, with cfg's sections formatted once."""
+    base, configs = _sections(cfg), []
+    for overrides in points:
+        sections = dict(base)  # _build reads its sections and writes none, so the unset ones are shared
+        for key_path, value in overrides:
+            section, _, key = key_path.partition(".")
+            text = repr(override_value(key_path, value))
+            sections[section] = {**sections[section], key: text}
+        configs.append(_build(sections))
+    return configs
 
 
 _PRESETS = {

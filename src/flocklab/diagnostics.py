@@ -16,6 +16,10 @@ The functionals monitored per output frame:
 * V, F1_max: mean and per-agent energy with a position-velocity cross
   term, whose decay gives the L2 and worst-pair bounds (quadratic case).
 
+A frame's E, E_k, P, V, F1_max and means come from one ``AgentPass``,
+which takes each per-agent array (|u_i|^2, |x_i|^2, U(x_i), u_i . x_i) and
+the mass sums once; ``energy``, ``particle_energy_max``, ``lyapunov_v`` and
+``perturbed_particle_energy_max`` are each one pass, with the same bits.
 A frame's deltaE_L2, deltaE_Linf, D and F_const_max come from one
 ``pair_scan``.  Each is a quadratic form of p_i - p_j, p = (x, u), expanded
 about one agent: deltaE_L2 is the expansion's mass sums, in O(N), and each
@@ -38,9 +42,10 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import Ensemble, block_rows, means
-from .potentials import Potential, value_at
+from .potentials import Potential, _value_from_sq
 
 __all__ = [
+    "AgentPass",
     "DiagnosticsFrame",
     "frame_columns",
     "RateFit",
@@ -56,11 +61,49 @@ __all__ = [
 ]
 
 
+class AgentPass:
+    """One pass over a state's agents: every per-agent array of the O(N) frame functionals, each taken once.
+
+    It holds |u_i|^2 (``uu``), |x_i|^2 (``xx``) and the ``means``, and, given a potential,
+    ``total_energy``, ``kinetic_energy`` and ``particle_energy`` (E, E_k, P) from |u_i|^2 / 2 and U(x_i).
+    ``lyapunov`` adds V and F1_max from u_i . x_i.  A frame, ``runner.analyze``'s t = 0 quantities and
+    each public functional below read one pass; per-step tracking of these sums would call it too.
+    """
+
+    def __init__(self, ens: Ensemble, potential: Optional[Potential] = None):
+        x, u, m = ens.x, ens.u, ens.m
+        self.ens, self.means = ens, means(ens)
+        self.uu, self.xx = np.einsum("nd,nd->n", u, u), np.einsum("nd,nd->n", x, x)
+        self.half_uu = 0.5 * self.uu
+        if potential is not None:
+            values = _value_from_sq(potential, x, self.xx)
+            self.kinetic_energy = 0.5 * float(m @ self.uu)
+            self.total_energy = self.kinetic_energy + float(m @ values)
+            self.particle_energy = float((self.half_uu + values).max())
+
+    def cross_energies(self, a: float, *lams: float) -> list:
+        """Per agent |u_i|^2/2 + a |x_i|^2/2 + 2 lam u_i . x_i, one array per lam."""
+        base = self.half_uu + 0.5 * a * self.xx
+        ux = np.einsum("nd,nd->n", self.ens.u, self.ens.x)
+        return [base + 2.0 * lam * ux for lam in lams]
+
+    def lyapunov(self, a: float, lam: float, *lam1: float) -> tuple:
+        """V (``lyapunov_v``, with its drift warning), then F1_max for each lam1."""
+        c = self.means
+        drift = max(np.abs(c.x_c).max(), np.abs(c.u_c).max())
+        if drift > 1e-8:
+            warnings.warn(
+                f"lyapunov_v expects a recentered state; means have norm {drift:.3g}",
+                stacklevel=3,
+            )
+        v, *f1 = self.cross_energies(a, lam, *lam1)
+        return float(self.ens.m @ v), *(float(f.max()) for f in f1)
+
+
 def energy(ens: Ensemble, potential: Potential) -> tuple[float, float]:
     """Total and kinetic energy (E, E_k)."""
-    kinetic = 0.5 * float(ens.m @ np.einsum("nd,nd->n", ens.u, ens.u))
-    total = kinetic + float(ens.m @ value_at(potential, ens.x))
-    return total, kinetic
+    sums = AgentPass(ens, potential)
+    return sums.total_energy, sums.kinetic_energy
 
 
 _DELTA = 64 * np.finfo(float).eps  # pair_scan's cut margin, per unit of (2d + 4) kappa
@@ -206,20 +249,12 @@ def fluctuations(ens: Ensemble, a: float) -> tuple[float, float]:
 
 def particle_energy_max(ens: Ensemble, potential: Potential) -> float:
     """Maximal particle energy P = max_i |u_i|^2/2 + U(x_i)."""
-    return float((0.5 * np.einsum("nd,nd->n", ens.u, ens.u) + value_at(potential, ens.x)).max())
+    return AgentPass(ens, potential).particle_energy
 
 
 def particle_energy_support(ens: Ensemble, potential: Potential) -> tuple[float, float]:
     """Maximal particle energy P and support diameter D (D from ``pair_scan``)."""
     return particle_energy_max(ens, potential), pair_scan(ens, 0.0)[2]
-
-
-def _cross_energy(ens: Ensemble, a: float, lam: float) -> np.ndarray:
-    """Per-agent |u_i|^2/2 + a |x_i|^2/2 + 2 lam u_i . x_i."""
-    vals = 0.5 * np.einsum("nd,nd->n", ens.u, ens.u)
-    vals += 0.5 * a * np.einsum("nd,nd->n", ens.x, ens.x)
-    vals += 2.0 * lam * np.einsum("nd,nd->n", ens.u, ens.x)
-    return vals
 
 
 def lyapunov_v(ens: Ensemble, a: float, lam: float) -> float:
@@ -228,14 +263,7 @@ def lyapunov_v(ens: Ensemble, a: float, lam: float) -> float:
     Meaningful on a recentered state with quadratic confinement; warns if
     the means are not zero to round-off.
     """
-    c = means(ens)
-    drift = max(np.abs(c.x_c).max(), np.abs(c.u_c).max())
-    if drift > 1e-8:
-        warnings.warn(
-            f"lyapunov_v expects a recentered state; means have norm {drift:.3g}",
-            stacklevel=2,
-        )
-    return float(ens.m @ _cross_energy(ens, a, lam))
+    return AgentPass(ens).lyapunov(a, lam)[0]
 
 
 def perturbed_particle_energy_max(ens: Ensemble, a: float, lam1: float) -> float:
@@ -244,7 +272,7 @@ def perturbed_particle_energy_max(ens: Ensemble, a: float, lam1: float) -> float
     The per-agent counterpart of lyapunov_v; its decay controls the
     worst-pair fluctuation.
     """
-    return float(_cross_energy(ens, a, lam1).max())
+    return float(AgentPass(ens).cross_energies(a, lam1)[0].max())
 
 
 def pair_functional_f(ens: Ensemble, coupling: float, beta: float) -> float:

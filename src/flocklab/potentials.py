@@ -71,10 +71,15 @@ def _family(potential: Potential):
 def value_at(potential: Potential, x: np.ndarray) -> np.ndarray:
     """U at each row of x, shape (N, d) -> (N,)."""
     x = np.asarray(x, dtype=float)
+    return _value_from_sq(potential, x, np.einsum("nd,nd->n", x, x))
+
+
+def _value_from_sq(potential: Potential, x: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """``value_at`` from the rows of x and their squared norms sq = |x_i|^2, which a caller may have."""
     a, ripple = _family(potential)
     if a == 0:  # exact zeros: 0 * |x|^2 is NaN where |x|^2 overflows
         return np.zeros(x.shape[0])
-    quad = 0.5 * np.einsum("nd,nd->n", x, x)
+    quad = 0.5 * sq
     if ripple is None:
         return a * quad
     eps, k = ripple

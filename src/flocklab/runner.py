@@ -47,21 +47,18 @@ from typing import Optional
 import numpy as np
 
 from . import constants as consts
-from .config import ConfigError, ExperimentConfig, override_value, serialize_config, with_overrides
-from .diagnostics import (  # noqa: F401 (the benchmark binds the three pair_scan wrappers here)
-    DiagnosticsFrame,
+from .config import ConfigError, ExperimentConfig, override_value, serialize_config, with_overrides_each
+from .diagnostics import AgentPass, DiagnosticsFrame, fit_rate, frame_columns, pair_scan
+from .diagnostics import (  # noqa: F401 (bound by the benchmark; frames read one AgentPass and pair_scan)
     energy,
-    fit_rate,
     fluctuations,
-    frame_columns,
     lyapunov_v,
     pair_functional_f,
-    pair_scan,
-    particle_energy_max,
     particle_energy_support,
     perturbed_particle_energy_max,
 )
-from .dynamics import BlowupSignal, Ensemble, _packed, _rk4_core, _step_rhs_u, conv_phi, means
+from .dynamics import BlowupSignal, Ensemble, Means, _packed, _rk4_core, _step_rhs_u, conv_phi
+from .dynamics import means  # noqa: F401 (bound by the benchmark; the means come from AgentPass)
 from .dynamics import step_rk4  # noqa: F401 (bound by the benchmark; the run loop calls no step_*)
 from .hydro1d import _step_rhs_1d, classify_1d
 from .hydro1d import detect_blowup, e_upper_bound, smooth_lower_root, step_1d  # noqa: F401 (benchmark)
@@ -235,24 +232,22 @@ def analyze(cfg: ExperimentConfig) -> Analysis:
         state = build_state(cfg)
     except ValueError as exc:  # a configuration whose initial state is not a valid Ensemble
         raise ConfigError(f"initial data: {exc}") from None
+    sums = AgentPass(state, cfg.potential)  # frame 0's, read by the statements and the report too
     a_lo, a_hi = convexity_bounds(cfg.potential)
     phi_plus, dphi_inf = kernel_bounds(cfg.kernel)
     phi_inf = kernel_inf(cfg.kernel)
     coupling = cfg.m0 * cfg.kernel.value if isinstance(cfg.kernel, ConstantKernel) else None
-    theorems = _theorems(cfg, state, a_lo, a_hi, phi_plus, phi_inf, coupling)
-    e0 = energy(state, cfg.potential)[0]
-    r0 = None
+    theorems = _theorems(cfg, sums.means, a_lo, a_hi, phi_plus, phi_inf, coupling)
+    e0, r0 = sums.total_energy, None
     if theorems.applies("support_bound"):
-        p0 = particle_energy_max(state, cfg.potential)
-        r0 = consts.support_scale(cfg.potential.a, cfg.m0, e0, p0, cfg.kernel)
+        r0 = consts.support_scale(cfg.potential.a, cfg.m0, e0, sums.particle_energy, cfg.kernel)
     phi_minus, phi_source = phi_inf, "kernel-infimum"
     if not phi_minus > 0.0:
         phi_minus, phi_source = None, "unavailable"
         floor = 0.0 if r0 is None else consts.phi_min_from_support(cfg.kernel, cfg.potential.a, r0)
         if floor > 0.0:  # phi(R0 = inf) = 0 is no floor
             phi_minus, phi_source = floor, "support-chain"
-    x, u = state.x, state.u
-    max0 = float((np.sqrt(np.einsum("nd,nd->n", u, u)) + np.sqrt(np.einsum("nd,nd->n", x, x))).max())
+    max0 = float((np.sqrt(sums.uu) + np.sqrt(sums.xx)).max())
     report = consts.constants_report(  # through the module, so a rebound report builder applies
         a_lo, a_hi, cfg.m0, phi_minus, phi_plus, dphi_inf, K=coupling, energy0=e0, r0=r0,
         kernel=cfg.kernel, max0=max0,
@@ -261,19 +256,19 @@ def analyze(cfg: ExperimentConfig) -> Analysis:
     pair_f = (coupling, report.beta_cross) if theorems.applies("convex_flocking_constant") else ()
     confined = theorems.applies("quadratic_flocking") and report.lam is not None
     v_rates = (report.lam, report.lam1) if confined else ()
-    frame0 = _state_frame(cfg, state, a_lo, pair_f, v_rates)
+    frame0 = _state_frame(cfg, state, a_lo, pair_f, v_rates, sums)
     return Analysis(
         state, frame0, report, theorems, a_lo, a_hi, phi_minus, phi_source, phi_plus, dphi_inf, pair_f,
         v_rates,
     )
 
 
-def _theorems(cfg, state: Ensemble, a_lo: float, a_hi: float, phi_plus: float, phi_inf: float, coupling):
+def _theorems(cfg, c: Means, a_lo: float, a_hi: float, phi_plus: float, phi_inf: float, coupling):
     """Decide every statement's hypotheses from the families, the convexity and kernel bounds, the means."""
     kernel, quadratic = cfg.kernel, isinstance(cfg.potential, QuadraticPotential)
     not_quadratic = None if quadratic else "the potential is not quadratic"
-    # the means are taken only under a quadratic potential
-    flocking = not_quadratic or (None if _centered(state) else "the initial data are not centered")
+    centered = max(map(abs, (*c.x_c, *c.u_c))) <= _CENTERED_TOL
+    flocking = not_quadratic or (None if centered else "the initial data are not centered")
     has_r0 = isinstance(kernel, ConstantKernel) or isinstance(kernel, PowerLawKernel) and kernel.beta <= 1.0
     support = flocking or (None if has_r0 else "no closed-form R0 for this kernel")
     constant, decaying = "the kernel is not constant", "the kernel is not a power law"
@@ -310,11 +305,6 @@ def _stability_reason(a: float, A: float, K: float) -> Optional[str]:
     if not a > 0.0:
         return "the potential is not uniformly convex"
     return f"stability condition fails: K = {K:.6g} <= A/sqrt(a) = {A / math.sqrt(a):.6g}"
-
-
-def _centered(state: Ensemble) -> bool:
-    c = means(state)
-    return max(map(abs, (*c.x_c, *c.u_c))) <= _CENTERED_TOL
 
 
 def classify(cfg: ExperimentConfig, u_max: Optional[float] = None):
@@ -433,22 +423,21 @@ def _integrate(cfg: ExperimentConfig, an: Analysis) -> RunResult:
 
 
 def _state_frame(
-    cfg: ExperimentConfig, ens: Ensemble, a_lo: float, pair_f: tuple, v_rates: tuple
+    cfg: ExperimentConfig, ens: Ensemble, a_lo: float, pair_f: tuple, v_rates: tuple, sums=None
 ) -> DiagnosticsFrame:
-    """Every frame column; the pair columns come from one ``pair_scan``, V and F1_max need ``v_rates``."""
-    e_total, e_kin = energy(ens, cfg.potential)
+    """Every frame column: the pair columns from one ``pair_scan``, E, E_k, P, the means and (given
+    ``v_rates``) V and F1_max from one ``AgentPass``, ``sums`` where the caller has taken it."""
+    sums = sums or AgentPass(ens, cfg.potential)
     delta_l2, delta_inf, d, f_const = pair_scan(ens, a_lo, *pair_f)
-    c = means(ens)
+    c = sums.means
     frame = DiagnosticsFrame(
-        t=ens.t, total_energy=e_total, kinetic_energy=e_kin, delta_e_l2=delta_l2,
-        delta_e_linf=delta_inf, particle_energy=particle_energy_max(ens, cfg.potential),
-        diameter=d, lyapunov=math.nan, f1_max=math.nan, f_const_max=f_const,
-        x_c=tuple(float(v) for v in c.x_c), u_c=tuple(float(v) for v in c.u_c),
+        t=ens.t, total_energy=sums.total_energy, kinetic_energy=sums.kinetic_energy, delta_e_l2=delta_l2,
+        delta_e_linf=delta_inf, particle_energy=sums.particle_energy, diameter=d,
+        lyapunov=math.nan, f1_max=math.nan, f_const_max=f_const,
+        x_c=tuple(c.x_c.tolist()), u_c=tuple(c.u_c.tolist()),
     )
     if v_rates:
-        lam, lam1 = v_rates
-        frame.lyapunov = lyapunov_v(ens, a_lo, lam)
-        frame.f1_max = perturbed_particle_energy_max(ens, a_lo, lam1)
+        frame.lyapunov, frame.f1_max = sums.lyapunov(a_lo, *v_rates)
     if ens.e is not None:
         frame.min_e, frame.max_e = float(ens.e.min()), float(ens.e.max())
         frame.min_rho, frame.max_rho = float(ens.rho.min()), float(ens.rho.max())
@@ -494,16 +483,15 @@ def _check_rows(summary, cfg, an: Analysis, cols: dict):
     if theorems.applies("means_oscillation"):
         yield "support_energy_inequality", "(a/8) D(t)^2 <= P(t)", 1e-9, a / 8.0 * d_vals * d_vals - p_vals
         omega = math.sqrt(a)
-        x0, u0 = cols["x_c"][0], cols["u_c"][0]
-        errors = []
-        for t, x_c, u_c in zip(times.tolist(), cols["x_c"], cols["u_c"]):
-            ct, st = math.cos(omega * t), math.sin(omega * t)
-            x_ref = x0 * ct + u0 * (st / omega)
-            u_ref = -x0 * omega * st + u0 * ct
-            errors.append(max(np.abs(x_c - x_ref).max(), np.abs(u_c - u_ref).max()))
+        x_c, u_c = cols["x_c"], cols["u_c"]
+        x0, u0, phase = x_c[0], u_c[0], (omega * times).tolist()
+        ct = np.array([math.cos(w) for w in phase])[:, None]  # libm's, as one frame at a time
+        st = np.array([math.sin(w) for w in phase])[:, None]
+        x_err = np.abs(x_c - (x0 * ct + u0 * (st / omega))).max(axis=1)
+        u_err = np.abs(u_c - (-x0 * omega * st + u0 * ct)).max(axis=1)
         yield (
             "means_oscillator", "means follow the closed-form oscillation of frequency sqrt(a)",
-            1e-7, np.asarray(errors),
+            1e-7, np.where(u_err > x_err, u_err, x_err),  # per frame, Python's max(x_err, u_err), NaN alike
         )
 
     if theorems.applies("convex_flocking_constant"):
@@ -601,7 +589,7 @@ def sweep(cfg: ExperimentConfig, axes, simulate: bool = False):
         points = [p + [(axes[1][0], w)] for p in points for w in axes[1][1]]
 
     # every point's config is built, and so checked, before the first point is analyzed
-    configs = [with_overrides(cfg, overrides) for overrides in points]
+    configs = with_overrides_each(cfg, points)
     rows = [_sweep_point(point, overrides, simulate) for point, overrides in zip(configs, points)]
     columns = [key for key, _ in axes] + ["verdict", "condition", "margin"]
     if simulate:

@@ -15,6 +15,11 @@ the ``reference_rhs_*`` functions the allocating right-hand sides it called.
 The ``stage_*`` functions are the in-place right-hand sides as they were
 before each step decided its kernel, potential and constants once, and
 ``stage_step`` steps them with the package's driver.
+``reference_agent_functionals`` computes E, E_k, P, V, F1_max and the means
+one functional at a time, each with its own per-agent arrays, as they were
+written before ``diagnostics.AgentPass`` shared them, and
+``reference_means_errors`` is the means row's per-frame loop as it was
+before the row was taken over all frames at once.
 ``reference_integrate`` is the runner's step loop as it was before it
 marched the flat vector: one public ``step_*`` call and one Ensemble per
 step, its t set to i * dt, and each frame built by ``runner._state_frame``.
@@ -548,6 +553,48 @@ def stage_step(state, kernel, potential, dt):
             dx[...] = u
             stage_rhs_u(x, u, m, kernel, potential, du)
     return advance_rk4(state, f, dt)
+
+
+def _reference_value(potential, x):
+    """U at each row of x, the way ``potentials.value_at`` wrote it before it took |x|^2 from a caller."""
+    if isinstance(potential, ZeroPotential):
+        return np.zeros(x.shape[0])
+    quad = 0.5 * np.einsum("nd,nd->n", x, x)
+    if isinstance(potential, QuadraticPotential):
+        return potential.a * quad
+    k = potential.kappa
+    return potential.a * quad + potential.eps * ((1.0 - np.cos(k * x)).sum(axis=1) / (k * k))
+
+
+def _reference_cross_energy(ens, a, lam):
+    vals = 0.5 * np.einsum("nd,nd->n", ens.u, ens.u)
+    vals += 0.5 * a * np.einsum("nd,nd->n", ens.x, ens.x)
+    vals += 2.0 * lam * np.einsum("nd,nd->n", ens.u, ens.x)
+    return vals
+
+
+def reference_agent_functionals(ens, potential, a, lam, lam1):
+    """(E, E_k, P, V, F1_max, x_c, u_c), each functional from its own per-agent arrays."""
+    kinetic = 0.5 * float(ens.m @ np.einsum("nd,nd->n", ens.u, ens.u))
+    total = kinetic + float(ens.m @ _reference_value(potential, ens.x))
+    p = float((0.5 * np.einsum("nd,nd->n", ens.u, ens.u) + _reference_value(potential, ens.x)).max())
+    v = float(ens.m @ _reference_cross_energy(ens, a, lam))
+    f1 = float(_reference_cross_energy(ens, a, lam1).max())
+    m0 = ens.total_mass
+    return total, kinetic, p, v, f1, (ens.m @ ens.x) / m0, (ens.m @ ens.u) / m0
+
+
+def reference_means_errors(cols: dict, a: float) -> np.ndarray:
+    """The means row's excess, one frame at a time: the worst |x_c - x_ref| or |u_c - u_ref| per frame."""
+    omega = math.sqrt(a)
+    x0, u0 = cols["x_c"][0], cols["u_c"][0]
+    errors = []
+    for t, x_c, u_c in zip(cols["t"].tolist(), cols["x_c"], cols["u_c"]):
+        ct, st = math.cos(omega * t), math.sin(omega * t)
+        x_ref = x0 * ct + u0 * (st / omega)
+        u_ref = -x0 * omega * st + u0 * ct
+        errors.append(max(np.abs(x_c - x_ref).max(), np.abs(u_c - u_ref).max()))
+    return np.asarray(errors)
 
 
 def reference_integrate(cfg, an: Analysis):

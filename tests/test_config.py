@@ -1,15 +1,20 @@
 """Configuration parsing, validation, round-trip, presets, overrides."""
 
+import configparser
+import io
+
 import pytest
 
 from flocklab.config import (
     ConfigError,
+    _sections,
     parse_config,
     preset_config,
     preset_names,
     preset_text,
     serialize_config,
     with_overrides,
+    with_overrides_each,
 )
 from flocklab.kernels import ConstantKernel, FloorClippedKernel, PowerLawKernel
 from flocklab.potentials import PerturbedQuadraticPotential, QuadraticPotential, ZeroPotential
@@ -203,6 +208,42 @@ def test_presets_parse_and_round_trip(name):
     # desk scale: every preset stays within the documented budget
     assert cfg.n <= 512
     assert cfg.t_final <= 100.0
+
+
+def _configparser_text(cfg) -> str:
+    """What configparser's writer makes of the configuration's sections."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_dict(_sections(cfg))
+    out = io.StringIO()
+    parser.write(out)
+    return out.getvalue()
+
+
+SCENARIO_TEXT = MINIMAL.replace(
+    "[run]\n", "[run]\nscenario = a = b # not a comment ; nor this\n  continued; = #\n\tand again\n"
+) + "[initial]\nx_shift = -0.5\nrotation = 0.0\n"
+
+
+@pytest.mark.parametrize("text", [*(preset_text(name) for name in preset_names()), SCENARIO_TEXT])
+def test_serialize_config_writes_configparser_bytes(text):
+    cfg = parse_config(text)
+    assert serialize_config(cfg) == _configparser_text(cfg)
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_scenario_text_keeps_its_separators_and_continuation():
+    cfg = parse_config(SCENARIO_TEXT)
+    assert cfg.scenario == "a = b # not a comment ; nor this\ncontinued; = #\nand again"
+    assert "scenario = a = b # not a comment ; nor this\n\tcontinued; = #\n\tand again\n" in serialize_config(cfg)
+
+
+def test_overrides_each_point_build_the_configs_of_with_overrides():
+    cfg = parse_config(MINIMAL)
+    points = [[("potential.a", 2.5)], [("potential.a", 0.5), ("kernel.c0", 3.0)], [], [("run.n", 16.0)]]
+    assert with_overrides_each(cfg, points) == [with_overrides(cfg, point) for point in points]
+    assert with_overrides_each(cfg, points)[2] == cfg
+    with pytest.raises(ConfigError, match="run.dt"):  # each point is validated like config text
+        with_overrides_each(cfg, [[("run.dt", 0.5)], [("run.dt", -1.0)]])
 
 
 def test_expected_presets_exist():

@@ -2,13 +2,16 @@
 
 import math
 import tracemalloc
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from flocklab import diagnostics, dynamics
+from flocklab import diagnostics, dynamics, runner
 from flocklab.diagnostics import (
     energy,
     fit_rate,
@@ -16,17 +19,19 @@ from flocklab.diagnostics import (
     lyapunov_v,
     pair_functional_f,
     pair_scan,
+    particle_energy_max,
     particle_energy_support,
     perturbed_particle_energy_max,
 )
-from flocklab.dynamics import Ensemble, recenter
+from flocklab.dynamics import Ensemble, means, recenter
 from flocklab.kernels import PowerLawKernel
-from flocklab.potentials import QuadraticPotential, ZeroPotential
+from flocklab.potentials import PerturbedQuadraticPotential, QuadraticPotential, ZeroPotential
 from oracles import (
     dense_fluctuations,
     dense_pair_functional_f,
     dense_particle_energy_support,
     full_pair_scan,
+    reference_agent_functionals,
 )
 
 
@@ -160,8 +165,60 @@ def test_lyapunov_lower_edge_attained_by_anticorrelated_state():
 
 def test_lyapunov_warns_off_center():
     ens = Ensemble(x=[[1.0]], u=[[1.0]], m=[1.0])
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         lyapunov_v(ens, 1.0, 0.1)
+    assert record[0].filename == __file__  # the warning names the caller's line
+    with pytest.warns(UserWarning, match="lyapunov_v expects a recentered state"):
+        runner._state_frame(SimpleNamespace(potential=QuadraticPotential(1.0)), ens, 1.0, (), (0.1, 0.2))
+
+
+def _bits(*values):
+    return [float(v).hex() for v in values]  # tells -0.0 from 0.0, unlike ==
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 24),
+    d=st.sampled_from([1, 2]),
+    potential=st.sampled_from([
+        ZeroPotential(),
+        QuadraticPotential(1.0),
+        QuadraticPotential(0.3),
+        PerturbedQuadraticPotential(1.25, 0.25, 1.0),
+        PerturbedQuadraticPotential(2.0, 1.5, 3.0),
+    ]),
+    lams=st.tuples(*[st.sampled_from([0.0, 0.05, 0.1, 1.0 / 3.0, 0.7, -0.2])] * 2),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_agent_pass_has_the_bits_of_each_functional(data, n, d, potential, lams, scale):
+    # E, E_k, P, V, F1_max and the means of one shared pass, of the runner's frame and of each public
+    # functional equal, bit for bit, each functional computed from its own per-agent arrays
+    floats = st.floats(-scale, scale, allow_subnormal=False)
+    x = data.draw(hnp.arrays(float, (n, d), elements=floats))
+    u = data.draw(hnp.arrays(float, (n, d), elements=floats))
+    m = data.draw(hnp.arrays(float, n, elements=st.floats(0.01, 10.0)))
+    ens, (lam, lam1) = Ensemble(x=x, u=u, m=m), lams
+    a = getattr(potential, "a", 0.0)
+    total, kinetic, p, v, f1, x_c, u_c = reference_agent_functionals(ens, potential, a, lam, lam1)
+    expected = _bits(total, kinetic, p, v, f1, *x_c, *u_c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an off-center state warns in V; the bits are still V's
+        frame = runner._state_frame(SimpleNamespace(potential=potential), ens, a, (), (lam, lam1))
+        sums = diagnostics.AgentPass(ens, potential)
+        c = means(ens)
+        assert _bits(
+            frame.total_energy, frame.kinetic_energy, frame.particle_energy, frame.lyapunov, frame.f1_max,
+            *frame.x_c, *frame.u_c,
+        ) == expected
+        assert _bits(
+            sums.total_energy, sums.kinetic_energy, sums.particle_energy, *sums.lyapunov(a, lam, lam1),
+            *sums.means.x_c, *sums.means.u_c,
+        ) == expected
+        assert _bits(
+            *energy(ens, potential), particle_energy_max(ens, potential), lyapunov_v(ens, a, lam),
+            perturbed_particle_energy_max(ens, a, lam1), *c.x_c, *c.u_c,
+        ) == expected
 
 
 def _bits(*values):

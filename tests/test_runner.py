@@ -19,6 +19,7 @@ from flocklab.config import ConfigError, parse_config, preset_config, preset_nam
 from flocklab.diagnostics import frame_columns
 from flocklab.hydro2d import classify_2d_general
 from flocklab.runner import classify, run, sweep, sweep_csv
+from oracles import reference_means_errors
 
 SMALL = """
 [run]
@@ -264,6 +265,22 @@ def test_blowup_preset_is_success_semantics(preset_result):
     assert result.summary.all_checks_pass
     lo, hi = result.summary.blowup
     assert 0.0 < lo < hi < 10.0
+
+
+@pytest.mark.parametrize("a", [None, 3.0], ids=["preset", "a=3"])
+def test_means_row_is_the_per_frame_loop(preset_result, a):
+    # oscillator-means is uncentered, so its means move: the row taken over all frames at once has the
+    # bits of the loop that took one frame at a time; sqrt(a) = 2 divides exactly, sqrt(3) does not
+    name = "oscillator-means"
+    cfg, result = preset_config(name), preset_result(name)
+    if a is not None:
+        cfg = with_overrides(cfg, [("potential.a", a), ("run.t", 2.0)])
+        result = run(cfg)
+    summary = dataclasses.replace(result.summary, notes=[])  # the rows may add notes; the run stays as it is
+    rows = {row[0]: row[3] for row in runner._check_rows(summary, cfg, runner.analyze(cfg), result.columns)}
+    expected = reference_means_errors(result.columns, cfg.potential.a)
+    assert len(expected) == result.summary.n_frames > 20 and expected.max() > 0.0
+    assert rows["means_oscillator"].tobytes() == expected.tobytes()
 
 
 def test_smooth_short_run_checks():
@@ -542,11 +559,15 @@ def test_cli_simulate_to_an_existing_file_is_an_error_before_the_run(tmp_path, c
     assert out_text == "" and err.startswith("error: ") and str(out) in err
 
 
-def test_cli_sweep_to_a_missing_directory_is_an_error(tmp_path, capsys):
+def test_cli_sweep_to_a_missing_directory_is_an_error(tmp_path, capsys, monkeypatch):
+    calls = []
+    analyze = runner.analyze
+    monkeypatch.setattr(runner, "analyze", lambda cfg: calls.append(cfg) or analyze(cfg))
     out = tmp_path / "missing" / "x.csv"
     assert cli_main(["sweep", "smooth-1d-guaranteed", "--axis", "potential.a=0.1:0.2:2", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+    assert calls == []  # the path failed before the grid's first point was analyzed
 
 
 def test_cli_classify_and_constants(capsys):
