@@ -28,6 +28,7 @@ from .potentials import (
 )
 
 __all__ = [
+    "MAX_FRAMES",
     "ConfigError",
     "InitialSpec",
     "ExperimentConfig",
@@ -49,6 +50,9 @@ VELOCITY_KINDS = ("linear", "sinusoidal", "random")
 
 class ConfigError(ValueError):
     pass
+
+
+MAX_FRAMES = 1_000_000  # a run's frames, the first one included: about 1 GB at about 970 bytes a frame
 
 
 # only _build constructs these two, and it sets every field from the key tables, which hold the defaults
@@ -183,6 +187,12 @@ def _build(sections: dict) -> ExperimentConfig:
     steps = cfg.t_final / cfg.dt
     if not (0.5 <= steps < math.inf and abs(steps - round(steps)) <= 1e-9 * steps):
         raise ConfigError(f"run.t: must be a whole number (>= 1) of steps of run.dt, got t/dt = {steps!r}")
+    frames = 1 + -(-cfg.n_steps // cfg.output_stride)  # the first, every stride-th step and the last
+    if frames > MAX_FRAMES:
+        raise ConfigError(
+            f"run.t / (run.dt * run.output_stride): the run would keep {frames} frames, "
+            f"more than the cap of {MAX_FRAMES}"
+        )
     _validate_mode(cfg)
     return cfg
 

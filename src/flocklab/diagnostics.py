@@ -209,7 +209,15 @@ def pair_scan(ens: Ensemble, a: float, coupling: Optional[float] = None, beta: O
     xu = ens.flat[: 2 * n * d].reshape(2, n, d)
     np.subtract(xu, xu[:, k : k + 1], out=lay.p3)
     r = np.matmul(forms, p.T, out=lay.r)  # -2 M p~_j
-    np.multiply(np.vecdot(p, r.transpose(0, 2, 1), out=lay.s), -0.5, out=right[:, 0])  # s = -2 q(p~_i)
+    s = np.vecdot(p, r.transpose(0, 2, 1), out=lay.s)  # s = -2 q(p~_i)
+    if d == 1:
+        # no scanned form reads D's s column, or x~ where a = 0 without F, but their signs reach the
+        # entries as products with zeros: zeroed with their signs kept, they keep the bits and cannot
+        # overflow into inf * 0
+        np.copysign(0.0, s[1], out=s[1])
+        if a == 0.0 and coupling is None:
+            np.copysign(0.0, lay.p3[0], out=lay.p3[0])
+    np.multiply(s, -0.5, out=right[:, 0])
     sums = np.matmul(m, left)  # [m0, P = sum_i m_i p~_i, sum_i m_i s_i]
     m0, *mp, s0 = sums[: 2 * d + 2].tolist()
     l2 = -m0 * s0 - 2.0 * (a * sum(v * v for v in mp[:d]) + sum(v * v for v in mp[d:])) + 0.0  # no -0.0

@@ -30,7 +30,12 @@ runs give the same bytes whatever OPENBLAS_NUM_THREADS is (a test compares
 carry (x, u), 1D characteristics add the threshold variable e and the
 density value rho (x and u are then (N, 1)), and 2D characteristics add
 the velocity gradient grad_u.  The evolved arrays are packed: each is a
-view of a segment of one flat float64 vector, in that order.
+view of a segment of one flat float64 vector, in that order.  One table,
+``_STORED_AXES``, names the arrays stored in another axis order than they
+are shown in: grad_u is stored component-major, (2, 2, N), and shown as
+(N, 2, 2).  A state's attributes show each array; a right-hand side's
+stage views are as stored, so each entry of the 2D stage's 2x2 algebra is
+one contiguous row of N characteristics.
 
 ``_rk4_core`` is the one time stepper: classical fixed-step RK4 on the
 flat vector.  The mode's right-hand side writes each derivative into views
@@ -90,6 +95,9 @@ STATE_CAP = 1.0e9
 E_BLOWUP_CAP = 1.0e6
 # the arrays a state can carry that the time stepper evolves, in this order
 _EVOLVED = ("x", "u", "e", "rho", "grad_u")
+# the evolved arrays stored in another axis order than they are shown in, each with its stored order
+# as a permutation of the shown axes: grad_u's (N, 2, 2) is stored component-major, (2, 2, N)
+_STORED_AXES = {"grad_u": (1, 2, 0)}
 # the largest |value| an evolved array may reach before a step counts as a
 # blow-up (STATE_CAP for the others); the density only has to stay finite,
 # since it grows without bound while a flock contracts
@@ -116,11 +124,13 @@ class Ensemble:
     x and u are (N, d) and m is (N,).  1D characteristics also carry e and
     rho, each (N,), with d = 1; 2D characteristics carry grad_u, (N, 2, 2).
     m is a read-only copy of the masses, each positive and finite.
-    The evolved arrays are C-contiguous views of consecutive segments of
-    one float64 vector ``flat``, in the order x, u, e, rho, grad_u.  Write
-    into them or build a new Ensemble: assigning another array to one
-    raises, since the stepper reads ``flat``.  ``_scratch`` holds the RK4
-    driver's buffers, which the states stepped from this one share.
+    The evolved arrays are views of consecutive segments of one float64
+    vector ``flat``, in the order x, u, e, rho, grad_u, each stored in its
+    ``_STORED_AXES`` order: C-contiguous, except grad_u, which is stored
+    (2, 2, N) and shown as its (N, 2, 2) transpose.  Write into them or
+    build a new Ensemble: assigning another array to one raises, since the
+    stepper reads ``flat``.  ``_scratch`` holds the RK4 driver's buffers,
+    which the states stepped from this one share.
     """
 
     x: np.ndarray
@@ -164,7 +174,7 @@ class Ensemble:
         if not all(np.isfinite(a).all() for a in arrays.values()):
             raise ValueError("state values must be finite")
         scratch = _Scratch(arrays)
-        flat = np.concatenate([a.ravel() for a in arrays.values()])
+        flat = np.concatenate([_stored(name, a).ravel() for name, a in arrays.items()])
         self.__dict__.update(_views(flat, scratch.layout), flat=flat, _scratch=scratch)
 
     def __setattr__(self, name, value):
@@ -349,33 +359,47 @@ def _step_rhs_u(m, kernel, potential):
     return f
 
 
-def _views(flat: np.ndarray, layout) -> dict:
-    """The evolved arrays by name, as views of the segments of flat."""
-    return {name: flat[lo:hi].reshape(shape) for name, lo, hi, shape in layout}
+def _stored(name: str, arr: np.ndarray) -> np.ndarray:
+    """The evolved array ``name``, shown as arr, as a view in its stored axis order."""
+    axes = _STORED_AXES.get(name)
+    return arr if axes is None else arr.transpose(axes)
+
+
+def _views(flat: np.ndarray, layout, stored: bool = False) -> dict:
+    """The evolved arrays by name, as views of the segments of flat: shown, or as stored."""
+    views = {}
+    for name, lo, hi, shape, shown in layout:
+        view = flat[lo:hi].reshape(shape)
+        views[name] = view if stored or shown is None else view.transpose(shown)
+    return views
 
 
 class _Scratch:
     """The RK4 driver's buffers for the evolved arrays of a state, given by name.
 
-    ``layout`` lists each array's (name, start, stop, shape) in the flat
-    vector of P values.  ``rows`` holds k1, k2, k3, k4 and the stage
-    argument as one (5, P) array, ``views`` each row's views shaped like
-    the arrays, and ``lo`` and ``hi`` the bounds of the one-pass screen:
-    |value| within the array's cap, and 0 <= rho.  ``coefficients`` holds
-    the step's dt/2, dt and dt/6 and ``rhs`` the right-hand side last built
-    for it.  A state and the states stepped from it share one, so a thread
-    steps one such chain at a time.
+    ``layout`` lists each array's (name, start, stop, stored shape, axes)
+    in the flat vector of P values, with axes the transpose that shows the
+    stored view (None where it is shown as stored).  ``rows`` holds k1, k2,
+    k3, k4 and the stage argument as one (5, P) array, ``views`` each row's
+    views as stored, which a right-hand side receives, and ``lo`` and
+    ``hi`` the bounds of the one-pass screen: |value| within the array's
+    cap, and 0 <= rho.  ``coefficients`` holds the step's dt/2, dt and dt/6
+    and ``rhs`` the right-hand side last built for it.  A state and the
+    states stepped from it share one, so a thread steps one such chain at
+    a time.
     """
 
     def __init__(self, arrays: dict):
         self.layout, size = [], 0
         for name, arr in arrays.items():
-            self.layout.append((name, size, size + arr.size, arr.shape))
+            axes = _STORED_AXES.get(name)
+            shown = None if axes is None else tuple(np.argsort(axes).tolist())
+            self.layout.append((name, size, size + arr.size, _stored(name, arr).shape, shown))
             size += arr.size
         self.rows = np.empty((5, size))
-        self.views = [tuple(_views(row, self.layout).values()) for row in self.rows]
+        self.views = [tuple(_views(row, self.layout, stored=True).values()) for row in self.rows]
         self.lo, self.hi = np.empty(size), np.empty(size)
-        for name, lo, hi, _ in self.layout:
+        for name, lo, hi, *_ in self.layout:
             cap = _CAPS.get(name, STATE_CAP)
             self.lo[lo:hi], self.hi[lo:hi] = 0.0 if name == "rho" else -cap, cap
         self.dt, self.rhs_ids = None, None
@@ -410,14 +434,15 @@ def _rk4_core(scratch: _Scratch, f, y: np.ndarray, t: float, dt: float) -> np.nd
     """One classical RK4 step of size dt of the flat vector y at time t: the new vector y1.
 
     ``f(*arrays, *outs)`` writes the time derivatives of the evolved arrays
-    into outs, arrays of the same shapes in the same order.  y is copied into
-    the stage row, so the first stage reads its views too and y is never
-    written.  Each stage is two in-place operations on flat vectors, and the
-    update keeps the bits of y + (dt/6)(k1 + 2(k2 + k3) + k4).  y1 is
-    screened in one pass: each value must be finite, x, u and grad_u within
-    STATE_CAP, e within E_BLOWUP_CAP and rho nonnegative, else BlowupSignal
-    brackets the step [t, t + dt].  The caller holds the np.errstate that
-    lets a blowing-up step overflow quietly.
+    into outs, arrays of the same shapes in the same order: the scratch
+    rows' views, as stored.  y is copied into the stage row, so the first
+    stage reads its views too and y is never written.  Each stage is two
+    in-place operations on flat vectors, and the update keeps the bits of
+    y + (dt/6)(k1 + 2(k2 + k3) + k4).  y1 is screened in one pass: each
+    value must be finite, x, u and grad_u within STATE_CAP, e within
+    E_BLOWUP_CAP and rho nonnegative, else BlowupSignal brackets the step
+    [t, t + dt].  The caller holds the np.errstate that lets a blowing-up
+    step overflow quietly.
     """
     k1, k2, k3, k4, stage = scratch.rows
     v1, v2, v3, v4, args = scratch.views
@@ -450,6 +475,14 @@ def _packed(state: Ensemble, flat: np.ndarray, t: float) -> Ensemble:
     out = object.__new__(Ensemble)
     out.__dict__.update(state.__dict__, t=t, flat=flat, **_views(flat, state._scratch.layout))
     return out
+
+
+def _derivatives(state: Ensemble, f) -> tuple:
+    """The time derivatives that a right-hand side f writes for the state, shown as its arrays are."""
+    layout = state._scratch.layout
+    out = np.empty_like(state.flat)
+    f(*_views(state.flat, layout, stored=True).values(), *_views(out, layout, stored=True).values())
+    return tuple(_views(out, layout).values())
 
 
 def advance_rk4(state: Ensemble, f, dt: float) -> Ensemble:

@@ -20,9 +20,11 @@ and the algebraic identity tr(G^2) = (d^2 + eta_S^2 - 4 omega^2) / 2.
 The classifiers decide whether initial data are subcritical, i.e. whether
 e provably stays nonnegative (so eta_S and omega decay) for all time.
 
-The state is a ``dynamics.Ensemble`` that carries grad_u; ``step_2d``
-hands this module's right-hand side to ``dynamics.advance_rk4``, and
-``runner.run`` to the RK4 core that it wraps.  Its terms
+The state is a ``dynamics.Ensemble`` that carries grad_u, stored
+component-major, (2, 2, N), and shown as (N, 2, 2); ``step_2d`` hands this
+module's right-hand side to ``dynamics.advance_rk4``, and ``runner.run`` to
+the RK4 core that it wraps, and the right-hand side runs the 2x2 algebra
+on the stored rows.  Its terms
 come from the builders every mode uses: ``dynamics.alignment_plan`` for a
 constant kernel (a decaying kernel's ``PairPlan`` also sums R) and
 ``potentials.hessian_diag``.
@@ -36,7 +38,7 @@ import numpy as np
 
 from . import constants as _constants
 from .dynamics import (
-    Ensemble, PairPlan, add_block, advance_rk4, alignment_force, alignment_plan, alignment_sums,
+    Ensemble, PairPlan, add_block, advance_rk4, alignment_force, alignment_plan, alignment_sums, _derivatives,
 )
 from .hydro1d import BumpDensity, ThresholdReport, VelocityProfile, midpoint_quadrature
 from .kernels import ConstantKernel, Kernel, kernel_eval_sq, kernel_slope_over_r_sq
@@ -99,45 +101,41 @@ def _pair_terms_2d(plan: PairPlan, x, u):
 
 
 def _step_rhs_2d(m, kernel, potential):
-    """The right-hand side f(x, u, grad_u, dx, du, dgrad_u) of one step along the characteristics.
+    """The right-hand side f(x, u, g, dx, du, dg) of one step along the characteristics.
 
-    Its alignment (``alignment_plan``, or a ``PairPlan(m, kernel, 3)`` that ``_pair_terms_2d`` runs to
-    also sum R) and Hessian are built once.  The stages call ``alignment_force`` and ``grad_at``
-    through this module's globals, which the benchmark's tracer rebinds.
+    g and dg are grad_u and its derivative as a stage stores them, component-major (2, 2, N), so
+    each entry G_ij is one contiguous row of the N characteristics.  Its alignment (``alignment_plan``,
+    or a ``PairPlan(m, kernel, 3)`` that ``_pair_terms_2d`` runs to also sum R) and Hessian are built
+    once.  The stages call ``alignment_force`` and ``grad_at`` through this module's globals, which the
+    benchmark's tracer rebinds.
     """
     constant = isinstance(kernel, ConstantKernel)
     plan = alignment_plan(m, kernel) if constant else PairPlan(m, kernel, 3)
     hess = hessian_diag(potential)
 
-    def f(x, u, grad_u, dx, du, d_grad):
+    def f(x, u, g, dx, du, dg):
         if constant:
             force, phi_conv = alignment_force(x, u, m, kernel, plan)
         else:
             force, phi_conv, forcing = _pair_terms_2d(plan, x, u)
-            phi_conv = phi_conv[:, None, None]
         np.copyto(dx, u)
         np.subtract(force, grad_at(potential, x), out=du)
-        # [G^2]_ij = G_i0 G_0j + G_i1 G_1j on (2, 2, N) views, in C order: each inner loop runs over the N
-        # characteristics (numpy's own order would run it over j, two entries long)
-        g, square = grad_u.transpose(1, 2, 0), d_grad.transpose(1, 2, 0)
-        np.multiply(g[:, :1], g[:1], out=square, order="C")
-        np.add(square, np.multiply(g[:, 1:], g[1:], order="C"), out=square, order="C")
-        np.negative(d_grad, out=d_grad)
-        d_grad -= phi_conv * grad_u
+        # [G^2]_ij = G_i0 G_0j + G_i1 G_1j
+        np.multiply(g[:, :1], g[:1], out=dg)
+        np.add(dg, np.multiply(g[:, 1:], g[1:]), out=dg)
+        np.negative(dg, out=dg)
+        dg -= phi_conv * g
         if not constant:
-            d_grad += forcing
-        # the diagonal entries (0, 0) and (1, 1) as one (N, 2) view
-        d_grad.reshape(-1, 4)[:, ::3] -= hess(x)
+            dg += forcing.transpose(1, 2, 0)
+        # the diagonal entries (0, 0) and (1, 1) as rows 0 and 3 of a (4, N) view
+        dg.reshape(4, -1)[::3] -= hess(x).T
 
     return f
 
 
 def rhs_2d(state: Ensemble, kernel: Kernel, potential: Potential):
-    """Time derivative (dx, du, dgrad_u) along the characteristics."""
-    arrays = (state.x, state.u, state.grad_u)
-    out = tuple(map(np.empty_like, arrays))
-    _step_rhs_2d(state.m, kernel, potential)(*arrays, *out)
-    return out
+    """Time derivative (dx, du, dgrad_u) along the characteristics, dgrad_u shown (N, 2, 2) as grad_u is."""
+    return _derivatives(state, _step_rhs_2d(state.m, kernel, potential))
 
 
 def step_2d(state: Ensemble, kernel: Kernel, potential: Potential, dt: float) -> Ensemble:

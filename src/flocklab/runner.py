@@ -377,7 +377,7 @@ def _integrate(cfg: ExperimentConfig, an: Analysis) -> RunResult:
     # the persistence checks need more than the frames
     track_e = state.e is not None
     if track_e:
-        e = next(slice(lo, hi) for name, lo, hi, _ in scratch.layout if name == "e")
+        e = next(slice(lo, hi) for name, lo, hi, *_ in scratch.layout if name == "e")
         e_lo, e_hi = state.e.copy(), state.e.copy()
     dt, stride, n_steps = cfg.dt, cfg.output_stride, cfg.n_steps
 

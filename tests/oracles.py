@@ -546,8 +546,9 @@ def stage_step(state, kernel, potential, dt):
         def f(x, u, e, rho, *out):
             stage_rhs_arrays_1d(x, u, e, rho, m, kernel, potential, out)
     elif state.grad_u is not None:
-        def f(x, u, g, *out):
-            stage_rhs_arrays_2d(x, u, g, m, kernel, potential, out)
+        def f(x, u, g, dx, du, dg):  # a stage stores grad_u as (2, 2, N); the formula reads (N, 2, 2)
+            out = (dx, du, dg.transpose(2, 0, 1))
+            stage_rhs_arrays_2d(x, u, g.transpose(2, 0, 1), m, kernel, potential, out)
     else:
         def f(x, u, dx, du):
             dx[...] = u

@@ -6,6 +6,7 @@ import io
 import pytest
 
 from flocklab.config import (
+    MAX_FRAMES,
     ConfigError,
     _sections,
     parse_config,
@@ -289,6 +290,26 @@ def test_run_t_is_a_whole_number_of_steps():
             with_overrides(cfg, [("run.dt", dt), ("run.t", t)])
     # round-off in t/dt is not a broken rule
     assert with_overrides(cfg, [("run.dt", 0.1), ("run.t", 0.3)]).n_steps == 3
+
+
+def test_a_run_keeps_at_most_max_frames():
+    # riccati-oracle with t = 1e9 and a frame every step would keep 1e13 + 1 frames, about 970 bytes each
+    text = preset_text("riccati-oracle").replace("t = 5\n", "t = 1e9\n")
+    with pytest.raises(ConfigError, match=r"run\.t / \(run\.dt \* run\.output_stride\).* 10000000000001 frames"):
+        parse_config(text.replace("output_stride = 100", "output_stride = 1"))
+    # the first frame, every stride-th step's and the last: MAX_FRAMES is the most a run keeps
+    cfg = preset_config("riccati-oracle")
+    at_cap = [("run.t", (MAX_FRAMES - 1) * cfg.dt), ("run.output_stride", 1)]
+    assert with_overrides(cfg, at_cap).n_steps == MAX_FRAMES - 1
+    with pytest.raises(ConfigError, match=f"{MAX_FRAMES + 1} frames"):
+        with_overrides(cfg, [("run.t", MAX_FRAMES * cfg.dt), ("run.output_stride", 1)])
+    with pytest.raises(ConfigError, match=f"{MAX_FRAMES + 1} frames"):
+        with_overrides(cfg, [("run.t", (MAX_FRAMES - 1) * 3 * cfg.dt + cfg.dt), ("run.output_stride", 3)])
+    # a long run with a wide stride keeps few frames
+    assert parse_config(text.replace("output_stride = 100", "output_stride = 100000000")).output_stride == 10**8
+    for name in preset_names():
+        cfg = preset_config(name)
+        assert cfg.n_steps // cfg.output_stride <= 1000
 
 
 def test_run_n_is_bounded_before_any_state(monkeypatch):

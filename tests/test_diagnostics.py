@@ -541,6 +541,21 @@ def test_pair_scan_rejects_an_overflowed_state(d):
             assert pair_scan(wide, 0.0)[2] == 1.8e154
 
 
+def test_pair_scan_1d_is_finite_where_only_the_positions_overflow():
+    # 1D without a position weight: |x~|^2 overflows at |x| ~ 1e160, but no scanned form reads it, so
+    # deltaE_L2 and deltaE_Linf keep the bits they have at any other finite scale of x
+    rng = np.random.default_rng(19)
+    x, u, m = rng.normal(size=(5, 1)), rng.normal(size=(5, 1)), rng.uniform(0.1, 1.0, 5)
+    wide = Ensemble(x=x * 1e160, u=u, m=m)
+    with np.errstate(over="ignore"):
+        l2, linf, span, f_max = pair_scan(wide, 0.0)
+    assert (l2, linf) == pair_scan(Ensemble(x=x, u=u, m=m), 0.0)[:2]
+    du_sq = (u - u.T) ** 2
+    assert l2 == pytest.approx(float(m @ du_sq @ m), rel=1e-13)
+    assert linf == pytest.approx(float(du_sq.max()), rel=1e-13)
+    assert span == float(wide.x.max() - wide.x.min()) and math.isnan(f_max)
+
+
 def test_pair_functional_identical_pair():
     ens = Ensemble(x=[[0.3], [0.3]], u=[[0.1], [0.1]], m=[0.5, 0.5])
     assert pair_functional_f(ens, 2.0, 1.0) == 0.0

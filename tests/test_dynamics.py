@@ -381,13 +381,15 @@ def test_pair_pass_builds_no_pair_matrix(monkeypatch):
     grad_u = rng.uniform(-1.0, 1.0, (n, 2, 2))
     kernel, potential = PowerLawKernel(1.0, 0.5), QuadraticPotential(1.0)
     monkeypatch.setattr(dynamics, "_block_buffers", (np.empty(0), np.empty(0)))
-    outs = (np.empty_like(ens.x), np.empty_like(ens.u), np.empty_like(grad_u))
+    # the right-hand side reads and writes grad_u as a stage stores it, (2, 2, N)
+    stored = np.ascontiguousarray(grad_u.transpose(1, 2, 0))
+    outs = (np.empty_like(ens.x), np.empty_like(ens.u), np.empty_like(stored))
     state_2d = Ensemble(x=ens.x, u=ens.u, m=ens.m, grad_u=grad_u)
 
     def passes():
         dynamics.alignment_force(ens.x, ens.u, ens.m, kernel)
         conv_phi(ens.x, ens.m, kernel)
-        _step_rhs_2d(ens.m, kernel, potential)(ens.x, ens.u, grad_u, *outs)
+        _step_rhs_2d(ens.m, kernel, potential)(ens.x, ens.u, stored, *outs)
         # planned steps: each keeps its right-hand side's plan, laid out in the same pool
         step_rk4(ens, kernel, potential, 0.01)
         step_2d(state_2d, kernel, potential, 0.01)

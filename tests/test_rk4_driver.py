@@ -102,7 +102,7 @@ def _nan_in_grad_u(state, kernel, potential, dt):
 
     def packed_f(x, u, g, *out):
         rhs(x, u, g, *out)
-        out[2][0, 1, 0] = math.nan
+        out[2][1, 0, 0] = math.nan  # entry (1, 0) of characteristic 0, as a stage stores grad_u: (2, 2, N)
 
     reference_f = reference_rhs_2d(state.m, kernel, potential)
 

@@ -559,6 +559,17 @@ def test_cli_simulate_to_an_existing_file_is_an_error_before_the_run(tmp_path, c
     assert out_text == "" and err.startswith("error: ") and str(out) in err
 
 
+def test_cli_simulate_rejects_a_run_past_the_frame_cap_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run", lambda cfg: pytest.fail("simulate ran a config past the frame cap"))
+    text = preset_text("riccati-oracle").replace("t = 5\n", "t = 1e9\n")
+    cfg_path = tmp_path / "long.cfg"
+    cfg_path.write_text(text.replace("output_stride = 100", "output_stride = 1"))
+    assert cli_main(["simulate", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    out_text, err = capsys.readouterr()
+    assert out_text == "" and err.startswith("error: run.t / (run.dt * run.output_stride)")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_sweep_to_a_missing_directory_is_an_error(tmp_path, capsys, monkeypatch):
     calls = []
     analyze = runner.analyze
