@@ -122,7 +122,7 @@ def _step_rhs_2d(m, kernel, potential):
         np.subtract(force, grad_at(potential, x), out=du)
         # [G^2]_ij = G_i0 G_0j + G_i1 G_1j
         np.multiply(g[:, :1], g[:1], out=dg)
-        np.add(dg, np.multiply(g[:, 1:], g[1:]), out=dg)
+        dg += g[:, 1:] * g[1:]
         np.negative(dg, out=dg)
         dg -= phi_conv * g
         if not constant:
